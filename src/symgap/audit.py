@@ -24,7 +24,7 @@ from .instances import (
     make_symgap_valuation,
     sample_bisection_sequence,
 )
-from .mechanisms import DistributionOverOutcomes
+from .mechanisms import DistributionOverOutcomes, run_trials
 
 SIGMA_GATE = 4.0
 ABS_GUARD = 1e-9
@@ -82,32 +82,11 @@ class TruthReport:
         }
 
 
-def _trial_outcomes(mech, instance, trials: int, seed: int) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
-    """Run a mechanism `trials` times; returns per-trial (bundle masks, payments).
-
-    CPP outcomes are broadcast to every player (public project, no payments);
-    distribution outcomes are sampled once per trial.
-    """
-    oracles = instance.oracles
-    if getattr(mech, "needs_descriptor", False):
-        views = oracles
-    else:
-        views = tuple(o.restricted_view() for o in oracles)
-    n = instance.n
-    children = np.random.SeedSequence(seed).spawn(trials)
-    out = []
-    is_cpp = isinstance(instance, CPPInstance)
-    for t in range(trials):
-        rng = np.random.default_rng(children[t])
-        if is_cpp:
-            res = mech.allocate(views, instance.k, rng)
-            if isinstance(res, DistributionOverOutcomes):
-                res = res.sample(rng)
-            out.append(((res.mask,) * n, (0.0,) * n))
-        else:
-            res = mech.allocate(views, rng)
-            out.append((tuple(S.mask for S in res.sets), tuple(res.payments)))
-    return out
+# SeedSequence entropy tags of the per-declaration trial streams, used as
+# (seed, index, tag).  The tag goes last because numpy pads entropy with
+# zeros: a trailing zero index would alias the shorter tuple.
+_DEVIATION_STREAM = 1
+_MENU_STREAM = 2
 
 
 def audit_truthfulness(
@@ -123,8 +102,13 @@ def audit_truthfulness(
     For a deviation v' of player i the score under truth must cover the
     deviation score:  E[v_i . A(v) - p_i(v)]  >=  (1-eps) E[v_i . A(v')]
     - E[p_i(v')].  A violation needs a gap below -(4 sigma + 1e-9).
+
+    Truthful trials use SeedSequence(seed); deviation d uses the entropy
+    tuple (seed, d, _DEVIATION_STREAM), so no two streams alias.  Trials come
+    from run_trials: a deterministic mechanism runs once per declaration and
+    its outcome is replicated across `trials`.
     """
-    truth_runs = _trial_outcomes(mech, instance, trials, seed)
+    truth_runs = run_trials(mech, instance, trials, seed)
     truth_scores: dict[int, np.ndarray] = {}
     entries: list[DeviationResult] = []
     oracles = instance.oracles
@@ -132,8 +116,8 @@ def audit_truthfulness(
         if player not in truth_scores:
             vals = np.array(
                 [
-                    oracles[player].eval(sets[player]) - pays[player]
-                    for sets, pays in truth_runs
+                    oracles[player].eval(run.bundle(player)) - run.payment(player)
+                    for run in truth_runs
                 ]
             )
             truth_scores[player] = vals
@@ -143,11 +127,13 @@ def audit_truthfulness(
             dev_instance = CPPInstance(tuple(declared), instance.k)
         else:
             dev_instance = AuctionInstance(tuple(declared))
-        dev_runs = _trial_outcomes(mech, dev_instance, trials, seed + 7919 * (dev_idx + 1))
+        dev_runs = run_trials(
+            mech, dev_instance, trials, (seed, dev_idx, _DEVIATION_STREAM)
+        )
         dev_vals = np.array(
             [
-                (1.0 - eps) * oracles[player].eval(sets[player]) - pays[player]
-                for sets, pays in dev_runs
+                (1.0 - eps) * oracles[player].eval(run.bundle(player)) - run.payment(player)
+                for run in dev_runs
             ]
         )
         t_mean, t_se = _mean_stderr(truth_scores[player])
@@ -344,6 +330,10 @@ def extract_menu(
     For each declared valuation in the family (a scaled two-block function),
     rerun the mechanism and record X = |bundle ∩ (A ∪ B)| / |A ∪ B| and the
     payment.  Weights are uniform and sum to 1 across the whole sample.
+
+    Entry p's trials use the entropy tuple (seed, p, _MENU_STREAM).  Trials
+    come from run_trials: a deterministic mechanism runs once per declared
+    entry and its outcome is replicated across `trials`.
     """
     samples: list[MenuObservation] = []
     w = 1.0 / (len(family) * trials)
@@ -353,11 +343,10 @@ def extract_menu(
         declared = list(instance.oracles)
         declared[special] = entry.oracle()
         dev_instance = AuctionInstance(tuple(declared))
-        runs = _trial_outcomes(mech, dev_instance, trials, seed + 104729 * prov)
-        for sets, pays in runs:
-            bundle = ItemSet(sets[special], instance.m)
-            X = bundle.intersection_size(level_set) / level_size
-            samples.append(MenuObservation(X, pays[special], w, prov))
+        runs = run_trials(mech, dev_instance, trials, (seed, prov, _MENU_STREAM))
+        for run in runs:
+            X = run.bundle(special).intersection_size(level_set) / level_size
+            samples.append(MenuObservation(X, run.payment(special), w, prov))
     return MenuSample(samples, len(family), trials, seed)
 
 

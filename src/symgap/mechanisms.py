@@ -373,6 +373,10 @@ class CPPMechanism(ABC):
     declared oracles themselves, descriptors included."""
 
     name: str = "cpp"
+    # True promises that allocate draws nothing from `rng` (its bit-generator
+    # state is left as it was) and returns equal outcomes, with equal query
+    # counts, for equal declarations.  run_trials then calls allocate once per
+    # declaration and replicates the outcome across trials.
     deterministic: bool = False
     kind: str = "cpp"
     needs_descriptor: bool = False
@@ -386,7 +390,7 @@ class CPPMechanism(ABC):
 
 class AuctionMechanism(ABC):
     name: str = "auction"
-    deterministic: bool = False
+    deterministic: bool = False  # same contract as CPPMechanism.deterministic
     kind: str = "auction"
 
     @abstractmethod
@@ -550,46 +554,97 @@ class EmpiricalReport:
         return rows
 
 
-def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
-    """Seeded repeated runs with per-trial welfare, query counts, and
-    feasibility flags.  Deterministic for fixed (mechanism, instance, seed).
+@dataclass(frozen=True)
+class Trial:
+    """One seeded trial of a mechanism.
+
+    `result` is what allocate returned; `outcome` is what the trial realised
+    (a distribution is sampled with the trial's own rng); `queries` counts
+    the oracle queries allocate spent.
+    """
+
+    result: ItemSet | Outcome | DistributionOverOutcomes
+    outcome: ItemSet | Outcome
+    queries: int
+
+    def bundle(self, player: int) -> ItemSet:
+        """The player's bundle; a public project gives every player one set."""
+        if isinstance(self.outcome, Outcome):
+            return self.outcome.sets[player]
+        return self.outcome
+
+    def payment(self, player: int) -> float:
+        if isinstance(self.outcome, Outcome):
+            return self.outcome.payments[player]
+        return 0.0
+
+
+def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> list[Trial]:
+    """Run a mechanism `trials` times on one declared instance.
+
+    Trial t uses the t-th child of SeedSequence(seed); `seed` may be an int or
+    an entropy tuple.  A mechanism with `deterministic = True` is allocated
+    once, and its result and query count are reused for every trial; a
+    distribution result is still sampled with each trial's own rng, so the
+    streams equal those of re-running it.
     """
     oracles = instance.oracles
     if getattr(mech, "needs_descriptor", False):
         views = oracles
     else:
         views = tuple(o.restricted_view() for o in oracles)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    is_cpp = isinstance(instance, CPPInstance)
+    replicate = getattr(mech, "deterministic", False)
+    root = np.random.SeedSequence(seed)
+    runs: list[Trial] = []
+    res = queries = None
+    for t in range(trials):
+        replay = replicate and t > 0
+        rng = None
+        if not replay or isinstance(res, DistributionOverOutcomes):
+            # child t of root.spawn(trials), built only for trials that draw
+            child = np.random.SeedSequence(root.entropy, spawn_key=(t,))
+            rng = np.random.default_rng(child)
+        if not replay:
+            before = sum(o.query_count for o in oracles)
+            if is_cpp:
+                res = mech.allocate(views, instance.k, rng)
+            else:
+                res = mech.allocate(views, rng)
+            queries = sum(o.query_count for o in oracles) - before
+        outcome = res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
+        runs.append(Trial(res, outcome, queries))
+    return runs
+
+
+def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
+    """Seeded repeated runs with per-trial welfare, query counts, and
+    feasibility flags.  Deterministic for fixed (mechanism, instance, seed).
+    The trials come from run_trials, so a deterministic mechanism is
+    allocated once and its outcome replicated.
+    """
+    oracles = instance.oracles
     records: list[dict] = []
     all_feasible = True
     query_total = 0
     welfare_sum = 0.0
     welfare_sq = 0.0
     is_cpp = isinstance(instance, CPPInstance)
-    for t in range(trials):
-        rng = np.random.default_rng(children[t])
-        before = sum(o.query_count for o in oracles)
-        if is_cpp:
-            out = mech.allocate(views, instance.k, rng)
-        else:
-            out = mech.allocate(views, rng)
-        queries = sum(o.query_count for o in oracles) - before
-        query_total += queries
-        payments: list[float] = []
-        if isinstance(out, DistributionOverOutcomes):
-            feasible = sum(out.x) <= instance.k + 1e-9
-            realized = out.sample(rng)
-            welfare = sum(o.eval(realized) for o in oracles)
-            sets_hex = [realized.to_hex()]
-        elif is_cpp:
-            feasible = len(out) <= instance.k
-            welfare = sum(o.eval(out) for o in oracles)
-            sets_hex = [out.to_hex()]
-        else:
+    for t, run in enumerate(run_trials(mech, instance, trials, seed)):
+        query_total += run.queries
+        out = run.outcome
+        welfare = sum(o.eval(run.bundle(i)) for i, o in enumerate(oracles))
+        if isinstance(out, Outcome):
             feasible = True  # Outcome construction already enforces disjointness
-            welfare = sum(o.eval(S) for o, S in zip(oracles, out.sets))
             payments = list(out.payments)
             sets_hex = [S.to_hex() for S in out.sets]
+        else:
+            if isinstance(run.result, DistributionOverOutcomes):
+                feasible = sum(run.result.x) <= instance.k + 1e-9
+            else:
+                feasible = len(out) <= instance.k
+            payments = []
+            sets_hex = [out.to_hex()]
         all_feasible &= feasible
         welfare_sum += welfare
         welfare_sq += welfare * welfare
@@ -597,7 +652,7 @@ def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
             {
                 "trial": t,
                 "welfare": welfare,
-                "queries": queries,
+                "queries": run.queries,
                 "feasible": feasible,
                 "payments": payments,
                 "sets": sets_hex,
