@@ -8,7 +8,7 @@ either a convex mixture reaches the target quadrant {q >= q0, p <= p0}
 or a nonnegative line separates it.
 """
 from symgap.audit import extract_menu, map_menu_to_qp, separate_quadrant
-from symgap.instances import AuctionInstance, PhiAlpha, make_scaled_symgap_valuation
+from symgap.instances import AuctionInstance, PhiAlpha, make_symgap_valuation
 from symgap.mechanisms import VCGExhaustiveAuction
 from symgap.setfn import ItemSet, make_additive
 
@@ -18,7 +18,7 @@ B = ItemSet.from_indices([2, 3], m)
 phi = PhiAlpha(0.5)
 beta = 0.25
 
-family = [make_scaled_symgap_valuation(A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
+family = [make_symgap_valuation(A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
 opponent = make_additive([0.0] * 4 + [0.3] * 4)
 instance = AuctionInstance((family[-1].oracle(), opponent))
 

@@ -40,9 +40,7 @@ from .instances import (
     balancedness,
     expected_union_size,
     make_basic_auction,
-    make_scaled_symgap_valuation,
     make_symgap_valuation,
-    phi_alpha,
     psi,
     psi_tilde,
     random_cpp_instance,

@@ -19,6 +19,7 @@ from .instances import (
     AuctionInstance,
     CPPInstance,
     Phi,
+    PhiAlpha,
     TwoBlockValuation,
     expected_union_size,
     make_symgap_valuation,
@@ -569,10 +570,6 @@ class StepCertificate:
         return vars(self) | {}
 
 
-def _phi_ramp(alpha: float, xs: np.ndarray) -> np.ndarray:
-    return np.clip(xs / alpha, 0.0, 1.0)
-
-
 def amplification_step(
     state: AmplificationState,
     xs: Sequence[float],
@@ -600,8 +597,8 @@ def amplification_step(
     case = 1 if tail > 2.0 * delta * xi else 2
     alpha_next = 0.5 * (1.0 + delta) * alpha if case == 1 else math.sqrt(delta) * alpha
     # mean of values <= 1; the dot product may overshoot 1 by an ulp
-    xi_next = min(1.0, float(ws @ _phi_ramp(alpha_next, xs)))
-    quad = float(ws @ (1.0 - (1.0 - _phi_ramp(alpha, xs)) ** 2))
+    xi_next = min(1.0, float(ws @ PhiAlpha(alpha_next).value(xs)))
+    quad = float(ws @ (1.0 - (1.0 - PhiAlpha(alpha).value(xs)) ** 2))
     hyp = quad >= (1.0 - 2.0 * eps) * xi - 1e-15
     lhs = alpha_next * xi_next ** (1.0 + delta)
     rhs = 0.5 * (1.0 + delta * delta) * alpha * xi ** (1.0 + delta)
@@ -638,7 +635,7 @@ def hypothesis_satisfying_distribution(
         xs = rng.uniform(0.0, math.sqrt(delta) * alpha, size)
         ws = rng.dirichlet(np.ones(size))
     needed = (1.0 - 2.0 * eps) * xi
-    quad = float(ws @ (1.0 - (1.0 - _phi_ramp(alpha, xs)) ** 2))
+    quad = float(ws @ (1.0 - (1.0 - PhiAlpha(alpha).value(xs)) ** 2))
     if quad < needed and quad < 1.0:
         # mix with the saturating atom: w*quad + (1-w)*1 >= needed
         w_max = (1.0 - needed) / (1.0 - quad)

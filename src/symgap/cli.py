@@ -6,19 +6,19 @@ no timestamps, sorted JSON keys, all randomness derived from --seed.
 
 Exit codes: 0 all assertions pass, 2 an assertion failed, 1 usage error.
 """
-from __future__ import annotations
-
 import argparse
 import csv
 import io
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from . import audit, instances
+from . import audit
 from .setfn import (
     GroundSetError,
     ItemSet,
@@ -36,7 +36,6 @@ from .instances import (
     AuctionInstance,
     CPPLevelParams,
     PhiAlpha,
-    make_scaled_symgap_valuation,
     make_symgap_valuation,
     psi,
     psi_tilde,
@@ -118,9 +117,14 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
 # ---------------------------------------------------------------------------
 
 
-def _exp_gap955(cfg: ExperimentConfig) -> dict:
-    blocks = int(cfg.params.get("blocks", 200))
-    alpha = float(cfg.params.get("alpha", 0.5))
+# Each experiment declares its parameters once, as keyword-only arguments with
+# annotated types and defaults; build_parser derives the subcommand's flags
+# from them and run converts given values to the declared types.
+
+
+def _exp_gap955(
+    cfg: ExperimentConfig, *, blocks: int = 200, alpha: float = 0.5, mc_samples: int = 0
+) -> dict:
     val = two_block_product_instance(blocks, alpha)
     one_a = f_exp_blockwise(val, 1.0, 0.0)
     one_b = f_exp_blockwise(val, 0.0, 1.0)
@@ -139,7 +143,6 @@ def _exp_gap955(cfg: ExperimentConfig) -> dict:
     elif alpha == 1.0:
         assertions["segment_concave"] = mid >= 0.5 * (one_a + one_b) - 1e-9
     mc = None
-    mc_samples = int(cfg.params.get("mc_samples", 0) or 0)
     if mc_samples > 0:
         est = f_exp(
             val.oracle(),
@@ -166,16 +169,15 @@ def _exp_gap955(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_concavity(cfg: ExperimentConfig) -> dict:
-    family = cfg.params.get("family", "budget_additive_demo")
-    trials = cfg.trials or 10_000
+def _exp_concavity(
+    cfg: ExperimentConfig, *, family: str = "budget_additive_demo", blocks: int = 200,
+    alpha: float = 1.0, m: int = 6, step: float | None = None, trials: int = 10_000,
+) -> dict:
     rng = _rng(cfg.seed, 1)
     expect_violation: bool
     detail: dict = {}
     violations: list = []
     if family == "two_block_product":
-        blocks = int(cfg.params.get("blocks", 200))
-        alpha = float(cfg.params.get("alpha", 1.0))
         val = two_block_product_instance(blocks, alpha)
         if alpha >= 1.0:
             expect_violation = False
@@ -200,20 +202,21 @@ def _exp_concavity(cfg: ExperimentConfig) -> dict:
     elif family == "budget_additive_demo":
         oracle = make_budget_additive([1.0, 1.0, 1.0, 2.0], 2.0)
         scaled = scale_oracle(oracle, 0.5)  # keep values in [0,1]
-        step = float(cfg.params.get("step", 0.1))
-        found, scanned, total = concavity_grid_scan(scaled, step=step, stop_after=5)
+        found, scanned, total = concavity_grid_scan(
+            scaled, step=0.1 if step is None else step, stop_after=5
+        )
         violations = found
         detail.update({"pairs_scanned": scanned, "total_pairs": total, "mode": "grid_scan"})
         expect_violation = True
     elif family in ("coverage", "additive"):
-        m = int(cfg.params.get("m", 6))
         oracle = (
             make_additive([float(w) for w in rng.uniform(0.0, 1.0 / m, m)])
             if family == "additive"
             else _coverage_oracle(rng, m)
         )
-        step = float(cfg.params.get("step", 0.5))
-        found, scanned, total = concavity_grid_scan(oracle, step=step, stop_after=5)
+        found, scanned, total = concavity_grid_scan(
+            oracle, step=0.5 if step is None else step, stop_after=5
+        )
         violations = found
         detail.update({"pairs_scanned": scanned, "total_pairs": total, "mode": "grid_scan"})
         expect_violation = False
@@ -229,7 +232,8 @@ def _exp_concavity(cfg: ExperimentConfig) -> dict:
     ]
     return {
         "experiment": "concavity",
-        "params": {"family": family, **{k: v for k, v in cfg.params.items()}},
+        # echoes only the parameters that were given
+        "params": {"family": family, **cfg.params},
         "seed": cfg.seed,
         "trials": trials,
         "violations": recs,
@@ -248,22 +252,20 @@ def _coverage_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
     return make_coverage(weights, cover)
 
 
-def _exp_submod_check(cfg: ExperimentConfig) -> dict:
-    family = cfg.params.get("family", "two_block_product")
-    m = int(cfg.params.get("m", 10))
-    mode = cfg.params.get("mode", "exhaustive")
+def _exp_submod_check(
+    cfg: ExperimentConfig, *, family: str = "two_block_product", m: int = 10,
+    mode: Literal["exhaustive", "sampled"] = "exhaustive", alpha: float = 0.5,
+    beta: float = 0.25, omega: float = 0.125, trials: int = 100_000,
+) -> dict:
     rng = _rng(cfg.seed, 2)
     if family == "symgap":
         if m % 2:
             raise GroundSetError("symgap family needs even m")
         seq = sample_bisection_sequence(m, 1, rng)
         A, B = seq.level(0)
-        oracle = make_symgap_valuation(
-            A, B, PhiAlpha(float(cfg.params.get("alpha", 0.5))),
-            float(cfg.params.get("beta", 0.25)),
-        ).oracle()
+        oracle = make_symgap_valuation(A, B, PhiAlpha(alpha), beta).oracle()
     elif family == "two_block_product":
-        oracle = two_block_product_instance(m // 2, float(cfg.params.get("alpha", 0.5))).oracle()
+        oracle = two_block_product_instance(m // 2, alpha).oracle()
     elif family == "product":
         oracle = compose_product(_random_base_oracle(rng, m), _random_base_oracle(rng, m))
     elif family == "random":
@@ -277,12 +279,10 @@ def _exp_submod_check(cfg: ExperimentConfig) -> dict:
         oracle = _coverage_oracle(rng, m)
     elif family == "polar":
         A = ItemSet.from_indices(list(range(m // 2)), m)
-        oracle = make_polar(A, float(cfg.params.get("omega", 0.125)))
+        oracle = make_polar(A, omega)
     else:
         raise OracleContractError(f"unknown family {family!r}")
-    report = check_monotone_submodular(
-        oracle, mode=mode, trials=cfg.trials or 100_000, rng=rng
-    )
+    report = check_monotone_submodular(oracle, mode=mode, trials=trials, rng=rng)
     return {
         "experiment": "submod_check",
         "params": {"family": family, "m": m, "mode": mode},
@@ -294,9 +294,7 @@ def _exp_submod_check(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_product_compose(cfg: ExperimentConfig) -> dict:
-    pairs = int(cfg.params.get("pairs", 100))
-    m = int(cfg.params.get("m", 10))
+def _exp_product_compose(cfg: ExperimentConfig, *, pairs: int = 100, m: int = 10) -> dict:
     rng = _rng(cfg.seed, 3)
     failures = []
     identity_worst = 0.0
@@ -331,10 +329,10 @@ def _exp_product_compose(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_psi_tilde_check(cfg: ExperimentConfig) -> dict:
-    alpha = float(cfg.params.get("alpha", 0.5))
-    beta = float(cfg.params.get("beta", 0.1))
-    grid = int(cfg.params.get("grid", 200))
+def _exp_psi_tilde_check(
+    cfg: ExperimentConfig, *, alpha: float = 0.5, beta: float = 0.1, grid: int = 200,
+    block: int = 4,
+) -> dict:
     phi = PhiAlpha(alpha)
     t = np.linspace(0.0, 1.0, grid)
     X, Y = np.meshgrid(t, t, indexing="ij")
@@ -364,10 +362,9 @@ def _exp_psi_tilde_check(cfg: ExperimentConfig) -> dict:
     up = psi_tilde(phi, beta, xs, xs - beta + 1e-9)
     dn = psi_tilde(phi, beta, xs, xs - beta - 1e-9)
     checks["continuous_at_band_edge"] = bool(np.abs(up - dn).max() <= 1e-6)
-    lower = instances.phi_alpha(alpha, np.clip(t - beta, 0.0, 1.0))
+    lower = phi.value(np.clip(t - beta, 0.0, 1.0))
     vals = psi_tilde(phi, beta, t, np.zeros_like(t))
     checks["pointwise_floor"] = bool((vals >= lower - 1e-12).all())
-    block = int(cfg.params.get("block", 4))
     msub = check_monotone_submodular(
         make_symgap_valuation(
             ItemSet.from_indices(range(block), 2 * block),
@@ -388,17 +385,15 @@ def _exp_psi_tilde_check(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_chernoff(cfg: ExperimentConfig) -> dict:
-    m = int(cfg.params.get("m", 400))
-    beta = float(cfg.params.get("beta", 0.1))
-    trials = cfg.trials or 100_000
+def _exp_chernoff(
+    cfg: ExperimentConfig, *, m: int = 400, beta: float = 0.1, trials: int = 100_000
+) -> dict:
     return audit.chernoff_bisection_test(m, beta, trials, cfg.seed)
 
 
-def _exp_bisect_uniformity(cfg: ExperimentConfig) -> dict:
-    m = int(cfg.params.get("m", 32))
-    ell = int(cfg.params.get("ell", 3))
-    trials = cfg.trials or 20_000
+def _exp_bisect_uniformity(
+    cfg: ExperimentConfig, *, m: int = 32, ell: int = 3, trials: int = 20_000
+) -> dict:
     rng = _rng(cfg.seed, 4)
     level_counts = np.zeros((ell, m))
     top_pair_counts = np.zeros((m, m))
@@ -441,15 +436,14 @@ def _exp_bisect_uniformity(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_greedy_ratio(cfg: ExperimentConfig) -> dict:
-    count = int(cfg.params.get("instances", 50))
-    m_max = int(cfg.params.get("m_max", 16))
-    k_max = int(cfg.params.get("k_max", 4))
+def _exp_greedy_ratio(
+    cfg: ExperimentConfig, *, instances: int = 50, m_max: int = 16, k_max: int = 4
+) -> dict:
     rng = _rng(cfg.seed, 5)
     floor = 1.0 - 1.0 / math.e
     worst = math.inf
     failures = []
-    for idx in range(count):
+    for idx in range(instances):
         inst = random_cpp_instance(rng, m_max=m_max, k_max=k_max)
         g = greedy_cpp(inst.oracles, inst.k)
         o = exhaustive_opt_cpp(inst.oracles, inst.k)
@@ -460,7 +454,7 @@ def _exp_greedy_ratio(cfg: ExperimentConfig) -> dict:
         worst = min(worst, g.value / o.value)
     return {
         "experiment": "greedy_ratio",
-        "params": {"instances": count, "m_max": m_max, "k_max": k_max},
+        "params": {"instances": instances, "m_max": m_max, "k_max": k_max},
         "seed": cfg.seed,
         "worst_ratio": worst if worst < math.inf else 1.0,
         "floor": floor,
@@ -489,12 +483,10 @@ def _waterfill_additive(w: np.ndarray, k: float) -> float:
     return float(w @ (1.0 - np.exp(-x)))
 
 
-def _exp_poisson_midr(cfg: ExperimentConfig) -> dict:
-    family = cfg.params.get("family", "additive")
-    m = int(cfg.params.get("m", 8))
-    k = int(cfg.params.get("k", 2))
-    force = bool(cfg.params.get("force", False))
-    trials = cfg.trials or 10_000
+def _exp_poisson_midr(
+    cfg: ExperimentConfig, *, family: str = "additive", m: int = 8, k: int = 2,
+    force: bool = False, trials: int = 10_000,
+) -> dict:
     rng = _rng(cfg.seed, 6)
     expected = None
     if family == "additive":
@@ -553,11 +545,9 @@ def _exp_poisson_midr(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_vcg_audit(cfg: ExperimentConfig) -> dict:
-    n = int(cfg.params.get("n", 2))
-    m = int(cfg.params.get("m", 8))
-    deviations = int(cfg.params.get("deviations", 20))
-    trials = cfg.trials or 1_000
+def _exp_vcg_audit(
+    cfg: ExperimentConfig, *, n: int = 2, m: int = 8, deviations: int = 20, trials: int = 1_000
+) -> dict:
     rng = _rng(cfg.seed, 7)
     truths = tuple(
         make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)]) for _ in range(n)
@@ -600,18 +590,14 @@ def _exp_vcg_audit(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_symgap(cfg: ExperimentConfig) -> dict:
-    ell = cfg.params.get("ell")
+def _exp_symgap(
+    cfg: ExperimentConfig, *, ell: int | None = None, m: int = 400, k: int = 200, n: int = 2,
+    beta: float = 0.1, partitions: int = 100, phi_alpha: float = 1.0,
+) -> dict:
     if ell is not None:
-        params = CPPLevelParams(int(ell))
+        params = CPPLevelParams(ell)
         m, k, n, beta = params.m, params.k, params.n, params.beta
-    else:
-        m = int(cfg.params.get("m", 400))
-        k = int(cfg.params.get("k", 200))
-        n = int(cfg.params.get("n", 2))
-        beta = float(cfg.params.get("beta", 0.1))
-    phi = PhiAlpha(float(cfg.params.get("phi_alpha", 1.0)))
-    partitions = int(cfg.params.get("partitions", 100))
+    phi = PhiAlpha(phi_alpha)
     mechs = [RandomSubsetCPP(), GreedyCPP(), BalancedPrefixCPP()]
     return audit.symmetry_gap_experiment(
         m=m, k=k, n=n, beta=beta, phi=phi,
@@ -619,8 +605,9 @@ def _exp_symgap(cfg: ExperimentConfig) -> dict:
     )
 
 
-def _exp_menu_separation(cfg: ExperimentConfig) -> dict:
-    configs = int(cfg.params.get("configs", 200))
+def _exp_menu_separation(
+    cfg: ExperimentConfig, *, configs: int = 200, menu_trials: int = 3
+) -> dict:
     rng = _rng(cfg.seed, 8)
     mismatches = []
     inconsistencies = []
@@ -656,14 +643,11 @@ def _exp_menu_separation(cfg: ExperimentConfig) -> dict:
     B = ItemSet.from_indices([2, 3], m)
     phi = PhiAlpha(0.5)
     beta = 0.25
-    family = [
-        make_scaled_symgap_valuation(A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)
-    ]
+    family = [make_symgap_valuation(A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
     fixed = make_additive([0.0] * 4 + [0.3] * 4)
     inst = AuctionInstance((family[-1].oracle(), fixed))
     menu = audit.extract_menu(
-        VCGExhaustiveAuction(), inst, 0, family, trials=int(cfg.params.get("menu_trials", 3)),
-        seed=cfg.seed,
+        VCGExhaustiveAuction(), inst, 0, family, trials=menu_trials, seed=cfg.seed
     )
     eps, ell = 1e-4, 1
     pts_j = audit.map_menu_to_qp(menu, "level_j", phi, eps, ell)
@@ -689,19 +673,18 @@ def _exp_menu_separation(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_amplify(cfg: ExperimentConfig) -> dict:
-    delta_raw = cfg.params.get("delta", "paper")
-    delta = audit.DELTA_PAPER if delta_raw == "paper" else float(delta_raw)
-    ell = int(cfg.params.get("ell", 4))
-    chains = int(cfg.params.get("chains", 100))
-    c = cfg.params.get("c")
+def _exp_amplify(
+    cfg: ExperimentConfig, *, ell: int = 4, delta: str = "paper", c: float | None = None,
+    chains: int = 100,
+) -> dict:
+    delta = audit.DELTA_PAPER if delta == "paper" else float(delta)
     rng = _rng(cfg.seed, 9)
     seeds = [int(s) for s in rng.integers(0, 2**31, chains)]
     runs = []
     certs_checked = 0
     failures = 0
     for s in seeds:
-        c_run = float(c) if c is not None else float(_rng(s, 10).uniform(0.3, 0.9))
+        c_run = c if c is not None else float(_rng(s, 10).uniform(0.3, 0.9))
         rep = audit.run_amplification(ell, delta, c_run, seed=s)
         certs_checked += len(rep["certificates"])
         if not rep["passed"]:
@@ -719,28 +702,25 @@ def _exp_amplify(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exp_inequalities(cfg: ExperimentConfig) -> dict:
-    grid = int(cfg.params.get("grid", 100_000))
+def _exp_inequalities(
+    cfg: ExperimentConfig, *, grid: int = 100_000, figure_delta: float = 0.05
+) -> dict:
     rep = audit.scalar_inequality_suite(grid=grid)
-    rep["params"]["figure_delta"] = float(cfg.params.get("figure_delta", 0.05))
+    rep["params"]["figure_delta"] = figure_delta
     rep["seed"] = cfg.seed
     return rep
 
 
-def _exp_basic_count(cfg: ExperimentConfig) -> dict:
-    n = int(cfg.params.get("n", 2))
-    m = int(cfg.params.get("m", 4))
-    trials = cfg.trials or 100_000
+def _exp_basic_count(
+    cfg: ExperimentConfig, *, n: int = 2, m: int = 4, trials: int = 100_000
+) -> dict:
     return audit.basic_instance_counting(n, m, trials, cfg.seed)
 
 
-def _exp_scaling_probe(cfg: ExperimentConfig) -> dict:
-    m = int(cfg.params.get("m", 6))
-    k = int(cfg.params.get("k", 3))
-    trials = cfg.trials or 50
-    schedule = cfg.params.get("schedule", "0.25,0.5,1.0,2.0,4.0")
-    if isinstance(schedule, str):
-        schedule = [float(s) for s in schedule.split(",")]
+def _exp_scaling_probe(
+    cfg: ExperimentConfig, *, m: int = 6, k: int = 3, schedule: str = "0.25,0.5,1.0,2.0,4.0",
+    trials: int = 50,
+) -> dict:
     rng = _rng(cfg.seed, 11)
     w = rng.uniform(0.1, 1.0, m)
     oracle = make_budget_additive([float(x) for x in w], float(0.6 * w.sum()))
@@ -750,7 +730,8 @@ def _exp_scaling_probe(cfg: ExperimentConfig) -> dict:
         (make_additive([float(x) for x in rng.uniform(0.0, 0.5, m)]), oracle),
     ]
     return audit.scaling_probe(
-        closure, oracle, schedule, trials, cfg.seed, eps=0.0, wm_pairs=wm_pairs
+        closure, oracle, [float(a) for a in schedule.split(",")], trials, cfg.seed,
+        eps=0.0, wm_pairs=wm_pairs,
     )
 
 
@@ -785,7 +766,6 @@ _SUITE_PLAN: list[tuple[str, dict, int | None]] = [
 _FAST_OVERRIDES = {
     "gap955": {"blocks": 50},
     "concavity": {"blocks": 50},
-    "chernoff": None,  # trials shrink below
     "symgap": {"partitions": 10},
     "amplify": {"chains": 50},
     "inequalities": {"grid": 10_000},
@@ -795,8 +775,7 @@ _FAST_OVERRIDES = {
 }
 
 
-def _exp_suite(cfg: ExperimentConfig) -> dict:
-    fast = bool(cfg.params.get("fast", False))
+def _exp_suite(cfg: ExperimentConfig, *, fast: bool = False) -> dict:
     sub_reports = []
     all_passed = True
     for name, params, trials in _SUITE_PLAN:
@@ -811,7 +790,7 @@ def _exp_suite(cfg: ExperimentConfig) -> dict:
             experiment=name, params=params, trials=trials, seed=cfg.seed,
             workers=cfg.workers,
         )
-        rep = EXPERIMENTS[name](sub_cfg)
+        rep = run(sub_cfg)[1]
         sub_reports.append(rep)
         all_passed = all_passed and bool(rep.get("passed", False))
     # byte-identity: rerunning an experiment with the same config must
@@ -819,8 +798,8 @@ def _exp_suite(cfg: ExperimentConfig) -> dict:
     probe_cfg = ExperimentConfig(
         experiment="inequalities", params={"grid": 10_000}, seed=cfg.seed
     )
-    b1 = _serialize_json(EXPERIMENTS["inequalities"](probe_cfg))
-    b2 = _serialize_json(EXPERIMENTS["inequalities"](probe_cfg))
+    b1 = _serialize_json(run(probe_cfg)[1])
+    b2 = _serialize_json(run(probe_cfg)[1])
     byte_identical = b1 == b2
     all_passed = all_passed and byte_identical
     return {
@@ -879,20 +858,12 @@ def emit_plot_data(report: dict) -> list[list]:
     if exp == "psi_tilde_check":
         p = report["params"]
         phi = PhiAlpha(p["alpha"])
-        beta = p["beta"]
         t = np.linspace(0.0, 1.0, 101)
-        rows: list[list] = [["x", "y", "psi", "psi_tilde"]]
-        for x in t:
-            for y in t:
-                rows.append(
-                    [
-                        float(x),
-                        float(y),
-                        float(psi(phi, x, y)),
-                        float(psi_tilde(phi, beta, float(x), float(y))),
-                    ]
-                )
-        return rows
+        X, Y = np.meshgrid(t, t, indexing="ij")
+        cols = (X, Y, psi(phi, X, Y), psi_tilde(phi, p["beta"], X, Y))
+        return [["x", "y", "psi", "psi_tilde"]] + np.column_stack(
+            [c.ravel() for c in cols]
+        ).tolist()
     if exp == "scalar_inequalities":
         delta = report["params"].get("figure_delta", 0.05)
         rows = [["x", "f1_ramp", "f2_quad_plus_delta", "f3_quad"]]
@@ -935,7 +906,24 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
     fn = EXPERIMENTS.get(config.experiment)
     if fn is None:
         raise OracleContractError(f"unknown experiment {config.experiment!r}")
-    report = fn(config)
+    declared = _declared(fn)
+    given = dict(config.params)
+    if config.trials is not None:
+        given["trials"] = config.trials
+    unknown = sorted(set(given) - set(declared))
+    if unknown:
+        raise OracleContractError(f"{config.experiment} takes no parameters {unknown}")
+    params = {}
+    for name, value in given.items():
+        if value is None:
+            continue
+        tp, choices, _ = declared[name]
+        params[name] = value = tp(value)
+        if choices and value not in choices:
+            raise OracleContractError(f"{name} must be one of {list(choices)}, got {value!r}")
+    if params.get("trials", 1) < 1:
+        raise OracleContractError(f"trials must be positive, got {params['trials']}")
+    report = fn(config, **params)
     code = 0 if report.get("passed", False) else FAIL_EXIT
     return code, report
 
@@ -945,89 +933,30 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _declared(fn) -> dict[str, tuple[type, tuple | None, object]]:
+    """name -> (type, choices, default) for each keyword-only parameter of an
+    experiment; every one has a default.  `X | None` declares type X and
+    `Literal[...]` declares choices.  This module does not postpone
+    annotations, so they are read as objects, with no string evaluation."""
+    declared = {}
+    for name, default in fn.__kwdefaults__.items():
+        tp = fn.__annotations__[name]
+        args, choices = typing.get_args(tp), None
+        if typing.get_origin(tp) is Literal:
+            tp, choices = type(args[0]), args
+        elif args:
+            (tp,) = [a for a in args if a is not type(None)]
+        declared[name] = (tp, choices, default)
+    return declared
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default=None)
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--config", type=str, default=None, help="JSON file of flag defaults; explicit flags win")
 
-
-_SUBCOMMAND_FLAGS: dict[str, list[tuple[str, dict]]] = {
-    "gap955": [
-        ("--blocks", {"type": int}),
-        ("--alpha", {"type": float}),
-        ("--mc-samples", {"type": int}),
-    ],
-    "concavity": [
-        ("--family", {"type": str}),
-        ("--blocks", {"type": int}),
-        ("--alpha", {"type": float}),
-        ("--m", {"type": int}),
-        ("--step", {"type": float}),
-    ],
-    "submod-check": [
-        ("--family", {"type": str}),
-        ("--m", {"type": int}),
-        ("--mode", {"type": str, "choices": ("exhaustive", "sampled")}),
-        ("--alpha", {"type": float}),
-        ("--beta", {"type": float}),
-        ("--omega", {"type": float}),
-    ],
-    "product-compose": [("--pairs", {"type": int}), ("--m", {"type": int})],
-    "psi-tilde-check": [
-        ("--alpha", {"type": float}),
-        ("--beta", {"type": float}),
-        ("--grid", {"type": int}),
-        ("--block", {"type": int}),
-    ],
-    "chernoff": [("--m", {"type": int}), ("--beta", {"type": float})],
-    "bisect-uniformity": [("--m", {"type": int}), ("--ell", {"type": int})],
-    "greedy-ratio": [
-        ("--instances", {"type": int}),
-        ("--m-max", {"type": int}),
-        ("--k-max", {"type": int}),
-    ],
-    "poisson-midr": [
-        ("--family", {"type": str}),
-        ("--m", {"type": int}),
-        ("--k", {"type": int}),
-        ("--force", {"action": "store_true", "default": None}),
-    ],
-    "vcg-audit": [
-        ("--n", {"type": int}),
-        ("--m", {"type": int}),
-        ("--deviations", {"type": int}),
-    ],
-    "symgap": [
-        ("--ell", {"type": int}),
-        ("--m", {"type": int}),
-        ("--k", {"type": int}),
-        ("--n", {"type": int}),
-        ("--beta", {"type": float}),
-        ("--partitions", {"type": int}),
-        ("--phi-alpha", {"type": float}),
-    ],
-    "menu-separation": [("--configs", {"type": int}), ("--menu-trials", {"type": int})],
-    "amplify": [
-        ("--ell", {"type": int}),
-        ("--delta", {"type": str}),
-        ("--c", {"type": float}),
-        ("--chains", {"type": int}),
-    ],
-    "inequalities": [("--grid", {"type": int}), ("--figure-delta", {"type": float})],
-    "basic-count": [("--n", {"type": int}), ("--m", {"type": int})],
-    "scaling-probe": [
-        ("--m", {"type": int}),
-        ("--k", {"type": int}),
-        ("--schedule", {"type": str}),
-    ],
-    "suite": [
-        ("--all", {"action": "store_true", "default": None}),
-        ("--fast", {"action": "store_true", "default": None}),
-    ],
-}
 
 _COMMON_KEYS = ("seed", "trials", "out", "format", "workers", "config")
 
@@ -1035,10 +964,17 @@ _COMMON_KEYS = ("seed", "trials", "out", "format", "workers", "config")
 def build_parser() -> _Parser:
     parser = _Parser(prog="symgap", description=__doc__)
     sub = parser.add_subparsers(dest="experiment")
-    for name, flags in _SUBCOMMAND_FLAGS.items():
+    for name, fn in EXPERIMENTS.items():
         sp = sub.add_parser(name, prog=f"symgap {name}")
-        for flag, kwargs in flags:
-            sp.add_argument(flag, **kwargs)
+        # flags default to None, so that an unset flag falls through to the
+        # config file and then to the declared default
+        for param, (tp, choices, default) in _declared(fn).items():
+            flag = "--" + param.replace("_", "-")
+            if tp is bool:
+                sp.add_argument(flag, action="store_true", default=None)
+            else:
+                shown = None if default is None else f"default: {default}"
+                sp.add_argument(flag, type=tp, choices=choices, default=None, help=shown)
         _add_common(sp)
     return parser
 
@@ -1051,30 +987,24 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             file_defaults = json.load(fh)
         if not isinstance(file_defaults, dict):
             raise OracleContractError("config file must hold a JSON object")
-    params = {}
-    for key, value in ns.items():
-        if key in ("experiment", "config") or key in _COMMON_KEYS:
-            continue
-        if value is None and key in file_defaults:
-            value = file_defaults[key]
-        if value is not None:
-            params[key] = value
-    def common(key, default):
-        v = ns.get(key)
-        if v is None:
-            v = file_defaults.get(key, default)
-        return v
     unknown = set(file_defaults) - set(ns)
     if unknown:
         raise OracleContractError(f"unknown config keys: {sorted(unknown)}")
+    params = {}
+    for key, value in ns.items():
+        if value is None:
+            value = file_defaults.get(key)
+        if value is not None and key != "experiment":
+            params[key] = value
+    common = {key: params.pop(key) for key in _COMMON_KEYS if key in params}
     return ExperimentConfig(
         experiment=ns["experiment"],
         params=params,
-        trials=common("trials", None),
-        seed=int(common("seed", 0)),
-        out=common("out", None),
-        format=common("format", "json"),
-        workers=int(common("workers", 1)),
+        trials=common.get("trials"),
+        seed=int(common.get("seed", 0)),
+        out=common.get("out"),
+        format=common.get("format", "json"),
+        workers=int(common.get("workers", 1)),
     )
 
 

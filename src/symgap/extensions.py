@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy.stats import binom
 
-from .setfn import GroundSetError, ItemSet, tabulate
-from .instances import TwoBlockValuation, phi_from_param_dict, psi_tilde
+from .setfn import GroundSetError, tabulate
+from .instances import TwoBlockValuation, psi_tilde
 
 _PMF_TAIL = 1e-16
 _SMALL_BLOCK = 1024
@@ -146,22 +146,6 @@ def _block_uniform_coords(block_val: TwoBlockValuation, x: np.ndarray) -> tuple[
     return float(xa[0]), float(xb[0])
 
 
-def _block_val_from_descriptor(desc: dict) -> TwoBlockValuation:
-    if desc.get("kind") not in ("symgap", "two_block_product"):
-        raise GroundSetError(
-            "exact_blockwise requires a two-block valuation descriptor"
-        )
-    p = desc["params"]
-    return TwoBlockValuation(
-        ItemSet.from_hex(p["A"], p["m"]),
-        ItemSet.from_hex(p["B"], p["m"]),
-        phi_from_param_dict(p["phi"]),
-        p["beta"],
-        p.get("lam", 1.0),
-        kind=desc["kind"],
-    )
-
-
 def multilinear_F(oracle, x, config: EstimatorConfig | None = None) -> EstimateResult:
     """E[f(S)] under independent inclusion with probabilities x."""
     if config is None:
@@ -178,7 +162,7 @@ def multilinear_F(oracle, x, config: EstimatorConfig | None = None) -> EstimateR
         desc = getattr(oracle, "descriptor", None)
         if desc is None:
             raise GroundSetError("oracle carries no descriptor for blockwise mode")
-        bv = _block_val_from_descriptor(desc)
+        bv = TwoBlockValuation.from_descriptor(desc)
         xA, xB = _block_uniform_coords(bv, x)
         value = exact_F_blockwise(bv, xA, xB)
         return EstimateResult(value, 0.0, "exact_blockwise", 0, None)

@@ -114,11 +114,6 @@ def phi_from_param_dict(d: dict) -> Phi:
     raise ValueError(f"unknown phi kind {d['kind']!r}")
 
 
-def phi_alpha(alpha: float, t):
-    """Convenience: min(t/alpha, 1) evaluated at t (scalar or array)."""
-    return PhiAlpha(alpha).value(t)
-
-
 def psi(phi: Phi, x, y):
     """psi(x, y) = 1 - (1 - phi(x))(1 - phi(y)); the product composition surface."""
     px, py = phi.value(x), phi.value(y)
@@ -129,15 +124,6 @@ def psi_tilde(phi: Phi, beta: float, x, y):
     """The beta-band perturbation of psi (vectorized; beta = 0 degenerates to psi)."""
     if beta < 0:
         raise OracleContractError(f"beta must be >= 0, got {beta}")
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        d = x - y
-        if -beta <= d <= beta:
-            mid = 0.5 * (x + y)
-            p = phi.value(mid)
-            return 1.0 - (1.0 - p) * (1.0 - p)
-        if d > beta:
-            return psi(phi, x - 0.5 * beta, y + 0.5 * beta)
-        return psi(phi, x + 0.5 * beta, y - 0.5 * beta)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mid = psi(phi, 0.5 * (x + y), 0.5 * (x + y))
@@ -182,10 +168,6 @@ class TwoBlockValuation:
     @property
     def block_size(self) -> int:
         return len(self.A)
-
-    def value_from_counts(self, a: int, b: int) -> float:
-        n = self.block_size
-        return self.lam * float(psi_tilde(self.phi, self.beta, a / n, b / n))
 
     def count_grid(self) -> np.ndarray:
         """(|A|+1) x (|B|+1) table of values over occupancy counts."""
@@ -244,6 +226,21 @@ class TwoBlockValuation:
 
         return ValuationOracle(self.m, fn, self.descriptor())
 
+    @classmethod
+    def from_descriptor(cls, desc: dict) -> TwoBlockValuation:
+        """The valuation whose descriptor() is `desc`."""
+        if desc.get("kind") not in ("symgap", "two_block_product"):
+            raise GroundSetError("not a two-block valuation descriptor")
+        p = desc["params"]
+        return cls(
+            ItemSet.from_hex(p["A"], p["m"]),
+            ItemSet.from_hex(p["B"], p["m"]),
+            phi_from_param_dict(p["phi"]),
+            p["beta"],
+            p.get("lam", 1.0),
+            kind=desc["kind"],
+        )
+
 
 def make_symgap_valuation(
     A: ItemSet, B: ItemSet, phi: Phi, beta: float, lam: float = 1.0
@@ -252,12 +249,6 @@ def make_symgap_valuation(
     if beta <= 0:
         raise OracleContractError(f"adversarial family needs beta > 0, got {beta}")
     return TwoBlockValuation(A, B, phi, float(beta), float(lam), kind="symgap")
-
-
-def make_scaled_symgap_valuation(
-    A: ItemSet, B: ItemSet, phi: Phi, beta: float, lam: float
-) -> TwoBlockValuation:
-    return make_symgap_valuation(A, B, phi, beta, lam)
 
 
 def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuation:
@@ -274,19 +265,6 @@ def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuati
     A = ItemSet((1 << block_size) - 1, m)
     B = ItemSet(((1 << block_size) - 1) << block_size, m)
     return TwoBlockValuation(A, B, PhiAlpha(alpha), 0.0, 1.0, kind="two_block_product")
-
-
-def reconstruct_block_oracle(descriptor: dict) -> ValuationOracle:
-    p = descriptor["params"]
-    val = TwoBlockValuation(
-        ItemSet.from_hex(p["A"], p["m"]),
-        ItemSet.from_hex(p["B"], p["m"]),
-        phi_from_param_dict(p["phi"]),
-        p["beta"],
-        p.get("lam", 1.0),
-        kind=descriptor["kind"],
-    )
-    return val.oracle()
 
 
 @dataclass(frozen=True)

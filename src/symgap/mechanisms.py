@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .setfn import GroundSetError, ItemSet, OracleView, tabulate
-from .instances import AuctionInstance, CPPInstance
-from .extensions import enum_weights, f_exp_blockwise, _block_val_from_descriptor
+from .instances import AuctionInstance, CPPInstance, TwoBlockValuation
+from .extensions import enum_weights, f_exp_blockwise
 
 GAIN_TOL = 1e-12
 _AUCTION_ENUM_CAP = 4_000_000
@@ -306,7 +306,7 @@ def poisson_midr_cpp(
             raise GroundSetError(
                 "solver needs m <= 16 for full enumeration or a two-block descriptor"
             )
-        bv = _block_val_from_descriptor(desc)
+        bv = TwoBlockValuation.from_descriptor(desc)
         a_idx = bv.A.indices()
         b_idx = bv.B.indices()
         dim = 2
@@ -459,6 +459,7 @@ class PoissonMIDRCPP(CPPMechanism):
     lottery of the fractional optimizer over the declared valuation."""
 
     name = "poisson_midr"
+    deterministic = True
     needs_descriptor = True
 
     def __init__(self, force: bool = False):

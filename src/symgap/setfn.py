@@ -536,5 +536,5 @@ def reconstruct_oracle(descriptor: dict | str) -> ValuationOracle:
     if kind in ("symgap", "two_block_product"):
         from . import instances
 
-        return instances.reconstruct_block_oracle(descriptor)
+        return instances.TwoBlockValuation.from_descriptor(descriptor).oracle()
     raise ValueError(f"unknown oracle kind {kind!r}")

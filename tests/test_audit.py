@@ -14,7 +14,6 @@ from symgap.instances import (
     AuctionInstance,
     CPPInstance,
     PhiAlpha,
-    make_scaled_symgap_valuation,
     make_symgap_valuation,
 )
 from symgap.mechanisms import GreedyCPP, RandomSubsetCPP, VCGExhaustiveAuction, PayYourBidGreedyAuction
@@ -142,7 +141,7 @@ class TestMenus:
         B = ItemSet.from_indices([2, 3], m)
         phi = PhiAlpha(0.5)
         family = [
-            make_scaled_symgap_valuation(A, B, phi, 0.25, lam) for lam in (0.5, 1.0)
+            make_symgap_valuation(A, B, phi, 0.25, lam) for lam in (0.5, 1.0)
         ]
         opponent = make_additive([0.0, 0.0, 0.0, 0.0, 0.3, 0.3])
         inst = AuctionInstance((family[1].oracle(), opponent))

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, report serialization, plot CSVs,
 config-file defaults, reproducibility."""
 import json
+import re
 
 import pytest
 
@@ -48,6 +49,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["gap955", "--blocks", "many"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gap955", "--trials", "5"],  # gap955 runs no trials
+            ["suite", "--all"],  # the suite always runs every experiment
+            ["submod-check", "--mode", "bogus"],
+        ],
+    )
+    def test_undeclared_flag_or_choice_exits_one(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        capsys.readouterr()
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        assert main(["chernoff", "--m", "100", "--beta", "0.2", "--trials", "0"]) == 1
+        assert "trials must be positive" in capsys.readouterr().err
+
+    def test_help_shows_declared_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap955", "--help"])
+        assert exc.value.code == 0
+        assert re.search(r"--blocks BLOCKS\s+default: 200\n", capsys.readouterr().out)
 
 
 class TestReproducibility:
@@ -158,6 +183,18 @@ class TestConfigFile:
         rep = json.loads(out.read_text())
         assert rep["params"]["grid"] == 1500
 
+    def test_file_values_take_the_declared_type(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"alpha": 1, "blocks": 4}))
+        _, out = run_main(["gap955", "--config", str(cfgfile)], tmp_path)
+        assert '"alpha": 1.0,' in out.read_text()
+
+    def test_file_value_outside_declared_choices_exits_one(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mode": "bogus"}))
+        assert main(["submod-check", "--config", str(cfgfile)]) == 1
+        assert "mode must be one of" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"blocs": 4}))
@@ -198,7 +235,7 @@ class TestRunApi:
         assert rep["experiment"] == "scalar_inequalities"
 
     def test_suite_fast_smoke(self):
-        code, rep = run(ExperimentConfig("suite", {"all": True, "fast": True}, seed=0))
+        code, rep = run(ExperimentConfig("suite", {"fast": True}, seed=0))
         assert code == 0
         assert rep["passed"] is True
         assert rep["byte_identical_reruns"] is True

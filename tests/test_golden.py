@@ -26,6 +26,27 @@ CASES = {
         "vcg-audit", "--m", "6", "--deviations", "8", "--trials", "200", "--seed", "0",
     ],
     "menu_separation_seed0.json": ["menu-separation", "--seed", "0"],
+    # One run of every other subcommand, mostly at its defaults, so that the
+    # reports pin the default of each parameter they record.
+    "gap955_seed0.json": ["gap955", "--seed", "0"],
+    "concavity_seed0.json": ["concavity", "--seed", "0"],
+    "concavity_additive_seed0.json": ["concavity", "--family", "additive", "--seed", "0"],
+    "submod_check_seed0.json": ["submod-check", "--seed", "0"],
+    "product_compose_seed0.json": ["product-compose", "--seed", "0"],
+    "psi_tilde_check_seed0.json": ["psi-tilde-check", "--seed", "0"],
+    "chernoff_seed0.json": ["chernoff", "--seed", "0"],
+    "bisect_uniformity_seed0.json": ["bisect-uniformity", "--trials", "500", "--seed", "0"],
+    "greedy_ratio_seed0.json": ["greedy-ratio", "--seed", "0"],
+    "poisson_midr_seed0.json": ["poisson-midr", "--seed", "0"],
+    "vcg_audit_m4_seed0.json": ["vcg-audit", "--m", "4", "--deviations", "4", "--seed", "0"],
+    "symgap_m40_seed0.json": [
+        "symgap", "--m", "40", "--k", "20", "--partitions", "5", "--seed", "0",
+    ],
+    "amplify_seed0.json": ["amplify", "--seed", "0"],
+    "inequalities_seed0.json": ["inequalities", "--seed", "0"],
+    "basic_count_seed0.json": ["basic-count", "--seed", "0"],
+    "scaling_probe_seed0.json": ["scaling-probe", "--seed", "0"],
+    "suite_fast_seed0.json": ["suite", "--fast", "--seed", "0"],
 }
 
 

@@ -16,12 +16,11 @@ from symgap.instances import (
     CPPLevelParams,
     PhiAlpha,
     PhiTable,
+    TwoBlockValuation,
     balancedness,
     expected_union_size,
     make_basic_auction,
-    make_scaled_symgap_valuation,
     make_symgap_valuation,
-    phi_alpha,
     psi,
     psi_tilde,
     random_cpp_instance,
@@ -50,14 +49,14 @@ def ref_psi_tilde(alpha, beta, x, y):
 
 class TestPhi:
     def test_phi_alpha_values(self):
-        assert phi_alpha(0.5, 0.25) == pytest.approx(0.5)
-        assert phi_alpha(0.5, 0.5) == pytest.approx(1.0)
-        assert phi_alpha(0.5, 0.9) == pytest.approx(1.0)
-        assert phi_alpha(1.0, 0.3) == pytest.approx(0.3)
+        assert PhiAlpha(0.5).value(0.25) == pytest.approx(0.5)
+        assert PhiAlpha(0.5).value(0.5) == pytest.approx(1.0)
+        assert PhiAlpha(0.5).value(0.9) == pytest.approx(1.0)
+        assert PhiAlpha(1.0).value(0.3) == pytest.approx(0.3)
 
     def test_phi_alpha_vectorized(self):
         t = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(phi_alpha(0.5, t), np.minimum(2 * t, 1.0))
+        np.testing.assert_allclose(PhiAlpha(0.5).value(t), np.minimum(2 * t, 1.0))
 
     def test_phi_alpha_domain(self):
         with pytest.raises(OracleContractError):
@@ -146,6 +145,10 @@ class TestPsiTilde:
 
 
 class TestTwoBlockValuation:
+    def test_from_descriptor_rejects_other_kinds(self):
+        with pytest.raises(GroundSetError):
+            TwoBlockValuation.from_descriptor({"kind": "additive", "params": {}})
+
     def test_eval_depends_only_on_occupancies(self):
         A = ItemSet.from_indices([0, 1, 2], 8)
         B = ItemSet.from_indices([3, 4, 5], 8)
@@ -182,14 +185,14 @@ class TestTwoBlockValuation:
         A = ItemSet.from_indices([0, 1], 4)
         B = ItemSet.from_indices([2, 3], 4)
         lam = 0.37
-        val = make_scaled_symgap_valuation(A, B, PhiAlpha(0.5), 0.1, lam)
+        val = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1, lam)
         plain = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1)
         for mask in range(16):
             assert val.oracle().eval(mask) == pytest.approx(
                 lam * plain.oracle().eval(mask), abs=1e-15
             )
         with pytest.raises(OracleContractError):
-            make_scaled_symgap_valuation(A, B, PhiAlpha(0.5), 0.1, -0.5)
+            make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1, -0.5)
 
     def test_count_grid_matches_direct(self):
         A = ItemSet.from_indices([0, 1, 2], 6)

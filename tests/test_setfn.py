@@ -25,6 +25,7 @@ from symgap.setfn import (
     scale_oracle,
     tabulate,
 )
+from symgap.instances import PhiTable, make_symgap_valuation, two_block_product_instance
 
 
 class TestItemSet:
@@ -228,6 +229,11 @@ class TestReconstruct:
             lambda: compose_product(
                 make_budget_additive([0.4, 0.5], 0.8), make_additive([0.2, 0.1])
             ),
+            lambda: make_symgap_valuation(
+                ItemSet.from_indices([0, 3], 4), ItemSet.from_indices([1, 2], 4),
+                PhiTable((0.0, 0.5, 1.0), (0.0, 0.8, 1.0)), 0.25, 0.6,
+            ).oracle(),
+            lambda: two_block_product_instance(3, 0.5).oracle(),
         ],
     )
     def test_descriptor_roundtrip_bit_exact(self, build):
