@@ -14,7 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .setfn import ItemSet, ValuationOracle, scale_oracle
+from .setfn import (
+    ItemSet,
+    ValuationOracle,
+    intersection_sizes,
+    scale_oracle,
+    words_from_masks,
+)
 from .instances import (
     AuctionInstance,
     CPPInstance,
@@ -226,25 +232,35 @@ def symmetry_gap_experiment(
             rng = np.random.default_rng(children[t])
             seq = sample_bisection_sequence(m, 1, rng)
             A, B = seq.level(0)
-            val = make_symgap_valuation(A, B, phi, beta)
-            oracle = val.oracle()
+            oracle = make_symgap_valuation(A, B, phi, beta).oracle()
+            fn, fn_many = oracle._fn, oracle._fn_many
             counters = {"queries": 0, "unbalanced": 0}
             a_mask, b_mask = A.mask, B.mask
+            a_words, b_words = words_from_masks([a_mask, b_mask], m)
             half = len(A)
-            inner_fn = oracle._fn
 
-            def classified(mask: int, _fn=inner_fn) -> float:
+            def classified(mask: int) -> float:
                 counters["queries"] += 1
                 dev = abs((mask & a_mask).bit_count() - (mask & b_mask).bit_count()) / half
                 if dev > beta:
                     counters["unbalanced"] += 1
-                return _fn(mask)
+                return fn(mask)
 
-            probe = ValuationOracle(m, classified, {"kind": "hidden"}, check_normalized=False)
+            def classified_many(words: np.ndarray) -> np.ndarray:
+                counters["queries"] += len(words)
+                a = intersection_sizes(words, a_words)
+                b = intersection_sizes(words, b_words)
+                counters["unbalanced"] += int(np.count_nonzero(np.abs(a - b) / half > beta))
+                return fn_many(words)
+
+            probe = ValuationOracle(
+                m, classified, {"kind": "hidden"}, check_normalized=False,
+                fn_many=classified_many,
+            )
             R = mech.allocate((probe.restricted_view(),), k, rng)
             if isinstance(R, DistributionOverOutcomes):
                 R = R.sample(rng)
-            value = val.oracle()._fn(R.mask)
+            value = fn(R.mask)
             X = len(R) / m
             ceiling = 1.0 - (1.0 - float(phi.value(X))) ** 2 + slack
             if value > ceiling + 1e-12:
@@ -252,7 +268,7 @@ def symmetry_gap_experiment(
             values[t] = value
             Xs[t] = X
             ceilings[t] = ceiling
-            planted_vals[t] = val.oracle()._fn(A.mask)
+            planted_vals[t] = fn(A.mask)
             queries_total += counters["queries"]
             unbalanced_total += counters["unbalanced"]
         v_mean, v_se = _mean_stderr(values)

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -36,6 +36,7 @@ from .instances import (
     AuctionInstance,
     CPPLevelParams,
     PhiAlpha,
+    TwoBlockValuation,
     make_symgap_valuation,
     psi,
     psi_tilde,
@@ -123,7 +124,8 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
 
 
 def _exp_gap955(
-    cfg: ExperimentConfig, *, blocks: int = 200, alpha: float = 0.5, mc_samples: int = 0
+    cfg: ExperimentConfig, *, blocks: int = 200, alpha: Literal[0.5, 1.0] = 0.5,
+    mc_samples: int = 0,
 ) -> dict:
     val = two_block_product_instance(blocks, alpha)
     one_a = f_exp_blockwise(val, 1.0, 0.0)
@@ -140,7 +142,7 @@ def _exp_gap955(
         assertions["endpoints_near_one"] = min(one_a, one_b) >= 0.99
         assertions["midpoint_matches_anchor"] = abs(mid - anchor) <= 0.01
         assertions["constant_factor_loss"] = deficit >= 0.04
-    elif alpha == 1.0:
+    else:
         assertions["segment_concave"] = mid >= 0.5 * (one_a + one_b) - 1e-9
     mc = None
     if mc_samples > 0:
@@ -165,7 +167,7 @@ def _exp_gap955(
         "segment": curve,
         "monte_carlo": mc,
         "assertions": assertions,
-        "passed": all(assertions.values()) if assertions else True,
+        "passed": all(assertions.values()),
     }
 
 
@@ -232,7 +234,7 @@ def _exp_concavity(
     ]
     return {
         "experiment": "concavity",
-        # echoes only the parameters that were given
+        # echoes only the parameters that were given, as converted by run
         "params": {"family": family, **cfg.params},
         "seed": cfg.seed,
         "trials": trials,
@@ -365,8 +367,10 @@ def _exp_psi_tilde_check(
     lower = phi.value(np.clip(t - beta, 0.0, 1.0))
     vals = psi_tilde(phi, beta, t, np.zeros_like(t))
     checks["pointwise_floor"] = bool((vals >= lower - 1e-12).all())
+    # beta = 0 is the unperturbed surface, so build the valuation directly
+    # rather than through the adversarial family, which needs beta > 0
     msub = check_monotone_submodular(
-        make_symgap_valuation(
+        TwoBlockValuation(
             ItemSet.from_indices(range(block), 2 * block),
             ItemSet.from_indices(range(block, 2 * block), 2 * block),
             phi,
@@ -923,6 +927,7 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
             raise OracleContractError(f"{name} must be one of {list(choices)}, got {value!r}")
     if params.get("trials", 1) < 1:
         raise OracleContractError(f"trials must be positive, got {params['trials']}")
+    config = replace(config, params={n: params[n] for n in config.params if n in params})
     report = fn(config, **params)
     code = 0 if report.get("passed", False) else FAIL_EXIT
     return code, report

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy.stats import binom
 
-from .setfn import GroundSetError, tabulate
+from .setfn import GroundSetError, tabulate, words_from_bits
 from .instances import TwoBlockValuation, psi_tilde
 
 _PMF_TAIL = 1e-16
@@ -79,12 +79,6 @@ def enum_weights(p: np.ndarray) -> np.ndarray:
     for pj in p:
         w = np.concatenate([w * (1.0 - pj), w * pj])
     return w
-
-
-def _masks_from_bits(bits: np.ndarray, m: int) -> list[int]:
-    """Rows of a boolean (batch, m) matrix to Python int masks of any width."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 @lru_cache(maxsize=32)
@@ -173,7 +167,6 @@ def multilinear_F(oracle, x, config: EstimatorConfig | None = None) -> EstimateR
     for i in range(total % config.workers):
         per_worker[i] += 1
     children = np.random.SeedSequence(config.seed).spawn(config.workers)
-    ev = oracle.eval
     acc_sum = 0.0
     acc_sq = 0.0
     for child, count in zip(children, per_worker):
@@ -182,8 +175,8 @@ def multilinear_F(oracle, x, config: EstimatorConfig | None = None) -> EstimateR
         while done < count:
             batch = min(count - done, 1 << 14)
             bits = rng.random((batch, m)) < x
-            for mask in _masks_from_bits(bits, m):
-                v = ev(mask)
+            # accumulate in sample order, as a scalar loop would
+            for v in oracle.eval_many(words_from_bits(bits)).tolist():
                 acc_sum += v
                 acc_sq += v * v
             done += batch

@@ -24,10 +24,12 @@ from .setfn import (
     ItemSet,
     OracleContractError,
     ValuationOracle,
+    intersection_sizes,
     make_budget_additive,
     make_coverage,
     make_polar,
     random_subset,
+    words_from_masks,
 )
 
 
@@ -61,7 +63,9 @@ class PhiAlpha(Phi):
         if isinstance(t, (float, int)):
             v = t / self.alpha
             return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-        return np.clip(np.asarray(t, dtype=float) / self.alpha, 0.0, 1.0)
+        # np.clip(v, 0.0, 1.0) bit for bit, signed zeros included, at less
+        # per-call overhead on short arrays
+        return np.minimum(np.maximum(0.0, np.asarray(t, dtype=float) / self.alpha), 1.0)
 
     def to_param_dict(self) -> dict:
         return {"kind": "alpha", "alpha": self.alpha}
@@ -126,10 +130,12 @@ def psi_tilde(phi: Phi, beta: float, x, y):
         raise OracleContractError(f"beta must be >= 0, got {beta}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mid = psi(phi, 0.5 * (x + y), 0.5 * (x + y))
-    hi = psi(phi, x - 0.5 * beta, y + 0.5 * beta)
-    lo = psi(phi, x + 0.5 * beta, y - 0.5 * beta)
-    return np.where(np.abs(x - y) <= beta, mid, np.where(x - y > beta, hi, lo))
+    d = x - y
+    band = np.abs(d) <= beta
+    mid = 0.5 * (x + y)
+    # outside the band, move each coordinate beta/2 towards the other
+    shift = np.copysign(0.5 * beta, d)
+    return psi(phi, np.where(band, mid, x - shift), np.where(band, mid, y + shift))
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,14 @@ class TwoBlockValuation:
     def oracle(self) -> ValuationOracle:
         n = self.block_size
         a_mask, b_mask = self.A.mask, self.B.mask
-        lam, beta = self.lam, self.beta
+        lam, beta, phi = self.lam, self.beta, self.phi
+        a_words, b_words = words_from_masks([a_mask, b_mask], self.m)
+
+        def fn_many(words: np.ndarray) -> np.ndarray:
+            a = intersection_sizes(words, a_words)
+            b = intersection_sizes(words, b_words)
+            return lam * psi_tilde(phi, beta, a / n, b / n)
+
         if isinstance(self.phi, PhiAlpha):
             alpha = self.phi.alpha
 
@@ -217,14 +230,13 @@ class TwoBlockValuation:
                 return lam * (1.0 - (1.0 - pu) * (1.0 - pv))
 
         else:
-            phi = self.phi
-
+            # other profiles evaluate through psi_tilde, as fn_many does
             def fn(mask: int) -> float:
                 x = (mask & a_mask).bit_count() / n
                 y = (mask & b_mask).bit_count() / n
                 return lam * float(psi_tilde(phi, beta, x, y))
 
-        return ValuationOracle(self.m, fn, self.descriptor())
+        return ValuationOracle(self.m, fn, self.descriptor(), fn_many=fn_many)
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> TwoBlockValuation:

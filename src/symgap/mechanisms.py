@@ -16,7 +16,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .setfn import GroundSetError, ItemSet, OracleView, tabulate
+from .setfn import (
+    GroundSetError,
+    ItemSet,
+    OracleView,
+    masks_from_words,
+    singleton_words,
+    tabulate,
+    word_count,
+)
 from .instances import AuctionInstance, CPPInstance, TwoBlockValuation
 from .extensions import enum_weights, f_exp_blockwise
 
@@ -60,33 +68,32 @@ class GreedyResult:
 
 def greedy_cpp(oracles: Sequence, k: int, tol: float = GAIN_TOL) -> GreedyResult:
     """k-step greedy on the declared welfare sum; ties to the lowest item
-    index; stops early when no candidate improves."""
+    index; stops early when no candidate improves.
+
+    Each step asks every oracle once, through eval_many, for all candidates
+    S + j with j outside the chosen set S, so the query counts are those of
+    asking for each candidate in turn."""
     m = oracles[0].m
     if not 0 < k <= m:
         raise GroundSetError(f"k = {k} outside (0, {m}]")
-    mask = 0
+    singles = singleton_words(m)
+    words = np.zeros(word_count(m), dtype=np.uint64)
+    free = np.arange(m)  # items outside the chosen set, increasing
     current = 0.0
     steps = 0
     for _ in range(k):
-        best_j = -1
-        best_val = current + tol
-        for j in range(m):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            val = 0.0
-            cand = mask | bit
-            for o in oracles:
-                val += o.eval(cand)
-            if val > best_val:
-                best_val = val
-                best_j = j
-        if best_j < 0:
+        cand = singles[free] | words
+        vals = np.zeros(free.size)
+        for o in oracles:
+            vals += o.eval_many(cand)
+        best = int(np.argmax(vals))  # first maximum: the lowest item index
+        if not vals[best] > current + tol:
             break
-        mask |= 1 << best_j
-        current = best_val
+        words = cand[best]
+        free = free[free != free[best]]
+        current = float(vals[best])
         steps += 1
-    return GreedyResult(ItemSet(mask, m), current, steps)
+    return GreedyResult(ItemSet(masks_from_words(words[None])[0], m), current, steps)
 
 
 @dataclass(frozen=True)

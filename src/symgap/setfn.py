@@ -5,6 +5,11 @@ ints), so intersection/union/cardinality are single machine-level ops even
 at m = 160000.  Every oracle evaluation bumps a query counter; structural
 checks (monotonicity, submodularity) run either exhaustively over all 2^m
 subsets (m <= 24) or by sampled triples.
+
+A batch query, eval_many, takes many sets at once as the rows of a
+(batch, word_count(m)) uint64 array, word i holding items [64i, 64i + 64).
+It counts one query per row and returns the values the scalar eval would
+return for the same sets, bit for bit.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import numpy as np
 
 STRUCT_TOL = 1e-9
 EXHAUSTIVE_MAX_M = 24
+WORD_BITS = 64
 
 
 class GroundSetError(ValueError):
@@ -146,16 +152,63 @@ def random_subset(m: int, size: int, rng: np.random.Generator) -> ItemSet:
     return ItemSet.from_indices([int(j) for j in idx], m)
 
 
+def word_count(m: int) -> int:
+    """uint64 words per packed set on a ground set of size m."""
+    return -(-m // WORD_BITS)
+
+
+def words_from_masks(masks: Sequence[int], m: int) -> np.ndarray:
+    """Int masks to the rows of a (len(masks), word_count(m)) uint64 array."""
+    width = 8 * word_count(m)
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    words = np.frombuffer(data, dtype="<u8").reshape(len(masks), word_count(m))
+    return words.astype(np.uint64)
+
+
+def words_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of a boolean (batch, m) matrix, item j in column j, to packed words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    padded = np.zeros((len(bits), 8 * word_count(bits.shape[1])), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8").astype(np.uint64, copy=False)
+
+
+def singleton_words(m: int) -> np.ndarray:
+    """(m, word_count(m)) packed rows, row j holding the set {j}."""
+    items = np.arange(m)
+    rows = np.zeros((m, word_count(m)), dtype=np.uint64)
+    rows[items, items // WORD_BITS] = np.uint64(1) << (items % WORD_BITS).astype(np.uint64)
+    return rows
+
+
+def masks_from_words(words: np.ndarray) -> list[int]:
+    """Rows of a packed uint64 array to int masks."""
+    batch, width = words.shape
+    if width <= 1:
+        return words[:, 0].tolist() if width else [0] * batch
+    data = words.astype("<u8", copy=False).tobytes()
+    step = 8 * width
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
+def intersection_sizes(words: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """|S ∩ W| for each packed row S, with W packed as one row `within`."""
+    return np.bitwise_count(words & within).sum(1, dtype=np.int64)
+
+
 class ValuationOracle:
     """Set function exposed only through value queries.
 
     eval() accepts an ItemSet or a raw mask int; each call increments the
     query counter (thread-safe so concurrent audits still report exact
-    totals).  The descriptor is enough to rebuild the function bit-exactly
-    and is withheld from mechanisms under audit (see restricted_view()).
+    totals).  eval_many() takes packed sets, one per row, and counts one
+    query per row; a family passes fn_many to evaluate them as arrays, and
+    without one the rows go through fn one at a time.  The descriptor is
+    enough to rebuild the function bit-exactly and is withheld from
+    mechanisms under audit (see restricted_view()).
     """
 
-    __slots__ = ("m", "descriptor", "_fn", "_count", "_lock")
+    __slots__ = ("m", "descriptor", "_fn", "_fn_many", "_count", "_lock")
 
     def __init__(
         self,
@@ -163,9 +216,17 @@ class ValuationOracle:
         fn: Callable[[int], float],
         descriptor: dict,
         check_normalized: bool = True,
+        fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.m = m
         self._fn = fn
+        if fn_many is None:
+
+            def fn_many(words: np.ndarray) -> np.ndarray:
+                masks = masks_from_words(words)
+                return np.fromiter(map(fn, masks), dtype=float, count=len(masks))
+
+        self._fn_many = fn_many
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
@@ -181,6 +242,22 @@ class ValuationOracle:
         with self._lock:
             self._count += 1
         return self._fn(mask)
+
+    def eval_many(self, words: np.ndarray) -> np.ndarray:
+        """Values of the sets packed in the rows of a (batch, word_count(m))
+        uint64 array; counts `batch` queries."""
+        words = np.asarray(words)
+        width = word_count(self.m)
+        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != width:
+            raise GroundSetError(
+                f"expected uint64 rows of {width} words, got {words.dtype} {words.shape}"
+            )
+        tail = self.m % WORD_BITS
+        if tail and (words[:, -1] >> np.uint64(tail)).any():
+            raise GroundSetError(f"query outside ground set of size {self.m}")
+        with self._lock:
+            self._count += len(words)
+        return self._fn_many(words)
 
     @property
     def query_count(self) -> int:
@@ -213,6 +290,9 @@ class OracleView:
 
     def eval(self, S) -> float:
         return self._oracle.eval(S)
+
+    def eval_many(self, words: np.ndarray) -> np.ndarray:
+        return self._oracle.eval_many(words)
 
 
 def query_count(oracle) -> int:

@@ -1,0 +1,304 @@
+"""Batch value queries: eval_many against the scalar eval it stands for.
+
+eval_many must return, bit for bit, what a loop of eval returns on the same
+sets, and count one query per row.  The two-block families evaluate rows as
+arrays; every other family goes through its scalar function row by row.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symgap.extensions import EstimatorConfig, multilinear_F
+from symgap.instances import (
+    PhiAlpha,
+    PhiTable,
+    TwoBlockValuation,
+    make_symgap_valuation,
+    psi,
+    psi_tilde,
+)
+from symgap.mechanisms import greedy_cpp
+from symgap.setfn import (
+    GroundSetError,
+    ItemSet,
+    compose_product,
+    make_additive,
+    make_budget_additive,
+    make_coverage,
+    make_polar,
+    masks_from_words,
+    query_count,
+    reconstruct_oracle,
+    scale_oracle,
+    singleton_words,
+    word_count,
+    words_from_bits,
+    words_from_masks,
+)
+
+SIZES = (2, 63, 64, 65, 130, 400)
+PHIS = (
+    PhiAlpha(0.3),
+    PhiAlpha(0.5),
+    PhiAlpha(1.0),
+    PhiTable((0.0, 0.25, 0.6, 1.0), (0.0, 0.5, 0.8, 1.0)),
+)
+BETAS = (0.0, 0.05, 0.1, 0.25)
+FALLBACK_KINDS = ("additive", "budget_additive", "coverage", "polar", "product", "scaled")
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _split(m: int, rng: np.random.Generator) -> tuple[ItemSet, ItemSet]:
+    perm = rng.permutation(m)
+    half = m // 2
+    return (
+        ItemSet.from_indices(perm[:half].tolist(), m),
+        ItemSet.from_indices(perm[half : 2 * half].tolist(), m),
+    )
+
+
+def _two_block(m, phi, beta, rng) -> TwoBlockValuation:
+    A, B = _split(m, rng)
+    return TwoBlockValuation(A, B, phi, beta, float(rng.uniform(0.5, 2.0)))
+
+
+def _fallback(kind: str, m: int, rng: np.random.Generator):
+    w = rng.uniform(0.0, 1.0, m)
+    if kind == "additive":
+        return make_additive(w.tolist())
+    if kind == "budget_additive":
+        return make_budget_additive(w.tolist(), float(0.4 * w.sum()))
+    if kind == "coverage":
+        universe = 2 * m
+        cover = [rng.choice(universe, size=3, replace=False).tolist() for _ in range(m)]
+        return make_coverage(rng.uniform(0.0, 1.0, universe).tolist(), cover)
+    A, _ = _split(m, rng)
+    if kind == "polar":
+        return make_polar(A, 0.3)
+    if kind == "scaled":
+        return scale_oracle(make_polar(A, 0.3), 0.25)
+    return compose_product(
+        make_additive((w / w.sum()).tolist()),
+        make_budget_additive(rng.uniform(0.0, 1.0, m).tolist(), 1.0),
+    )
+
+
+def _random_rows(m: int, rng: np.random.Generator, batch: int = 40) -> np.ndarray:
+    """Packed rows from empty to full, with per-row densities in between."""
+    p = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, batch - 2)])
+    return words_from_bits(rng.random((batch, m)) < p[:, None])
+
+
+def _scalar(oracle, words: np.ndarray) -> np.ndarray:
+    return np.array([oracle.eval(mask) for mask in masks_from_words(words)], dtype=float)
+
+
+class TestPacking:
+    @given(seeds, st.sampled_from(SIZES))
+    def test_bits_masks_and_words_agree(self, seed, m):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((10, m)) < rng.uniform(0.0, 1.0)
+        masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in bits]
+        words = words_from_bits(bits)
+        assert words.dtype == np.uint64 and words.shape == (10, word_count(m))
+        assert np.array_equal(words, words_from_masks(masks, m))
+        assert masks_from_words(words) == masks
+
+    @pytest.mark.parametrize("m", (0,) + SIZES)
+    def test_singleton_words(self, m):
+        assert masks_from_words(singleton_words(m)) == [1 << j for j in range(m)]
+
+    def test_word_count(self):
+        assert [word_count(m) for m in (0, 1, 63, 64, 65, 128, 400)] == [0, 1, 1, 1, 2, 2, 7]
+
+
+class TestEvalMany:
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("phi", PHIS, ids=lambda p: str(p.to_param_dict()))
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_two_block_bit_identical(self, m, phi, beta):
+        rng = np.random.default_rng(m)
+        oracle = _two_block(m, phi, beta, rng).oracle()
+        words = _random_rows(m, rng)
+        assert oracle.eval_many(words).tobytes() == _scalar(oracle, words).tobytes()
+
+    @given(seeds, st.sampled_from(SIZES), st.sampled_from(PHIS), st.sampled_from(BETAS))
+    @settings(max_examples=60, deadline=None)
+    def test_two_block_bit_identical_random(self, seed, m, phi, beta):
+        rng = np.random.default_rng(seed)
+        oracle = _two_block(m, phi, beta, rng).oracle()
+        words = _random_rows(m, rng, batch=8)
+        assert oracle.eval_many(words).tobytes() == _scalar(oracle, words).tobytes()
+
+    @given(seeds, st.sampled_from(SIZES), st.sampled_from(FALLBACK_KINDS))
+    @settings(max_examples=60, deadline=None)
+    def test_fallback_families_match(self, seed, m, kind):
+        rng = np.random.default_rng(seed)
+        oracle = _fallback(kind, m, rng)
+        words = _random_rows(m, rng, batch=8)
+        assert oracle.eval_many(words).tobytes() == _scalar(oracle, words).tobytes()
+
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("kind", ("two_block",) + FALLBACK_KINDS)
+    def test_counts_one_query_per_row(self, m, kind):
+        rng = np.random.default_rng(7)
+        if kind == "two_block":
+            oracle = _two_block(m, PhiAlpha(0.5), 0.1, rng).oracle()
+        else:
+            oracle = _fallback(kind, m, rng)
+        view = oracle.restricted_view()
+        words = _random_rows(m, rng, batch=13)
+        oracle.eval(0)
+        oracle.eval_many(words)
+        assert query_count(oracle) == 14
+        view.eval_many(words[:5])
+        assert query_count(view) == 19
+        assert oracle.eval_many(words[:0]).shape == (0,)
+        assert query_count(oracle) == 19
+
+    def test_product_components_count_each_row(self):
+        rng = np.random.default_rng(3)
+        f1 = make_additive([0.01] * 65)
+        f2 = make_budget_additive([0.2] * 65, 1.0)
+        prod = compose_product(f1, f2)
+        before = (prod.query_count, f1.query_count, f2.query_count)
+        prod.eval_many(_random_rows(65, rng, batch=9))
+        after = (prod.query_count, f1.query_count, f2.query_count)
+        assert [b - a for a, b in zip(before, after)] == [9, 9, 9]
+
+    @pytest.mark.parametrize("m", [m for m in SIZES if m % 64])
+    def test_stray_high_bits_raise(self, m):
+        oracle = _two_block(m, PhiAlpha(1.0), 0.1, np.random.default_rng(0)).oracle()
+        words = np.zeros((3, word_count(m)), dtype=np.uint64)
+        words[1, -1] = np.uint64(1) << np.uint64(m % 64)
+        with pytest.raises(GroundSetError):
+            oracle.eval_many(words)
+        words[1, -1] = np.uint64(1) << np.uint64(63)
+        with pytest.raises(GroundSetError):
+            oracle.eval_many(words)
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_wrong_shapes_and_types_raise(self, m):
+        oracle = _fallback("additive", m, np.random.default_rng(0))
+        w = word_count(m)
+        bad = [
+            np.zeros(w, dtype=np.uint64),  # one row, not a batch
+            np.zeros((2, w + 1), dtype=np.uint64),
+            np.zeros((2, w - 1), dtype=np.uint64),
+            np.zeros((2, w), dtype=np.int64),
+            np.zeros((2, 1, w), dtype=np.uint64),
+            [[0] * w],
+        ]
+        for words in bad:
+            with pytest.raises(GroundSetError):
+                oracle.eval_many(words)
+        assert oracle.query_count == 0
+
+
+def _scalar_greedy(oracles, k, tol=1e-12):
+    """Greedy by single queries: lowest index wins ties, stop without gain."""
+    m = oracles[0].m
+    chosen: set[int] = set()
+    mask, current = 0, 0.0
+    for _ in range(k):
+        best = None
+        best_val = current + tol
+        for j in range(m):
+            if j in chosen:
+                continue
+            val = 0.0
+            for o in oracles:
+                val += o.eval(mask | 1 << j)
+            if val > best_val:
+                best, best_val = j, val
+        if best is None:
+            break
+        chosen.add(best)
+        mask |= 1 << best
+        current = best_val
+    return mask, current
+
+
+class TestBatchedGreedy:
+    @given(seeds, st.integers(min_value=1, max_value=200), st.integers(1, 2))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_scalar_greedy_on_symgap_instances(self, seed, k, players):
+        rng = np.random.default_rng(seed)
+        vals = []
+        for _ in range(players):
+            A, B = _split(400, rng)
+            phi = PhiAlpha(float(rng.choice([0.3, 0.5, 1.0])))
+            beta = float(rng.choice([0.05, 0.1, 0.25]))
+            vals.append(make_symgap_valuation(A, B, phi, beta, float(rng.uniform(0.5, 1.5))))
+        batch_side = [v.oracle() for v in vals]
+        scalar_side = [v.oracle() for v in vals]
+        res = greedy_cpp([o.restricted_view() for o in batch_side], k)
+        mask, value = _scalar_greedy(scalar_side, k)
+        assert res.S.mask == mask
+        assert res.value == value
+        assert [o.query_count for o in batch_side] == [o.query_count for o in scalar_side]
+
+    @given(seeds, st.sampled_from(SIZES), st.sampled_from(FALLBACK_KINDS))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scalar_greedy_with_fallback_families(self, seed, m, kind):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, min(m, 12) + 1))
+        two_block = _two_block(m, PhiAlpha(0.5), 0.1, rng)
+        other = _fallback(kind, m, rng).descriptor
+        batch_side = [two_block.oracle(), reconstruct_oracle(other)]
+        scalar_side = [two_block.oracle(), reconstruct_oracle(other)]
+        res = greedy_cpp(batch_side, k)
+        mask, value = _scalar_greedy(scalar_side, k)
+        assert (res.S.mask, res.value) == (mask, value)
+        assert [o.query_count for o in batch_side] == [o.query_count for o in scalar_side]
+
+
+def _psi_tilde_three_branch(phi, beta, x, y):
+    """The three-psi-call form of psi_tilde: one psi per case, then select."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mid = psi(phi, 0.5 * (x + y), 0.5 * (x + y))
+    hi = psi(phi, x - 0.5 * beta, y + 0.5 * beta)
+    lo = psi(phi, x + 0.5 * beta, y - 0.5 * beta)
+    return np.where(np.abs(x - y) <= beta, mid, np.where(x - y > beta, hi, lo))
+
+
+@pytest.mark.parametrize("n", [1, 3, 200])
+@pytest.mark.parametrize("phi", PHIS, ids=lambda p: str(p.to_param_dict()))
+@pytest.mark.parametrize("beta", BETAS)
+def test_psi_tilde_matches_three_branch_form(n, phi, beta):
+    xs = np.arange(n + 1) / n
+    new = psi_tilde(phi, beta, xs[:, None], xs[None, :])
+    old = _psi_tilde_three_branch(phi, beta, xs[:, None], xs[None, :])
+    assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+def test_phi_alpha_array_path_is_clip(alpha):
+    t = np.array([-0.0, 0.0, -1e-300, -5.0, 5e-324, 0.3, alpha, 1.0, 1.5, np.inf, -np.inf, np.nan])
+    t = np.concatenate([t, np.random.default_rng(0).uniform(-1.0, 2.0, 200)])
+    assert PhiAlpha(alpha).value(t).tobytes() == np.clip(t / alpha, 0.0, 1.0).tobytes()
+
+
+def test_monte_carlo_matches_scalar_accumulation():
+    """The batched estimator draws the same sets as the scalar loop it
+    replaces and sums their values in the same order."""
+    m, samples, seed = 130, 3000, 5
+    val = _two_block(m, PhiAlpha(0.5), 0.1, np.random.default_rng(1))
+    x = np.random.default_rng(2).uniform(0.0, 1.0, m)
+    res = multilinear_F(val.oracle(), x, EstimatorConfig("monte_carlo", samples, seed))
+    oracle = val.oracle()
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    bits = rng.random((samples, m)) < x
+    acc_sum = acc_sq = 0.0
+    for row in bits:
+        v = oracle.eval(sum(1 << int(j) for j in np.flatnonzero(row)))
+        acc_sum += v
+        acc_sq += v * v
+    mean = acc_sum / samples
+    var = max(0.0, (acc_sq - samples * mean * mean) / (samples - 1))
+    assert res.value == mean
+    assert res.stderr == math.sqrt(var / samples)

@@ -64,6 +64,23 @@ class TestExitCodes:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    def test_gap955_alpha_without_assertions_exits_one(self, tmp_path, capsys):
+        # only alpha 0.5 and 1.0 have claims to check
+        with pytest.raises(SystemExit) as exc:
+            main(["gap955", "--alpha", "0.7", "--blocks", "20"])
+        assert exc.value.code == 1
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"alpha": 0.7, "blocks": 20}))
+        assert main(["gap955", "--config", str(cfgfile)]) == 1
+        assert "alpha must be one of [0.5, 1.0]" in capsys.readouterr().err
+
+    def test_psi_tilde_check_at_beta_zero_reports(self, tmp_path):
+        code, out = run_main(["psi-tilde-check", "--beta", "0", "--grid", "50"], tmp_path)
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["params"]["beta"] == 0.0
+        assert rep["checks"]["induced_set_function_submodular"] is True
+
     def test_zero_trials_is_usage_error(self, capsys):
         assert main(["chernoff", "--m", "100", "--beta", "0.2", "--trials", "0"]) == 1
         assert "trials must be positive" in capsys.readouterr().err
@@ -188,6 +205,18 @@ class TestConfigFile:
         cfgfile.write_text(json.dumps({"alpha": 1, "blocks": 4}))
         _, out = run_main(["gap955", "--config", str(cfgfile)], tmp_path)
         assert '"alpha": 1.0,' in out.read_text()
+
+    def test_concavity_echoes_converted_values(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(
+            json.dumps({"family": "two_block_product", "alpha": 1, "blocks": 8})
+        )
+        _, out = run_main(["concavity", "--config", str(cfgfile), "--trials", "10"], tmp_path)
+        text = out.read_text()
+        assert '"alpha": 1.0,' in text
+        assert json.loads(text)["params"] == {
+            "family": "two_block_product", "alpha": 1.0, "blocks": 8,
+        }
 
     def test_file_value_outside_declared_choices_exits_one(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

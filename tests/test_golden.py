@@ -42,6 +42,10 @@ CASES = {
     "symgap_m40_seed0.json": [
         "symgap", "--m", "40", "--k", "20", "--partitions", "5", "--seed", "0",
     ],
+    # 130 items: three-word packed masks in the batched greedy queries
+    "symgap_m130_seed0.json": [
+        "symgap", "--m", "130", "--k", "65", "--partitions", "4", "--seed", "0",
+    ],
     "amplify_seed0.json": ["amplify", "--seed", "0"],
     "inequalities_seed0.json": ["inequalities", "--seed", "0"],
     "basic_count_seed0.json": ["basic-count", "--seed", "0"],
