@@ -232,35 +232,31 @@ def symmetry_gap_experiment(
             rng = np.random.default_rng(children[t])
             seq = sample_bisection_sequence(m, 1, rng)
             A, B = seq.level(0)
-            oracle = make_symgap_valuation(A, B, phi, beta).oracle()
-            fn, fn_many = oracle._fn, oracle._fn_many
-            counters = {"queries": 0, "unbalanced": 0}
+            value_of = make_symgap_valuation(A, B, phi, beta).count_values()
             a_mask, b_mask = A.mask, B.mask
             a_words, b_words = words_from_masks([a_mask, b_mask], m)
             half = len(A)
 
+            # each query's counts (a, b) both classify it and give its value
             def classified(mask: int) -> float:
-                counters["queries"] += 1
-                dev = abs((mask & a_mask).bit_count() - (mask & b_mask).bit_count()) / half
-                if dev > beta:
-                    counters["unbalanced"] += 1
-                return fn(mask)
+                nonlocal unbalanced_total
+                a, b = (mask & a_mask).bit_count(), (mask & b_mask).bit_count()
+                if abs(a - b) / half > beta:
+                    unbalanced_total += 1
+                return float(value_of(a, b))
 
             def classified_many(words: np.ndarray) -> np.ndarray:
-                counters["queries"] += len(words)
+                nonlocal unbalanced_total
                 a = intersection_sizes(words, a_words)
                 b = intersection_sizes(words, b_words)
-                counters["unbalanced"] += int(np.count_nonzero(np.abs(a - b) / half > beta))
-                return fn_many(words)
+                unbalanced_total += int(np.count_nonzero(np.abs(a - b) / half > beta))
+                return value_of(a, b)
 
-            probe = ValuationOracle(
-                m, classified, {"kind": "hidden"}, check_normalized=False,
-                fn_many=classified_many,
-            )
+            probe = ValuationOracle(m, classified, {"kind": "hidden"}, fn_many=classified_many)
             R = mech.allocate((probe.restricted_view(),), k, rng)
             if isinstance(R, DistributionOverOutcomes):
                 R = R.sample(rng)
-            value = fn(R.mask)
+            value = float(value_of(len(R & A), len(R & B)))
             X = len(R) / m
             ceiling = 1.0 - (1.0 - float(phi.value(X))) ** 2 + slack
             if value > ceiling + 1e-12:
@@ -268,9 +264,8 @@ def symmetry_gap_experiment(
             values[t] = value
             Xs[t] = X
             ceilings[t] = ceiling
-            planted_vals[t] = fn(A.mask)
-            queries_total += counters["queries"]
-            unbalanced_total += counters["unbalanced"]
+            planted_vals[t] = value_of(half, 0)
+            queries_total += probe.query_count
         v_mean, v_se = _mean_stderr(values)
         unbalanced_ok = unbalanced_total <= chernoff_bound * queries_total + ABS_GUARD
         planted_ok = bool((planted_vals >= informed - 1e-12).all())

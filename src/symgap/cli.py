@@ -30,6 +30,7 @@ from .setfn import (
     make_budget_additive,
     make_coverage,
     make_polar,
+    random_subset,
     scale_oracle,
 )
 from .instances import (
@@ -108,8 +109,7 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
             for _ in range(m)
         ]
         return make_coverage(weights, cover)
-    size = int(rng.integers(1, m))
-    A = ItemSet.from_indices([int(j) for j in rng.choice(m, size=size, replace=False)], m)
+    A = random_subset(m, int(rng.integers(1, m)), rng)
     return make_polar(A, float(rng.uniform(0.05, 0.95)))
 
 
@@ -225,13 +225,7 @@ def _exp_concavity(
     else:
         raise OracleContractError(f"unknown concavity family {family!r}")
     found_any = len(violations) > 0
-    recs = [
-        v if isinstance(v, dict) else {
-            "x": list(v.x), "y": list(v.y), "g_x": v.g_x, "g_y": v.g_y,
-            "g_mid": v.g_mid, "slack": v.slack,
-        }
-        for v in violations
-    ]
+    recs = [v if isinstance(v, dict) else v.to_dict() for v in violations]
     return {
         "experiment": "concavity",
         # echoes only the parameters that were given, as converted by run
@@ -1023,10 +1017,8 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         code, report = run(config)
-    except (GroundSetError, OracleContractError, NonConcaveClassError) as exc:
-        print(f"symgap: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except (ValueError, OSError) as exc:
+        # GroundSetError, OracleContractError and NonConcaveClassError are ValueErrors
         print(f"symgap: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     text = _serialize_csv(report) if config.format == "csv" else _serialize_json(report)

@@ -12,10 +12,19 @@ The central object is the perturbed two-block surface
 applied to block occupancy fractions x = |S ∩ A|/|A|, y = |S ∩ B|/|B|.
 Inside the beta band the value depends on x + y only, which is what makes
 the hidden bisection (A, B) invisible to balanced queries.
+
+A two-block value depends on the occupancy counts (a, b) alone, so every
+two-block value (scalar and batch queries, the blockwise extension) is read
+from one table over the counts: the count grid lam * psi_tilde(a/n, b/n),
+built once per (n, phi, beta, lam) and shared by every bisection of that
+size.  Blocks above GRID_MAX_BLOCK evaluate psi_tilde on the counts asked
+about instead, with the same values bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -138,6 +147,20 @@ def psi_tilde(phi: Phi, beta: float, x, y):
     return psi(phi, np.where(band, mid, x - shift), np.where(band, mid, y + shift))
 
 
+# Largest block size whose values come from the full count grid.
+GRID_MAX_BLOCK = 1024
+
+
+@lru_cache(maxsize=32)
+def _count_grid(n: int, phi: Phi, beta: float, lam: float) -> np.ndarray:
+    """Read-only (n+1) x (n+1) table of lam * psi_tilde(a/n, b/n) over the
+    occupancy counts; the blocks are not part of the key."""
+    xs = np.arange(n + 1) / n
+    grid = lam * psi_tilde(phi, beta, xs[:, None], xs[None, :])
+    grid.flags.writeable = False
+    return grid
+
+
 @dataclass(frozen=True)
 class TwoBlockValuation:
     """Descriptor of lam * psi_tilde(|S∩A|/|A|, |S∩B|/|B|) on ground [0, m).
@@ -176,12 +199,21 @@ class TwoBlockValuation:
         return len(self.A)
 
     def count_grid(self) -> np.ndarray:
-        """(|A|+1) x (|B|+1) table of values over occupancy counts."""
-        n = self.block_size
-        xs = np.arange(n + 1) / n
-        return self.lam * np.asarray(
-            psi_tilde(self.phi, self.beta, xs[:, None], xs[None, :]), dtype=float
-        )
+        """The shared read-only (|A|+1) x (|B|+1) table of values over
+        occupancy counts."""
+        return _count_grid(self.block_size, self.phi, self.beta, self.lam)
+
+    def count_values(self) -> Callable:
+        """The map from occupancy counts (a, b), ints or int arrays, to values.
+
+        Blocks up to GRID_MAX_BLOCK look the counts up in count_grid(); larger
+        blocks evaluate lam * psi_tilde(a/n, b/n), which gives the same values.
+        """
+        if self.block_size <= GRID_MAX_BLOCK:
+            grid = self.count_grid()
+            return lambda a, b: grid[a, b]
+        n, phi, beta, lam = self.block_size, self.phi, self.beta, self.lam
+        return lambda a, b: lam * psi_tilde(phi, beta, a / n, b / n)
 
     def descriptor(self) -> dict:
         return {
@@ -198,43 +230,15 @@ class TwoBlockValuation:
         }
 
     def oracle(self) -> ValuationOracle:
-        n = self.block_size
         a_mask, b_mask = self.A.mask, self.B.mask
-        lam, beta, phi = self.lam, self.beta, self.phi
         a_words, b_words = words_from_masks([a_mask, b_mask], self.m)
+        value = self.count_values()
+
+        def fn(mask: int) -> float:
+            return float(value((mask & a_mask).bit_count(), (mask & b_mask).bit_count()))
 
         def fn_many(words: np.ndarray) -> np.ndarray:
-            a = intersection_sizes(words, a_words)
-            b = intersection_sizes(words, b_words)
-            return lam * psi_tilde(phi, beta, a / n, b / n)
-
-        if isinstance(self.phi, PhiAlpha):
-            alpha = self.phi.alpha
-
-            def fn(mask: int) -> float:
-                x = (mask & a_mask).bit_count() / n
-                y = (mask & b_mask).bit_count() / n
-                d = x - y
-                if -beta <= d <= beta:
-                    u = v = 0.5 * (x + y)
-                elif d > beta:
-                    u = x - 0.5 * beta
-                    v = y + 0.5 * beta
-                else:
-                    u = x + 0.5 * beta
-                    v = y - 0.5 * beta
-                pu = u / alpha
-                pu = 0.0 if pu < 0.0 else (1.0 if pu > 1.0 else pu)
-                pv = v / alpha
-                pv = 0.0 if pv < 0.0 else (1.0 if pv > 1.0 else pv)
-                return lam * (1.0 - (1.0 - pu) * (1.0 - pv))
-
-        else:
-            # other profiles evaluate through psi_tilde, as fn_many does
-            def fn(mask: int) -> float:
-                x = (mask & a_mask).bit_count() / n
-                y = (mask & b_mask).bit_count() / n
-                return lam * float(psi_tilde(phi, beta, x, y))
+            return value(intersection_sizes(words, a_words), intersection_sizes(words, b_words))
 
         return ValuationOracle(self.m, fn, self.descriptor(), fn_many=fn_many)
 

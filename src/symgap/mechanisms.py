@@ -21,6 +21,7 @@ from .setfn import (
     ItemSet,
     OracleView,
     masks_from_words,
+    random_subset,
     singleton_words,
     tabulate,
     word_count,
@@ -129,14 +130,15 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
 
 @lru_cache(maxsize=16)
 def _assignment_masks(n: int, m: int) -> np.ndarray:
-    """(n+1)^m x n matrix: row = assignment code, column i = bundle mask of
-    player i.  Digit n means 'unallocated'."""
+    """Read-only (n+1)^m x n matrix, shared by every caller: row = assignment
+    code, column i = bundle mask of player i.  Digit n means 'unallocated'."""
     codes = np.arange((n + 1) ** m, dtype=np.int64)
     masks = np.zeros((codes.size, n), dtype=np.int64)
     for j in range(m):
         digit = (codes // (n + 1) ** j) % (n + 1)
         for i in range(n):
             masks[:, i] |= (digit == i).astype(np.int64) << j
+    masks.flags.writeable = False
     return masks
 
 
@@ -413,9 +415,7 @@ class RandomSubsetCPP(CPPMechanism):
     name = "random"
 
     def allocate(self, views, k, rng):
-        m = views[0].m
-        idx = rng.choice(m, size=k, replace=False)
-        S = ItemSet.from_indices([int(j) for j in idx], m)
+        S = random_subset(views[0].m, k, rng)
         views[0].eval(S)
         return S
 

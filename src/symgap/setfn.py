@@ -215,7 +215,6 @@ class ValuationOracle:
         m: int,
         fn: Callable[[int], float],
         descriptor: dict,
-        check_normalized: bool = True,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.m = m
@@ -230,10 +229,9 @@ class ValuationOracle:
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
-        if check_normalized:
-            v0 = fn(0)
-            if abs(v0) > 1e-12:
-                raise OracleContractError(f"f(empty) = {v0!r}, expected 0")
+        v0 = fn(0)
+        if abs(v0) > 1e-12:
+            raise OracleContractError(f"f(empty) = {v0!r}, expected 0")
 
     def eval(self, S) -> float:
         mask = S.mask if isinstance(S, ItemSet) else S
@@ -450,19 +448,20 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     return ValuationOracle(f.m, fn, desc)
 
 
-def tabulate(oracle, m: int | None = None) -> np.ndarray:
+def tabulate(oracle) -> np.ndarray:
     """Evaluate an oracle (or view) on all 2^m subsets, indexed by mask.
 
-    This is the memoization step behind every exhaustive check: 2^m queries,
-    after which structural scans are pure array work.
+    This is the memoization step behind every exhaustive check: one batch of
+    2^m queries, after which structural scans are pure array work.
     """
-    size = oracle.m if m is None else m
-    if size > EXHAUSTIVE_MAX_M:
+    m = oracle.m
+    if m > EXHAUSTIVE_MAX_M:
         raise GroundSetError(
-            f"exhaustive tabulation capped at m <= {EXHAUSTIVE_MAX_M}, got {size}"
+            f"exhaustive tabulation capped at m <= {EXHAUSTIVE_MAX_M}, got {m}"
         )
-    ev = oracle.eval
-    return np.fromiter((ev(mask) for mask in range(1 << size)), dtype=float, count=1 << size)
+    # one word per row for m <= 24, none for m = 0
+    words = np.arange(1 << m, dtype=np.uint64)[:, None][:, : word_count(m)]
+    return oracle.eval_many(words)
 
 
 @dataclass(frozen=True)

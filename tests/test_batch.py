@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from symgap.extensions import EstimatorConfig, multilinear_F
 from symgap.instances import (
+    GRID_MAX_BLOCK,
     PhiAlpha,
     PhiTable,
     TwoBlockValuation,
@@ -24,6 +25,7 @@ from symgap.setfn import (
     GroundSetError,
     ItemSet,
     compose_product,
+    intersection_sizes,
     make_additive,
     make_budget_additive,
     make_coverage,
@@ -33,6 +35,7 @@ from symgap.setfn import (
     reconstruct_oracle,
     scale_oracle,
     singleton_words,
+    tabulate,
     word_count,
     words_from_bits,
     words_from_masks,
@@ -196,6 +199,69 @@ class TestEvalMany:
             with pytest.raises(GroundSetError):
                 oracle.eval_many(words)
         assert oracle.query_count == 0
+
+
+class TestAboveGridSize:
+    """Blocks larger than GRID_MAX_BLOCK evaluate psi_tilde on the counts
+    asked about instead of reading the count grid."""
+
+    @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.kind)
+    def test_eval_and_eval_many_equal_psi_tilde_of_counts(self, phi):
+        n, beta, rng = GRID_MAX_BLOCK + 76, 0.05, np.random.default_rng(11)
+        m = 2 * n
+        val = _two_block(m, phi, beta, rng)
+        # occupancy drawn per block, so rows fall inside and on both sides of the band
+        batch = 24
+        bits = np.zeros((batch, m), dtype=bool)
+        for block in (val.A, val.B):
+            p = rng.uniform(0.0, 1.0, batch)
+            bits[:, block.indices()] = rng.random((batch, n)) < p[:, None]
+        words = words_from_bits(bits)
+        ref = np.array(
+            [
+                val.lam * float(psi_tilde(phi, beta, (mask & val.A.mask).bit_count() / n,
+                                          (mask & val.B.mask).bit_count() / n))
+                for mask in masks_from_words(words)
+            ]
+        )
+        a = intersection_sizes(words, words_from_masks([val.A.mask], m)) / n
+        b = intersection_sizes(words, words_from_masks([val.B.mask], m)) / n
+        assert (a - b > beta).any() and (b - a > beta).any() and (abs(a - b) <= beta).any()
+        oracle = val.oracle()
+        assert oracle.eval_many(words).tobytes() == ref.tobytes()
+        assert _scalar(oracle, words).tobytes() == ref.tobytes()
+
+
+class TestTabulate:
+    @pytest.mark.parametrize("m", (2, 5, 8))
+    @pytest.mark.parametrize("kind", ("two_block",) + FALLBACK_KINDS)
+    def test_equals_eval_loop_with_2_to_m_queries(self, m, kind):
+        rng = np.random.default_rng(m)
+        if kind == "two_block":
+            oracle = _two_block(m, PHIS[-1], 0.1, rng).oracle()
+        else:
+            oracle = _fallback(kind, m, rng)
+        view = oracle.restricted_view()
+        table = tabulate(oracle)
+        assert query_count(oracle) == 1 << m
+        assert tabulate(view).tobytes() == table.tobytes()
+        assert query_count(view) == 2 << m
+        loop = np.array([oracle.eval(mask) for mask in range(1 << m)], dtype=float)
+        assert table.tobytes() == loop.tobytes()
+
+    def test_empty_ground_set(self):
+        oracle = make_additive([])
+        assert tabulate(oracle).tolist() == [0.0]
+        assert oracle.query_count == 1
+
+    def test_product_components_count_2_to_m(self):
+        f1 = make_additive([0.1] * 6)
+        f2 = make_budget_additive([0.3] * 6, 1.0)
+        prod = compose_product(f1, f2)
+        before = (prod.query_count, f1.query_count, f2.query_count)
+        tabulate(prod.restricted_view())
+        after = (prod.query_count, f1.query_count, f2.query_count)
+        assert [b - a for a, b in zip(before, after)] == [64, 64, 64]
 
 
 def _scalar_greedy(oracles, k, tol=1e-12):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from symgap.setfn import GroundSetError, ItemSet, make_additive, make_budget_additive, scale_oracle
-from symgap.instances import PhiAlpha, make_symgap_valuation, two_block_product_instance
+from symgap.instances import PhiAlpha, make_symgap_valuation, psi_tilde, two_block_product_instance
 from symgap.extensions import (
     ConcavityViolation,
     EstimatorConfig,
@@ -23,6 +23,7 @@ from symgap.extensions import (
     f_exp,
     f_exp_blockwise,
     multilinear_F,
+    _pmf_window,
     random_pair_source,
 )
 
@@ -148,6 +149,32 @@ class TestBlockwise:
         pmf = binom_pmf_recurrence(200, p)
         expect = sum(pmf[a] * min(a / 100.0, 1.0) for a in range(201))
         assert f_exp_blockwise(val, 1.0, 0.0) == pytest.approx(expect, abs=1e-12)
+
+    def test_windowed_path_above_grid_size(self):
+        """Blocks of 1100 evaluate only the pmf windows; the reference sums the
+        full grid against a log-space pmf, since the recurrence's (1-p)^n
+        start underflows to 0 at this n."""
+        n = 1100
+        ks = np.arange(n + 1)
+
+        def pmf(p):
+            return np.array([
+                math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                         + k * math.log(p) + (n - k) * math.log1p(-p))
+                for k in range(n + 1)
+            ])
+
+        A = ItemSet.from_indices(range(n), 2 * n)
+        B = ItemSet.from_indices(range(n, 2 * n), 2 * n)
+        for val in (
+            two_block_product_instance(n, 0.5),
+            make_symgap_valuation(A, B, PhiAlpha(0.3), 0.05, 0.7),
+        ):
+            grid = val.lam * psi_tilde(val.phi, val.beta, ks[:, None] / n, ks[None, :] / n)
+            for xA, xB in ((0.3, 0.7), (0.5, 0.5), (0.9, 0.1)):
+                assert len(_pmf_window(n, xA)[0]) < n + 1
+                expect = pmf(xA) @ grid @ pmf(xB)
+                assert exact_F_blockwise(val, xA, xB) == pytest.approx(expect, rel=1e-9)
 
     def test_frozen_gap_constants(self):
         val = two_block_product_instance(200, 0.5)

@@ -17,6 +17,7 @@ from symgap.instances import (
     PhiAlpha,
     PhiTable,
     TwoBlockValuation,
+    _count_grid,
     balancedness,
     expected_union_size,
     make_basic_auction,
@@ -203,6 +204,25 @@ class TestTwoBlockValuation:
         for a in range(4):
             for b in range(4):
                 assert grid[a, b] == pytest.approx(ref_psi_tilde(0.5, 0.2, a / 3, b / 3))
+
+    def test_bisections_of_one_size_share_one_read_only_grid(self):
+        m = 12
+        halves = [(range(6), range(6, 12)), (range(0, 12, 2), range(1, 12, 2))]
+        vals = [
+            make_symgap_valuation(
+                ItemSet.from_indices(a, m), ItemSet.from_indices(b, m), PhiAlpha(0.5), 0.1, 0.8
+            )
+            for a, b in halves
+        ]
+        _count_grid.cache_clear()
+        grid = vals[0].count_grid()
+        assert vals[1].count_grid() is grid
+        vals[1].oracle()
+        info = _count_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        assert grid[0, 0] == 0.0
 
     def test_construction_validation(self):
         A = ItemSet.from_indices([0, 1], 6)

@@ -35,6 +35,7 @@ from symgap.mechanisms import (
     PoissonMIDRCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
+    _assignment_masks,
     exhaustive_opt_auction,
     exhaustive_opt_cpp,
     greedy_cpp,
@@ -304,3 +305,12 @@ class TestPayYourBid:
         out = mech.allocate([v.restricted_view() for v in (shaded, small)], rng)
         assert set(out.sets[0].indices()) == {0, 1}
         assert out.payments[0] == pytest.approx(2.0)
+
+
+def test_assignment_masks_are_shared_and_read_only():
+    masks = _assignment_masks(2, 3)
+    before = masks.copy()
+    assert _assignment_masks(2, 3) is masks
+    with pytest.raises(ValueError):
+        masks[0, 0] = 0
+    assert np.array_equal(masks, before)
