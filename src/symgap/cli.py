@@ -128,15 +128,12 @@ def _exp_gap955(
     mc_samples: int = 0,
 ) -> dict:
     val = two_block_product_instance(blocks, alpha)
-    one_a = f_exp_blockwise(val, 1.0, 0.0)
-    one_b = f_exp_blockwise(val, 0.0, 1.0)
-    mid = f_exp_blockwise(val, 0.5, 0.5)
+    one_a, one_b, mid = f_exp_blockwise(val, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]).tolist()
     deficit = min(one_a, one_b) - mid
     anchor = 4.0 * math.exp(-0.5) - 4.0 * math.exp(-1.0)
-    curve = [
-        {"t": t, "value": f_exp_blockwise(val, 1.0 - t, t)}
-        for t in [i / 20.0 for i in range(21)]
-    ]
+    ts = [i / 20.0 for i in range(21)]
+    values = f_exp_blockwise(val, [1.0 - t for t in ts], ts).tolist()
+    curve = [{"t": t, "value": v} for t, v in zip(ts, values)]
     assertions = {}
     if alpha == 0.5:
         assertions["endpoints_near_one"] = min(one_a, one_b) >= 0.99
@@ -183,7 +180,7 @@ def _exp_concavity(
         val = two_block_product_instance(blocks, alpha)
         if alpha >= 1.0:
             expect_violation = False
-            g = lambda x: f_exp_blockwise(val, float(x[0]), float(x[1]))
+            g = lambda pts: f_exp_blockwise(val, pts[:, 0], pts[:, 1])
             violations, checked = concavity_probe(
                 g, random_pair_source(2, trials, rng), tol=1e-9
             )
@@ -191,9 +188,7 @@ def _exp_concavity(
             detail["mode"] = "exact_blockwise_random_pairs"
         else:
             expect_violation = True
-            one = f_exp_blockwise(val, 1.0, 0.0)
-            other = f_exp_blockwise(val, 0.0, 1.0)
-            mid = f_exp_blockwise(val, 0.5, 0.5)
+            one, other, mid = f_exp_blockwise(val, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]).tolist()
             slack = mid - 0.5 * (one + other)
             if slack < -1e-9:
                 violations = [

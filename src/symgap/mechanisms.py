@@ -11,7 +11,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .setfn import (
     singleton_words,
     tabulate,
     word_count,
+    words_from_masks,
 )
 from .instances import AuctionInstance, CPPInstance, TwoBlockValuation
 from .extensions import enum_weights, f_exp_blockwise
@@ -112,19 +112,23 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
     total = sum(math.comb(m, t) for t in range(k + 1))
     if total > _CPP_ENUM_CAP:
         raise GroundSetError(f"{total} candidate sets exceed the enumeration cap")
+    # sizes 1..k, each in lexicographic order: extend every set of the
+    # previous size by one item above its highest
+    masks: list[int] = []
+    level = [(0, -1)]
+    for _ in range(k):
+        level = [(mask | 1 << j, j) for mask, top in level for j in range(top + 1, m)]
+        masks.extend(mask for mask, _ in level)
+    words = words_from_masks(masks, m)
+    vals = np.zeros(len(masks))
+    for o in oracles:  # summed in oracle order, as one scalar sum per set
+        vals += o.eval_many(words)
     best_mask = 0
     best_val = 0.0
-    for t in range(1, k + 1):
-        for combo in combinations(range(m), t):
-            cand = 0
-            for j in combo:
-                cand |= 1 << j
-            val = 0.0
-            for o in oracles:
-                val += o.eval(cand)
-            if val > best_val + GAIN_TOL:
-                best_val = val
-                best_mask = cand
+    for cand, val in zip(masks, vals.tolist()):
+        if val > best_val + GAIN_TOL:
+            best_val = val
+            best_mask = cand
     return OptResult(ItemSet(best_mask, m), best_val)
 
 

@@ -67,7 +67,7 @@ def test_criterion_01_block_gap_at_two_hundred(capsys):
 
 def test_criterion_02_concavity_and_its_failures(capsys):
     val1 = two_block_product_instance(8, 1.0)
-    g = lambda x: f_exp_blockwise(val1, float(x[0]), float(x[1]))
+    g = lambda pts: f_exp_blockwise(val1, pts[:, 0], pts[:, 1])
     rng = np.random.default_rng(2)
     violations, checked = concavity_probe(
         g, random_pair_source(2, 10_000, rng), tol=1e-9

@@ -1,10 +1,15 @@
 """Command-line contract: exit codes, report serialization, plot CSVs,
 config-file defaults, reproducibility."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symgap
 from symgap.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -269,3 +274,18 @@ class TestRunApi:
         assert rep["passed"] is True
         assert rep["byte_identical_reruns"] is True
         assert len(rep["reports"]) >= 20
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only; a fresh interpreter that imports the
+    CLI and builds its parser must not load it."""
+    src = str(Path(symgap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, symgap.cli as cli; cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"

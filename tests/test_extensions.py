@@ -2,11 +2,12 @@
 
 The blockwise engine is cross-checked against three independent paths: a
 from-scratch subset enumeration (itertools over inclusion patterns), a
-binomial pmf built by the multiplicative recurrence (no scipy), and plain
+binomial pmf built by the multiplicative recurrence (no library calls), and plain
 Monte-Carlo sampling.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symgap.extensions import (
     f_exp_blockwise,
     multilinear_F,
     _pmf_window,
+    binom,
     random_pair_source,
 )
 
@@ -45,6 +47,16 @@ def binom_pmf_recurrence(n: int, p: float) -> list:
     for k in range(n):
         pmf[k + 1] = pmf[k] * (n - k) / (k + 1) * ratio
     return pmf
+
+
+def binom_pmf_lgamma(n: int, p: float) -> np.ndarray:
+    """pmf in log space through math.lgamma, one scalar term per count; for
+    0 < p < 1, at sizes where the recurrence's (1-p)^n start underflows."""
+    return np.array([
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * math.log(p) + (n - k) * math.log1p(-p))
+        for k in range(n + 1)
+    ])
 
 
 def brute_force_F(oracle, x) -> float:
@@ -126,6 +138,62 @@ class TestMultilinearF:
             multilinear_F(oracle, [0.5, 1.5], EstimatorConfig("exact_enum", 0, 0))
 
 
+PMF_PS = (0.0, 1e-12, 0.37, 1.0 - 1e-12, 1.0)
+
+
+class TestBinomPmf:
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_matches_recurrence(self, n):
+        rows = binom.pmf(np.arange(n + 1), n, np.array(PMF_PS)[:, None])
+        assert rows.shape == (len(PMF_PS), n + 1)
+        for p, row in zip(PMF_PS, rows):
+            # the recurrence starts from (1-p)^n, which underflows for p near
+            # 1: use Bin(n, p)(k) = Bin(n, 1-p)(n-k) there (1 - p is exact)
+            if p <= 0.5:
+                ref = binom_pmf_recurrence(n, p)
+            else:
+                ref = binom_pmf_recurrence(n, 1.0 - p)[::-1]
+            np.testing.assert_allclose(row, ref, rtol=1e-11, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_matches_exact_rational_pmf(self, n):
+        # C(n, k) p^k (1-p)^(n-k) in exact rationals, rounded once; a pmf
+        # whose log coefficients come from lgamma differences is off by ~2e-13
+        for p in PMF_PS[1:-1] + (1.0 - math.exp(-1.0),):
+            q = Fraction(p)
+            exact = np.array([
+                float(math.comb(n, k) * q**k * (1 - q) ** (n - k)) for k in range(n + 1)
+            ])
+            row = binom.pmf(np.arange(n + 1), n, p)
+            normal = exact > 1e-300
+            assert (np.abs(row - exact)[normal] <= 1e-13 * exact[normal]).all()
+
+    def test_matches_lgamma_reference_above_grid_size(self):
+        n = 1100
+        for p in PMF_PS[1:-1]:
+            row = binom.pmf(np.arange(n + 1), n, p)
+            np.testing.assert_allclose(row, binom_pmf_lgamma(n, p), rtol=1e-11, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [8, 200, 1100])
+    def test_rows_sum_to_one_and_edges_are_one_hot(self, n):
+        rows = binom.pmf(np.arange(n + 1), n, np.array(PMF_PS)[:, None])
+        assert np.abs(rows.sum(1) - 1.0).max() <= 1e-12
+        one_hot = np.zeros(n + 1)
+        one_hot[0] = 1.0
+        assert (rows[0] == one_hot).all()
+        assert (rows[-1] == one_hot[::-1]).all()
+        assert (binom.pmf(np.arange(n + 1), n, 0.0) == one_hot).all()
+
+    def test_broadcasts_k_against_p(self):
+        p = np.array([[0.2], [0.7]])
+        out = binom.pmf(np.array([0, 3, 5]), 5, p)
+        assert out.shape == (2, 3)
+        assert out[1, 2] == pytest.approx(0.7**5, rel=1e-14)
+        assert binom.pmf(2, 4, 0.5) == pytest.approx(6 / 16, rel=1e-14)
+        with pytest.raises(ValueError):
+            binom.pmf(np.arange(7), 5, 0.5)
+
+
 class TestBlockwise:
     def test_matches_enumeration_small_blocks(self):
         val = make_symgap_valuation(
@@ -156,14 +224,7 @@ class TestBlockwise:
         start underflows to 0 at this n."""
         n = 1100
         ks = np.arange(n + 1)
-
-        def pmf(p):
-            return np.array([
-                math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                         + k * math.log(p) + (n - k) * math.log1p(-p))
-                for k in range(n + 1)
-            ])
-
+        pmf = lambda p: binom_pmf_lgamma(n, p)
         A = ItemSet.from_indices(range(n), 2 * n)
         B = ItemSet.from_indices(range(n, 2 * n), 2 * n)
         for val in (
@@ -175,6 +236,52 @@ class TestBlockwise:
                 assert len(_pmf_window(n, xA)[0]) < n + 1
                 expect = pmf(xA) @ grid @ pmf(xB)
                 assert exact_F_blockwise(val, xA, xB) == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 200, 1100])
+    def test_batch_matches_scalar_calls(self, n):
+        A = ItemSet.from_indices(range(n), 2 * n)
+        B = ItemSet.from_indices(range(n, 2 * n), 2 * n)
+        rng = np.random.default_rng(n)
+        xA = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], rng.uniform(0, 1, 40)])
+        xB = np.concatenate([[0.0, 0.0, 1.0, 1.0, 0.5], rng.uniform(0, 1, 40)])
+        for val in (
+            two_block_product_instance(n, 0.5),
+            make_symgap_valuation(A, B, PhiAlpha(0.3), 0.05, 0.7),
+        ):
+            batch = exact_F_blockwise(val, xA, xB)
+            scalar = [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+            grid = exact_F_blockwise(val, xA.reshape(5, 9), xB.reshape(5, 9))
+            np.testing.assert_array_equal(grid, batch.reshape(5, 9))
+            exp_batch = f_exp_blockwise(val, xA, xB)
+            exp_scalar = [f_exp_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
+            np.testing.assert_allclose(exp_batch, exp_scalar, rtol=1e-14, atol=0)
+
+    def test_batch_spans_several_chunks(self):
+        val = two_block_product_instance(8, 0.5)
+        rng = np.random.default_rng(3)
+        xA, xB = rng.uniform(0, 1, (2, 5000))
+        batch = exact_F_blockwise(val, xA, xB)
+        scalar = [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [8, 1100])
+    def test_out_of_range_element_anywhere_raises(self, n):
+        val = two_block_product_instance(n, 0.5)
+        ok = np.full(6, 0.5)
+        for bad in (1.5, -0.1, float("nan")):
+            for pos in (0, 3, 5):
+                xs = ok.copy()
+                xs[pos] = bad
+                with pytest.raises(GroundSetError):
+                    exact_F_blockwise(val, xs, ok)
+                with pytest.raises(GroundSetError):
+                    exact_F_blockwise(val, ok, xs)
+        with pytest.raises(GroundSetError):
+            f_exp_blockwise(val, [0.5, 2.0, -1e-9], 0.5)
+        with pytest.raises(GroundSetError):
+            f_exp_blockwise(val, 0.5, np.array([[0.5, 3.0], [-0.5, 0.1]]))
 
     def test_frozen_gap_constants(self):
         val = two_block_product_instance(200, 0.5)
@@ -232,7 +339,7 @@ class TestBlockwise:
 class TestConcavity:
     def test_alpha_one_probe_clean(self):
         val = two_block_product_instance(8, 1.0)
-        g = lambda x: f_exp_blockwise(val, float(x[0]), float(x[1]))
+        g = lambda pts: f_exp_blockwise(val, pts[:, 0], pts[:, 1])
         rng = np.random.default_rng(6)
         violations, checked = concavity_probe(g, random_pair_source(2, 400, rng))
         assert checked == 400
@@ -240,7 +347,7 @@ class TestConcavity:
 
     def test_alpha_half_engineered_violation(self):
         val = two_block_product_instance(200, 0.5)
-        g = lambda x: f_exp_blockwise(val, float(x[0]), float(x[1]))
+        g = lambda pts: f_exp_blockwise(val, pts[:, 0], pts[:, 1])
         pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
         violations, _ = concavity_probe(g, pairs)
         assert len(violations) == 1
@@ -272,8 +379,33 @@ class TestConcavity:
         with pytest.raises(GroundSetError):
             concavity_grid_scan(oracle, step=0.1)
 
+    def test_probe_is_one_batch_call_in_pair_order(self):
+        # g(t) = t^2 has slack -(x-y)^2/4: pairs 1, 3 and 4 violate
+        pairs = np.array([[0.2, 0.2], [0.1, 0.9], [0.5, 0.5], [0.3, 0.8], [0.0, 1.0]])[:, :, None]
+        calls = []
+
+        def g(pts):
+            calls.append(pts.shape)
+            return pts[:, 0] ** 2
+
+        violations, checked = concavity_probe(g, pairs)
+        assert calls == [(15, 1)]
+        assert checked == 5
+        assert [v.x for v in violations] == [(0.1,), (0.3,), (0.0,)]
+        violations, checked = concavity_probe(g, pairs, max_violations=2)
+        assert checked == 4
+        assert [(v.x, v.y) for v in violations] == [((0.1,), (0.9,)), ((0.3,), (0.8,))]
+        assert violations[1].slack == pytest.approx(-0.25 * 0.5**2, rel=1e-12)
+
+    def test_pair_source_matches_per_pair_draws(self):
+        pairs = random_pair_source(3, 1000, np.random.default_rng(np.random.SeedSequence((7, 1))))
+        rng = np.random.default_rng(np.random.SeedSequence((7, 1)))
+        for x, y in pairs:
+            assert (x == rng.uniform(0.0, 1.0, size=3)).all()
+            assert (y == rng.uniform(0.0, 1.0, size=3)).all()
+
     def test_probe_respects_max_violations(self):
-        g = lambda x: float((x[0] - 0.5) ** 2)  # convex, violates everywhere
+        g = lambda pts: (pts[:, 0] - 0.5) ** 2  # convex, violates everywhere
         rng = np.random.default_rng(7)
         violations, checked = concavity_probe(
             g, random_pair_source(1, 50, rng), max_violations=3

@@ -21,9 +21,11 @@ from symgap.instances import (
     CPPInstance,
     PhiAlpha,
     make_symgap_valuation,
+    random_cpp_instance,
     two_block_product_instance,
 )
 from symgap.mechanisms import (
+    GAIN_TOL,
     BalancedPrefixCPP,
     DistributionOverOutcomes,
     ExhaustiveOptCPP,
@@ -105,6 +107,47 @@ class TestExhaustiveOpt:
         res = exhaustive_opt_cpp(oracles, 3)
         ref_mask, ref_val = ref_opt_cpp(oracles, 3)
         assert res.value == pytest.approx(ref_val, abs=1e-12)
+
+    @staticmethod
+    def scalar_opt(oracles, k):
+        """The scalar scan: sizes 1..k in lexicographic order, one eval per
+        oracle per set summed in oracle order, first maximum kept."""
+        m = oracles[0].m
+        best_mask, best_val = 0, 0.0
+        for size in range(1, k + 1):
+            for combo in itertools.combinations(range(m), size):
+                mask = 0
+                for j in combo:
+                    mask |= 1 << j
+                val = 0.0
+                for o in oracles:
+                    val += o.eval(mask)
+                if val > best_val + GAIN_TOL:
+                    best_mask, best_val = mask, val
+        return best_mask, best_val
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batched_scan_matches_scalar_scan(self, seed):
+        inst = random_cpp_instance(np.random.default_rng(seed))
+        ref = random_cpp_instance(np.random.default_rng(seed))
+        res = exhaustive_opt_cpp(inst.oracles, inst.k)
+        assert (res.S.mask, res.value) == self.scalar_opt(ref.oracles, ref.k)
+        counts = [o.query_count for o in inst.oracles]
+        assert counts == [o.query_count for o in ref.oracles]
+        sets = sum(math.comb(inst.oracles[0].m, t) for t in range(1, inst.k + 1))
+        assert counts == [sets] * len(counts)
+
+    def test_ties_keep_first_maximum(self):
+        # {2, 3} beats {0, 1} by 2e-13, inside GAIN_TOL: the first maximum stays
+        weights = [0.25, 0.25, 0.25 + 1e-13, 0.25 + 1e-13, 0.25, 0.25]
+        for oracles in (
+            [make_additive([0.25] * 6)],
+            [make_additive(weights), make_additive([0.1] * 6)],
+        ):
+            res = exhaustive_opt_cpp(oracles, 2)
+            ref_mask, ref_val = self.scalar_opt(oracles, 2)
+            assert (res.S.mask, res.value) == (ref_mask, ref_val)
+            assert res.S.indices() == [0, 1]
 
     def test_auction_exhaustive_matches_reference(self):
         v1 = make_additive([0.5, 0.3])
