@@ -113,6 +113,13 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
     return make_polar(A, float(rng.uniform(0.05, 0.95)))
 
 
+def _unit_range(f: ValuationOracle) -> ValuationOracle:
+    """f, rescaled by 1/f(full) when f(full) > 1, so that a product
+    composition accepts it (f is monotone, so f(full) is its maximum)."""
+    top = f.eval(ItemSet.full(f.m))
+    return scale_oracle(f, 1.0 / top) if top > 1.0 else f
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -258,7 +265,8 @@ def _exp_submod_check(
     elif family == "two_block_product":
         oracle = two_block_product_instance(m // 2, alpha).oracle()
     elif family == "product":
-        oracle = compose_product(_random_base_oracle(rng, m), _random_base_oracle(rng, m))
+        f1 = _unit_range(_random_base_oracle(rng, m))
+        oracle = compose_product(f1, _unit_range(_random_base_oracle(rng, m)))
     elif family == "random":
         oracle = _random_base_oracle(rng, m)
     elif family == "additive":
@@ -290,14 +298,8 @@ def _exp_product_compose(cfg: ExperimentConfig, *, pairs: int = 100, m: int = 10
     failures = []
     identity_worst = 0.0
     for idx in range(pairs):
-        f1 = _random_base_oracle(rng, m)
-        f2 = _random_base_oracle(rng, m)
-        # components may exceed 1; rescale into [0, 1] as the composition requires
-        top1, top2 = f1.eval(ItemSet.full(m)), f2.eval(ItemSet.full(m))
-        if top1 > 1.0:
-            f1 = scale_oracle(f1, 1.0 / top1)
-        if top2 > 1.0:
-            f2 = scale_oracle(f2, 1.0 / top2)
+        f1 = _unit_range(_random_base_oracle(rng, m))
+        f2 = _unit_range(_random_base_oracle(rng, m))
         comp = compose_product(f1, f2)
         rep = check_monotone_submodular(comp, mode="exhaustive")
         if not rep.passed:

@@ -112,24 +112,33 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
     total = sum(math.comb(m, t) for t in range(k + 1))
     if total > _CPP_ENUM_CAP:
         raise GroundSetError(f"{total} candidate sets exceed the enumeration cap")
-    # sizes 1..k, each in lexicographic order: extend every set of the
-    # previous size by one item above its highest
+    words = _cpp_candidates(m, k)
+    vals = np.zeros(len(words))
+    for o in oracles:  # summed in oracle order, as one scalar sum per set
+        vals += o.eval_many(words)
+    best_row = -1
+    best_val = 0.0
+    for row, val in enumerate(vals.tolist()):
+        if val > best_val + GAIN_TOL:
+            best_val = val
+            best_row = row
+    best_mask = masks_from_words(words[best_row : best_row + 1])[0] if best_row >= 0 else 0
+    return OptResult(ItemSet(best_mask, m), best_val)
+
+
+@lru_cache(maxsize=32)
+def _cpp_candidates(m: int, k: int) -> np.ndarray:
+    """Read-only packed rows of every set of size 1..k, shared by every
+    caller: sizes in turn, each in lexicographic order."""
+    # extend every set of the previous size by one item above its highest
     masks: list[int] = []
     level = [(0, -1)]
     for _ in range(k):
         level = [(mask | 1 << j, j) for mask, top in level for j in range(top + 1, m)]
         masks.extend(mask for mask, _ in level)
     words = words_from_masks(masks, m)
-    vals = np.zeros(len(masks))
-    for o in oracles:  # summed in oracle order, as one scalar sum per set
-        vals += o.eval_many(words)
-    best_mask = 0
-    best_val = 0.0
-    for cand, val in zip(masks, vals.tolist()):
-        if val > best_val + GAIN_TOL:
-            best_val = val
-            best_mask = cand
-    return OptResult(ItemSet(best_mask, m), best_val)
+    words.flags.writeable = False
+    return words
 
 
 @lru_cache(maxsize=16)

@@ -173,6 +173,12 @@ def words_from_bits(bits: np.ndarray) -> np.ndarray:
     return padded.view("<u8").astype(np.uint64, copy=False)
 
 
+def bits_from_words(words: np.ndarray, m: int) -> np.ndarray:
+    """Packed rows to a boolean (batch, m) matrix, item j in column j."""
+    data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(data, axis=1, count=m, bitorder="little").view(bool)
+
+
 def singleton_words(m: int) -> np.ndarray:
     """(m, word_count(m)) packed rows, row j holding the set {j}."""
     items = np.arange(m)
@@ -196,14 +202,25 @@ def intersection_sizes(words: np.ndarray, within: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words & within).sum(1, dtype=np.int64)
 
 
+def _sum_in_item_order(weights: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Per row, the weights of the selected columns added left to right from
+    0.0, as the scalar loops add them.  np.sum's pairwise order would change
+    low bits, and a masked copy keeps 0 * inf out of unselected columns.  The
+    result is contiguous: BLAS sums a strided vector in another order."""
+    terms = np.zeros((len(selected), selected.shape[1] + 1))
+    np.copyto(terms[:, 1:], weights, where=selected)
+    return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+
+
 class ValuationOracle:
     """Set function exposed only through value queries.
 
     eval() accepts an ItemSet or a raw mask int; each call increments the
     query counter (thread-safe so concurrent audits still report exact
     totals).  eval_many() takes packed sets, one per row, and counts one
-    query per row; a family passes fn_many to evaluate them as arrays, and
-    without one the rows go through fn one at a time.  The descriptor is
+    query per row.  Every family in this package passes fn_many to evaluate
+    the rows as arrays, bit-identical to fn; an oracle built without one
+    sends its rows through fn one at a time.  The descriptor is
     enough to rebuild the function bit-exactly and is withheld from
     mechanisms under audit (see restricted_view()).
     """
@@ -315,8 +332,13 @@ def make_additive(weights: Sequence[float]) -> ValuationOracle:
             mask ^= low
         return total
 
+    w_arr = np.array(w)
+
+    def fn_many(words: np.ndarray) -> np.ndarray:
+        return _sum_in_item_order(w_arr, bits_from_words(words, m))
+
     desc = {"kind": "additive", "params": {"weights": w}, "seed": None}
-    return ValuationOracle(m, fn, desc)
+    return ValuationOracle(m, fn, desc, fn_many)
 
 
 def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOracle:
@@ -339,8 +361,17 @@ def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOr
             mask ^= low
         return total
 
+    w_arr = np.array(w)
+
+    def fn_many(words: np.ndarray) -> np.ndarray:
+        selected = bits_from_words(words, m)
+        total = _sum_in_item_order(w_arr, selected)
+        # prefix sums of nonnegative weights never decrease, so some prefix
+        # reached b iff the total did; the empty set is never capped
+        return np.where((total >= b) & selected.any(axis=1), b, total)
+
     desc = {"kind": "budget_additive", "params": {"weights": w, "budget": b}, "seed": None}
-    return ValuationOracle(m, fn, desc)
+    return ValuationOracle(m, fn, desc, fn_many)
 
 
 def make_coverage(
@@ -377,6 +408,14 @@ def make_coverage(
             covered ^= low
         return total
 
+    # row e packs the items that cover universe element e
+    covering = words_from_bits(bits_from_words(words_from_masks(covers, u), u).T)
+    uw_arr = np.array(uw)
+
+    def fn_many(words: np.ndarray) -> np.ndarray:
+        covered = (words[:, None, :] & covering).any(axis=2)
+        return _sum_in_item_order(uw_arr, covered)
+
     desc = {
         "kind": "coverage",
         "params": {
@@ -385,7 +424,7 @@ def make_coverage(
         },
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc)
+    return ValuationOracle(m, fn, desc, fn_many)
 
 
 def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
@@ -401,18 +440,25 @@ def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
         inside = (mask & a_mask).bit_count()
         return inside + w * ((mask).bit_count() - inside)
 
+    a_words = words_from_masks([a_mask], m)
+
+    def fn_many(words: np.ndarray) -> np.ndarray:
+        inside = intersection_sizes(words, a_words)
+        return inside + w * (np.bitwise_count(words).sum(1, dtype=np.int64) - inside)
+
     desc = {
         "kind": "polar",
         "params": {"A": A.to_hex(), "m": m, "omega": w},
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc)
+    return ValuationOracle(m, fn, desc, fn_many)
 
 
 def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle:
     """f = 1 - (1 - f1)(1 - f2); preserves monotone submodularity for [0,1]-valued parts.
 
-    Each composite eval issues exactly one query to each component.
+    Each composite query, scalar or one row of a batch, issues exactly one
+    query to each component.
     """
     if f1.m != f2.m:
         raise GroundSetError(f"component ground sizes differ: {f1.m} vs {f2.m}")
@@ -428,12 +474,15 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     def fn(mask: int) -> float:
         return 1.0 - (1.0 - f1.eval(mask)) * (1.0 - f2.eval(mask))
 
+    def fn_many(words: np.ndarray) -> np.ndarray:
+        return 1.0 - (1.0 - f1.eval_many(words)) * (1.0 - f2.eval_many(words))
+
     desc = {
         "kind": "product",
         "params": {"components": [f1.descriptor, f2.descriptor]},
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc)
+    return ValuationOracle(m, fn, desc, fn_many)
 
 
 def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
@@ -444,8 +493,11 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     def fn(mask: int) -> float:
         return lam * f.eval(mask)
 
+    def fn_many(words: np.ndarray) -> np.ndarray:
+        return lam * f.eval_many(words)
+
     desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}, "seed": None}
-    return ValuationOracle(f.m, fn, desc)
+    return ValuationOracle(f.m, fn, desc, fn_many)
 
 
 def tabulate(oracle) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Batch value queries: eval_many against the scalar eval it stands for.
 
 eval_many must return, bit for bit, what a loop of eval returns on the same
-sets, and count one query per row.  The two-block families evaluate rows as
-arrays; every other family goes through its scalar function row by row.
+sets, and count one query per row.  Every family evaluates the rows as
+arrays; an oracle built without a batch function goes through its scalar
+function row by row.
 """
 import math
 
@@ -24,6 +25,8 @@ from symgap.mechanisms import greedy_cpp
 from symgap.setfn import (
     GroundSetError,
     ItemSet,
+    ValuationOracle,
+    bits_from_words,
     compose_product,
     intersection_sizes,
     make_additive,
@@ -108,6 +111,7 @@ class TestPacking:
         assert words.dtype == np.uint64 and words.shape == (10, word_count(m))
         assert np.array_equal(words, words_from_masks(masks, m))
         assert masks_from_words(words) == masks
+        assert np.array_equal(bits_from_words(words, m), bits)
 
     @pytest.mark.parametrize("m", (0,) + SIZES)
     def test_singleton_words(self, m):
@@ -199,6 +203,115 @@ class TestEvalMany:
             with pytest.raises(GroundSetError):
                 oracle.eval_many(words)
         assert oracle.query_count == 0
+
+
+def _all_rows(m: int) -> np.ndarray:
+    """Every subset of [0, m) as one packed row, in mask order."""
+    return np.arange(1 << m, dtype=np.uint64)[:, None][:, : word_count(m)]
+
+
+def _assert_matches_scalar(oracle, words: np.ndarray) -> None:
+    batch = oracle.eval_many(words)
+    assert batch.dtype == np.float64 and batch.flags.c_contiguous
+    assert batch.tobytes() == _scalar(oracle, words).tobytes()
+
+
+EDGE_WEIGHTS = (
+    [-0.0],  # one item: a bare cumsum would give -0.0 where the loop gives 0.0
+    [-0.0, -0.0, -0.0],
+    [0.0, -0.0, 0.5, 0.0],
+    [0.25, math.inf, 0.0, 3.0],
+    [math.inf, -0.0, math.inf],
+)
+
+
+class TestEdgeCases:
+    """Inputs where a plain vectorised sum would differ from the scalar loop:
+    signed zeros, infinities, budgets met exactly, uncovered elements, an
+    empty ground set and an empty batch."""
+
+    @pytest.mark.parametrize("weights", EDGE_WEIGHTS, ids=repr)
+    def test_additive_weights(self, weights):
+        m = len(weights)
+        for oracle in (
+            make_additive(weights),
+            scale_oracle(make_additive(weights), 0.5),
+            make_coverage(weights, [[j] for j in range(m)]),
+            make_coverage(weights, [[j, (j + 1) % m] for j in range(m)]),
+        ):
+            _assert_matches_scalar(oracle, _all_rows(m))
+
+    @pytest.mark.parametrize("weights", EDGE_WEIGHTS, ids=repr)
+    @pytest.mark.parametrize("budget", (0.0, -0.0, 0.5, 3.25, math.inf))
+    def test_budget_additive_weights(self, weights, budget):
+        oracle = make_budget_additive(weights, budget)
+        _assert_matches_scalar(oracle, _all_rows(len(weights)))
+
+    def test_budget_met_by_a_prefix_sum(self):
+        oracle = make_budget_additive([1.0, 1.0, 1.0, 2.0], 2.0)
+        _assert_matches_scalar(oracle, _all_rows(4))
+        assert tabulate(oracle)[[0b0001, 0b0011, 0b0111, 0b1000, 0b1001]].tolist() == [
+            1.0, 2.0, 2.0, 2.0, 2.0,
+        ]
+        rng = np.random.default_rng(4)
+        w = rng.uniform(0.0, 1.0, 9).tolist()
+        for size in range(1, 10):
+            prefix = 0.0
+            for x in w[:size]:
+                prefix += x
+            _assert_matches_scalar(make_budget_additive(w, prefix), _all_rows(9))
+
+    def test_coverage_with_uncovered_elements(self):
+        # elements 1, 3 and 5 are covered by no item; their weights never count
+        weights = [0.5, math.inf, 0.25, -0.0, 0.125, 7.0]
+        oracle = make_coverage(weights, [[0], [2, 4], [0, 2], []])
+        _assert_matches_scalar(oracle, _all_rows(4))
+        assert oracle.eval(0b1111) == 0.875
+
+    def test_coverage_over_an_empty_universe(self):
+        oracle = make_coverage([], [[], [], []])
+        _assert_matches_scalar(oracle, _all_rows(3))
+        assert tabulate(oracle).tolist() == [0.0] * 8
+
+    @pytest.mark.parametrize("omega", (1e-300, 0.3, 1.0 - 2.0**-53))
+    def test_polar_rates(self, omega):
+        for members in ([], [0, 2], [0, 1, 2, 3, 4]):
+            _assert_matches_scalar(make_polar(ItemSet.from_indices(members, 5), omega),
+                                   _all_rows(5))
+
+    def test_empty_ground_set(self):
+        empty = ItemSet.empty(0)
+        oracles = [
+            make_additive([]),
+            make_budget_additive([], 1.0),
+            make_coverage([0.5, math.inf], []),
+            make_polar(empty, 0.5),
+            scale_oracle(make_polar(empty, 0.5), 2.0),
+            compose_product(make_additive([]), make_coverage([0.5], [])),
+        ]
+        for oracle in oracles:
+            for batch in (3, 0):
+                _assert_matches_scalar(oracle, np.zeros((batch, 0), dtype=np.uint64))
+            assert tabulate(oracle).tolist() == [0.0]
+
+    @pytest.mark.parametrize("m", (2, 5, 70))
+    @pytest.mark.parametrize("kind", FALLBACK_KINDS)
+    def test_empty_batch(self, m, kind):
+        oracle = _fallback(kind, m, np.random.default_rng(m))
+        _assert_matches_scalar(oracle, np.zeros((0, word_count(m)), dtype=np.uint64))
+        assert oracle.query_count == 0
+
+    def test_oracle_without_batch_function_goes_row_by_row(self):
+        calls = []
+
+        def fn(mask: int) -> float:
+            calls.append(mask)
+            return 0.5 * mask.bit_count()
+
+        oracle = ValuationOracle(3, fn, {"kind": "custom"})
+        assert oracle.eval_many(_all_rows(3)).tolist() == [0.5 * bin(s).count("1") for s in range(8)]
+        assert calls == [0] + list(range(8))  # f(empty) checked at construction
+        assert oracle.query_count == 8
 
 
 class TestAboveGridSize:

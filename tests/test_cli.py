@@ -45,6 +45,16 @@ class TestExitCodes:
         assert main(["chernoff", "--m", "101", "--beta", "0.1", "--trials", "50"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_submod_check_passes(self, tmp_path, seed):
+        # random components exceed 1 on the full set and are rescaled first
+        code, out = run_main(
+            ["submod-check", "--family", "product", "--seed", str(seed)], tmp_path
+        )
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["passed"] is True and rep["checked"] > 0
+
     def test_unknown_subcommand_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["not-an-experiment"])

@@ -38,6 +38,7 @@ from symgap.mechanisms import (
     RandomSubsetCPP,
     VCGExhaustiveAuction,
     _assignment_masks,
+    _cpp_candidates,
     exhaustive_opt_auction,
     exhaustive_opt_cpp,
     greedy_cpp,
@@ -161,6 +162,31 @@ class TestExhaustiveOpt:
         oracle = make_additive([0.01] * 64)
         with pytest.raises(GroundSetError):
             exhaustive_opt_cpp([oracle], 32)
+
+    def test_candidates_are_cached_per_m_and_k(self):
+        oracles = [make_additive([0.125 * (j % 3) for j in range(11)])]
+        _cpp_candidates.cache_clear()
+        first = exhaustive_opt_cpp(oracles, 3)
+        assert _cpp_candidates.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert exhaustive_opt_cpp(oracles, 3) == first
+        assert _cpp_candidates.cache_info()[:2] == (1, 1)
+        assert (first.S.mask, first.value) == self.scalar_opt(oracles, 3)
+        words = _cpp_candidates(11, 3)
+        assert words.shape == (sum(math.comb(11, t) for t in (1, 2, 3)), 1)
+        with pytest.raises(ValueError):
+            words[0, 0] = 0
+
+    def test_no_gain_keeps_the_empty_set(self):
+        res = exhaustive_opt_cpp([make_additive([0.0] * 5)], 2)
+        assert (res.S.mask, res.value) == (0, 0.0)
+
+    def test_cap_raises_before_caching(self):
+        oracle = make_additive([0.01] * 40)
+        _cpp_candidates.cache_clear()
+        with pytest.raises(GroundSetError):
+            exhaustive_opt_cpp([oracle], 10)
+        assert _cpp_candidates.cache_info().currsize == 0
+        assert oracle.query_count == 0
 
 
 class TestVCG:
