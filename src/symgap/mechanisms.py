@@ -32,6 +32,9 @@ from .extensions import enum_weights, f_exp_blockwise
 GAIN_TOL = 1e-12
 _AUCTION_ENUM_CAP = 4_000_000
 _CPP_ENUM_CAP = 5_000_000
+# candidate arrays of at most this many words are cached: the 32 cached
+# entries pin at most 16 MB
+_CPP_CACHE_WORDS = 1 << 16
 
 
 class InfeasibleOutcomeError(RuntimeError):
@@ -112,7 +115,8 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
     total = sum(math.comb(m, t) for t in range(k + 1))
     if total > _CPP_ENUM_CAP:
         raise GroundSetError(f"{total} candidate sets exceed the enumeration cap")
-    words = _cpp_candidates(m, k)
+    cached = total * word_count(m) <= _CPP_CACHE_WORDS
+    words = (_cpp_candidates if cached else _cpp_candidates.__wrapped__)(m, k)
     vals = np.zeros(len(words))
     for o in oracles:  # summed in oracle order, as one scalar sum per set
         vals += o.eval_many(words)
@@ -129,7 +133,8 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
 @lru_cache(maxsize=32)
 def _cpp_candidates(m: int, k: int) -> np.ndarray:
     """Read-only packed rows of every set of size 1..k, shared by every
-    caller: sizes in turn, each in lexicographic order."""
+    caller of the same small (m, k): sizes in turn, each in lexicographic
+    order."""
     # extend every set of the previous size by one item above its highest
     masks: list[int] = []
     level = [(0, -1)]

@@ -23,6 +23,9 @@ import numpy as np
 STRUCT_TOL = 1e-9
 EXHAUSTIVE_MAX_M = 24
 WORD_BITS = 64
+# rows per batch-function call: bounds the (rows, m) and (rows, u) temporaries
+# the families build, e.g. at tabulate's 2^24 rows
+_EVAL_CHUNK = 1 << 14
 
 
 class GroundSetError(ValueError):
@@ -220,7 +223,8 @@ class ValuationOracle:
     totals).  eval_many() takes packed sets, one per row, and counts one
     query per row.  Every family in this package passes fn_many to evaluate
     the rows as arrays, bit-identical to fn; an oracle built without one
-    sends its rows through fn one at a time.  The descriptor is
+    sends its rows through fn one at a time.  fn_many sees at most
+    _EVAL_CHUNK rows per call.  The descriptor is
     enough to rebuild the function bit-exactly and is withheld from
     mechanisms under audit (see restricted_view()).
     """
@@ -272,7 +276,13 @@ class ValuationOracle:
             raise GroundSetError(f"query outside ground set of size {self.m}")
         with self._lock:
             self._count += len(words)
-        return self._fn_many(words)
+        if len(words) <= _EVAL_CHUNK:
+            return self._fn_many(words)
+        out = np.empty(len(words))
+        for lo in range(0, len(words), _EVAL_CHUNK):
+            hi = lo + _EVAL_CHUNK
+            out[lo:hi] = self._fn_many(words[lo:hi])
+        return out
 
     @property
     def query_count(self) -> int:
@@ -384,16 +394,18 @@ def make_coverage(
     uw = [float(x) for x in universe_weights]
     if any(x < 0 for x in uw):
         raise OracleContractError("universe weights must be nonnegative")
-    u = len(uw)
+    u, m = len(uw), len(cover_map)
     covers = []
+    # covered_by[e, j]: item j covers universe element e
+    covered_by = np.zeros((u, m), dtype=bool)
     for j, elems in enumerate(cover_map):
         cm = 0
         for e in elems:
             if not 0 <= e < u:
                 raise GroundSetError(f"item {j} covers element {e} outside universe")
             cm |= 1 << e
+            covered_by[e, j] = True
         covers.append(cm)
-    m = len(covers)
 
     def fn(mask: int) -> float:
         covered = 0
@@ -409,7 +421,7 @@ def make_coverage(
         return total
 
     # row e packs the items that cover universe element e
-    covering = words_from_bits(bits_from_words(words_from_masks(covers, u), u).T)
+    covering = words_from_bits(covered_by)
     uw_arr = np.array(uw)
 
     def fn_many(words: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symgap import setfn
 from symgap.extensions import EstimatorConfig, multilinear_F
 from symgap.instances import (
     GRID_MAX_BLOCK,
@@ -174,6 +175,36 @@ class TestEvalMany:
         prod.eval_many(_random_rows(65, rng, batch=9))
         after = (prod.query_count, f1.query_count, f2.query_count)
         assert [b - a for a, b in zip(before, after)] == [9, 9, 9]
+
+    @pytest.mark.parametrize("batch", (5, 10, 13))
+    @pytest.mark.parametrize("m", (5, 65))
+    @pytest.mark.parametrize("kind", ("two_block",) + FALLBACK_KINDS)
+    def test_chunked_rows_match_scalar(self, monkeypatch, batch, m, kind):
+        # chunks of 5 rows: one whole chunk, two whole chunks, and a short last one
+        monkeypatch.setattr(setfn, "_EVAL_CHUNK", 5)
+        rng = np.random.default_rng(batch)
+        if kind == "two_block":
+            oracle = _two_block(m, PhiAlpha(0.5), 0.1, rng).oracle()
+        else:
+            oracle = _fallback(kind, m, rng)
+        words = _random_rows(m, rng, batch=batch)
+        values = oracle.eval_many(words)
+        assert oracle.query_count == batch
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tobytes() == _scalar(oracle, words).tobytes()
+
+    def test_tabulate_sends_at_most_one_chunk_per_call(self):
+        m, sizes = 17, []
+
+        def fn_many(words: np.ndarray) -> np.ndarray:
+            sizes.append(len(words))
+            return np.bitwise_count(words[:, 0]).astype(float)
+
+        oracle = ValuationOracle(m, lambda mask: float(mask.bit_count()), {}, fn_many)
+        table = tabulate(oracle)
+        assert sizes == [setfn._EVAL_CHUNK] * ((1 << m) // setfn._EVAL_CHUNK)
+        assert table.tobytes() == np.bitwise_count(np.arange(1 << m)).astype(float).tobytes()
+        assert oracle.query_count == 1 << m
 
     @pytest.mark.parametrize("m", [m for m in SIZES if m % 64])
     def test_stray_high_bits_raise(self, m):

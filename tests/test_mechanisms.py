@@ -176,6 +176,15 @@ class TestExhaustiveOpt:
         with pytest.raises(ValueError):
             words[0, 0] = 0
 
+    def test_large_enumerations_are_not_cached(self):
+        # 300 + C(300, 2) sets of 5 words each: past the cached size
+        oracles = [make_additive([0.001 * (j % 7) for j in range(300)])]
+        _cpp_candidates.cache_clear()
+        res = exhaustive_opt_cpp(oracles, 2)
+        assert _cpp_candidates.cache_info().currsize == 0
+        assert set(res.S.indices()) == {6, 13}
+        assert res.value == 0.012
+
     def test_no_gain_keeps_the_empty_set(self):
         res = exhaustive_opt_cpp([make_additive([0.0] * 5)], 2)
         assert (res.S.mask, res.value) == (0, 0.0)
