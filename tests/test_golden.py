@@ -46,6 +46,10 @@ CASES = {
     "symgap_m130_seed0.json": [
         "symgap", "--m", "130", "--k", "65", "--partitions", "4", "--seed", "0",
     ],
+    # the benchmark's size: seven-word masks, 400 candidates per greedy step
+    "symgap_m400_seed0.json": [
+        "symgap", "--m", "400", "--k", "200", "--partitions", "3", "--seed", "0",
+    ],
     "amplify_seed0.json": ["amplify", "--seed", "0"],
     "inequalities_seed0.json": ["inequalities", "--seed", "0"],
     "basic_count_seed0.json": ["basic-count", "--seed", "0"],
