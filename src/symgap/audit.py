@@ -28,6 +28,7 @@ from .instances import (
     PhiAlpha,
     TwoBlockValuation,
     expected_union_size,
+    extension_counts,
     make_symgap_valuation,
     sample_bisection_sequence,
 )
@@ -232,7 +233,9 @@ def symmetry_gap_experiment(
             rng = np.random.default_rng(children[t])
             seq = sample_bisection_sequence(m, 1, rng)
             A, B = seq.level(0)
-            value_of = make_symgap_valuation(A, B, phi, beta).count_values()
+            valuation = make_symgap_valuation(A, B, phi, beta)
+            value_of = valuation.count_values()
+            labels = valuation.item_labels()
             a_mask, b_mask = A.mask, B.mask
             a_words, b_words = words_from_masks([a_mask, b_mask], m)
             half = len(A)
@@ -252,7 +255,21 @@ def symmetry_gap_experiment(
                 unbalanced_total += int(np.count_nonzero(np.abs(a - b) / half > beta))
                 return value_of(a, b)
 
-            probe = ValuationOracle(m, classified, {"kind": "hidden"}, fn_many=classified_many)
+            # the extensions of one set fall in three count classes; each
+            # unbalanced class adds its number of items
+            def classified_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
+                nonlocal unbalanced_total
+                counts = extension_counts(words, a_mask, b_mask, half)
+                classes = labels.take(free)
+                sizes = np.bincount(classes, minlength=3).tolist()
+                for size, a, b in zip(sizes, *counts.tolist()):
+                    if abs(a - b) / half > beta:
+                        unbalanced_total += size
+                return value_of(*counts).take(classes)
+
+            probe = ValuationOracle(
+                m, classified, {"kind": "hidden"}, classified_many, classified_extensions
+            )
             R = mech.allocate((probe.restricted_view(),), k, rng)
             if isinstance(R, DistributionOverOutcomes):
                 R = R.sample(rng)

@@ -33,6 +33,7 @@ from .setfn import (
     ItemSet,
     OracleContractError,
     ValuationOracle,
+    bits_from_words,
     intersection_sizes,
     make_budget_additive,
     make_coverage,
@@ -215,6 +216,12 @@ class TwoBlockValuation:
         n, phi, beta, lam = self.block_size, self.phi, self.beta, self.lam
         return lambda a, b: lam * psi_tilde(phi, beta, a / n, b / n)
 
+    def item_labels(self) -> np.ndarray:
+        """Per item of [0, m): 1 in A, 2 in B, 0 in neither block; the class
+        index into extension_counts()."""
+        bits = bits_from_words(words_from_masks([self.A.mask, self.B.mask], self.m), self.m)
+        return bits[0] + 2 * bits[1].astype(np.intp)
+
     def descriptor(self) -> dict:
         return {
             "kind": self.kind,
@@ -240,7 +247,12 @@ class TwoBlockValuation:
         def fn_many(words: np.ndarray) -> np.ndarray:
             return value(intersection_sizes(words, a_words), intersection_sizes(words, b_words))
 
-        return ValuationOracle(self.m, fn, self.descriptor(), fn_many=fn_many)
+        labels, n = self.item_labels(), self.block_size
+
+        def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
+            return value(*extension_counts(words, a_mask, b_mask, n)).take(labels.take(free))
+
+        return ValuationOracle(self.m, fn, self.descriptor(), fn_many, fn_extensions)
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> TwoBlockValuation:
@@ -256,6 +268,17 @@ class TwoBlockValuation:
             p.get("lam", 1.0),
             kind=desc["kind"],
         )
+
+
+def extension_counts(words: np.ndarray, a_mask: int, b_mask: int, n: int) -> np.ndarray:
+    """Occupancy counts of S + j, S packed as one row: column c holds (a, b)
+    for the items j of class c of item_labels().
+
+    A count is capped at the block size n: a full block's class has no
+    item outside S, so its value is never asked for."""
+    s = int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+    a, b = (s & a_mask).bit_count(), (s & b_mask).bit_count()
+    return np.array([[a, min(a + 1, n), a], [b, b, min(b + 1, n)]])
 
 
 def make_symgap_valuation(

@@ -19,9 +19,9 @@ from .setfn import (
     GroundSetError,
     ItemSet,
     OracleView,
+    WORD_BITS,
     masks_from_words,
     random_subset,
-    singleton_words,
     tabulate,
     word_count,
     words_from_masks,
@@ -74,27 +74,29 @@ def greedy_cpp(oracles: Sequence, k: int, tol: float = GAIN_TOL) -> GreedyResult
     """k-step greedy on the declared welfare sum; ties to the lowest item
     index; stops early when no candidate improves.
 
-    Each step asks every oracle once, through eval_many, for all candidates
-    S + j with j outside the chosen set S, so the query counts are those of
-    asking for each candidate in turn."""
+    Each step asks every oracle once, through eval_extensions, for all
+    candidates S + j with j outside the chosen set S, so the query counts
+    are those of asking for each candidate in turn.  S is kept as one
+    packed row plus a boolean mask of the items outside it, so a step
+    builds no row per candidate."""
     m = oracles[0].m
     if not 0 < k <= m:
         raise GroundSetError(f"k = {k} outside (0, {m}]")
-    singles = singleton_words(m)
     words = np.zeros(word_count(m), dtype=np.uint64)
-    free = np.arange(m)  # items outside the chosen set, increasing
+    outside = np.ones(m, dtype=bool)
     current = 0.0
     steps = 0
     for _ in range(k):
-        cand = singles[free] | words
+        free = outside.nonzero()[0]
         vals = np.zeros(free.size)
         for o in oracles:
-            vals += o.eval_many(cand)
-        best = int(np.argmax(vals))  # first maximum: the lowest item index
+            vals += o.eval_extensions(words, free)
+        best = int(vals.argmax())  # first maximum: the lowest item index
         if not vals[best] > current + tol:
             break
-        words = cand[best]
-        free = free[free != free[best]]
+        j = int(free[best])
+        outside[j] = False
+        words[j // WORD_BITS] |= np.uint64(1) << np.uint64(j % WORD_BITS)
         current = float(vals[best])
         steps += 1
     return GreedyResult(ItemSet(masks_from_words(words[None])[0], m), current, steps)

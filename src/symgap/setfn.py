@@ -9,13 +9,16 @@ subsets (m <= 24) or by sampled triples.
 A batch query, eval_many, takes many sets at once as the rows of a
 (batch, word_count(m)) uint64 array, word i holding items [64i, 64i + 64).
 It counts one query per row and returns the values the scalar eval would
-return for the same sets, bit for bit.
+return for the same sets, bit for bit.  eval_extensions asks for the
+singleton extensions S + j of one packed set S, one query per item j, with
+the values eval_many gives on those rows.
 """
 from __future__ import annotations
 
 import json
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,6 +29,9 @@ WORD_BITS = 64
 # rows per batch-function call: bounds the (rows, m) and (rows, u) temporaries
 # the families build, e.g. at tabulate's 2^24 rows
 _EVAL_CHUNK = 1 << 14
+# ground sets whose singleton rows fit in this many words share one cached
+# table: the 32 cached tables pin at most 16 MB
+_SINGLETON_TABLE_WORDS = 1 << 16
 
 
 class GroundSetError(ValueError):
@@ -182,12 +188,31 @@ def bits_from_words(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(data, axis=1, count=m, bitorder="little").view(bool)
 
 
-def singleton_words(m: int) -> np.ndarray:
-    """(m, word_count(m)) packed rows, row j holding the set {j}."""
-    items = np.arange(m)
-    rows = np.zeros((m, word_count(m)), dtype=np.uint64)
-    rows[items, items // WORD_BITS] = np.uint64(1) << (items % WORD_BITS).astype(np.uint64)
+def singleton_words(m: int, items: np.ndarray | None = None) -> np.ndarray:
+    """Packed rows of word_count(m) words, one per item j of `items` (all of
+    [0, m) by default), row i holding the set {items[i]}."""
+    items = np.arange(m) if items is None else items
+    rows = np.zeros((len(items), word_count(m)), dtype=np.uint64)
+    bits = np.uint64(1) << (items % WORD_BITS).astype(np.uint64)
+    rows[np.arange(len(items)), items // WORD_BITS] = bits
     return rows
+
+
+@lru_cache(maxsize=32)
+def _singleton_table(m: int) -> np.ndarray:
+    """Read-only singleton_words(m), shared by every oracle on a small
+    ground set."""
+    rows = singleton_words(m)
+    rows.flags.writeable = False
+    return rows
+
+
+def _singleton_rows(items: np.ndarray, m: int) -> np.ndarray:
+    """singleton_words(m, items), copied from the shared table of a small
+    ground set."""
+    if m * word_count(m) <= _SINGLETON_TABLE_WORDS:
+        return _singleton_table(m).take(items, axis=0)
+    return singleton_words(m, items)
 
 
 def masks_from_words(words: np.ndarray) -> list[int]:
@@ -224,12 +249,21 @@ class ValuationOracle:
     query per row.  Every family in this package passes fn_many to evaluate
     the rows as arrays, bit-identical to fn; an oracle built without one
     sends its rows through fn one at a time.  fn_many sees at most
-    _EVAL_CHUNK rows per call.  The descriptor is
-    enough to rebuild the function bit-exactly and is withheld from
-    mechanisms under audit (see restricted_view()).
+    _EVAL_CHUNK rows per call.
+
+    eval_extensions(words, free) asks for S + j for every j in `free`, S one
+    packed row, and counts one query per j.  By default it builds those rows,
+    _EVAL_CHUNK at a time, for fn_many.  An oracle may pass
+    fn_extensions(words, free) to answer without the rows (two-block
+    valuations answer from the occupancy counts of S; product and scaled
+    oracles forward to their components); it must return what eval_many
+    returns on the rows, bit for bit.
+
+    The descriptor is enough to rebuild the function bit-exactly and is
+    withheld from mechanisms under audit (see restricted_view()).
     """
 
-    __slots__ = ("m", "descriptor", "_fn", "_fn_many", "_count", "_lock")
+    __slots__ = ("m", "descriptor", "_fn", "_fn_many", "_fn_extensions", "_count", "_lock")
 
     def __init__(
         self,
@@ -237,6 +271,7 @@ class ValuationOracle:
         fn: Callable[[int], float],
         descriptor: dict,
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
+        fn_extensions: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ):
         self.m = m
         self._fn = fn
@@ -247,11 +282,12 @@ class ValuationOracle:
                 return np.fromiter(map(fn, masks), dtype=float, count=len(masks))
 
         self._fn_many = fn_many
+        self._fn_extensions = fn_extensions
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
         v0 = fn(0)
-        if abs(v0) > 1e-12:
+        if not abs(v0) <= 1e-12:  # NaN fails too
             raise OracleContractError(f"f(empty) = {v0!r}, expected 0")
 
     def eval(self, S) -> float:
@@ -282,6 +318,44 @@ class ValuationOracle:
         for lo in range(0, len(words), _EVAL_CHUNK):
             hi = lo + _EVAL_CHUNK
             out[lo:hi] = self._fn_many(words[lo:hi])
+        return out
+
+    def eval_extensions(self, words: np.ndarray, free) -> np.ndarray:
+        """Values of S + j for each j in `free`, with S packed as one row of
+        word_count(m) uint64 words and `free` an increasing int array of
+        items outside S; counts len(free) queries."""
+        words = np.asarray(words)
+        width = word_count(self.m)
+        if words.dtype != np.uint64 or words.shape != (width,):
+            raise GroundSetError(
+                f"expected one uint64 row of {width} words, got {words.dtype} {words.shape}"
+            )
+        tail = self.m % WORD_BITS
+        if tail and words[-1] >> np.uint64(tail):
+            raise GroundSetError(f"query outside ground set of size {self.m}")
+        free = np.asarray(free)
+        if free.ndim != 1 or (free.size and free.dtype.kind not in "iu"):
+            raise GroundSetError(
+                f"expected a 1-d int array of items, got {free.dtype} {free.shape}"
+            )
+        free = free.astype(np.intp, copy=False)
+        if free.size and (free[0] < 0 or free[-1] >= self.m):
+            raise GroundSetError(f"item outside ground set of size {self.m}")
+        if np.count_nonzero(free[1:] <= free[:-1]):
+            raise GroundSetError("items must be increasing, without repeats")
+        data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+        if np.count_nonzero(np.unpackbits(data, count=self.m, bitorder="little").take(free)):
+            raise GroundSetError("an item to add is already in the set")
+        with self._lock:
+            self._count += len(free)
+        if self._fn_extensions is not None:
+            return self._fn_extensions(words, free)
+        # the rows S + j, built and evaluated _EVAL_CHUNK at a time
+        out = np.empty(len(free))
+        for lo in range(0, len(free), _EVAL_CHUNK):
+            rows = _singleton_rows(free[lo : lo + _EVAL_CHUNK], self.m)
+            rows |= words
+            out[lo : lo + _EVAL_CHUNK] = self._fn_many(rows)
         return out
 
     @property
@@ -319,6 +393,9 @@ class OracleView:
     def eval_many(self, words: np.ndarray) -> np.ndarray:
         return self._oracle.eval_many(words)
 
+    def eval_extensions(self, words: np.ndarray, free) -> np.ndarray:
+        return self._oracle.eval_extensions(words, free)
+
 
 def query_count(oracle) -> int:
     """Total value queries issued to `oracle` (or to the oracle behind a view)."""
@@ -330,7 +407,7 @@ def query_count(oracle) -> int:
 def make_additive(weights: Sequence[float]) -> ValuationOracle:
     """f(S) = sum of per-item weights.  Weights must be >= 0."""
     w = [float(x) for x in weights]
-    if any(x < 0 for x in w):
+    if not all(x >= 0 for x in w):  # NaN fails too
         raise OracleContractError("additive weights must be nonnegative")
     m = len(w)
 
@@ -354,10 +431,10 @@ def make_additive(weights: Sequence[float]) -> ValuationOracle:
 def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOracle:
     """f(S) = min(sum weights over S, budget)."""
     w = [float(x) for x in weights]
-    if any(x < 0 for x in w):
+    if not all(x >= 0 for x in w):  # NaN fails too
         raise OracleContractError("budget-additive weights must be nonnegative")
     b = float(budget)
-    if b < 0:
+    if not b >= 0:
         raise OracleContractError("budget must be nonnegative")
     m = len(w)
 
@@ -392,7 +469,7 @@ def make_coverage(
     cover_map[j] lists the universe elements item j covers.
     """
     uw = [float(x) for x in universe_weights]
-    if any(x < 0 for x in uw):
+    if not all(x >= 0 for x in uw):  # NaN fails too
         raise OracleContractError("universe weights must be nonnegative")
     u, m = len(uw), len(cover_map)
     covers = []
@@ -469,8 +546,8 @@ def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
 def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle:
     """f = 1 - (1 - f1)(1 - f2); preserves monotone submodularity for [0,1]-valued parts.
 
-    Each composite query, scalar or one row of a batch, issues exactly one
-    query to each component.
+    Each composite query, scalar, one row of a batch or one extension, issues
+    exactly one query to each component.
     """
     if f1.m != f2.m:
         raise GroundSetError(f"component ground sizes differ: {f1.m} vs {f2.m}")
@@ -489,17 +566,22 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     def fn_many(words: np.ndarray) -> np.ndarray:
         return 1.0 - (1.0 - f1.eval_many(words)) * (1.0 - f2.eval_many(words))
 
+    def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
+        return 1.0 - (1.0 - f1.eval_extensions(words, free)) * (
+            1.0 - f2.eval_extensions(words, free)
+        )
+
     desc = {
         "kind": "product",
         "params": {"components": [f1.descriptor, f2.descriptor]},
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc, fn_many)
+    return ValuationOracle(m, fn, desc, fn_many, fn_extensions)
 
 
 def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     """lam * f, with descriptor provenance preserved."""
-    if lam < 0:
+    if not lam >= 0:
         raise OracleContractError("scale factor must be nonnegative")
 
     def fn(mask: int) -> float:
@@ -508,8 +590,11 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     def fn_many(words: np.ndarray) -> np.ndarray:
         return lam * f.eval_many(words)
 
+    def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
+        return lam * f.eval_extensions(words, free)
+
     desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}, "seed": None}
-    return ValuationOracle(f.m, fn, desc, fn_many)
+    return ValuationOracle(f.m, fn, desc, fn_many, fn_extensions)
 
 
 def tabulate(oracle) -> np.ndarray:

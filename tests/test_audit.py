@@ -9,14 +9,27 @@ import math
 import numpy as np
 import pytest
 
-from symgap.setfn import ItemSet, make_additive, scale_oracle
+from symgap.setfn import (
+    ItemSet,
+    make_additive,
+    scale_oracle,
+    singleton_words,
+    word_count,
+    words_from_bits,
+)
 from symgap.instances import (
     AuctionInstance,
     CPPInstance,
     PhiAlpha,
     make_symgap_valuation,
 )
-from symgap.mechanisms import GreedyCPP, RandomSubsetCPP, VCGExhaustiveAuction, PayYourBidGreedyAuction
+from symgap.mechanisms import (
+    CPPMechanism,
+    GreedyCPP,
+    RandomSubsetCPP,
+    VCGExhaustiveAuction,
+    PayYourBidGreedyAuction,
+)
 from symgap.audit import (
     AmplificationState,
     MenuObservation,
@@ -132,6 +145,56 @@ class TestSymmetryGapRun:
         assert s["unbalanced_rate"] == pytest.approx(
             s["unbalanced_queries"] / s["queries_total"]
         )
+
+
+class _SampledGreedy(CPPMechanism):
+    """Greedy over a random half of the free items at each step.  It asks
+    for the candidates S + j through eval_extensions, or with `rows`
+    through eval_many on the packed rows; both draw the same halves."""
+
+    def __init__(self, rows: bool):
+        self.rows = rows
+        self.name = "rows" if rows else "extensions"
+
+    def allocate(self, views, k, rng):
+        view, m = views[0], views[0].m
+        inside = np.zeros(m, dtype=bool)
+        words = np.zeros(word_count(m), dtype=np.uint64)
+        for _ in range(k):
+            free = np.flatnonzero(~inside)
+            free = free[rng.random(free.size) < 0.5]
+            if not free.size:
+                continue
+            if self.rows:
+                values = view.eval_many(singleton_words(m)[free] | words)
+            else:
+                values = view.eval_extensions(words, free)
+            inside[free[values.argmax()]] = True
+            words = words_from_bits(inside[None])[0]
+        return ItemSet.from_indices(np.flatnonzero(inside).tolist(), m)
+
+
+class TestProbeClassifiesExtensions:
+    """The probe answers eval_extensions from count classes.  Its Chernoff
+    gate input, the unbalanced-query count, must equal the count of the
+    same queries asked as packed rows."""
+
+    @pytest.mark.parametrize(
+        "m, beta, seed", [(40, 0.1, 0), (40, 0.3, 3), (130, 0.05, 1), (130, 0.02, 2)]
+    )
+    def test_same_counts_and_values_as_rows(self, m, beta, seed):
+        reports = [
+            symmetry_gap_experiment(
+                m=m, k=m // 2, n=2, beta=beta, phi=PhiAlpha(1.0),
+                mechanisms=[_SampledGreedy(rows)], partitions=4, seed=seed,
+            )["mechanisms"][0]
+            for rows in (False, True)
+        ]
+        ext, rows = ({k: v for k, v in r.items() if k != "mechanism"} for r in reports)
+        assert ext["queries_total"] == rows["queries_total"] > 0
+        assert ext["unbalanced_queries"] == rows["unbalanced_queries"] > 0
+        assert ext["value_mean"] == rows["value_mean"]
+        assert ext == rows
 
 
 class TestMenus:

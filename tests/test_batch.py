@@ -408,6 +408,190 @@ class TestTabulate:
         assert [b - a for a, b in zip(before, after)] == [64, 64, 64]
 
 
+EXTENSION_KINDS = (
+    ("two_block", "large_two_block") + FALLBACK_KINDS + ("scaled_two_block", "product_two_block")
+)
+
+
+def _extension_oracle(kind: str, m: int, seed: int):
+    """An oracle of `kind` on [0, m) and the component oracles it queries;
+    equal seeds build equal oracles with fresh query counts."""
+    rng = np.random.default_rng(seed)
+    phi, beta = PHIS[seed % len(PHIS)], BETAS[seed % len(BETAS)]
+    if kind == "two_block":
+        return _two_block(m, phi, beta, rng).oracle(), []
+    if kind == "large_two_block":
+        # blocks above GRID_MAX_BLOCK: values from psi_tilde, not the grid
+        return _two_block(2 * GRID_MAX_BLOCK + 10, phi, beta, rng).oracle(), []
+    if kind in ("scaled", "scaled_two_block"):
+        A, _ = _split(m, rng)
+        inner = make_polar(A, 0.3) if kind == "scaled" else _two_block(m, phi, beta, rng).oracle()
+        return scale_oracle(inner, 0.25), [inner]
+    if kind in ("product", "product_two_block"):
+        w = rng.uniform(0.0, 1.0, m)
+        f1 = make_additive((w / max(w.sum(), 1.0)).tolist())
+        if kind == "product":
+            f2 = make_budget_additive(rng.uniform(0.0, 1.0, m).tolist(), 1.0)
+        else:
+            A, B = _split(m, rng)
+            f2 = TwoBlockValuation(A, B, phi, beta, 1.0).oracle()
+        return compose_product(f1, f2), [f1, f2]
+    return _fallback(kind, m, rng), []
+
+
+def _extension_rows(words: np.ndarray, free: np.ndarray, m: int) -> np.ndarray:
+    """The rows S + j, built as greedy built them before eval_extensions."""
+    return singleton_words(m)[free] | words
+
+
+class TestEvalExtensions:
+    """eval_extensions against eval_many over the rows S + j it stands for:
+    the same values bit for bit and the same query counts on the oracle, its
+    view and every component."""
+
+    @given(
+        seeds,
+        st.sampled_from(SIZES),
+        st.sampled_from(EXTENSION_KINDS),
+        st.sampled_from(("all", "some", "none")),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_eval_many_on_the_rows(self, seed, m, kind, which, through_view):
+        oracle, parts = _extension_oracle(kind, m, seed)
+        ref, ref_parts = _extension_oracle(kind, m, seed)
+        m = oracle.m
+        rng = np.random.default_rng(seed)
+        inside = rng.random(m) < rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0])
+        outside = np.flatnonzero(~inside)
+        free = {
+            "all": outside,
+            "some": outside[rng.random(outside.size) < 0.5],
+            "none": outside[:0],
+        }[which]
+        words = words_from_bits(inside[None])[0]
+        asker = oracle.restricted_view() if through_view else oracle
+        # building a product queries each component once, at the empty set
+        before = [p.query_count for p in parts + ref_parts]
+        values = asker.eval_extensions(words, free)
+        expected = ref.eval_many(_extension_rows(words, free, m))
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tobytes() == expected.tobytes()
+        assert query_count(asker) == ref.query_count == free.size
+        after = [p.query_count for p in parts + ref_parts]
+        assert [b - a for a, b in zip(before, after)] == [free.size] * len(after)
+
+    @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.kind)
+    @pytest.mark.parametrize("n", (5, GRID_MAX_BLOCK + 3))
+    def test_full_block_classes(self, phi, n):
+        # S holds all of A, all of B or both; the full block's class is empty
+        m = 2 * n + 1
+        val = TwoBlockValuation(
+            ItemSet.from_indices(range(0, 2 * n, 2), m),
+            ItemSet.from_indices(range(1, 2 * n, 2), m),
+            phi, 0.1, 0.75,
+        )
+        oracle = val.oracle()
+        for members in (val.A.indices(), val.B.indices(), val.A.indices() + val.B.indices()[:2],
+                        list(range(2 * n))):
+            inside = np.zeros(m, dtype=bool)
+            inside[members] = True
+            words = words_from_bits(inside[None])[0]
+            free = np.flatnonzero(~inside)
+            expected = val.oracle().eval_many(_extension_rows(words, free, m))
+            assert oracle.eval_extensions(words, free).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ("two_block", "additive", "product", "product_two_block"))
+    def test_rejects_bad_items_without_counting(self, kind):
+        m = 70
+        oracle, parts = _extension_oracle(kind, m, 5)
+        before = [p.query_count for p in parts]
+        words = words_from_masks([0b1011 | 1 << 66], m)[0]
+        bad_free = [
+            [1, 4, 5],  # 1 is in S
+            [4, 66],  # 66 is in S, in the second word
+            [4, 5, m],  # out of range
+            [-1, 4],
+            [4, 5, 5, 6],  # repeated
+            [6, 5, 4],  # not increasing
+            [[4, 5]],  # not 1-d
+            [4.0, 5.0],  # not ints
+        ]
+        for free in bad_free:
+            with pytest.raises(GroundSetError):
+                oracle.eval_extensions(words, np.array(free))
+        bad_words = [
+            words[None],  # a batch, not one row
+            words[:-1],
+            words.astype(np.int64),
+            np.concatenate([words[:-1], [np.uint64(1) << np.uint64(m % 64)]]),  # bit m
+        ]
+        for row in bad_words:
+            with pytest.raises(GroundSetError):
+                oracle.eval_extensions(row, np.array([4, 5]))
+        assert oracle.query_count == 0
+        assert [p.query_count for p in parts] == before
+
+    @pytest.mark.parametrize("kind", EXTENSION_KINDS)
+    def test_empty_free(self, kind):
+        oracle, parts = _extension_oracle(kind, 65, 2)
+        words = words_from_masks([0b101], oracle.m)[0]
+        before = [p.query_count for p in parts]
+        for free in (np.array([], dtype=np.int64), [], np.array([], dtype=np.uint32)):
+            values = oracle.eval_extensions(words, free)
+            assert values.shape == (0,) and values.dtype == np.float64
+        assert oracle.query_count == 0
+        assert [p.query_count for p in parts] == before
+
+    def test_empty_ground_set(self):
+        empty = ItemSet.empty(0)
+        words = np.zeros(0, dtype=np.uint64)
+        for oracle in (
+            make_additive([]),
+            make_budget_additive([], 1.0),
+            make_coverage([0.5], []),
+            make_polar(empty, 0.5),
+            scale_oracle(make_polar(empty, 0.5), 2.0),
+            compose_product(make_additive([]), make_coverage([0.5], [])),
+        ):
+            assert oracle.eval_extensions(words, np.array([], dtype=int)).shape == (0,)
+            with pytest.raises(GroundSetError):
+                oracle.eval_extensions(words, np.array([0]))
+            assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("table_words", (0, setfn._SINGLETON_TABLE_WORDS))
+    @pytest.mark.parametrize("kind", ("additive", "coverage", "product"))
+    def test_rows_are_built_a_chunk_at_a_time(self, monkeypatch, kind, table_words):
+        # with no room for a shared table, each chunk builds its own singletons
+        monkeypatch.setattr(setfn, "_EVAL_CHUNK", 5)
+        monkeypatch.setattr(setfn, "_SINGLETON_TABLE_WORDS", table_words)
+        oracle, _ = _extension_oracle(kind, 65, 9)
+        ref, _ = _extension_oracle(kind, 65, 9)
+        words = words_from_masks([1 << 3 | 1 << 64], 65)[0]
+        for size in (5, 10, 13):
+            free = np.setdiff1d(np.arange(65), [3, 64])[:size]
+            expected = ref.eval_many(_extension_rows(words, free, 65))
+            assert oracle.eval_extensions(words, free).tobytes() == expected.tobytes()
+        assert oracle.query_count == ref.query_count == 28
+
+    def test_singleton_table_is_shared_and_read_only(self):
+        setfn._singleton_table.cache_clear()
+        for _ in range(2):
+            make_additive([0.5] * 9).eval_extensions(np.zeros(1, dtype=np.uint64), [2, 3])
+        info = setfn._singleton_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        table = setfn._singleton_table(9)
+        assert masks_from_words(table) == [1 << j for j in range(9)]
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_default_path_without_batch_function(self):
+        oracle = ValuationOracle(5, lambda mask: 0.5 * mask.bit_count(), {"kind": "custom"})
+        values = oracle.eval_extensions(words_from_masks([0b00100], 5)[0], [0, 1, 4])
+        assert values.tolist() == [1.0, 1.0, 1.0]
+        assert oracle.query_count == 3
+
+
 def _scalar_greedy(oracles, k, tol=1e-12):
     """Greedy by single queries: lowest index wins ties, stop without gain."""
     m = oracles[0].m

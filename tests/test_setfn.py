@@ -25,7 +25,13 @@ from symgap.setfn import (
     scale_oracle,
     tabulate,
 )
-from symgap.instances import PhiTable, make_symgap_valuation, two_block_product_instance
+from symgap.instances import (
+    PhiAlpha,
+    PhiTable,
+    TwoBlockValuation,
+    make_symgap_valuation,
+    two_block_product_instance,
+)
 
 
 class TestItemSet:
@@ -144,6 +150,40 @@ class TestFamilies:
         assert oracle.eval(0b11) == pytest.approx(0.4)
         with pytest.raises(OracleContractError):
             scale_oracle(oracle, -1.0)
+
+
+class TestNaNInputs:
+    """NaN compares False with 0, so a `x < 0` test lets it through and the
+    structure check then passes on NaN values; every nonnegativity test
+    rejects it instead."""
+
+    NAN = float("nan")
+
+    def test_nan_weight(self):
+        with pytest.raises(OracleContractError):
+            make_additive([self.NAN, 1.0, 0.5])
+        with pytest.raises(OracleContractError):
+            make_budget_additive([0.5, self.NAN], 1.0)
+
+    def test_nan_budget(self):
+        with pytest.raises(OracleContractError):
+            make_budget_additive([0.5, 0.25], self.NAN)
+
+    def test_nan_coverage_weight(self):
+        with pytest.raises(OracleContractError):
+            make_coverage([0.5, self.NAN], [[0], [1]])
+
+    def test_nan_scale_factor(self):
+        with pytest.raises(OracleContractError):
+            scale_oracle(make_additive([0.5, 0.5]), self.NAN)
+
+    def test_nan_at_the_empty_set(self):
+        with pytest.raises(OracleContractError):
+            ValuationOracle(2, lambda mask: self.NAN, {"kind": "bad"})
+        A, B = ItemSet.from_indices([0], 2), ItemSet.from_indices([1], 2)
+        for beta, lam in ((self.NAN, 1.0), (0.1, self.NAN)):
+            with pytest.raises(OracleContractError):
+                TwoBlockValuation(A, B, PhiAlpha(1.0), beta, lam).oracle()
 
 
 class TestComposeProduct:
