@@ -29,6 +29,7 @@ from .instances import (
     TwoBlockValuation,
     expected_union_size,
     extension_counts,
+    item_labels,
     make_symgap_valuation,
     sample_bisection_sequence,
 )
@@ -233,11 +234,11 @@ def symmetry_gap_experiment(
             rng = np.random.default_rng(children[t])
             seq = sample_bisection_sequence(m, 1, rng)
             A, B = seq.level(0)
-            valuation = make_symgap_valuation(A, B, phi, beta)
-            value_of = valuation.count_values()
-            labels = valuation.item_labels()
+            value_of = make_symgap_valuation(A, B, phi, beta).count_values()
             a_mask, b_mask = A.mask, B.mask
-            a_words, b_words = words_from_masks([a_mask, b_mask], m)
+            blocks = words_from_masks([a_mask, b_mask], m)
+            a_words, b_words = blocks
+            labels = item_labels(blocks, m)
             half = len(A)
 
             # each query's counts (a, b) both classify it and give its value

@@ -18,7 +18,9 @@ two-block value (scalar and batch queries, the blockwise extension) is read
 from one table over the counts: the count grid lam * psi_tilde(a/n, b/n),
 built once per (n, phi, beta, lam) and shared by every bisection of that
 size.  Blocks above GRID_MAX_BLOCK evaluate psi_tilde on the counts asked
-about instead, with the same values bit for bit.
+about instead, with the same values bit for bit.  The singleton extensions
+S + j of one set fall in three count classes (j outside both blocks, in A,
+in B), so they need at most three values (extension_counts, item_labels).
 """
 from __future__ import annotations
 
@@ -216,12 +218,6 @@ class TwoBlockValuation:
         n, phi, beta, lam = self.block_size, self.phi, self.beta, self.lam
         return lambda a, b: lam * psi_tilde(phi, beta, a / n, b / n)
 
-    def item_labels(self) -> np.ndarray:
-        """Per item of [0, m): 1 in A, 2 in B, 0 in neither block; the class
-        index into extension_counts()."""
-        bits = bits_from_words(words_from_masks([self.A.mask, self.B.mask], self.m), self.m)
-        return bits[0] + 2 * bits[1].astype(np.intp)
-
     def descriptor(self) -> dict:
         return {
             "kind": self.kind,
@@ -238,7 +234,8 @@ class TwoBlockValuation:
 
     def oracle(self) -> ValuationOracle:
         a_mask, b_mask = self.A.mask, self.B.mask
-        a_words, b_words = words_from_masks([a_mask, b_mask], self.m)
+        blocks = words_from_masks([a_mask, b_mask], self.m)
+        a_words, b_words = blocks
         value = self.count_values()
 
         def fn(mask: int) -> float:
@@ -247,7 +244,7 @@ class TwoBlockValuation:
         def fn_many(words: np.ndarray) -> np.ndarray:
             return value(intersection_sizes(words, a_words), intersection_sizes(words, b_words))
 
-        labels, n = self.item_labels(), self.block_size
+        labels, n = item_labels(blocks, self.m), self.block_size
 
         def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
             return value(*extension_counts(words, a_mask, b_mask, n)).take(labels.take(free))
@@ -268,6 +265,13 @@ class TwoBlockValuation:
             p.get("lam", 1.0),
             kind=desc["kind"],
         )
+
+
+def item_labels(blocks: np.ndarray, m: int) -> np.ndarray:
+    """Per item of [0, m): 1 in A, 2 in B, 0 in neither block, with A and B
+    packed as the two rows of `blocks`; the classes of extension_counts()."""
+    in_a, in_b = bits_from_words(blocks, m)
+    return in_a + 2 * in_b.astype(np.intp)
 
 
 def extension_counts(words: np.ndarray, a_mask: int, b_mask: int, n: int) -> np.ndarray:
