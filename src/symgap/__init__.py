@@ -50,7 +50,6 @@ from .instances import (
 from .extensions import (
     ConcavityViolation,
     EstimateResult,
-    EstimatorConfig,
     concavity_grid_scan,
     concavity_probe,
     exact_F_blockwise,

@@ -33,6 +33,7 @@ from .instances import (
     make_symgap_valuation,
     sample_bisection_sequence,
 )
+from .extensions import mean_stderr
 from .mechanisms import DistributionOverOutcomes, run_trials
 
 SIGMA_GATE = 4.0
@@ -40,14 +41,7 @@ ABS_GUARD = 1e-9
 OMEGA_N_RATE = 0.125  # e^{-Omega(n)} instantiated as exp(-n * OMEGA_N_RATE)
 DELTA_PAPER = math.exp(-10.0)
 DELTA_VISIBLE = 0.05  # labeled non-paper profile with effects visible in floats
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    n = values.size
-    mean = float(values.mean()) if n else 0.0
-    if n > 1:
-        return mean, float(values.std(ddof=1) / math.sqrt(n))
-    return mean, 0.0
+INEQUALITY_TOL = 1e-12  # a grid margin >= -INEQUALITY_TOL passes
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +139,8 @@ def audit_truthfulness(
                 for run in dev_runs
             ]
         )
-        t_mean, t_se = _mean_stderr(truth_scores[player])
-        d_mean, d_se = _mean_stderr(dev_vals)
+        t_mean, t_se = mean_stderr(truth_scores[player])
+        d_mean, d_se = mean_stderr(dev_vals)
         gap = t_mean - d_mean
         gap_se = math.hypot(t_se, d_se)
         violation = gap < -(SIGMA_GATE * gap_se + ABS_GUARD)
@@ -284,7 +278,7 @@ def symmetry_gap_experiment(
             ceilings[t] = ceiling
             planted_vals[t] = value_of(half, 0)
             queries_total += probe.query_count
-        v_mean, v_se = _mean_stderr(values)
+        v_mean, v_se = mean_stderr(values)
         unbalanced_ok = unbalanced_total <= chernoff_bound * queries_total + ABS_GUARD
         planted_ok = bool((planted_vals >= informed - 1e-12).all())
         results.append(
@@ -674,27 +668,20 @@ def hypothesis_satisfying_distribution(
     return xs, ws
 
 
-def run_amplification(
-    ell: int,
-    delta: float,
-    c: float,
-    seed: int,
-    dist_maker: Callable[[AmplificationState, np.random.Generator], tuple[np.ndarray, np.ndarray]]
-    | None = None,
-) -> dict:
-    """Chain ell amplification steps from (alpha_0, xi_0) = (1, c) and check
-    the telescoped potential alpha_ell xi_ell^{1+delta} >=
-    ((1+delta^2)/2)^ell c^{1+delta} plus the feasibility floor
-    E[X_ell] >= alpha_ell xi_ell on the final distribution."""
+def run_amplification(ell: int, delta: float, c: float, seed: int) -> dict:
+    """Chain ell amplification steps from (alpha_0, xi_0) = (1, c), each on a
+    hypothesis_satisfying_distribution, and check the telescoped potential
+    alpha_ell xi_ell^{1+delta} >= ((1+delta^2)/2)^ell c^{1+delta} plus the
+    feasibility floor E[X_ell] >= alpha_ell xi_ell on the final
+    distribution."""
     if not 0.0 < c <= 1.0:
         raise ValueError("c must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    maker = dist_maker or hypothesis_satisfying_distribution
     state = AmplificationState(0, 1.0, c, delta)
     certs = []
     final_mean = c
     for _ in range(ell):
-        xs, ws = maker(state, rng)
+        xs, ws = hypothesis_satisfying_distribution(state, rng)
         state, cert = amplification_step(state, xs, ws)
         certs.append(cert)
         final_mean = float(np.asarray(ws) @ np.asarray(xs))
@@ -731,7 +718,7 @@ class InequalityRecord:
     name: str
     domain: tuple[float, float]
     grid: int
-    worst_margin: float  # >= -tol means pass (margins oriented so >=0 holds)
+    worst_margin: float  # >= -INEQUALITY_TOL means pass (margins oriented so >=0 holds)
     passed: bool
 
     def to_dict(self) -> dict:
@@ -744,7 +731,7 @@ class InequalityRecord:
         }
 
 
-def scalar_inequality_suite(grid: int = 100_000, tol: float = 1e-12) -> dict:
+def scalar_inequality_suite(grid: int = 100_000) -> dict:
     """Grid-verify the scalar inequalities behind the two amplification cases.
 
     Margins are oriented so that nonnegative means the inequality holds:
@@ -754,6 +741,7 @@ def scalar_inequality_suite(grid: int = 100_000, tol: float = 1e-12) -> dict:
       ramp_vs_quad: min(2t, 1+d) >= 1-(1-min(t,1))^2 + d for t >= sqrt(d),
                     with equality at t = sqrt(d) and for t >= 1
     """
+    tol = INEQUALITY_TOL
     records = []
     d = np.linspace(0.0, 1.0, grid)
     m1 = (1.0 + d**2) - (1.0 + d) ** d
@@ -822,6 +810,8 @@ def chernoff_bisection_test(
     4 e^{-beta^2 m'/2} bound, for the fixed probe set S = first half."""
     if m_prime % 2:
         raise ValueError("m_prime must be even")
+    if not 0.0 < beta < 1.0:  # NaN fails too
+        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     half = m_prime // 2
     rng = np.random.default_rng(seed)
     threshold = beta * m_prime
@@ -868,7 +858,7 @@ def basic_instance_counting(n: int, m: int, trials: int, seed: int) -> dict:
         union = member.any(axis=1)
         sizes[done : done + chunk] = union.sum(axis=1)
         done += chunk
-    mean, stderr = _mean_stderr(sizes)
+    mean, stderr = mean_stderr(sizes)
     expected = expected_union_size(n, m)
     within = abs(mean - expected) <= 3.0 * stderr + ABS_GUARD
     above_half = mean > m / 2.0 and expected > m / 2.0
@@ -941,7 +931,7 @@ def scaling_probe(
         vals = np.array(
             [oracle.eval(alloc_closure(declared, rng)) for _ in range(trials)]
         )
-        mean, se = _mean_stderr(vals)
+        mean, se = mean_stderr(vals)
         trace.append({"alpha": float(alpha), "value": mean, "stderr": se})
     sup = max(t["value"] for t in trace)
     sup_se = max(t["stderr"] for t in trace)

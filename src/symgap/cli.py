@@ -46,11 +46,11 @@ from .instances import (
     two_block_product_instance,
 )
 from .extensions import (
-    EstimatorConfig,
     concavity_grid_scan,
     concavity_probe,
     f_exp,
     f_exp_blockwise,
+    mean_stderr,
     random_pair_source,
 )
 from .mechanisms import (
@@ -77,7 +77,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     format: str = "json"
-    workers: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,11 +149,7 @@ def _exp_gap955(
         assertions["segment_concave"] = mid >= 0.5 * (one_a + one_b) - 1e-9
     mc = None
     if mc_samples > 0:
-        est = f_exp(
-            val.oracle(),
-            np.full(val.m, 0.5),
-            EstimatorConfig("monte_carlo", mc_samples, cfg.seed, cfg.workers),
-        )
+        est = f_exp(val.oracle(), np.full(val.m, 0.5), mc_samples, cfg.seed)
         assertions["monte_carlo_agrees"] = (
             abs(est.value - mid) <= 4.0 * est.stderr + 1e-9
         )
@@ -188,9 +183,7 @@ def _exp_concavity(
         if alpha >= 1.0:
             expect_violation = False
             g = lambda pts: f_exp_blockwise(val, pts[:, 0], pts[:, 1])
-            violations, checked = concavity_probe(
-                g, random_pair_source(2, trials, rng), tol=1e-9
-            )
+            violations, checked = concavity_probe(g, random_pair_source(2, trials, rng))
             detail["pairs_checked"] = checked
             detail["mode"] = "exact_blockwise_random_pairs"
         else:
@@ -520,7 +513,7 @@ def _exp_poisson_midr(
     samples = np.array(
         [oracle.eval(res.distribution.sample(rng)) for _ in range(trials)]
     )
-    mean, se = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials))
+    mean, se = mean_stderr(samples)
     rounding_ok = abs(mean - res.value) <= 3.0 * se + 1e-9
     closed_form_ok = True if expected is None else abs(res.value - expected) <= 1e-6
     return {
@@ -781,10 +774,7 @@ def _exp_suite(cfg: ExperimentConfig, *, fast: bool = False) -> dict:
                 params.update(ov)
             if trials is not None:
                 trials = max(100, trials // 100)
-        sub_cfg = ExperimentConfig(
-            experiment=name, params=params, trials=trials, seed=cfg.seed,
-            workers=cfg.workers,
-        )
+        sub_cfg = ExperimentConfig(experiment=name, params=params, trials=trials, seed=cfg.seed)
         rep = run(sub_cfg)[1]
         sub_reports.append(rep)
         all_passed = all_passed and bool(rep.get("passed", False))
@@ -950,7 +940,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    # nothing runs in parallel; the flag stays for callers that pass 1
+    sp.add_argument("--workers", type=int, choices=(1,), default=None)
     sp.add_argument("--config", type=str, default=None, help="JSON file of flag defaults; explicit flags win")
 
 
@@ -993,6 +984,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None and key != "experiment":
             params[key] = value
     common = {key: params.pop(key) for key in _COMMON_KEYS if key in params}
+    if common.get("workers", 1) != 1:
+        raise OracleContractError(f"workers must be 1, got {common['workers']!r}")
     return ExperimentConfig(
         experiment=ns["experiment"],
         params=params,
@@ -1000,7 +993,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=int(common.get("seed", 0)),
         out=common.get("out"),
         format=common.get("format", "json"),
-        workers=int(common.get("workers", 1)),
     )
 
 

@@ -2,12 +2,11 @@
 
 multilinear_F(x) = E[f(S)] with items included independently with
 probabilities x; f_exp(x) = multilinear_F(1 - e^{-x}) is the value of the
-independent-exponential rounding.  Three estimator modes:
-
-  monte_carlo      seeded sampling, any ground size, stderr reported
-  exact_enum       all 2^m inclusion patterns, m <= 24
-  exact_blockwise  binomial convolution over the two-block occupancy counts,
-                   exact for block-symmetric functions up to ~1e5 per block
+independent-exponential rounding.  Both estimate by seeded Monte Carlo
+sampling and report a standard error.  Exact values come from
+enum_weights(x) @ tabulate(oracle) on small ground sets, and from
+exact_F_blockwise / f_exp_blockwise (a binomial convolution over the
+two-block occupancy counts) on two-block valuations.
 
 The binomial pmf is computed here in log space with numpy (`binom.pmf`), so
 the library needs numpy alone.  exact_F_blockwise and f_exp_blockwise take
@@ -33,24 +32,10 @@ from .instances import GRID_MAX_BLOCK, TwoBlockValuation
 from .instances import _count_grid as _cached_count_grid  # perfbench reads its cache_info
 
 _PMF_TAIL = 1e-16
+# a midpoint slack below -_CONCAVITY_TOL is a concavity violation
+_CONCAVITY_TOL = 1e-9
 # points per exact_F_blockwise contraction: two (chunk, n+1) pmf matrices
 _BLOCKWISE_CHUNK = 1 << 11
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    mode: str = "monte_carlo"
-    samples: int = 100_000
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.mode not in ("monte_carlo", "exact_enum", "exact_blockwise"):
-            raise ValueError(f"unknown estimator mode {self.mode!r}")
-        if self.mode == "monte_carlo" and self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,7 +44,7 @@ class EstimateResult:
     stderr: float
     mode: str
     samples: int
-    seed: int | None
+    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -180,72 +165,47 @@ def f_exp_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarray:
     return exact_F_blockwise(block_val, 1.0 - np.exp(-xA), 1.0 - np.exp(-xB))
 
 
-def _block_uniform_coords(block_val: TwoBlockValuation, x: np.ndarray) -> tuple[float, float]:
-    a_idx = block_val.A.indices()
-    b_idx = block_val.B.indices()
-    xa = x[a_idx]
-    xb = x[b_idx]
-    if xa.size and (np.abs(xa - xa[0]) > 1e-12).any():
-        raise GroundSetError("exact_blockwise needs a block-uniform point on A")
-    if xb.size and (np.abs(xb - xb[0]) > 1e-12).any():
-        raise GroundSetError("exact_blockwise needs a block-uniform point on B")
-    return float(xa[0]), float(xb[0])
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of the mean; the error is 0.0 for
+    fewer than two values, and the mean is 0.0 for none."""
+    n = values.size
+    mean = float(values.mean()) if n else 0.0
+    if n > 1:
+        return mean, float(values.std(ddof=1) / math.sqrt(n))
+    return mean, 0.0
 
 
-def multilinear_F(oracle, x, config: EstimatorConfig | None = None) -> EstimateResult:
-    """E[f(S)] under independent inclusion with probabilities x."""
-    if config is None:
-        config = EstimatorConfig()
+def multilinear_F(oracle, x, samples: int = 100_000, seed: int = 0) -> EstimateResult:
+    """Monte Carlo estimate of E[f(S)] under independent inclusion with
+    probabilities x, from `samples` >= 2 sets drawn from the stream
+    SeedSequence(seed).spawn(1)[0]."""
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
     m = oracle.m
     x = _validate_point(x, m)
-
-    if config.mode == "exact_enum":
-        table = tabulate(oracle)
-        value = float(enum_weights(x) @ table)
-        return EstimateResult(value, 0.0, "exact_enum", 1 << m, None)
-
-    if config.mode == "exact_blockwise":
-        desc = getattr(oracle, "descriptor", None)
-        if desc is None:
-            raise GroundSetError("oracle carries no descriptor for blockwise mode")
-        bv = TwoBlockValuation.from_descriptor(desc)
-        xA, xB = _block_uniform_coords(bv, x)
-        value = exact_F_blockwise(bv, xA, xB)
-        return EstimateResult(value, 0.0, "exact_blockwise", 0, None)
-
-    # monte_carlo: deterministic per (seed, workers) via per-worker substreams
-    total = config.samples
-    per_worker = [total // config.workers] * config.workers
-    for i in range(total % config.workers):
-        per_worker[i] += 1
-    children = np.random.SeedSequence(config.seed).spawn(config.workers)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     acc_sum = 0.0
     acc_sq = 0.0
-    for child, count in zip(children, per_worker):
-        rng = np.random.default_rng(child)
-        done = 0
-        while done < count:
-            batch = min(count - done, 1 << 11)
-            bits = rng.random((batch, m)) < x
-            # accumulate in sample order, as a scalar loop would
-            for v in oracle.eval_many(words_from_bits(bits)).tolist():
-                acc_sum += v
-                acc_sq += v * v
-            done += batch
-    mean = acc_sum / total
-    if total > 1:
-        var = max(0.0, (acc_sq - total * mean * mean) / (total - 1))
-        stderr = math.sqrt(var / total)
-    else:
-        stderr = float("inf")
-    return EstimateResult(mean, stderr, "monte_carlo", total, config.seed)
+    for done in range(0, samples, 1 << 11):
+        bits = rng.random((min(samples - done, 1 << 11), m)) < x
+        # running sums in sample order, not mean_stderr: the result equals a
+        # scalar loop's bit for bit (test_monte_carlo_matches_scalar_accumulation),
+        # and no per-sample array (1.6 MB at 200,000 samples) is added to a
+        # gap955 run, whose peak RSS (about 47 MB) is hidden_partition's
+        for v in oracle.eval_many(words_from_bits(bits)).tolist():
+            acc_sum += v
+            acc_sq += v * v
+    mean = acc_sum / samples
+    var = max(0.0, (acc_sq - samples * mean * mean) / (samples - 1))
+    return EstimateResult(mean, math.sqrt(var / samples), "monte_carlo", samples, seed)
 
 
-def f_exp(oracle, x, config: EstimatorConfig | None = None) -> EstimateResult:
-    """F(1 - e^{-x}): expected value of the independent-exponential rounding."""
+def f_exp(oracle, x, samples: int = 100_000, seed: int = 0) -> EstimateResult:
+    """F(1 - e^{-x}): expected value of the independent-exponential rounding,
+    estimated as multilinear_F estimates F."""
     m = oracle.m
     x = _validate_point(x, m)
-    return multilinear_F(oracle, 1.0 - np.exp(-x), config)
+    return multilinear_F(oracle, 1.0 - np.exp(-x), samples, seed)
 
 
 @dataclass(frozen=True)
@@ -268,17 +228,15 @@ class ConcavityViolation:
         }
 
 
-def random_pair_source(
-    dim: int, trials: int, rng: np.random.Generator, low: float = 0.0, high: float = 1.0
-) -> np.ndarray:
-    """(trials, 2, dim) uniform pairs; row t is (x_t, y_t), drawn in that order."""
-    return rng.uniform(low, high, size=(trials, 2, dim))
+def random_pair_source(dim: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, 2, dim) pairs uniform on [0, 1]^dim; row t is (x_t, y_t),
+    drawn in that order."""
+    return rng.uniform(0.0, 1.0, size=(trials, 2, dim))
 
 
 def concavity_probe(
     g: Callable[[np.ndarray], np.ndarray],
     pairs: np.ndarray,
-    tol: float = 1e-9,
     max_violations: int | None = None,
 ) -> tuple[list[ConcavityViolation], int]:
     """Midpoint-concavity check of g over an (N, 2, dim) array of pairs.
@@ -298,7 +256,7 @@ def concavity_probe(
     vals = np.asarray(g(np.concatenate([x, y, 0.5 * (x + y)])), dtype=float)
     gx, gy, gm = vals[:N], vals[N : 2 * N], vals[2 * N :]
     slack = gm - 0.5 * (gx + gy)
-    bad = np.flatnonzero(slack < -tol)
+    bad = np.flatnonzero(slack < -_CONCAVITY_TOL)
     checked = N
     if max_violations is not None and len(bad) >= max_violations:
         bad = bad[:max_violations]
@@ -317,20 +275,14 @@ _GRID_POINT_CAP = 5_000_000
 
 
 def concavity_grid_scan(
-    oracle,
-    step: float = 0.1,
-    tol: float = 1e-9,
-    transform: str = "exp",
-    stop_after: int | None = 1,
-    max_pairs: int | None = None,
+    oracle, step: float = 0.1, stop_after: int | None = 1
 ) -> tuple[list[ConcavityViolation], int, int]:
     """Deterministic exhaustive midpoint scan of g over a coordinate grid.
 
-    g is the exact multilinear extension of `oracle` (composed with the
-    exponential reparametrization when transform='exp').  All grid values
-    are tabulated up front (midpoints land on the half-step grid), then
-    pairs are scanned in lexicographic order.  Returns
-    (violations, pairs_scanned, total_pairs).
+    g(x) = F(1 - e^{-x}), with F the exact multilinear extension of
+    `oracle`.  All grid values are tabulated up front (midpoints land on
+    the half-step grid), then pairs are scanned in lexicographic order.
+    Returns (violations, pairs_scanned, total_pairs).
     """
     m = oracle.m
     K = round(1.0 / step)
@@ -349,7 +301,7 @@ def concavity_grid_scan(
     shape = (n_fine,) * m
     coords = np.indices(shape).reshape(m, -1).T  # (Nfine, m) ints
     pts = fine_axes[coords]  # (Nfine, m) floats
-    p = 1.0 - np.exp(-pts) if transform == "exp" else pts
+    p = 1.0 - np.exp(-pts)
     g_fine = np.zeros(len(p))
     for mask in range(1 << m):
         fv = table[mask]
@@ -371,18 +323,12 @@ def concavity_grid_scan(
     violations: list[ConcavityViolation] = []
     scanned = 0
     axes_coarse = np.arange(n_coarse) * step
-    for i in range(n_pts):
-        if max_pairs is not None and scanned >= max_pairs:
-            break
+    for i in range(n_pts - 1):
         js = np.arange(i + 1, n_pts)
-        if js.size == 0:
-            continue
-        if max_pairs is not None:
-            js = js[: max_pairs - scanned]
         mid_flat = ((coarse_coords[i] + coarse_coords[js]) // 2) @ strides
         slack = g_fine[mid_flat] - 0.5 * (g_coarse[i] + g_coarse[js])
         scanned += js.size
-        bad = np.nonzero(slack < -tol)[0]
+        bad = np.nonzero(slack < -_CONCAVITY_TOL)[0]
         for t in bad:
             j = int(js[t])
             xi = tuple(float(v) for v in axes_coarse[(coarse_coords[i] // 2)])

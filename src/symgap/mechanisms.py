@@ -27,7 +27,7 @@ from .setfn import (
     words_from_masks,
 )
 from .instances import AuctionInstance, CPPInstance, TwoBlockValuation
-from .extensions import enum_weights, f_exp_blockwise
+from .extensions import enum_weights, f_exp_blockwise, mean_stderr
 
 GAIN_TOL = 1e-12
 _AUCTION_ENUM_CAP = 4_000_000
@@ -35,6 +35,12 @@ _CPP_ENUM_CAP = 5_000_000
 # candidate arrays of at most this many words are cached: the 32 cached
 # entries pin at most 16 MB
 _CPP_CACHE_WORDS = 1 << 16
+# poisson_midr_cpp's ascent: an iteration cap, and three steps in a row that
+# gain less than _MIDR_STALL_GAIN end it
+_MIDR_MAX_ITER = 2000
+_MIDR_STALL_GAIN = 1e-9
+# BalancedPrefixCPP stops at the first prefix reaching this share of f(full)
+_PREFIX_SHARE = 0.9
 
 
 class InfeasibleOutcomeError(RuntimeError):
@@ -70,7 +76,7 @@ class GreedyResult:
     steps: int
 
 
-def greedy_cpp(oracles: Sequence, k: int, tol: float = GAIN_TOL) -> GreedyResult:
+def greedy_cpp(oracles: Sequence, k: int) -> GreedyResult:
     """k-step greedy on the declared welfare sum; ties to the lowest item
     index; stops early when no candidate improves.
 
@@ -92,7 +98,7 @@ def greedy_cpp(oracles: Sequence, k: int, tol: float = GAIN_TOL) -> GreedyResult
         for o in oracles:
             vals += o.eval_extensions(words, free)
         best = int(vals.argmax())  # first maximum: the lowest item index
-        if not vals[best] > current + tol:
+        if not vals[best] > current + GAIN_TOL:
             break
         j = int(free[best])
         outside[j] = False
@@ -162,26 +168,36 @@ def _assignment_masks(n: int, m: int) -> np.ndarray:
     return masks
 
 
-def _auction_enum_guard(n: int, m: int) -> None:
+def _welfare_optimum(
+    oracles: Sequence,
+) -> tuple[tuple[ItemSet, ...], int, list[np.ndarray], np.ndarray]:
+    """Enumerate every assignment of the items to a player or to nobody.
+
+    Returns (alloc, best, per_player, welfare): per_player[i] holds player
+    i's value of its bundle under each _assignment_masks row, welfare their
+    sum added in player order, and best the first row of maximum welfare,
+    whose bundles are alloc.  One tabulate per oracle."""
+    n = len(oracles)
+    m = oracles[0].m
     if (n + 1) ** m > _AUCTION_ENUM_CAP:
         raise GroundSetError(
             f"(n+1)^m = {(n + 1) ** m} assignments exceed the enumeration cap"
         )
+    masks = _assignment_masks(n, m)
+    tables = [tabulate(o) for o in oracles]
+    per_player = [tables[i][masks[:, i]] for i in range(n)]
+    welfare = np.zeros(masks.shape[0])
+    for col in per_player:
+        welfare += col
+    best = int(np.argmax(welfare))
+    alloc = tuple(ItemSet(int(masks[best, i]), m) for i in range(n))
+    return alloc, best, per_player, welfare
 
 
 def exhaustive_opt_auction(oracles: Sequence) -> tuple[tuple[ItemSet, ...], float]:
     """Welfare-optimal allocation by mixed-radix enumeration (items may stay
     unallocated); deterministic first-maximum tie-breaking."""
-    n = len(oracles)
-    m = oracles[0].m
-    _auction_enum_guard(n, m)
-    masks = _assignment_masks(n, m)
-    tables = [tabulate(o) for o in oracles]
-    welfare = np.zeros(masks.shape[0])
-    for i in range(n):
-        welfare += tables[i][masks[:, i]]
-    best = int(np.argmax(welfare))
-    alloc = tuple(ItemSet(int(masks[best, i]), m) for i in range(n))
+    alloc, best, _, welfare = _welfare_optimum(oracles)
     return alloc, float(welfare[best])
 
 
@@ -192,22 +208,11 @@ def vcg_auction_exhaustive(oracles: Sequence) -> Outcome:
     allocation); individually rational and nonnegative for monotone
     normalized valuations.
     """
-    n = len(oracles)
-    m = oracles[0].m
-    _auction_enum_guard(n, m)
-    masks = _assignment_masks(n, m)
-    tables = [tabulate(o) for o in oracles]
-    per_player = [tables[i][masks[:, i]] for i in range(n)]
-    welfare = np.zeros(masks.shape[0])
-    for col in per_player:
-        welfare += col
-    best = int(np.argmax(welfare))
+    alloc, best, per_player, welfare = _welfare_optimum(oracles)
     payments = []
-    for i in range(n):
-        minus_i = welfare - per_player[i]
-        opt_minus_i = float(minus_i.max())
-        payments.append(opt_minus_i - float(minus_i[best]))
-    alloc = tuple(ItemSet(int(masks[best, i]), m) for i in range(n))
+    for col in per_player:
+        minus_i = welfare - col
+        payments.append(float(minus_i.max()) - float(minus_i[best]))
     return Outcome(alloc, tuple(payments))
 
 
@@ -292,13 +297,7 @@ class MIDRResult:
         }
 
 
-def poisson_midr_cpp(
-    oracle,
-    k: int,
-    force: bool = False,
-    max_iter: int = 2000,
-    improve_tol: float = 1e-9,
-) -> MIDRResult:
+def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
     """Maximize F(1 - e^{-x}) over {x in [0,1]^m, sum x <= k} by projected
     finite-difference ascent on an exact evaluator, then round by product
     marginals 1 - e^{-x*}.
@@ -358,7 +357,7 @@ def poisson_midr_cpp(
     h = 1e-6
     iterations = 0
     stall = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MIDR_MAX_ITER + 1):
         grad = np.zeros(dim)
         for d in range(dim):
             zp = z.copy()
@@ -382,7 +381,7 @@ def poisson_midr_cpp(
                 break
         if not moved:
             break
-        if improvement < improve_tol:
+        if improvement < _MIDR_STALL_GAIN:
             stall += 1
             if stall >= 3:
                 break
@@ -450,13 +449,10 @@ class GreedyCPP(CPPMechanism):
 
 class BalancedPrefixCPP(CPPMechanism):
     """Random-permutation prefixes (balanced w.h.p. against any hidden
-    bisection); returns the smallest prefix of size <= k reaching a fraction
-    of the full-set value, else the size-k prefix."""
+    bisection); returns the smallest prefix of size <= k reaching the share
+    _PREFIX_SHARE of the full-set value, else the size-k prefix."""
 
     name = "balanced_prefix"
-
-    def __init__(self, threshold: float = 0.9):
-        self.threshold = threshold
 
     def allocate(self, views, k, rng):
         m = views[0].m
@@ -467,7 +463,7 @@ class BalancedPrefixCPP(CPPMechanism):
         for t, j in enumerate(perm[:k], start=1):
             mask |= 1 << j
             val = sum(v.eval(mask) for v in views)
-            if val >= self.threshold * total:
+            if val >= _PREFIX_SHARE * total:
                 chosen = ItemSet(mask, m)
                 break
         return chosen if chosen is not None else ItemSet(mask, m)
@@ -655,8 +651,7 @@ def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
     records: list[dict] = []
     all_feasible = True
     query_total = 0
-    welfare_sum = 0.0
-    welfare_sq = 0.0
+    welfares = np.zeros(trials)
     is_cpp = isinstance(instance, CPPInstance)
     for t, run in enumerate(run_trials(mech, instance, trials, seed)):
         query_total += run.queries
@@ -674,8 +669,7 @@ def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
             payments = []
             sets_hex = [out.to_hex()]
         all_feasible &= feasible
-        welfare_sum += welfare
-        welfare_sq += welfare * welfare
+        welfares[t] = welfare
         records.append(
             {
                 "trial": t,
@@ -686,12 +680,7 @@ def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
                 "sets": sets_hex,
             }
         )
-    mean = welfare_sum / trials
-    if trials > 1:
-        var = max(0.0, (welfare_sq - trials * mean * mean) / (trials - 1))
-        stderr = math.sqrt(var / trials)
-    else:
-        stderr = 0.0
+    mean, stderr = mean_stderr(welfares)
     return EmpiricalReport(
         mechanism=getattr(mech, "name", type(mech).__name__),
         kind="cpp" if is_cpp else "auction",

@@ -362,10 +362,6 @@ class ValuationOracle:
     def query_count(self) -> int:
         return self._count
 
-    def reset_query_count(self) -> None:
-        with self._lock:
-            self._count = 0
-
     def restricted_view(self) -> "OracleView":
         return OracleView(self)
 
@@ -660,7 +656,6 @@ def check_monotone_submodular(
     mode: str = "exhaustive",
     trials: int = 100_000,
     rng: np.random.Generator | None = None,
-    tol: float = STRUCT_TOL,
 ) -> StructureReport:
     """Verify monotonicity and submodularity of an oracle.
 
@@ -669,6 +664,7 @@ def check_monotone_submodular(
     vectorized mask arithmetic.
     sampled: checks `trials` random triples; a statistical smoke test for
     ground sets beyond the exhaustive cap.
+    A gain below -STRUCT_TOL is a violation.
     """
     m = oracle.m
     if mode == "exhaustive":
@@ -683,7 +679,7 @@ def check_monotone_submodular(
             no_i = masks[(masks & bit_i) == 0]
             gain_i = table[no_i | bit_i] - table[no_i]
             checked += no_i.size
-            bad = np.nonzero(gain_i < -tol)[0]
+            bad = np.nonzero(gain_i < -STRUCT_TOL)[0]
             mono_count += bad.size
             for t in bad[: max(0, _MAX_RECORDED - len(mono))]:
                 mono.append(MonotoneViolation(ItemSet(int(no_i[t]), m), i, float(gain_i[t])))
@@ -694,7 +690,7 @@ def check_monotone_submodular(
                 rhs = table[base | bit_i | bit_j] - table[base | bit_j]
                 diff = lhs - rhs
                 checked += base.size
-                bad = np.nonzero(diff < -tol)[0]
+                bad = np.nonzero(diff < -STRUCT_TOL)[0]
                 sub_count += bad.size
                 for t in bad[: max(0, _MAX_RECORDED - len(sub))]:
                     sub.append(
@@ -702,7 +698,7 @@ def check_monotone_submodular(
                     )
         passed = mono_count == 0 and sub_count == 0
         return StructureReport(
-            passed, "exhaustive", m, checked, tol, mono, sub, mono_count, sub_count
+            passed, "exhaustive", m, checked, STRUCT_TOL, mono, sub, mono_count, sub_count
         )
 
     if mode == "sampled":
@@ -722,20 +718,20 @@ def check_monotone_submodular(
             f_s = ev(mask)
             f_si = ev(mask | (1 << i))
             gain = f_si - f_s
-            if gain < -tol:
+            if gain < -STRUCT_TOL:
                 mono_count += 1
                 if len(mono) < _MAX_RECORDED:
                     mono.append(MonotoneViolation(ItemSet(mask, m), i, gain))
             f_sj = ev(mask | (1 << j))
             f_sij = ev(mask | (1 << i) | (1 << j))
             diff = gain - (f_sij - f_sj)
-            if diff < -tol:
+            if diff < -STRUCT_TOL:
                 sub_count += 1
                 if len(sub) < _MAX_RECORDED:
                     sub.append(SubmodularViolation(ItemSet(mask, m), i, j, diff))
         passed = mono_count == 0 and sub_count == 0
         return StructureReport(
-            passed, "sampled", m, trials, tol, mono, sub, mono_count, sub_count
+            passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
         )
 
     raise ValueError(f"unknown mode {mode!r}")

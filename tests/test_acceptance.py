@@ -69,9 +69,7 @@ def test_criterion_02_concavity_and_its_failures(capsys):
     val1 = two_block_product_instance(8, 1.0)
     g = lambda pts: f_exp_blockwise(val1, pts[:, 0], pts[:, 1])
     rng = np.random.default_rng(2)
-    violations, checked = concavity_probe(
-        g, random_pair_source(2, 10_000, rng), tol=1e-9
-    )
+    violations, checked = concavity_probe(g, random_pair_source(2, 10_000, rng))
     clean_alpha_one = not violations and checked == 10_000
 
     val2 = two_block_product_instance(200, 0.5)

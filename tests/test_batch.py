@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symgap import setfn
-from symgap.extensions import EstimatorConfig, multilinear_F
+from symgap.extensions import multilinear_F
 from symgap.instances import (
     GRID_MAX_BLOCK,
     PhiAlpha,
@@ -683,7 +683,7 @@ def test_monte_carlo_matches_scalar_accumulation():
     m, samples, seed = 130, 3000, 5
     val = _two_block(m, PhiAlpha(0.5), 0.1, np.random.default_rng(1))
     x = np.random.default_rng(2).uniform(0.0, 1.0, m)
-    res = multilinear_F(val.oracle(), x, EstimatorConfig("monte_carlo", samples, seed))
+    res = multilinear_F(val.oracle(), x, samples, seed)
     oracle = val.oracle()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     bits = rng.random((samples, m)) < x

@@ -100,6 +100,33 @@ class TestExitCodes:
         assert main(["chernoff", "--m", "100", "--beta", "0.2", "--trials", "0"]) == 1
         assert "trials must be positive" in capsys.readouterr().err
 
+    def test_workers_accepts_only_one(self, tmp_path, capsys):
+        args = ["gap955", "--blocks", "20", "--mc-samples", "2000", "--seed", "3"]
+        _, plain = run_main(args, tmp_path, "plain.json")
+        _, one = run_main(args + ["--workers", "1"], tmp_path, "one.json")
+        assert one.read_bytes() == plain.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--workers", "2"])
+        assert exc.value.code == 1
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"workers": 2}))
+        assert main(args + ["--config", str(cfgfile)]) == 1
+        assert "workers must be 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["nan", "0", "1", "-0.5", "1.5"])
+    def test_chernoff_beta_outside_unit_interval_exits_one(self, tmp_path, beta, capsys):
+        out = tmp_path / "out.json"
+        args = ["chernoff", "--m", "100", "--beta", beta, "--trials", "50", "--out", str(out)]
+        assert main(args) == 1
+        assert not out.exists()
+        assert "beta must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_gap955_single_mc_sample_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["gap955", "--blocks", "4", "--mc-samples", "1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "samples must be >= 2" in capsys.readouterr().err
+
     def test_help_shows_declared_default(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gap955", "--help"])

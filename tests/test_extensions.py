@@ -12,11 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symgap.setfn import GroundSetError, ItemSet, make_additive, make_budget_additive, scale_oracle
+from symgap.setfn import (
+    GroundSetError, ItemSet, make_additive, make_budget_additive, scale_oracle, tabulate,
+)
 from symgap.instances import PhiAlpha, make_symgap_valuation, psi_tilde, two_block_product_instance
 from symgap.extensions import (
     ConcavityViolation,
-    EstimatorConfig,
     concavity_grid_scan,
     concavity_probe,
     enum_weights,
@@ -93,49 +94,41 @@ class TestMultilinearF:
         w = rng.uniform(0, 0.3, 6)
         oracle = make_budget_additive([float(v) for v in w], float(0.5 * w.sum()))
         x = rng.uniform(0, 1, 6)
-        res = multilinear_F(oracle, x, EstimatorConfig("exact_enum", 0, 0))
-        assert res.value == pytest.approx(brute_force_F(oracle, x), abs=1e-12)
-        assert res.stderr == 0.0
+        value = float(enum_weights(x) @ tabulate(oracle))
+        assert value == pytest.approx(brute_force_F(oracle, x), abs=1e-12)
 
     def test_additive_extension_is_linear(self):
         w = [0.2, 0.5, 0.1]
         oracle = make_additive(w)
         x = np.array([0.3, 0.9, 0.5])
-        res = multilinear_F(oracle, x, EstimatorConfig("exact_enum", 0, 0))
-        assert res.value == pytest.approx(float(np.dot(w, x)))
+        value = float(enum_weights(x) @ tabulate(oracle))
+        assert value == pytest.approx(float(np.dot(w, x)))
 
     def test_monte_carlo_agrees_with_exact(self):
         rng = np.random.default_rng(3)
         w = rng.uniform(0, 0.3, 8)
         oracle = make_budget_additive([float(v) for v in w], float(0.6 * w.sum()))
         x = rng.uniform(0, 1, 8)
-        exact = multilinear_F(oracle, x, EstimatorConfig("exact_enum", 0, 0)).value
-        mc = multilinear_F(oracle, x, EstimatorConfig("monte_carlo", 40_000, 17))
+        exact = float(enum_weights(x) @ tabulate(oracle))
+        mc = multilinear_F(oracle, x, 40_000, 17)
         assert abs(mc.value - exact) <= 4 * mc.stderr + 1e-3
 
     def test_monte_carlo_deterministic_per_seed(self):
         oracle = make_additive([0.4, 0.3, 0.2])
         x = [0.5, 0.5, 0.5]
-        a = multilinear_F(oracle, x, EstimatorConfig("monte_carlo", 5_000, 11))
-        b = multilinear_F(oracle, x, EstimatorConfig("monte_carlo", 5_000, 11))
+        a = multilinear_F(oracle, x, 5_000, 11)
+        b = multilinear_F(oracle, x, 5_000, 11)
         assert a.value == b.value and a.stderr == b.stderr
-
-    def test_worker_split_changes_stream_not_contract(self):
-        oracle = make_additive([0.4, 0.3, 0.2])
-        x = [0.5, 0.5, 0.5]
-        one = multilinear_F(oracle, x, EstimatorConfig("monte_carlo", 8_000, 11, 1))
-        four = multilinear_F(oracle, x, EstimatorConfig("monte_carlo", 8_000, 11, 4))
-        # identical configs reproduce; different splits stay within noise
-        again = multilinear_F(oracle, x, EstimatorConfig("monte_carlo", 8_000, 11, 4))
-        assert four.value == again.value
-        assert abs(one.value - four.value) <= 4 * (one.stderr + four.stderr) + 1e-3
 
     def test_point_validation(self):
         oracle = make_additive([0.5, 0.5])
         with pytest.raises(GroundSetError):
-            multilinear_F(oracle, [0.5], EstimatorConfig("exact_enum", 0, 0))
+            multilinear_F(oracle, [0.5])
         with pytest.raises(GroundSetError):
-            multilinear_F(oracle, [0.5, 1.5], EstimatorConfig("exact_enum", 0, 0))
+            multilinear_F(oracle, [0.5, 1.5])
+        # one sample has no standard error
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            multilinear_F(oracle, [0.5, 0.5], samples=1)
 
 
 PMF_PS = (0.0, 1e-12, 0.37, 1.0 - 1e-12, 1.0)
@@ -312,28 +305,13 @@ class TestBlockwise:
             0.25,
         )
         exact = f_exp_blockwise(val, 0.5, 0.5)
-        res = f_exp(
-            val.oracle(), np.full(16, 0.5), EstimatorConfig("monte_carlo", 60_000, 5)
-        )
+        res = f_exp(val.oracle(), np.full(16, 0.5), 60_000, 5)
         assert abs(res.value - exact) <= 3 * res.stderr + 1e-9
 
     def test_rejects_negative_coordinates(self):
         val = two_block_product_instance(3, 0.5)
         with pytest.raises(GroundSetError):
             f_exp_blockwise(val, -0.1, 0.5)
-
-    def test_exact_blockwise_through_f_exp_dispatch(self):
-        val = two_block_product_instance(4, 0.5)
-        x = np.array([0.3] * 4 + [0.8] * 4)
-        res = f_exp(val.oracle(), x, EstimatorConfig("exact_blockwise", 0, 0))
-        direct = f_exp_blockwise(val, 0.3, 0.8)
-        assert res.value == pytest.approx(direct, abs=1e-12)
-
-    def test_non_block_point_rejected_by_blockwise_mode(self):
-        val = two_block_product_instance(4, 0.5)
-        x = np.linspace(0, 1, 8)
-        with pytest.raises(GroundSetError):
-            multilinear_F(val.oracle(), 1 - np.exp(-x), EstimatorConfig("exact_blockwise", 0, 0))
 
 
 class TestConcavity:
