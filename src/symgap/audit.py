@@ -109,35 +109,28 @@ def audit_truthfulness(
     Truthful trials use SeedSequence(seed); deviation d uses the entropy
     tuple (seed, d, _DEVIATION_STREAM), so no two streams alias.  Trials come
     from run_trials: a deterministic mechanism runs once per declaration and
-    its outcome is replicated across `trials`.
+    its outcome is replicated across `trials`.  Each declaration's scores
+    for a player come from one eval_many on the player's column of bundles.
     """
-    truth_runs = run_trials(mech, instance, trials, seed)
+    truth = run_trials(mech, instance, trials, seed)
     truth_scores: dict[int, np.ndarray] = {}
     entries: list[DeviationResult] = []
     oracles = instance.oracles
     for dev_idx, (player, dev_oracle) in enumerate(deviations):
         if player not in truth_scores:
-            vals = np.array(
-                [
-                    oracles[player].eval(run.bundle(player)) - run.payment(player)
-                    for run in truth_runs
-                ]
+            truth_scores[player] = (
+                oracles[player].eval_many(truth.words[:, player]) - truth.payments[:, player]
             )
-            truth_scores[player] = vals
         declared = list(oracles)
         declared[player] = dev_oracle
         if isinstance(instance, CPPInstance):
             dev_instance = CPPInstance(tuple(declared), instance.k)
         else:
             dev_instance = AuctionInstance(tuple(declared))
-        dev_runs = run_trials(
-            mech, dev_instance, trials, (seed, dev_idx, _DEVIATION_STREAM)
-        )
-        dev_vals = np.array(
-            [
-                (1.0 - eps) * oracles[player].eval(run.bundle(player)) - run.payment(player)
-                for run in dev_runs
-            ]
+        dev = run_trials(mech, dev_instance, trials, (seed, dev_idx, _DEVIATION_STREAM))
+        dev_vals = (
+            (1.0 - eps) * oracles[player].eval_many(dev.words[:, player])
+            - dev.payments[:, player]
         )
         t_mean, t_se = mean_stderr(truth_scores[player])
         d_mean, d_se = mean_stderr(dev_vals)
@@ -368,9 +361,12 @@ def extract_menu(
         declared[special] = entry.oracle()
         dev_instance = AuctionInstance(tuple(declared))
         runs = run_trials(mech, dev_instance, trials, (seed, prov, _MENU_STREAM))
-        for run in runs:
-            X = run.bundle(special).intersection_size(level_set) / level_size
-            samples.append(MenuObservation(X, run.payment(special), w, prov))
+        level_words = words_from_masks([level_set.mask], level_set.m)
+        X = intersection_sizes(runs.words[:, special], level_words) / level_size
+        samples.extend(
+            MenuObservation(x, p, w, prov)
+            for x, p in zip(X.tolist(), runs.payments[:, special].tolist())
+        )
     return MenuSample(samples, len(family), trials, seed)
 
 

@@ -32,6 +32,7 @@ from .setfn import (
     make_polar,
     random_subset,
     scale_oracle,
+    words_from_masks,
 )
 from .instances import (
     AuctionInstance,
@@ -475,6 +476,8 @@ def _exp_poisson_midr(
     cfg: ExperimentConfig, *, family: str = "additive", m: int = 8, k: int = 2,
     force: bool = False, trials: int = 10_000,
 ) -> dict:
+    if trials < 2:
+        raise OracleContractError(f"trials must be >= 2 for a standard error, got {trials}")
     rng = _rng(cfg.seed, 6)
     expected = None
     if family == "additive":
@@ -510,9 +513,8 @@ def _exp_poisson_midr(
         }
     x = np.array(res.x_star)
     feasible = bool((x >= -1e-12).all() and (x <= 1.0 + 1e-12).all() and x.sum() <= k + 1e-9)
-    samples = np.array(
-        [oracle.eval(res.distribution.sample(rng)) for _ in range(trials)]
-    )
+    draws = [res.distribution.sample(rng).mask for _ in range(trials)]
+    samples = oracle.eval_many(words_from_masks(draws, oracle.m))
     mean, se = mean_stderr(samples)
     rounding_ok = abs(mean - res.value) <= 3.0 * se + 1e-9
     closed_form_ok = True if expected is None else abs(res.value - expected) <= 1e-6

@@ -579,107 +579,111 @@ class EmpiricalReport:
 
 
 @dataclass(frozen=True)
-class Trial:
-    """One seeded trial of a mechanism.
+class TrialColumns:
+    """The seeded trials of a mechanism on one declared instance, packed.
 
-    `result` is what allocate returned; `outcome` is what the trial realised
-    (a distribution is sampled with the trial's own rng); `queries` counts
-    the oracle queries allocate spent.
-    """
+    Trial t realised results[index[t]], what one allocate call returned (a
+    distribution is sampled with the trial's own rng).  words[t, i] packs
+    player i's bundle (a public project gives every player its one set),
+    payments[t, i] is its payment (0.0 in a public project), and queries[t]
+    counts the oracle queries of that allocate call."""
 
-    result: ItemSet | Outcome | DistributionOverOutcomes
-    outcome: ItemSet | Outcome
-    queries: int
-
-    def bundle(self, player: int) -> ItemSet:
-        """The player's bundle; a public project gives every player one set."""
-        if isinstance(self.outcome, Outcome):
-            return self.outcome.sets[player]
-        return self.outcome
-
-    def payment(self, player: int) -> float:
-        if isinstance(self.outcome, Outcome):
-            return self.outcome.payments[player]
-        return 0.0
+    results: tuple
+    index: np.ndarray
+    words: np.ndarray
+    payments: np.ndarray
+    queries: np.ndarray
 
 
-def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> list[Trial]:
+def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> TrialColumns:
     """Run a mechanism `trials` times on one declared instance.
 
     Trial t uses the t-th child of SeedSequence(seed); `seed` may be an int or
     an entropy tuple.  A mechanism with `deterministic = True` is allocated
     once, and its result and query count are reused for every trial; a
     distribution result is still sampled with each trial's own rng, so the
-    streams equal those of re-running it.
+    streams equal those of re-running it.  A replayed trial builds no Python
+    object unless it samples a distribution.
     """
     oracles = instance.oracles
     if getattr(mech, "needs_descriptor", False):
         views = oracles
     else:
         views = tuple(o.restricted_view() for o in oracles)
-    is_cpp = isinstance(instance, CPPInstance)
+    n, m = len(oracles), oracles[0].m
+    head = (views, instance.k) if isinstance(instance, CPPInstance) else (views,)
     replicate = getattr(mech, "deterministic", False)
     root = np.random.SeedSequence(seed)
-    runs: list[Trial] = []
-    res = queries = None
+    results: list = []
+    spent: list[int] = []
+    samples: list[int] = []  # masks drawn from distributions, in trial order
+    index = np.zeros(trials, dtype=np.intp)
+    res = None
     for t in range(trials):
         replay = replicate and t > 0
-        rng = None
-        if not replay or isinstance(res, DistributionOverOutcomes):
-            # child t of root.spawn(trials), built only for trials that draw
-            child = np.random.SeedSequence(root.entropy, spawn_key=(t,))
-            rng = np.random.default_rng(child)
+        if replay and not isinstance(res, DistributionOverOutcomes):
+            break  # every later trial replays results[0] too
+        # child t of root.spawn(trials)
+        rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
         if not replay:
             before = sum(o.query_count for o in oracles)
-            if is_cpp:
-                res = mech.allocate(views, instance.k, rng)
-            else:
-                res = mech.allocate(views, rng)
-            queries = sum(o.query_count for o in oracles) - before
-        outcome = res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
-        runs.append(Trial(res, outcome, queries))
-    return runs
+            res = mech.allocate(*head, rng)
+            spent.append(sum(o.query_count for o in oracles) - before)
+            results.append(res)
+        index[t] = len(results) - 1
+        if isinstance(res, DistributionOverOutcomes):
+            samples.append(res.sample(rng).mask)
+    # one row of n bundles and n payments per result, then one per trial
+    masks: list[int] = []
+    pays: list[tuple[float, ...]] = []
+    for res in results:
+        if isinstance(res, Outcome):
+            masks.extend(S.mask for S in res.sets)
+            pays.append(res.payments)
+        else:  # a distribution's rows are filled from its samples below
+            masks.extend([res.mask if isinstance(res, ItemSet) else 0] * n)
+            pays.append((0.0,) * n)
+    words = words_from_masks(masks, m).reshape(len(results), n, word_count(m))[index]
+    payments = np.array(pays, dtype=float).reshape(len(results), n)[index]
+    if samples:
+        drawn = np.array([isinstance(r, DistributionOverOutcomes) for r in results])[index]
+        words[drawn] = words_from_masks(samples, m)[:, None, :]
+    queries = np.array(spent, dtype=np.int64)[index]
+    return TrialColumns(tuple(results), index, words, payments, queries)
 
 
 def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
     """Seeded repeated runs with per-trial welfare, query counts, and
     feasibility flags.  Deterministic for fixed (mechanism, instance, seed).
     The trials come from run_trials, so a deterministic mechanism is
-    allocated once and its outcome replicated.
+    allocated once and its outcome replicated; welfare is summed in player
+    order from one eval_many per oracle.
     """
     oracles = instance.oracles
-    records: list[dict] = []
-    all_feasible = True
-    query_total = 0
-    welfares = np.zeros(trials)
+    m = oracles[0].m
     is_cpp = isinstance(instance, CPPInstance)
-    for t, run in enumerate(run_trials(mech, instance, trials, seed)):
-        query_total += run.queries
-        out = run.outcome
-        welfare = sum(o.eval(run.bundle(i)) for i, o in enumerate(oracles))
-        if isinstance(out, Outcome):
-            feasible = True  # Outcome construction already enforces disjointness
-            payments = list(out.payments)
-            sets_hex = [S.to_hex() for S in out.sets]
-        else:
-            if isinstance(run.result, DistributionOverOutcomes):
-                feasible = sum(run.result.x) <= instance.k + 1e-9
-            else:
-                feasible = len(out) <= instance.k
-            payments = []
-            sets_hex = [out.to_hex()]
-        all_feasible &= feasible
-        welfares[t] = welfare
-        records.append(
-            {
-                "trial": t,
-                "welfare": welfare,
-                "queries": run.queries,
-                "feasible": feasible,
-                "payments": payments,
-                "sets": sets_hex,
-            }
+    runs = run_trials(mech, instance, trials, seed)
+    welfares = np.zeros(trials)
+    for i, o in enumerate(oracles):
+        welfares += o.eval_many(runs.words[:, i])
+    # a distribution is feasible in expectation, a set by its size, and an
+    # Outcome by construction, which enforces disjointness
+    ok = [
+        True if isinstance(r, Outcome)
+        else sum(r.x) <= instance.k + 1e-9 if isinstance(r, DistributionOverOutcomes)
+        else len(r) <= instance.k
+        for r in runs.results
+    ]
+    feasible = [ok[r] for r in runs.index.tolist()]
+    bundles = [masks_from_words(runs.words[:, i]) for i in range(1 if is_cpp else len(oracles))]
+    records = [
+        {"trial": t, "welfare": welfare, "queries": queries, "feasible": feasible[t],
+         "payments": [] if is_cpp else pays,
+         "sets": [ItemSet(col[t], m).to_hex() for col in bundles]}
+        for t, (welfare, queries, pays) in enumerate(
+            zip(welfares.tolist(), runs.queries.tolist(), runs.payments.tolist())
         )
+    ]
     mean, stderr = mean_stderr(welfares)
     return EmpiricalReport(
         mechanism=getattr(mech, "name", type(mech).__name__),
@@ -688,7 +692,7 @@ def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
         seed=seed,
         welfare_mean=mean,
         welfare_stderr=stderr,
-        feasible=all_feasible,
-        query_total=query_total,
+        feasible=all(feasible),
+        query_total=int(runs.queries.sum()),
         per_trial=records,
     )

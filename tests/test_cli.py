@@ -127,6 +127,14 @@ class TestExitCodes:
         assert not out.exists()
         assert "samples must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["1", "0"])
+    def test_poisson_midr_below_two_trials_exits_one(self, tmp_path, trials, capsys):
+        # one sample has no standard error, so the rounding check cannot run
+        out = tmp_path / "out.json"
+        assert main(["poisson-midr", "--trials", trials, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "trials must be" in capsys.readouterr().err
+
     def test_help_shows_declared_default(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gap955", "--help"])

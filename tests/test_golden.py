@@ -39,6 +39,11 @@ CASES = {
     "greedy_ratio_seed0.json": ["greedy-ratio", "--seed", "0"],
     "poisson_midr_seed0.json": ["poisson-midr", "--seed", "0"],
     "vcg_audit_m4_seed0.json": ["vcg-audit", "--m", "4", "--deviations", "4", "--seed", "0"],
+    # the benchmark's size: 21 declarations of 1000 replicated trials each
+    "vcg_audit_m8_seed0.json": [
+        "vcg-audit", "--n", "2", "--m", "8", "--deviations", "20", "--trials", "1000",
+        "--seed", "0",
+    ],
     "symgap_m40_seed0.json": [
         "symgap", "--m", "40", "--k", "20", "--partitions", "5", "--seed", "0",
     ],

@@ -5,11 +5,14 @@ independent brute-force implementations (plain Python sets and loops), never
 by calling the code under test twice.
 """
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from symgap import setfn
 from symgap.setfn import (
+    STRUCT_TOL,
     GroundSetError,
     ItemSet,
     OracleContractError,
@@ -20,9 +23,12 @@ from symgap.setfn import (
     make_budget_additive,
     make_coverage,
     make_polar,
+    MonotoneViolation,
     query_count,
     reconstruct_oracle,
     scale_oracle,
+    StructureReport,
+    SubmodularViolation,
     tabulate,
 )
 from symgap.instances import (
@@ -255,6 +261,78 @@ class TestStructureCheck:
         rep = check_monotone_submodular(oracle)
         assert len(rep.submodular_violations) <= 100
         assert rep.submodular_violation_count >= len(rep.submodular_violations)
+
+
+def _reference_scan(oracle) -> StructureReport:
+    """The exhaustive scan as a loop over items i and pairs i < j, one array
+    pass each, with the first 100 records of each kind in (i, S) and
+    (i, j, S) order."""
+    m = oracle.m
+    table = tabulate(oracle)
+    masks = np.arange(1 << m, dtype=np.int64)
+    mono, sub = [], []
+    mono_count = sub_count = checked = 0
+    for i in range(m):
+        bit_i = 1 << i
+        no_i = masks[(masks & bit_i) == 0]
+        gain_i = table[no_i | bit_i] - table[no_i]
+        checked += no_i.size
+        bad = np.nonzero(gain_i < -STRUCT_TOL)[0]
+        mono_count += bad.size
+        for t in bad[: max(0, 100 - len(mono))]:
+            mono.append(MonotoneViolation(ItemSet(int(no_i[t]), m), i, float(gain_i[t])))
+        for j in range(i + 1, m):
+            bit_j = 1 << j
+            base = no_i[(no_i & bit_j) == 0]
+            lhs = table[base | bit_i] - table[base]
+            rhs = table[base | bit_i | bit_j] - table[base | bit_j]
+            diff = lhs - rhs
+            checked += base.size
+            bad = np.nonzero(diff < -STRUCT_TOL)[0]
+            sub_count += bad.size
+            for t in bad[: max(0, 100 - len(sub))]:
+                sub.append(SubmodularViolation(ItemSet(int(base[t]), m), i, j, float(diff[t])))
+    passed = mono_count == 0 and sub_count == 0
+    return StructureReport(
+        passed, "exhaustive", m, checked, STRUCT_TOL, mono, sub, mono_count, sub_count
+    )
+
+
+def _planted(m: int, seed: int, noise: float) -> ValuationOracle:
+    """Coverage-like values with a few entries moved by up to `noise`: noise
+    0 is monotone submodular, larger noise plants violations of both kinds."""
+    rng = np.random.default_rng(seed)
+    table = np.sqrt(np.bitwise_count(np.arange(1 << m, dtype=np.int64)).astype(float))
+    moved = rng.random(1 << m) < 0.05
+    table[moved] += rng.uniform(-noise, noise, int(moved.sum()))
+    table[0] = 0.0
+    values = table.tolist()
+    return ValuationOracle(m, values.__getitem__, {"kind": "planted"})
+
+
+class TestExhaustiveScanMatchesLoop:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8, 10, 13])
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 3.0])
+    def test_report_is_identical(self, m, noise):
+        oracle = _planted(m, seed=m, noise=noise)
+        assert pickle.dumps(check_monotone_submodular(oracle)) == pickle.dumps(
+            _reference_scan(oracle)
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 97])
+    def test_chunk_boundaries_inside_a_pair(self, chunk, monkeypatch):
+        # at m = 9 a pair has 128 sets and an item 256, so these chunk sizes
+        # split both kinds of groups mid-way
+        oracle = _planted(9, seed=4, noise=3.0)
+        expected = pickle.dumps(_reference_scan(oracle))
+        monkeypatch.setattr(setfn, "_SCAN_CHUNK", chunk)
+        assert pickle.dumps(check_monotone_submodular(oracle)) == expected
+
+    def test_planted_violations_are_found(self):
+        rep = check_monotone_submodular(_planted(10, seed=10, noise=3.0))
+        assert min(rep.monotone_violation_count, rep.submodular_violation_count) > 100
+        assert len(rep.monotone_violations) == len(rep.submodular_violations) == 100
+        assert check_monotone_submodular(_planted(10, seed=10, noise=0.0)).passed
 
 
 class TestReconstruct:

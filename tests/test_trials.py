@@ -2,15 +2,27 @@
 deterministic mechanisms, and independent random streams per declaration.
 
 Replication is checked against the same mechanism declared
-non-deterministic, which re-runs allocate on every trial.
+non-deterministic, which re-runs allocate on every trial.  The packed
+trial columns, and the batch scoring built on them, are checked against a
+scalar reference: one (result, outcome) pair per trial, each scored with
+one scalar eval, with equal values and equal query counts.
 """
 import inspect
+import json
 
 import numpy as np
 import pytest
 
 from symgap import mechanisms
-from symgap.setfn import ItemSet, make_additive, make_budget_additive
+from symgap.setfn import (
+    ItemSet,
+    ValuationOracle,
+    make_additive,
+    make_budget_additive,
+    masks_from_words,
+    scale_oracle,
+)
+from symgap.extensions import mean_stderr
 from symgap.instances import (
     AuctionInstance,
     CPPInstance,
@@ -20,7 +32,9 @@ from symgap.instances import (
 from symgap.mechanisms import (
     AuctionMechanism,
     CPPMechanism,
+    DistributionOverOutcomes,
     GreedyCPP,
+    Outcome,
     PayYourBidGreedyAuction,
     PoissonMIDRCPP,
     RandomSubsetCPP,
@@ -28,7 +42,14 @@ from symgap.mechanisms import (
     run_mechanism,
     run_trials,
 )
-from symgap.audit import audit_truthfulness, extract_menu
+from symgap.audit import (
+    _DEVIATION_STREAM,
+    _MENU_STREAM,
+    MenuObservation,
+    MenuSample,
+    audit_truthfulness,
+    extract_menu,
+)
 
 
 def _deterministic_classes():
@@ -186,8 +207,242 @@ def test_trial_t_draws_from_child_t_of_the_seed():
     children = np.random.SeedSequence((4, 1, 2)).spawn(TRIALS)
     expected = [mech.allocate(views, 3, np.random.default_rng(c)) for c in children]
     runs = run_trials(mech, inst, TRIALS, (4, 1, 2))
-    assert [run.outcome for run in runs] == expected
-    assert [run.queries for run in runs] == [1] * TRIALS
+    assert runs.results == tuple(expected)
+    assert runs.index.tolist() == list(range(TRIALS))
+    assert runs.words.shape == (TRIALS, 1, 1)
+    assert [ItemSet(mask, 8) for mask in masks_from_words(runs.words[:, 0])] == expected
+    assert runs.payments.tolist() == [[0.0]] * TRIALS
+    assert runs.queries.tolist() == [1] * TRIALS
+
+
+def test_distribution_trial_t_samples_with_child_t():
+    inst = _cpp()
+    dist = PoissonMIDRCPP().allocate(inst.oracles, 2, None)
+    children = np.random.SeedSequence(9).spawn(TRIALS)
+    expected = [dist.sample(np.random.default_rng(c)).mask for c in children]
+    runs = run_trials(PoissonMIDRCPP(), inst, TRIALS, 9)
+    assert runs.results == (dist,)
+    assert runs.index.tolist() == [0] * TRIALS
+    assert masks_from_words(runs.words[:, 0]) == expected
+    assert len(set(expected)) > 1
+
+
+def test_replicated_outcome_fills_every_row():
+    inst = _auction()
+    outcome = VCGExhaustiveAuction().allocate(inst.oracles, None)
+    runs = run_trials(VCGExhaustiveAuction(), inst, TRIALS, 5)
+    assert runs.results == (outcome,)
+    assert runs.words.dtype == np.uint64 and runs.words.shape == (TRIALS, 2, 1)
+    for i, S in enumerate(outcome.sets):
+        assert masks_from_words(runs.words[:, i]) == [S.mask] * TRIALS
+    assert runs.payments.tolist() == [list(outcome.payments)] * TRIALS
+    assert runs.queries.tolist() == [2 * 2**5] * TRIALS
+
+
+# ---------------------------------------------------------------------------
+# batch scoring against a scalar reference: per-trial objects, scalar eval
+# ---------------------------------------------------------------------------
+
+
+def _scalar_trials(mech, instance, trials, seed):
+    """(result, outcome, queries) per trial, allocating once per declaration
+    for a deterministic mechanism and sampling a distribution with each
+    trial's rng."""
+    oracles = instance.oracles
+    if getattr(mech, "needs_descriptor", False):
+        views = oracles
+    else:
+        views = tuple(o.restricted_view() for o in oracles)
+    head = (views, instance.k) if isinstance(instance, CPPInstance) else (views,)
+    runs = []
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        if t == 0 or not mech.deterministic:
+            before = sum(o.query_count for o in oracles)
+            res = mech.allocate(*head, rng)
+            queries = sum(o.query_count for o in oracles) - before
+        out = res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
+        runs.append((res, out, queries))
+    return runs
+
+
+def _bundle(out, player):
+    return out.sets[player] if isinstance(out, Outcome) else out
+
+
+def _payment(out, player):
+    return out.payments[player] if isinstance(out, Outcome) else 0.0
+
+
+def _scalar_scores(mech, instance, deviations, trials, seed, eps):
+    """(truth mean, stderr, deviation mean, stderr) per deviation, each
+    trial scored with one scalar eval."""
+    oracles = instance.oracles
+    truth = _scalar_trials(mech, instance, trials, seed)
+    truth_scores = {}
+    rows = []
+    for d, (player, dev_oracle) in enumerate(deviations):
+        if player not in truth_scores:
+            truth_scores[player] = np.array(
+                [oracles[player].eval(_bundle(out, player)) - _payment(out, player)
+                 for _, out, _ in truth]
+            )
+        declared = list(oracles)
+        declared[player] = dev_oracle
+        if isinstance(instance, CPPInstance):
+            dev_instance = CPPInstance(tuple(declared), instance.k)
+        else:
+            dev_instance = AuctionInstance(tuple(declared))
+        dev = _scalar_trials(mech, dev_instance, trials, (seed, d, _DEVIATION_STREAM))
+        dev_vals = np.array(
+            [(1.0 - eps) * oracles[player].eval(_bundle(out, player)) - _payment(out, player)
+             for _, out, _ in dev]
+        )
+        rows.append(mean_stderr(truth_scores[player]) + mean_stderr(dev_vals))
+    return rows
+
+
+def _scalar_report(mech, instance, trials, seed):
+    oracles = instance.oracles
+    records, welfares = [], []
+    for t, (res, out, queries) in enumerate(_scalar_trials(mech, instance, trials, seed)):
+        welfare = sum(o.eval(_bundle(out, i)) for i, o in enumerate(oracles))
+        if isinstance(out, Outcome):
+            feasible, payments, sets = True, list(out.payments), [S.to_hex() for S in out.sets]
+        elif isinstance(res, DistributionOverOutcomes):
+            feasible, payments, sets = sum(res.x) <= instance.k + 1e-9, [], [out.to_hex()]
+        else:
+            feasible, payments, sets = len(out) <= instance.k, [], [out.to_hex()]
+        welfares.append(welfare)
+        records.append({"trial": t, "welfare": welfare, "queries": queries,
+                        "feasible": feasible, "payments": payments, "sets": sets})
+    mean, stderr = mean_stderr(np.array(welfares))
+    return {
+        "mechanism": mech.name, "kind": "cpp" if isinstance(instance, CPPInstance) else "auction",
+        "trials": trials, "seed": seed, "welfare_mean": mean, "welfare_stderr": stderr,
+        "feasible": all(rec["feasible"] for rec in records),
+        "query_total": sum(rec["queries"] for rec in records), "per_trial": records,
+    }
+
+
+def _scalar_menu(mech, instance, special, family, trials, seed):
+    w = 1.0 / (len(family) * trials)
+    samples = []
+    for prov, entry in enumerate(family):
+        level_set = entry.A | entry.B
+        declared = list(instance.oracles)
+        declared[special] = entry.oracle()
+        runs = _scalar_trials(
+            mech, AuctionInstance(tuple(declared)), trials, (seed, prov, _MENU_STREAM)
+        )
+        for _, out, _ in runs:
+            X = _bundle(out, special).intersection_size(level_set) / len(level_set)
+            samples.append(MenuObservation(X, _payment(out, special), w, prov))
+    return MenuSample(samples, len(family), trials, seed)
+
+
+def _plain_additive(weights):
+    """An additive oracle built without fn_many, so eval_many runs the scalar
+    function row by row."""
+    w = [float(x) for x in weights]
+
+    def fn(mask):
+        return sum((w[j] for j in range(len(w)) if mask >> j & 1), 0.0)
+
+    return ValuationOracle(len(w), fn, {"kind": "additive", "params": {"weights": w}})
+
+
+def _auction_case(plain=False):
+    rng = np.random.default_rng(31)
+    build = _plain_additive if plain else make_additive
+    truths = tuple(build(rng.uniform(0.0, 1.0, 5)) for _ in range(2))
+    w = rng.uniform(0.0, 1.0, 5)
+    devs = [
+        (0, scale_oracle(truths[0], 0.5)),
+        (1, build(rng.uniform(0.0, 1.0, 5))),
+        (1, make_budget_additive([float(x) for x in w], float(0.5 * w.sum()))),
+        (0, scale_oracle(truths[0], 2.0)),
+    ]
+    return AuctionInstance(truths), devs
+
+
+def _cpp_case(plain=False):
+    build = _plain_additive if plain else make_additive
+    truth = build([0.5, 0.4, 0.3, 0.2, 0.1])
+    return CPPInstance((truth,), 2), [(0, build([0.1, 0.2, 0.3, 0.4, 0.5]))]
+
+
+def _two_player_cpp_case(plain=False):
+    build = _plain_additive if plain else make_additive
+    truths = (build([0.5, 0.4, 0.3, 0.2, 0.1]), build([0.1, 0.3, 0.5, 0.7, 0.9]))
+    return CPPInstance(truths, 2), [(1, build([0.2] * 5)), (0, scale_oracle(truths[0], 0.3))]
+
+
+SCORE_CASES = [
+    (VCGExhaustiveAuction, _auction_case),
+    (PayYourBidGreedyAuction, _auction_case),
+    (PoissonMIDRCPP, _cpp_case),
+    (GreedyCPP, _two_player_cpp_case),
+    (RandomSubsetCPP, _two_player_cpp_case),
+]
+
+
+def _all_oracles(instance, devs):
+    return list(instance.oracles) + [o for _, o in devs]
+
+
+def _ids(case):
+    return case.__name__ if inspect.isclass(case) else case.__name__.strip("_")
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["fn_many", "scalar_fn"])
+@pytest.mark.parametrize("mech_cls, case", SCORE_CASES, ids=_ids)
+def test_audit_scores_equal_scalar_reference(mech_cls, case, plain):
+    inst, devs = case(plain)
+    report = audit_truthfulness(mech_cls(), inst, devs, TRIALS, seed=11, eps=0.1)
+    got = [
+        (e.truth_score, e.truth_stderr, e.deviation_score, e.deviation_stderr)
+        for e in report.entries
+    ]
+    ref_inst, ref_devs = case(plain)
+    expected = _scalar_scores(mech_cls(), ref_inst, ref_devs, TRIALS, 11, 0.1)
+    assert repr(got) == repr(expected)
+    # one scoring query per trial and scored player, as with scalar eval
+    assert [o.query_count for o in _all_oracles(inst, devs)] == [
+        o.query_count for o in _all_oracles(ref_inst, ref_devs)
+    ]
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["fn_many", "scalar_fn"])
+@pytest.mark.parametrize("mech_cls, case", SCORE_CASES, ids=_ids)
+def test_run_mechanism_equals_scalar_reference(mech_cls, case, plain):
+    inst, _ = case(plain)
+    got = run_mechanism(mech_cls(), inst, TRIALS, seed=12).to_dict()
+    ref_inst, _ = case(plain)
+    expected = _scalar_report(mech_cls(), ref_inst, TRIALS, 12)
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert [o.query_count for o in inst.oracles] == [o.query_count for o in ref_inst.oracles]
+
+
+@pytest.mark.parametrize("mech_cls", [VCGExhaustiveAuction, PayYourBidGreedyAuction])
+def test_extract_menu_equals_scalar_reference(mech_cls):
+    m = 6
+    A = ItemSet.from_indices([0, 1], m)
+    B = ItemSet.from_indices([2, 4], m)
+    family = [
+        make_symgap_valuation(A, B, PhiAlpha(0.5), 0.25, lam) for lam in (0.25, 0.5, 1.0)
+    ]
+
+    def instance():
+        opponent = make_additive([0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+        return AuctionInstance((opponent, family[2].oracle()))
+
+    inst, ref_inst = instance(), instance()
+    got = extract_menu(mech_cls(), inst, 1, family, TRIALS, seed=4)
+    expected = _scalar_menu(mech_cls(), ref_inst, 1, family, TRIALS, 4)
+    assert repr(got) == repr(expected)
+    assert len({(s.X, s.P) for s in got.samples}) > 1
+    assert [o.query_count for o in inst.oracles] == [o.query_count for o in ref_inst.oracles]
 
 
 def test_deviation_stream_does_not_alias_a_truth_stream():
