@@ -16,7 +16,6 @@ the values eval_many gives on those rows.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -650,39 +649,22 @@ class StructureReport:
 
 
 _MAX_RECORDED = 100
-# entries per array pass of the exhaustive scan: bounds its temporaries at
-# m = 24, where the pairs alone have 276 * 2^22 entries
-_SCAN_CHUNK = 1 << 16
 
 
-@lru_cache(maxsize=32)
-def _scan_chunk(m: int, order: int, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries lo, lo + 1, ... of the exhaustive scan over groups of `order`
-    items (each item alone, or each pair i < j), in (group, S) order with S
-    increasing over the masks holding none of the group's items.  Returns
-    read-only (groups, row, corners): entry e belongs to groups[row[e]], and
-    corners[c, e] is its S plus the group's items at the set bits of c.
-    Only scans with m <= 13 fit the one chunk that is cached, a few MB."""
-    groups = np.column_stack(np.triu_indices(m, 1)) if order == 2 else np.arange(m)[:, None]
-    free = m - order
-    flat = np.arange(lo, min(lo + _SCAN_CHUNK, len(groups) << free), dtype=np.int64)
-    row = flat >> free
-    # a chunk inside one group, as every chunk of a large m is, takes its
-    # items as scalars
-    at = row if len(flat) and row[-1] > row[0] else lo >> free
-    corners = np.empty((1 << order, len(flat)), dtype=np.int64)
-    S = corners[0]
-    np.bitwise_and(flat, (1 << free) - 1, out=S)
-    # insert a zero bit at each item, lowest first, so that a later insertion
-    # keeps the earlier zeros: adding the bits at and above the item (the
-    # mask -(1 << item)) shifts them up by one
-    for high in (-(np.int64(1) << groups)).T:
-        S += S & high[at]
-    for b, bits in enumerate((np.int64(1) << groups).T):
-        np.bitwise_or(corners[: 1 << b], bits[at], out=corners[1 << b : 2 << b])
-    for a in (groups, row, corners):
-        a.flags.writeable = False
-    return groups, row, corners
+def _structure_gaps(table: np.ndarray, m: int):
+    """Yield ((i,), gain of i) for each item and ((i, j), gain of i minus its
+    gain after j) for each pair i < j, one value per S holding none of the
+    items, in increasing S.  Both are differences of strided views of the
+    table: an item's gains take half the table's size, a pair's a quarter."""
+    for i in range(m):
+        # axes: the bits above i, bit i, the bits below i
+        v = table.reshape(-1, 2, 1 << i)
+        gain = (v[:, 1] - v[:, 0]).ravel()
+        yield (i,), gain
+        for j in range(i + 1, m):
+            # bit j of S is bit j - 1 of the gain's index
+            w = gain.reshape(-1, 2, 1 << (j - 1))
+            yield (i, j), (w[:, 0] - w[:, 1]).ravel()
 
 
 def check_monotone_submodular(
@@ -694,35 +676,31 @@ def check_monotone_submodular(
     """Verify monotonicity and submodularity of an oracle.
 
     exhaustive: tabulates all 2^m values (m <= 24) and scans every
-    (S, i) monotonicity pair and (S, i, j) submodularity triple in array
-    passes of at most _SCAN_CHUNK entries.
+    (S, i) monotonicity pair and (S, i, j) submodularity triple in one
+    array pass per item and per pair.
     sampled: checks `trials` random triples; a statistical smoke test for
     ground sets beyond the exhaustive cap.
     A gain below -STRUCT_TOL is a violation.
     """
     m = oracle.m
     if mode == "exhaustive":
-        table = tabulate(oracle)
         checked = 0
         found: tuple[list, list] = ([], [])
         counts = [0, 0]
-        for order, record in ((1, MonotoneViolation), (2, SubmodularViolation)):
-            total = math.comb(m, order) << (m - order) if m >= order else 0
-            chunk = _scan_chunk if total <= _SCAN_CHUNK else _scan_chunk.__wrapped__
-            for lo in range(0, total, _SCAN_CHUNK):
-                groups, row, corners = chunk(m, order, lo)
-                vals = table[corners]
-                # the gain of i at S, or that minus the gain of i at S + j
-                gap = vals[1] - vals[0]
-                if order == 2:
-                    gap -= vals[3] - vals[2]
-                checked += gap.size
-                bad = np.nonzero(gap < -STRUCT_TOL)[0]
-                counts[order - 1] += bad.size
-                recorded = found[order - 1]
-                for t in bad[: max(0, _MAX_RECORDED - len(recorded))]:
-                    items = groups[row[t]].tolist()
-                    recorded.append(record(ItemSet(int(corners[0, t]), m), *items, float(gap[t])))
+        for items, gap in _structure_gaps(tabulate(oracle), m):
+            checked += gap.size
+            bad = np.flatnonzero(gap < -STRUCT_TOL)
+            kind = len(items) - 1
+            counts[kind] += bad.size
+            recorded = found[kind]
+            record = (MonotoneViolation, SubmodularViolation)[kind]
+            for t in bad[: _MAX_RECORDED - len(recorded)].tolist():
+                S = t
+                # insert a zero bit at each item, lowest first, so that a
+                # later insertion keeps the earlier zeros
+                for item in items:
+                    S += S & -(1 << item)
+                recorded.append(record(ItemSet(S, m), *items, float(gap[t])))
         passed = counts == [0, 0]
         return StructureReport(passed, "exhaustive", m, checked, STRUCT_TOL, *found, *counts)
 

@@ -311,22 +311,13 @@ def _planted(m: int, seed: int, noise: float) -> ValuationOracle:
 
 
 class TestExhaustiveScanMatchesLoop:
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8, 10, 13])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8, 10, 13, 16])
     @pytest.mark.parametrize("noise", [0.0, 0.05, 3.0])
     def test_report_is_identical(self, m, noise):
         oracle = _planted(m, seed=m, noise=noise)
         assert pickle.dumps(check_monotone_submodular(oracle)) == pickle.dumps(
             _reference_scan(oracle)
         )
-
-    @pytest.mark.parametrize("chunk", [1, 5, 64, 97])
-    def test_chunk_boundaries_inside_a_pair(self, chunk, monkeypatch):
-        # at m = 9 a pair has 128 sets and an item 256, so these chunk sizes
-        # split both kinds of groups mid-way
-        oracle = _planted(9, seed=4, noise=3.0)
-        expected = pickle.dumps(_reference_scan(oracle))
-        monkeypatch.setattr(setfn, "_SCAN_CHUNK", chunk)
-        assert pickle.dumps(check_monotone_submodular(oracle)) == expected
 
     def test_planted_violations_are_found(self):
         rep = check_monotone_submodular(_planted(10, seed=10, noise=3.0))
