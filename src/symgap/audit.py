@@ -229,13 +229,6 @@ def symmetry_gap_experiment(
             half = len(A)
 
             # each query's counts (a, b) both classify it and give its value
-            def classified(mask: int) -> float:
-                nonlocal unbalanced_total
-                a, b = (mask & a_mask).bit_count(), (mask & b_mask).bit_count()
-                if abs(a - b) / half > beta:
-                    unbalanced_total += 1
-                return float(value_of(a, b))
-
             def classified_many(words: np.ndarray) -> np.ndarray:
                 nonlocal unbalanced_total
                 a = intersection_sizes(words, a_words)
@@ -255,9 +248,7 @@ def symmetry_gap_experiment(
                         unbalanced_total += size
                 return value_of(*counts).take(classes)
 
-            probe = ValuationOracle(
-                m, classified, {"kind": "hidden"}, classified_many, classified_extensions
-            )
+            probe = ValuationOracle(m, classified_many, {"kind": "hidden"}, classified_extensions)
             R = mech.allocate((probe.restricted_view(),), k, rng)
             if isinstance(R, DistributionOverOutcomes):
                 R = R.sample(rng)
@@ -918,16 +909,21 @@ def scaling_probe(
 
     For a (1-eps)-truthful allocation rule the trace tail cannot fall below
     (1-eps) times the supremum over the schedule (up to sampling noise).
+    Each point is a mean with a standard error, so trials must be >= 2.
     """
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+
+    def values(orc: ValuationOracle, sets: list[ItemSet]) -> np.ndarray:
+        return orc.eval_many(words_from_masks([S.mask for S in sets], orc.m))
+
     children = np.random.SeedSequence(seed).spawn(len(schedule) + len(wm_pairs))
     trace = []
     for idx, alpha in enumerate(schedule):
         declared = scale_oracle(oracle, float(alpha))
         rng = np.random.default_rng(children[idx])
-        vals = np.array(
-            [oracle.eval(alloc_closure(declared, rng)) for _ in range(trials)]
-        )
-        mean, se = mean_stderr(vals)
+        outs = [alloc_closure(declared, rng) for _ in range(trials)]
+        mean, se = mean_stderr(values(oracle, outs))
         trace.append({"alpha": float(alpha), "value": mean, "stderr": se})
     sup = max(t["value"] for t in trace)
     sup_se = max(t["stderr"] for t in trace)
@@ -941,10 +937,8 @@ def scaling_probe(
         rng = np.random.default_rng(children[len(schedule) + pair_idx])
         outs_v = [alloc_closure(v_orc, rng) for _ in range(trials)]
         outs_u = [alloc_closure(u_orc, rng) for _ in range(trials)]
-        v_Av = np.array([v_orc.eval(S) for S in outs_v])
-        u_Av = np.array([u_orc.eval(S) for S in outs_v])
-        v_Au = np.array([v_orc.eval(S) for S in outs_u])
-        u_Au = np.array([u_orc.eval(S) for S in outs_u])
+        v_Av, u_Av = values(v_orc, outs_v), values(u_orc, outs_v)
+        v_Au, u_Au = values(v_orc, outs_u), values(u_orc, outs_u)
         lhs = v_Av.mean() - (1.0 - eps) * u_Av.mean()
         rhs = (1.0 - eps) * v_Au.mean() - u_Au.mean()
         se = math.sqrt(

@@ -298,10 +298,9 @@ def _exp_product_compose(cfg: ExperimentConfig, *, pairs: int = 100, m: int = 10
         rep = check_monotone_submodular(comp, mode="exhaustive")
         if not rep.passed:
             failures.append(idx)
-        for _ in range(20):
-            mask = int(rng.integers(0, 1 << m))
-            direct = 1.0 - (1.0 - f1.eval(mask)) * (1.0 - f2.eval(mask))
-            identity_worst = max(identity_worst, abs(comp.eval(mask) - direct))
+        words = words_from_masks([int(rng.integers(0, 1 << m)) for _ in range(20)], m)
+        direct = 1.0 - (1.0 - f1.eval_many(words)) * (1.0 - f2.eval_many(words))
+        identity_worst = max(identity_worst, float(np.abs(comp.eval_many(words) - direct).max()))
         q1 = f1.query_count
         comp.eval(0)
         if f1.query_count != q1 + 1:

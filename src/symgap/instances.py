@@ -14,7 +14,7 @@ Inside the beta band the value depends on x + y only, which is what makes
 the hidden bisection (A, B) invisible to balanced queries.
 
 A two-block value depends on the occupancy counts (a, b) alone, so every
-two-block value (scalar and batch queries, the blockwise extension) is read
+two-block value (value queries, the blockwise extension) is read
 from one table over the counts: the count grid lam * psi_tilde(a/n, b/n),
 built once per (n, phi, beta, lam) and shared by every bisection of that
 size.  Blocks above GRID_MAX_BLOCK evaluate psi_tilde on the counts asked
@@ -238,9 +238,6 @@ class TwoBlockValuation:
         a_words, b_words = blocks
         value = self.count_values()
 
-        def fn(mask: int) -> float:
-            return float(value((mask & a_mask).bit_count(), (mask & b_mask).bit_count()))
-
         def fn_many(words: np.ndarray) -> np.ndarray:
             return value(intersection_sizes(words, a_words), intersection_sizes(words, b_words))
 
@@ -249,7 +246,7 @@ class TwoBlockValuation:
         def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
             return value(*extension_counts(words, a_mask, b_mask, n)).take(labels.take(free))
 
-        return ValuationOracle(self.m, fn, self.descriptor(), fn_many, fn_extensions)
+        return ValuationOracle(self.m, fn_many, self.descriptor(), fn_extensions)
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> TwoBlockValuation:

@@ -16,12 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .setfn import (
+    ROW_BLOCK_WORDS,
     GroundSetError,
     ItemSet,
     OracleView,
     WORD_BITS,
     masks_from_words,
     random_subset,
+    singleton_words,
     tabulate,
     word_count,
     words_from_masks,
@@ -39,7 +41,7 @@ _CPP_CACHE_WORDS = 1 << 16
 # gain less than _MIDR_STALL_GAIN end it
 _MIDR_MAX_ITER = 2000
 _MIDR_STALL_GAIN = 1e-9
-# BalancedPrefixCPP stops at the first prefix reaching this share of f(full)
+# BalancedPrefixCPP picks the first prefix reaching this share of f(full)
 _PREFIX_SHARE = 0.9
 
 
@@ -450,23 +452,30 @@ class GreedyCPP(CPPMechanism):
 class BalancedPrefixCPP(CPPMechanism):
     """Random-permutation prefixes (balanced w.h.p. against any hidden
     bisection); returns the smallest prefix of size <= k reaching the share
-    _PREFIX_SHARE of the full-set value, else the size-k prefix."""
+    _PREFIX_SHARE of the full-set value, else the size-k prefix.  Asks every
+    view for the full set and all k prefixes: k + 1 queries per view."""
 
     name = "balanced_prefix"
 
     def allocate(self, views, k, rng):
-        m = views[0].m
-        perm = [int(j) for j in rng.permutation(m)]
-        total = sum(v.eval(ItemSet.full(m)) for v in views)
-        mask = 0
-        chosen = None
-        for t, j in enumerate(perm[:k], start=1):
-            mask |= 1 << j
-            val = sum(v.eval(mask) for v in views)
-            if val >= _PREFIX_SHARE * total:
-                chosen = ItemSet(mask, m)
-                break
-        return chosen if chosen is not None else ItemSet(mask, m)
+        m, width = views[0].m, word_count(views[0].m)
+        perm = rng.permutation(m)[:k]
+        full = words_from_masks([(1 << m) - 1], m)
+        total = sum(v.eval_many(full) for v in views)[0]
+        # prefix t + 1 is row t; the rows are built and asked a block at a
+        # time, so that at m = 160,000 they never all sit in memory at once
+        step = max(1, ROW_BLOCK_WORDS // max(1, width))
+        values = np.empty(k)
+        last = np.zeros(width, dtype=np.uint64)
+        for lo in range(0, k, step):
+            rows = singleton_words(m, perm[lo : lo + step])
+            rows[0] |= last
+            np.bitwise_or.accumulate(rows, axis=0, out=rows)
+            last = rows[-1]
+            values[lo : lo + step] = sum(v.eval_many(rows) for v in views)
+        reached = np.flatnonzero(values >= _PREFIX_SHARE * total)
+        size = int(reached[0]) + 1 if reached.size else k
+        return ItemSet.from_indices(perm[:size].tolist(), m)
 
 
 class ExhaustiveOptCPP(CPPMechanism):

@@ -1,17 +1,16 @@
 """Monotone submodular set functions under the value-oracle query model.
 
-Ground sets are [0, m).  Sets are packed bit-vectors (arbitrary-precision
-ints), so intersection/union/cardinality are single machine-level ops even
-at m = 160000.  Every oracle evaluation bumps a query counter; structural
-checks (monotonicity, submodularity) run either exhaustively over all 2^m
-subsets (m <= 24) or by sampled triples.
+Ground sets are [0, m).  A set is queried as a packed row of word_count(m)
+uint64 words, word i holding items [64i, 64i + 64); an ItemSet holds the
+same bits as one int.  Every oracle evaluation bumps a query counter;
+structural checks (monotonicity, submodularity) run either exhaustively over
+all 2^m subsets (m <= 24) or by sampled triples.
 
-A batch query, eval_many, takes many sets at once as the rows of a
-(batch, word_count(m)) uint64 array, word i holding items [64i, 64i + 64).
-It counts one query per row and returns the values the scalar eval would
-return for the same sets, bit for bit.  eval_extensions asks for the
-singleton extensions S + j of one packed set S, one query per item j, with
-the values eval_many gives on those rows.
+Each oracle family has one evaluator, over a batch of rows.  eval_many asks
+for the rows of a (batch, word_count(m)) uint64 array and counts one query
+per row; eval asks for one set as a one-row batch.  eval_extensions asks for
+the singleton extensions S + j of one packed set S, one query per item j,
+with the values eval_many gives on those rows.
 """
 from __future__ import annotations
 
@@ -32,6 +31,9 @@ _EVAL_CHUNK = 1 << 14
 # ground sets whose singleton rows fit in this many words share one cached
 # table: the 32 cached tables pin at most 16 MB
 _SINGLETON_TABLE_WORDS = 1 << 16
+# rows that a caller packs itself (sampled triples, balanced prefixes) are
+# built and asked in blocks of at most this many words (8 MB) per array
+ROW_BLOCK_WORDS = 1 << 20
 
 
 class GroundSetError(ValueError):
@@ -232,9 +234,9 @@ def intersection_sizes(words: np.ndarray, within: np.ndarray) -> np.ndarray:
 
 def _sum_in_item_order(weights: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """Per row, the weights of the selected columns added left to right from
-    0.0, as the scalar loops add them.  np.sum's pairwise order would change
-    low bits, and a masked copy keeps 0 * inf out of unselected columns.  The
-    result is contiguous: BLAS sums a strided vector in another order."""
+    0.0, in item order.  np.sum's pairwise order would change low bits, and
+    a masked copy keeps 0 * inf out of unselected columns.  The result is
+    contiguous: BLAS sums a strided vector in another order."""
     terms = np.zeros((len(selected), selected.shape[1] + 1))
     np.copyto(terms[:, 1:], weights, where=selected)
     return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
@@ -243,13 +245,12 @@ def _sum_in_item_order(weights: np.ndarray, selected: np.ndarray) -> np.ndarray:
 class ValuationOracle:
     """Set function exposed only through value queries.
 
-    eval() accepts an ItemSet or a raw mask int; each call increments the
-    query counter (thread-safe so concurrent audits still report exact
-    totals).  eval_many() takes packed sets, one per row, and counts one
-    query per row.  Every family in this package passes fn_many to evaluate
-    the rows as arrays, bit-identical to fn; an oracle built without one
-    sends its rows through fn one at a time.  fn_many sees at most
-    _EVAL_CHUNK rows per call.
+    fn_many(words) is the oracle's one evaluator: it takes packed sets, the
+    rows of a (batch, word_count(m)) uint64 array, at most _EVAL_CHUNK rows
+    per call, and returns their values as floats.  eval_many() checks a
+    batch and counts one query per row; eval() takes an ItemSet or a raw
+    mask int and asks for it as a one-row batch.  The counter is thread-safe
+    so concurrent audits still report exact totals.
 
     eval_extensions(words, free) asks for S + j for every j in `free`, S one
     packed row, and counts one query per j.  By default it builds those rows,
@@ -263,30 +264,22 @@ class ValuationOracle:
     withheld from mechanisms under audit (see restricted_view()).
     """
 
-    __slots__ = ("m", "descriptor", "_fn", "_fn_many", "_fn_extensions", "_count", "_lock")
+    __slots__ = ("m", "descriptor", "_fn_many", "_fn_extensions", "_count", "_lock")
 
     def __init__(
         self,
         m: int,
-        fn: Callable[[int], float],
+        fn_many: Callable[[np.ndarray], np.ndarray],
         descriptor: dict,
-        fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
         fn_extensions: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ):
         self.m = m
-        self._fn = fn
-        if fn_many is None:
-
-            def fn_many(words: np.ndarray) -> np.ndarray:
-                masks = masks_from_words(words)
-                return np.fromiter(map(fn, masks), dtype=float, count=len(masks))
-
         self._fn_many = fn_many
         self._fn_extensions = fn_extensions
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
-        v0 = fn(0)
+        v0 = float(fn_many(np.zeros((1, word_count(m)), dtype=np.uint64))[0])
         if not abs(v0) <= 1e-12:  # NaN fails too
             raise OracleContractError(f"f(empty) = {v0!r}, expected 0")
 
@@ -294,9 +287,7 @@ class ValuationOracle:
         mask = S.mask if isinstance(S, ItemSet) else S
         if mask < 0 or mask >> self.m:
             raise GroundSetError(f"query outside ground set of size {self.m}")
-        with self._lock:
-            self._count += 1
-        return self._fn(mask)
+        return float(self._query(words_from_masks([mask], self.m))[0])
 
     def eval_many(self, words: np.ndarray) -> np.ndarray:
         """Values of the sets packed in the rows of a (batch, word_count(m))
@@ -310,6 +301,11 @@ class ValuationOracle:
         tail = self.m % WORD_BITS
         if tail and (words[:, -1] >> np.uint64(tail)).any():
             raise GroundSetError(f"query outside ground set of size {self.m}")
+        return self._query(words)
+
+    def _query(self, words: np.ndarray) -> np.ndarray:
+        """eval_many on rows already checked against this ground set: product
+        and scaled oracles forward their rows here, not to eval_many."""
         with self._lock:
             self._count += len(words)
         if len(words) <= _EVAL_CHUNK:
@@ -406,22 +402,13 @@ def make_additive(weights: Sequence[float]) -> ValuationOracle:
     if not all(x >= 0 for x in w):  # NaN fails too
         raise OracleContractError("additive weights must be nonnegative")
     m = len(w)
-
-    def fn(mask: int) -> float:
-        total = 0.0
-        while mask:
-            low = mask & -mask
-            total += w[low.bit_length() - 1]
-            mask ^= low
-        return total
-
     w_arr = np.array(w)
 
     def fn_many(words: np.ndarray) -> np.ndarray:
         return _sum_in_item_order(w_arr, bits_from_words(words, m))
 
     desc = {"kind": "additive", "params": {"weights": w}, "seed": None}
-    return ValuationOracle(m, fn, desc, fn_many)
+    return ValuationOracle(m, fn_many, desc)
 
 
 def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOracle:
@@ -433,17 +420,6 @@ def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOr
     if not b >= 0:
         raise OracleContractError("budget must be nonnegative")
     m = len(w)
-
-    def fn(mask: int) -> float:
-        total = 0.0
-        while mask:
-            low = mask & -mask
-            total += w[low.bit_length() - 1]
-            if total >= b:
-                return b
-            mask ^= low
-        return total
-
     w_arr = np.array(w)
 
     def fn_many(words: np.ndarray) -> np.ndarray:
@@ -454,7 +430,7 @@ def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOr
         return np.where((total >= b) & selected.any(axis=1), b, total)
 
     desc = {"kind": "budget_additive", "params": {"weights": w, "budget": b}, "seed": None}
-    return ValuationOracle(m, fn, desc, fn_many)
+    return ValuationOracle(m, fn_many, desc)
 
 
 def make_coverage(
@@ -468,30 +444,13 @@ def make_coverage(
     if not all(x >= 0 for x in uw):  # NaN fails too
         raise OracleContractError("universe weights must be nonnegative")
     u, m = len(uw), len(cover_map)
-    covers = []
     # covered_by[e, j]: item j covers universe element e
     covered_by = np.zeros((u, m), dtype=bool)
     for j, elems in enumerate(cover_map):
-        cm = 0
         for e in elems:
             if not 0 <= e < u:
                 raise GroundSetError(f"item {j} covers element {e} outside universe")
-            cm |= 1 << e
             covered_by[e, j] = True
-        covers.append(cm)
-
-    def fn(mask: int) -> float:
-        covered = 0
-        while mask:
-            low = mask & -mask
-            covered |= covers[low.bit_length() - 1]
-            mask ^= low
-        total = 0.0
-        while covered:
-            low = covered & -covered
-            total += uw[low.bit_length() - 1]
-            covered ^= low
-        return total
 
     # row e packs the items that cover universe element e
     covering = words_from_bits(covered_by)
@@ -505,11 +464,11 @@ def make_coverage(
         "kind": "coverage",
         "params": {
             "universe_weights": uw,
-            "cover_map": [sorted(ItemSet(cm, u).indices()) for cm in covers],
+            "cover_map": [np.flatnonzero(covered_by[:, j]).tolist() for j in range(m)],
         },
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc, fn_many)
+    return ValuationOracle(m, fn_many, desc)
 
 
 def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
@@ -519,13 +478,8 @@ def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
     """
     if not 0.0 < omega < 1.0:
         raise OracleContractError(f"omega must be in (0, 1), got {omega}")
-    a_mask, m, w = A.mask, A.m, float(omega)
-
-    def fn(mask: int) -> float:
-        inside = (mask & a_mask).bit_count()
-        return inside + w * ((mask).bit_count() - inside)
-
-    a_words = words_from_masks([a_mask], m)
+    m, w = A.m, float(omega)
+    a_words = words_from_masks([A.mask], m)
 
     def fn_many(words: np.ndarray) -> np.ndarray:
         inside = intersection_sizes(words, a_words)
@@ -536,31 +490,28 @@ def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
         "params": {"A": A.to_hex(), "m": m, "omega": w},
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc, fn_many)
+    return ValuationOracle(m, fn_many, desc)
 
 
 def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle:
     """f = 1 - (1 - f1)(1 - f2); preserves monotone submodularity for [0,1]-valued parts.
 
-    Each composite query, scalar, one row of a batch or one extension, issues
+    Each composite query, one row of a batch or one extension, issues
     exactly one query to each component.
     """
     if f1.m != f2.m:
         raise GroundSetError(f"component ground sizes differ: {f1.m} vs {f2.m}")
     m = f1.m
-    full = (1 << m) - 1
+    full = words_from_masks([(1 << m) - 1], m)
     for f in (f1, f2):
-        top = f._fn(full)
+        top = float(f._fn_many(full)[0])
         if top > 1.0 + 1e-12 or top < -1e-12:
             raise OracleContractError(
                 f"component range outside [0, 1]: f(full) = {top!r}"
             )
 
-    def fn(mask: int) -> float:
-        return 1.0 - (1.0 - f1.eval(mask)) * (1.0 - f2.eval(mask))
-
     def fn_many(words: np.ndarray) -> np.ndarray:
-        return 1.0 - (1.0 - f1.eval_many(words)) * (1.0 - f2.eval_many(words))
+        return 1.0 - (1.0 - f1._query(words)) * (1.0 - f2._query(words))
 
     def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
         return 1.0 - (1.0 - f1.eval_extensions(words, free)) * (
@@ -572,7 +523,7 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
         "params": {"components": [f1.descriptor, f2.descriptor]},
         "seed": None,
     }
-    return ValuationOracle(m, fn, desc, fn_many, fn_extensions)
+    return ValuationOracle(m, fn_many, desc, fn_extensions)
 
 
 def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
@@ -580,17 +531,14 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     if not lam >= 0:
         raise OracleContractError("scale factor must be nonnegative")
 
-    def fn(mask: int) -> float:
-        return lam * f.eval(mask)
-
     def fn_many(words: np.ndarray) -> np.ndarray:
-        return lam * f.eval_many(words)
+        return lam * f._query(words)
 
     def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
         return lam * f.eval_extensions(words, free)
 
     desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}, "seed": None}
-    return ValuationOracle(f.m, fn, desc, fn_many, fn_extensions)
+    return ValuationOracle(f.m, fn_many, desc, fn_extensions)
 
 
 def tabulate(oracle) -> np.ndarray:
@@ -705,33 +653,44 @@ def check_monotone_submodular(
         return StructureReport(passed, "exhaustive", m, checked, STRUCT_TOL, *found, *counts)
 
     if mode == "sampled":
+        if m < 2:
+            raise GroundSetError(f"a sampled check draws item pairs: m must be >= 2, got {m}")
         if rng is None:
             rng = np.random.default_rng(0)
         mono, sub = [], []
         mono_count = sub_count = 0
-        ev = oracle.eval
-        for _ in range(trials):
-            mask = int(rng.integers(0, 1 << min(m, 62)))
-            if m > 62:
-                mask = 0
-                for block in range((m + 61) // 62):
-                    mask |= int(rng.integers(0, 1 << min(62, m - 62 * block))) << (62 * block)
-            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
-            mask &= ~(1 << i) & ~(1 << j)
-            f_s = ev(mask)
-            f_si = ev(mask | (1 << i))
+        # the triples are drawn one at a time and asked for a block at a time
+        step = max(1, ROW_BLOCK_WORDS // max(1, word_count(m)))
+        for lo in range(0, trials, step):
+            masks, items_i, items_j = [], [], []
+            for _ in range(min(step, trials - lo)):
+                mask = int(rng.integers(0, 1 << min(m, 62)))
+                if m > 62:
+                    mask = 0
+                    for block in range((m + 61) // 62):
+                        draw = int(rng.integers(0, 1 << min(62, m - 62 * block)))
+                        mask |= draw << (62 * block)
+                i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+                masks.append(mask & ~(1 << i) & ~(1 << j))
+                items_i.append(i)
+                items_j.append(j)
+            S = words_from_masks(masks, m)
+            bit_i = singleton_words(m, np.array(items_i, dtype=np.intp))
+            bit_j = singleton_words(m, np.array(items_j, dtype=np.intp))
+            f_s, f_si = oracle.eval_many(S), oracle.eval_many(S | bit_i)
+            f_sj, f_sij = oracle.eval_many(S | bit_j), oracle.eval_many(S | bit_i | bit_j)
             gain = f_si - f_s
-            if gain < -STRUCT_TOL:
-                mono_count += 1
-                if len(mono) < _MAX_RECORDED:
-                    mono.append(MonotoneViolation(ItemSet(mask, m), i, gain))
-            f_sj = ev(mask | (1 << j))
-            f_sij = ev(mask | (1 << i) | (1 << j))
             diff = gain - (f_sij - f_sj)
-            if diff < -STRUCT_TOL:
-                sub_count += 1
-                if len(sub) < _MAX_RECORDED:
-                    sub.append(SubmodularViolation(ItemSet(mask, m), i, j, diff))
+            bad_mono = np.flatnonzero(gain < -STRUCT_TOL)
+            bad_sub = np.flatnonzero(diff < -STRUCT_TOL)
+            mono_count += bad_mono.size
+            sub_count += bad_sub.size
+            for t in bad_mono[: _MAX_RECORDED - len(mono)].tolist():
+                mono.append(MonotoneViolation(ItemSet(masks[t], m), items_i[t], float(gain[t])))
+            for t in bad_sub[: _MAX_RECORDED - len(sub)].tolist():
+                sub.append(
+                    SubmodularViolation(ItemSet(masks[t], m), items_i[t], items_j[t], float(diff[t]))
+                )
         passed = mono_count == 0 and sub_count == 0
         return StructureReport(
             passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count

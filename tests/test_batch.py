@@ -1,10 +1,11 @@
-"""Batch value queries: eval_many against the scalar eval it stands for.
+"""Batch value queries: eval_many against the scalar reference.
 
-eval_many must return, bit for bit, what a loop of eval returns on the same
-sets, and count one query per row.  Every family evaluates the rows as
-arrays; an oracle built without a batch function goes through its scalar
-function row by row.
+Every family evaluates sets only as packed rows.  eval_many must return, bit
+for bit, what the descriptor-driven scalar reference in reference_oracles
+gives on the same sets, and count one query per row.
 """
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -44,6 +45,7 @@ from symgap.setfn import (
     words_from_bits,
     words_from_masks,
 )
+from reference_oracles import KINDS, scalar_value, scalar_values
 
 SIZES = (2, 63, 64, 65, 130, 400)
 PHIS = (
@@ -98,10 +100,6 @@ def _random_rows(m: int, rng: np.random.Generator, batch: int = 40) -> np.ndarra
     return words_from_bits(rng.random((batch, m)) < p[:, None])
 
 
-def _scalar(oracle, words: np.ndarray) -> np.ndarray:
-    return np.array([oracle.eval(mask) for mask in masks_from_words(words)], dtype=float)
-
-
 class TestPacking:
     @given(seeds, st.sampled_from(SIZES))
     def test_bits_masks_and_words_agree(self, seed, m):
@@ -122,6 +120,26 @@ class TestPacking:
         assert [word_count(m) for m in (0, 1, 63, 64, 65, 128, 400)] == [0, 1, 1, 1, 2, 2, 7]
 
 
+def _reconstructible_kinds() -> set[str]:
+    """The descriptor kinds that reconstruct_oracle compares `kind` against."""
+    tree = ast.parse(inspect.getsource(setfn.reconstruct_oracle))
+    return {
+        const.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind"
+        for const in ast.walk(node.comparators[0])
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    }
+
+
+def test_every_reconstructible_kind_has_a_scalar_reference():
+    kinds = _reconstructible_kinds()
+    assert {"additive", "product", "symgap"} <= kinds
+    assert kinds == KINDS
+    with pytest.raises(KeyError):
+        scalar_value({"kind": "hidden"}, 0)
+
+
 class TestEvalMany:
     @pytest.mark.parametrize("m", SIZES)
     @pytest.mark.parametrize("phi", PHIS, ids=lambda p: str(p.to_param_dict()))
@@ -130,7 +148,7 @@ class TestEvalMany:
         rng = np.random.default_rng(m)
         oracle = _two_block(m, phi, beta, rng).oracle()
         words = _random_rows(m, rng)
-        assert oracle.eval_many(words).tobytes() == _scalar(oracle, words).tobytes()
+        assert oracle.eval_many(words).tobytes() == scalar_values(oracle, words).tobytes()
 
     @given(seeds, st.sampled_from(SIZES), st.sampled_from(PHIS), st.sampled_from(BETAS))
     @settings(max_examples=60, deadline=None)
@@ -138,7 +156,7 @@ class TestEvalMany:
         rng = np.random.default_rng(seed)
         oracle = _two_block(m, phi, beta, rng).oracle()
         words = _random_rows(m, rng, batch=8)
-        assert oracle.eval_many(words).tobytes() == _scalar(oracle, words).tobytes()
+        assert oracle.eval_many(words).tobytes() == scalar_values(oracle, words).tobytes()
 
     @given(seeds, st.sampled_from(SIZES), st.sampled_from(FALLBACK_KINDS))
     @settings(max_examples=60, deadline=None)
@@ -146,7 +164,7 @@ class TestEvalMany:
         rng = np.random.default_rng(seed)
         oracle = _fallback(kind, m, rng)
         words = _random_rows(m, rng, batch=8)
-        assert oracle.eval_many(words).tobytes() == _scalar(oracle, words).tobytes()
+        assert oracle.eval_many(words).tobytes() == scalar_values(oracle, words).tobytes()
 
     @pytest.mark.parametrize("m", SIZES)
     @pytest.mark.parametrize("kind", ("two_block",) + FALLBACK_KINDS)
@@ -191,7 +209,7 @@ class TestEvalMany:
         values = oracle.eval_many(words)
         assert oracle.query_count == batch
         assert values.dtype == np.float64 and values.flags.c_contiguous
-        assert values.tobytes() == _scalar(oracle, words).tobytes()
+        assert values.tobytes() == scalar_values(oracle, words).tobytes()
 
     def test_tabulate_sends_at_most_one_chunk_per_call(self):
         m, sizes = 17, []
@@ -200,7 +218,9 @@ class TestEvalMany:
             sizes.append(len(words))
             return np.bitwise_count(words[:, 0]).astype(float)
 
-        oracle = ValuationOracle(m, lambda mask: float(mask.bit_count()), {}, fn_many)
+        oracle = ValuationOracle(m, fn_many, {})
+        assert sizes == [1]  # the f(empty) check at construction
+        sizes.clear()
         table = tabulate(oracle)
         assert sizes == [setfn._EVAL_CHUNK] * ((1 << m) // setfn._EVAL_CHUNK)
         assert table.tobytes() == np.bitwise_count(np.arange(1 << m)).astype(float).tobytes()
@@ -244,7 +264,7 @@ def _all_rows(m: int) -> np.ndarray:
 def _assert_matches_scalar(oracle, words: np.ndarray) -> None:
     batch = oracle.eval_many(words)
     assert batch.dtype == np.float64 and batch.flags.c_contiguous
-    assert batch.tobytes() == _scalar(oracle, words).tobytes()
+    assert batch.tobytes() == scalar_values(oracle, words).tobytes()
 
 
 EDGE_WEIGHTS = (
@@ -332,17 +352,24 @@ class TestEdgeCases:
         _assert_matches_scalar(oracle, np.zeros((0, word_count(m)), dtype=np.uint64))
         assert oracle.query_count == 0
 
-    def test_oracle_without_batch_function_goes_row_by_row(self):
-        calls = []
+    def test_eval_is_a_one_row_batch(self):
+        rows = []
 
-        def fn(mask: int) -> float:
-            calls.append(mask)
-            return 0.5 * mask.bit_count()
+        def fn_many(words: np.ndarray) -> np.ndarray:
+            rows.append(words.copy())
+            return 0.5 * np.bitwise_count(words).sum(1)
 
-        oracle = ValuationOracle(3, fn, {"kind": "custom"})
-        assert oracle.eval_many(_all_rows(3)).tolist() == [0.5 * bin(s).count("1") for s in range(8)]
-        assert calls == [0] + list(range(8))  # f(empty) checked at construction
-        assert oracle.query_count == 8
+        oracle = ValuationOracle(70, fn_many, {"kind": "custom"})
+        value = oracle.eval(ItemSet.from_indices([1, 2, 66], 70))
+        assert type(value) is float and value == 1.5
+        assert oracle.eval(1 << 69) == 0.5
+        # f(empty) is checked at construction on one row, and counts nothing
+        assert [r.tolist() for r in rows] == [[[0, 0]], [[6, 4]], [[0, 1 << 5]]]
+        assert oracle.query_count == 2
+        for mask in (-1, 1 << 70):
+            with pytest.raises(GroundSetError):
+                oracle.eval(mask)
+        assert oracle.query_count == 2
 
 
 class TestAboveGridSize:
@@ -373,7 +400,9 @@ class TestAboveGridSize:
         assert (a - b > beta).any() and (b - a > beta).any() and (abs(a - b) <= beta).any()
         oracle = val.oracle()
         assert oracle.eval_many(words).tobytes() == ref.tobytes()
-        assert _scalar(oracle, words).tobytes() == ref.tobytes()
+        assert scalar_values(oracle, words).tobytes() == ref.tobytes()
+        single = [oracle.eval(mask) for mask in masks_from_words(words)]
+        assert np.array(single).tobytes() == ref.tobytes()
 
 
 class TestTabulate:
@@ -584,12 +613,6 @@ class TestEvalExtensions:
         assert masks_from_words(table) == [1 << j for j in range(9)]
         with pytest.raises(ValueError):
             table[0, 0] = 0
-
-    def test_default_path_without_batch_function(self):
-        oracle = ValuationOracle(5, lambda mask: 0.5 * mask.bit_count(), {"kind": "custom"})
-        values = oracle.eval_extensions(words_from_masks([0b00100], 5)[0], [0, 1, 4])
-        assert values.tolist() == [1.0, 1.0, 1.0]
-        assert oracle.query_count == 3
 
 
 def _scalar_greedy(oracles, k, tol=1e-12):

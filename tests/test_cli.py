@@ -128,12 +128,22 @@ class TestExitCodes:
         assert "samples must be >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["1", "0"])
-    def test_poisson_midr_below_two_trials_exits_one(self, tmp_path, trials, capsys):
-        # one sample has no standard error, so the rounding check cannot run
+    @pytest.mark.parametrize("experiment", ["poisson-midr", "scaling-probe"])
+    def test_below_two_trials_exits_one(self, tmp_path, experiment, trials, capsys):
+        # one sample has no standard error, so the rounding check and the
+        # weak-monotonicity gate cannot run
         out = tmp_path / "out.json"
-        assert main(["poisson-midr", "--trials", trials, "--out", str(out)]) == 1
+        assert main([experiment, "--trials", trials, "--out", str(out)]) == 1
         assert not out.exists()
         assert "trials must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_sampled_structure_check_below_two_items_exits_one(self, tmp_path, m, capsys):
+        out = tmp_path / "out.json"
+        args = ["submod-check", "--mode", "sampled", "--family", "additive", "--m", m]
+        assert main(args + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert "m must be >= 2" in capsys.readouterr().err
 
     def test_help_shows_declared_default(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,6 +32,7 @@ CASES = {
     "concavity_seed0.json": ["concavity", "--seed", "0"],
     "concavity_additive_seed0.json": ["concavity", "--family", "additive", "--seed", "0"],
     "submod_check_seed0.json": ["submod-check", "--seed", "0"],
+    "submod_check_sampled_seed0.json": ["submod-check", "--mode", "sampled", "--seed", "0"],
     "product_compose_seed0.json": ["product-compose", "--seed", "0"],
     "psi_tilde_check_seed0.json": ["psi-tilde-check", "--seed", "0"],
     "chernoff_seed0.json": ["chernoff", "--seed", "0"],

@@ -24,6 +24,7 @@ from symgap.instances import (
     random_cpp_instance,
     two_block_product_instance,
 )
+from symgap import mechanisms
 from symgap.mechanisms import (
     GAIN_TOL,
     BalancedPrefixCPP,
@@ -355,6 +356,28 @@ class TestHarness:
         inst = self._instance(m=8, k=3)
         rep = run_mechanism(BalancedPrefixCPP(), inst, trials=10, seed=2)
         assert rep.feasible
+
+    @pytest.mark.parametrize("block_words", [mechanisms.ROW_BLOCK_WORDS, 1, 3])
+    @pytest.mark.parametrize("k", [10, 3])
+    def test_balanced_prefix_stops_at_the_first_prefix_reaching_the_share(
+        self, monkeypatch, k, block_words
+    ):
+        # item 5 holds most of the value, and the prefix one item past it is
+        # the first to reach the share: 4.37 of 4.79 against 4.30 for the
+        # prefix that ends at it.  At k = 3 no prefix reaches it.
+        monkeypatch.setattr(mechanisms, "ROW_BLOCK_WORDS", block_words)
+        m, seed = 12, 0
+        w = [0.05] * m
+        w[5] = 4.0
+        oracles = (make_additive(w), make_additive([0.02] * m))
+        perm = np.random.default_rng(seed).permutation(m).tolist()
+        assert perm.index(5) == 4
+        S = BalancedPrefixCPP().allocate(
+            tuple(o.restricted_view() for o in oracles), k, np.random.default_rng(seed)
+        )
+        assert S == ItemSet.from_indices(perm[: 6 if k == 10 else k], m)
+        # the full set and every prefix up to k, early stop or not
+        assert [o.query_count for o in oracles] == [k + 1, k + 1]
 
     def test_distribution_mechanism_through_harness(self):
         w = [0.5, 0.4, 0.3, 0.2]

@@ -38,6 +38,7 @@ from symgap.instances import (
     make_symgap_valuation,
     two_block_product_instance,
 )
+from reference_oracles import oracle_from_scalar, scalar_value
 
 
 class TestItemSet:
@@ -94,7 +95,7 @@ class TestValuationOracle:
 
     def test_normalization_enforced(self):
         with pytest.raises(OracleContractError):
-            ValuationOracle(2, lambda mask: 1.0, {"kind": "bad"})
+            oracle_from_scalar(2, lambda mask: 1.0, {"kind": "bad"})
 
     def test_query_outside_ground_set(self):
         oracle = make_additive([0.5])
@@ -185,7 +186,7 @@ class TestNaNInputs:
 
     def test_nan_at_the_empty_set(self):
         with pytest.raises(OracleContractError):
-            ValuationOracle(2, lambda mask: self.NAN, {"kind": "bad"})
+            oracle_from_scalar(2, lambda mask: self.NAN, {"kind": "bad"})
         A, B = ItemSet.from_indices([0], 2), ItemSet.from_indices([1], 2)
         for beta, lam in ((self.NAN, 1.0), (0.1, self.NAN)):
             with pytest.raises(OracleContractError):
@@ -235,14 +236,16 @@ class TestStructureCheck:
 
     def test_exhaustive_flags_planted_supermodular(self):
         # f(S) = (|S|/2)^2 is supermodular: marginal gains increase
-        oracle = ValuationOracle(4, lambda mask: (mask.bit_count() / 2.0) ** 2, {"kind": "planted"})
+        oracle = oracle_from_scalar(
+            4, lambda mask: (mask.bit_count() / 2.0) ** 2, {"kind": "planted"}
+        )
         rep = check_monotone_submodular(oracle)
         assert not rep.passed
         assert rep.submodular_violation_count > 0
         assert rep.monotone_violation_count == 0
 
     def test_exhaustive_flags_planted_nonmonotone(self):
-        oracle = ValuationOracle(
+        oracle = oracle_from_scalar(
             3, lambda mask: 1.0 - mask.bit_count() / 4.0 if mask else 0.0, {"kind": "planted"}
         )
         rep = check_monotone_submodular(oracle)
@@ -257,7 +260,9 @@ class TestStructureCheck:
         assert rep.checked > 0
 
     def test_violation_records_are_bounded(self):
-        oracle = ValuationOracle(8, lambda mask: float(mask.bit_count() ** 2), {"kind": "planted"})
+        oracle = oracle_from_scalar(
+            8, lambda mask: float(mask.bit_count() ** 2), {"kind": "planted"}
+        )
         rep = check_monotone_submodular(oracle)
         assert len(rep.submodular_violations) <= 100
         assert rep.submodular_violation_count >= len(rep.submodular_violations)
@@ -307,7 +312,7 @@ def _planted(m: int, seed: int, noise: float) -> ValuationOracle:
     table[moved] += rng.uniform(-noise, noise, int(moved.sum()))
     table[0] = 0.0
     values = table.tolist()
-    return ValuationOracle(m, values.__getitem__, {"kind": "planted"})
+    return oracle_from_scalar(m, values.__getitem__, {"kind": "planted"})
 
 
 class TestExhaustiveScanMatchesLoop:
@@ -324,6 +329,83 @@ class TestExhaustiveScanMatchesLoop:
         assert min(rep.monotone_violation_count, rep.submodular_violation_count) > 100
         assert len(rep.monotone_violations) == len(rep.submodular_violations) == 100
         assert check_monotone_submodular(_planted(10, seed=10, noise=0.0)).passed
+
+
+def _reference_sampled(oracle, trials: int, rng: np.random.Generator) -> StructureReport:
+    """The sampled check as a loop of four single queries per trial, with
+    the first 100 records of each kind in trial order."""
+    m = oracle.m
+    mono, sub = [], []
+    mono_count = sub_count = 0
+    ev = oracle.eval
+    for _ in range(trials):
+        mask = int(rng.integers(0, 1 << min(m, 62)))
+        if m > 62:
+            mask = 0
+            for block in range((m + 61) // 62):
+                mask |= int(rng.integers(0, 1 << min(62, m - 62 * block))) << (62 * block)
+        i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+        mask &= ~(1 << i) & ~(1 << j)
+        f_s = ev(mask)
+        f_si = ev(mask | (1 << i))
+        gain = f_si - f_s
+        if gain < -STRUCT_TOL:
+            mono_count += 1
+            if len(mono) < 100:
+                mono.append(MonotoneViolation(ItemSet(mask, m), i, gain))
+        f_sj = ev(mask | (1 << j))
+        f_sij = ev(mask | (1 << i) | (1 << j))
+        diff = gain - (f_sij - f_sj)
+        if diff < -STRUCT_TOL:
+            sub_count += 1
+            if len(sub) < 100:
+                sub.append(SubmodularViolation(ItemSet(mask, m), i, j, diff))
+    passed = mono_count == 0 and sub_count == 0
+    return StructureReport(
+        passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
+    )
+
+
+SAMPLED_CASES = {
+    "planted_m2": lambda: _planted(2, seed=2, noise=3.0),
+    "planted_m10": lambda: _planted(10, seed=10, noise=3.0),
+    "budget_additive_m5": lambda: make_budget_additive([0.2, 0.3, 0.1, 0.4, 0.15], 0.7),
+    # supermodular over two words: the draw takes two 62-bit blocks
+    "square_m70": lambda: oracle_from_scalar(
+        70, lambda mask: float(mask.bit_count() ** 2), {"kind": "planted"}
+    ),
+    "polar_m130": lambda: make_polar(ItemSet.from_indices(range(0, 130, 3), 130), 0.25),
+}
+
+
+class TestSampledCheckMatchesLoop:
+    # blocks of 7 words: many blocks, some holding recorded violations
+    @pytest.mark.parametrize("block_words", [setfn.ROW_BLOCK_WORDS, 7])
+    @pytest.mark.parametrize("trials", [0, 1, 3000])
+    @pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
+    def test_report_is_identical(self, monkeypatch, case, trials, block_words):
+        monkeypatch.setattr(setfn, "ROW_BLOCK_WORDS", block_words)
+        oracle, ref_oracle = SAMPLED_CASES[case](), SAMPLED_CASES[case]()
+        got = check_monotone_submodular(
+            oracle, mode="sampled", trials=trials, rng=np.random.default_rng(trials)
+        )
+        expected = _reference_sampled(ref_oracle, trials, np.random.default_rng(trials))
+        assert pickle.dumps(got) == pickle.dumps(expected)
+        assert oracle.query_count == ref_oracle.query_count == 4 * trials
+
+    def test_planted_violations_are_recorded(self):
+        rep = check_monotone_submodular(
+            SAMPLED_CASES["square_m70"](), mode="sampled", trials=300
+        )
+        assert rep.submodular_violation_count > 100 and len(rep.submodular_violations) == 100
+        assert rep.monotone_violation_count == 0
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_items_raise(self, m):
+        oracle = make_additive([0.5] * m)
+        with pytest.raises(GroundSetError, match="m must be >= 2"):
+            check_monotone_submodular(oracle, mode="sampled", trials=10)
+        assert oracle.query_count == 0
 
 
 class TestReconstruct:
@@ -350,4 +432,4 @@ class TestReconstruct:
         clone = reconstruct_oracle(oracle.to_json())
         assert clone.m == oracle.m
         for mask in range(1 << oracle.m):
-            assert clone.eval(mask) == oracle.eval(mask)
+            assert clone.eval(mask) == oracle.eval(mask) == scalar_value(oracle.descriptor, mask)

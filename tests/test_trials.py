@@ -16,7 +16,6 @@ import pytest
 from symgap import mechanisms
 from symgap.setfn import (
     ItemSet,
-    ValuationOracle,
     make_additive,
     make_budget_additive,
     masks_from_words,
@@ -50,6 +49,7 @@ from symgap.audit import (
     audit_truthfulness,
     extract_menu,
 )
+from reference_oracles import oracle_from_scalar
 
 
 def _deterministic_classes():
@@ -342,14 +342,14 @@ def _scalar_menu(mech, instance, special, family, trials, seed):
 
 
 def _plain_additive(weights):
-    """An additive oracle built without fn_many, so eval_many runs the scalar
-    function row by row."""
+    """An additive oracle whose batch evaluator runs a scalar function row
+    by row."""
     w = [float(x) for x in weights]
 
     def fn(mask):
         return sum((w[j] for j in range(len(w)) if mask >> j & 1), 0.0)
 
-    return ValuationOracle(len(w), fn, {"kind": "additive", "params": {"weights": w}})
+    return oracle_from_scalar(len(w), fn, {"kind": "additive", "params": {"weights": w}})
 
 
 def _auction_case(plain=False):
