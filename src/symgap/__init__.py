@@ -63,8 +63,6 @@ from .mechanisms import (
     CPPMechanism,
     AuctionMechanism,
     DistributionOverOutcomes,
-    EmpiricalReport,
-    ExhaustiveOptCPP,
     GreedyCPP,
     InfeasibleOutcomeError,
     MIDRResult,
@@ -78,7 +76,6 @@ from .mechanisms import (
     exhaustive_opt_cpp,
     greedy_cpp,
     poisson_midr_cpp,
-    run_mechanism,
     vcg_auction_exhaustive,
 )
 from .audit import (

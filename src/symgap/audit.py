@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .setfn import (
-    ItemSet,
     ValuationOracle,
     intersection_sizes,
     scale_oracle,
@@ -90,6 +89,16 @@ class TruthReport:
 # zeros: a trailing zero index would alias the shorter tuple.
 _DEVIATION_STREAM = 1
 _MENU_STREAM = 2
+_SCALING_STREAM = 3
+
+
+def _declare(instance, player: int, oracle: ValuationOracle):
+    """`instance` with player's declaration replaced by `oracle`."""
+    declared = list(instance.oracles)
+    declared[player] = oracle
+    if isinstance(instance, CPPInstance):
+        return CPPInstance(tuple(declared), instance.k)
+    return AuctionInstance(tuple(declared))
 
 
 def audit_truthfulness(
@@ -121,12 +130,7 @@ def audit_truthfulness(
             truth_scores[player] = (
                 oracles[player].eval_many(truth.words[:, player]) - truth.payments[:, player]
             )
-        declared = list(oracles)
-        declared[player] = dev_oracle
-        if isinstance(instance, CPPInstance):
-            dev_instance = CPPInstance(tuple(declared), instance.k)
-        else:
-            dev_instance = AuctionInstance(tuple(declared))
+        dev_instance = _declare(instance, player, dev_oracle)
         dev = run_trials(mech, dev_instance, trials, (seed, dev_idx, _DEVIATION_STREAM))
         dev_vals = (
             (1.0 - eps) * oracles[player].eval_many(dev.words[:, player])
@@ -348,9 +352,7 @@ def extract_menu(
     for prov, entry in enumerate(family):
         level_set = entry.A | entry.B
         level_size = len(level_set)
-        declared = list(instance.oracles)
-        declared[special] = entry.oracle()
-        dev_instance = AuctionInstance(tuple(declared))
+        dev_instance = _declare(instance, special, entry.oracle())
         runs = run_trials(mech, dev_instance, trials, (seed, prov, _MENU_STREAM))
         level_words = words_from_masks([level_set.mask], level_set.m)
         X = intersection_sizes(runs.words[:, special], level_words) / level_size
@@ -795,8 +797,8 @@ def chernoff_bisection_test(
 ) -> dict:
     """Empirical tail of ||S∩A| - |S∩B|| over uniform equal bisections vs the
     4 e^{-beta^2 m'/2} bound, for the fixed probe set S = first half."""
-    if m_prime % 2:
-        raise ValueError("m_prime must be even")
+    if m_prime < 2 or m_prime % 2:
+        raise ValueError(f"m_prime must be positive and even, got {m_prime}")
     if not 0.0 < beta < 1.0:  # NaN fails too
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     half = m_prime // 2
@@ -830,8 +832,8 @@ def chernoff_bisection_test(
 def basic_instance_counting(n: int, m: int, trials: int, seed: int) -> dict:
     """Empirical E|A_1 ∪ ... ∪ A_n| for independent uniform size-(m/n) sets
     against the closed form m(1 - (1 - 1/n)^n), which exceeds m/2."""
-    if m % n:
-        raise ValueError("need n | m")
+    if n < 1 or m < 1 or m % n:
+        raise ValueError(f"need positive n and m with n | m, got n = {n}, m = {m}")
     size = m // n
     rng = np.random.default_rng(seed)
     sizes = np.zeros(trials)
@@ -867,63 +869,38 @@ def basic_instance_counting(n: int, m: int, trials: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cpp_allocation_closure(mech, k: int) -> Callable:
-    """Wrap a public-project mechanism as declared-oracle -> sampled ItemSet."""
-
-    def closure(declared: ValuationOracle, rng: np.random.Generator) -> ItemSet:
-        views = (declared,) if getattr(mech, "needs_descriptor", False) else (
-            declared.restricted_view(),
-        )
-        res = mech.allocate(views, k, rng)
-        if isinstance(res, DistributionOverOutcomes):
-            res = res.sample(rng)
-        return res
-
-    return closure
-
-
-def auction_special_closure(mech, others: Sequence[ValuationOracle], special: int) -> Callable:
-    """Wrap an auction mechanism as the special player's declared-oracle ->
-    awarded-bundle map, with the other declarations held fixed."""
-
-    def closure(declared: ValuationOracle, rng: np.random.Generator) -> ItemSet:
-        oracles = list(others)
-        oracles.insert(special, declared)
-        views = tuple(o.restricted_view() for o in oracles)
-        return mech.allocate(views, rng).sets[special]
-
-    return closure
-
-
 def scaling_probe(
-    alloc_closure: Callable[[ValuationOracle, np.random.Generator], ItemSet],
-    oracle: ValuationOracle,
+    mech,
+    instance,
     schedule: Sequence[float],
     trials: int,
     seed: int,
     eps: float = 0.0,
     wm_pairs: Sequence[tuple[ValuationOracle, ValuationOracle]] = (),
 ) -> dict:
-    """Trace E[v . A(alpha v)] over a scaling schedule and check the
+    """Trace E[v . A(alpha v)] for player 0 of `instance`, whose true
+    valuation v is its declared one, over a scaling schedule, and check the
     tail-vs-supremum envelope plus weak monotonicity on declared pairs.
 
     For a (1-eps)-truthful allocation rule the trace tail cannot fall below
     (1-eps) times the supremum over the schedule (up to sampling noise).
     Each point is a mean with a standard error, so trials must be >= 2.
+    Schedule point i, then each pair's v and u declarations in turn, run
+    through run_trials with the entropy tuple (seed, index, _SCALING_STREAM).
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+    oracle = instance.oracles[0]
 
-    def values(orc: ValuationOracle, sets: list[ItemSet]) -> np.ndarray:
-        return orc.eval_many(words_from_masks([S.mask for S in sets], orc.m))
+    def bundles(idx: int, declared: ValuationOracle) -> np.ndarray:
+        """Player 0's bundle in each trial, with `declared` as its declaration."""
+        declared_instance = _declare(instance, 0, declared)
+        return run_trials(mech, declared_instance, trials, (seed, idx, _SCALING_STREAM)).words[:, 0]
 
-    children = np.random.SeedSequence(seed).spawn(len(schedule) + len(wm_pairs))
     trace = []
     for idx, alpha in enumerate(schedule):
-        declared = scale_oracle(oracle, float(alpha))
-        rng = np.random.default_rng(children[idx])
-        outs = [alloc_closure(declared, rng) for _ in range(trials)]
-        mean, se = mean_stderr(values(oracle, outs))
+        at_alpha = bundles(idx, scale_oracle(oracle, float(alpha)))
+        mean, se = mean_stderr(oracle.eval_many(at_alpha))
         trace.append({"alpha": float(alpha), "value": mean, "stderr": se})
     sup = max(t["value"] for t in trace)
     sup_se = max(t["stderr"] for t in trace)
@@ -934,11 +911,10 @@ def scaling_probe(
 
     wm_entries = []
     for pair_idx, (u_orc, v_orc) in enumerate(wm_pairs):
-        rng = np.random.default_rng(children[len(schedule) + pair_idx])
-        outs_v = [alloc_closure(v_orc, rng) for _ in range(trials)]
-        outs_u = [alloc_closure(u_orc, rng) for _ in range(trials)]
-        v_Av, u_Av = values(v_orc, outs_v), values(u_orc, outs_v)
-        v_Au, u_Au = values(v_orc, outs_u), values(u_orc, outs_u)
+        idx = len(schedule) + 2 * pair_idx
+        at_v, at_u = bundles(idx, v_orc), bundles(idx + 1, u_orc)
+        v_Av, u_Av = v_orc.eval_many(at_v), u_orc.eval_many(at_v)
+        v_Au, u_Au = v_orc.eval_many(at_u), u_orc.eval_many(at_u)
         lhs = v_Av.mean() - (1.0 - eps) * u_Av.mean()
         rhs = (1.0 - eps) * v_Au.mean() - u_Au.mean()
         se = math.sqrt(

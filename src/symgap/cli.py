@@ -36,6 +36,7 @@ from .setfn import (
 )
 from .instances import (
     AuctionInstance,
+    CPPInstance,
     CPPLevelParams,
     PhiAlpha,
     TwoBlockValuation,
@@ -92,8 +93,15 @@ def _rng(seed, *salt) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + tuple(salt)))
 
 
+def _need_two_items(m: int, what: str) -> None:
+    # checked before any draw, so that valid sizes keep their streams
+    if m < 2:
+        raise OracleContractError(f"--m must be >= 2 to draw {what}, got {m}")
+
+
 def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
     """One random monotone submodular oracle from the concrete families."""
+    _need_two_items(m, "random oracles")
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)])
@@ -105,7 +113,9 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
         universe = int(rng.integers(m, 2 * m + 1))
         weights = [float(w) for w in rng.uniform(0.0, 1.0, universe)]
         cover = [
-            [int(u) for u in rng.choice(universe, size=rng.integers(1, 4), replace=False)]
+            # at most 3 elements, and at most the universe when m = 2
+            [int(u) for u in rng.choice(universe, size=rng.integers(1, min(universe, 3) + 1),
+                                        replace=False)]
             for _ in range(m)
         ]
         return make_coverage(weights, cover)
@@ -236,6 +246,7 @@ def _exp_concavity(
 
 
 def _coverage_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
+    _need_two_items(m, "a coverage oracle")
     universe = 2 * m
     weights = [float(w) for w in rng.uniform(0.0, 1.0 / universe, universe)]
     cover = [
@@ -713,14 +724,13 @@ def _exp_scaling_probe(
     rng = _rng(cfg.seed, 11)
     w = rng.uniform(0.1, 1.0, m)
     oracle = make_budget_additive([float(x) for x in w], float(0.6 * w.sum()))
-    closure = audit.cpp_allocation_closure(GreedyCPP(), k)
     wm_pairs = [
         (scale_oracle(oracle, 0.5), oracle),
         (make_additive([float(x) for x in rng.uniform(0.0, 0.5, m)]), oracle),
     ]
     return audit.scaling_probe(
-        closure, oracle, [float(a) for a in schedule.split(",")], trials, cfg.seed,
-        eps=0.0, wm_pairs=wm_pairs,
+        GreedyCPP(), CPPInstance((oracle,), k), [float(a) for a in schedule.split(",")],
+        trials, cfg.seed, eps=0.0, wm_pairs=wm_pairs,
     )
 
 
@@ -907,8 +917,9 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
         params[name] = value = tp(value)
         if choices and value not in choices:
             raise OracleContractError(f"{name} must be one of {list(choices)}, got {value!r}")
-    if params.get("trials", 1) < 1:
-        raise OracleContractError(f"trials must be positive, got {params['trials']}")
+    for name, value in params.items():
+        if name.endswith("trials") and value < 1:
+            raise OracleContractError(f"{name} must be positive, got {value}")
     config = replace(config, params={n: params[n] for n in config.params if n in params})
     report = fn(config, **params)
     code = 0 if report.get("passed", False) else FAIL_EXIT

@@ -495,6 +495,9 @@ def random_cpp_instance(
     n_max: int = 3,
 ) -> CPPInstance:
     """Random small public-project instance mixing the concrete oracle families."""
+    for name, value, least in (("m_max", m_max, 4), ("k_max", k_max, 1)):
+        if value < least:
+            raise OracleContractError(f"{name} must be >= {least}, got {value}")
     m = int(rng.integers(4, m_max + 1))
     m -= m % 2  # keep even so a symgap split is always available
     k = int(rng.integers(1, min(k_max, m) + 1))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -28,8 +28,8 @@ from .setfn import (
     word_count,
     words_from_masks,
 )
-from .instances import AuctionInstance, CPPInstance, TwoBlockValuation
-from .extensions import enum_weights, f_exp_blockwise, mean_stderr
+from .instances import CPPInstance, TwoBlockValuation
+from .extensions import enum_weights, f_exp_blockwise
 
 GAIN_TOL = 1e-12
 _AUCTION_ENUM_CAP = 4_000_000
@@ -478,14 +478,6 @@ class BalancedPrefixCPP(CPPMechanism):
         return ItemSet.from_indices(perm[:size].tolist(), m)
 
 
-class ExhaustiveOptCPP(CPPMechanism):
-    name = "exhaustive_opt"
-    deterministic = True
-
-    def allocate(self, views, k, rng):
-        return exhaustive_opt_cpp(views, k).S
-
-
 class PoissonMIDRCPP(CPPMechanism):
     """Distribution-valued direct-revelation mechanism: product-rounding
     lottery of the fractional optimizer over the declared valuation."""
@@ -544,64 +536,16 @@ class PayYourBidGreedyAuction(AuctionMechanism):
         return Outcome(sets, tuple(values))
 
 
-@dataclass
-class EmpiricalReport:
-    mechanism: str
-    kind: str
-    trials: int
-    seed: int
-    welfare_mean: float
-    welfare_stderr: float
-    feasible: bool
-    query_total: int
-    per_trial: list[dict]
-
-    def to_dict(self, include_trials: bool = True) -> dict:
-        d = {
-            "mechanism": self.mechanism,
-            "kind": self.kind,
-            "trials": self.trials,
-            "seed": self.seed,
-            "welfare_mean": self.welfare_mean,
-            "welfare_stderr": self.welfare_stderr,
-            "feasible": self.feasible,
-            "query_total": self.query_total,
-        }
-        if include_trials:
-            d["per_trial"] = self.per_trial
-        return d
-
-    def csv_rows(self) -> list[list]:
-        header = ["trial", "welfare", "queries", "feasible", "payments"]
-        rows: list[list] = [header]
-        for rec in self.per_trial:
-            rows.append(
-                [
-                    rec["trial"],
-                    rec["welfare"],
-                    rec["queries"],
-                    int(rec["feasible"]),
-                    ";".join(f"{p!r}" for p in rec.get("payments", [])),
-                ]
-            )
-        return rows
-
-
 @dataclass(frozen=True)
 class TrialColumns:
     """The seeded trials of a mechanism on one declared instance, packed.
 
-    Trial t realised results[index[t]], what one allocate call returned (a
-    distribution is sampled with the trial's own rng).  words[t, i] packs
-    player i's bundle (a public project gives every player its one set),
-    payments[t, i] is its payment (0.0 in a public project), and queries[t]
-    counts the oracle queries of that allocate call."""
+    words[t, i] packs player i's bundle in trial t (a public project gives
+    every player its one set, and a distribution is sampled with the trial's
+    own rng); payments[t, i] is its payment (0.0 in a public project)."""
 
-    results: tuple
-    index: np.ndarray
     words: np.ndarray
     payments: np.ndarray
-    queries: np.ndarray
 
 
 def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> TrialColumns:
@@ -609,10 +553,11 @@ def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> Tria
 
     Trial t uses the t-th child of SeedSequence(seed); `seed` may be an int or
     an entropy tuple.  A mechanism with `deterministic = True` is allocated
-    once, and its result and query count are reused for every trial; a
-    distribution result is still sampled with each trial's own rng, so the
-    streams equal those of re-running it.  A replayed trial builds no Python
-    object unless it samples a distribution.
+    once, and its result is reused for every trial; a distribution result is
+    still sampled with each trial's own rng, so the streams equal those of
+    re-running it.  A replayed trial builds no Python object unless it
+    samples a distribution.  An infeasible result raises
+    InfeasibleOutcomeError.
     """
     oracles = instance.oracles
     if getattr(mech, "needs_descriptor", False):
@@ -623,85 +568,37 @@ def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> Tria
     head = (views, instance.k) if isinstance(instance, CPPInstance) else (views,)
     replicate = getattr(mech, "deterministic", False)
     root = np.random.SeedSequence(seed)
-    results: list = []
-    spent: list[int] = []
+    # one row of n bundles and n payments per allocate call, then one per trial
+    masks: list[int] = []
+    pays: list[tuple[float, ...]] = []
+    drawn: list[bool] = []  # whether each call returned a distribution
     samples: list[int] = []  # masks drawn from distributions, in trial order
     index = np.zeros(trials, dtype=np.intp)
     res = None
     for t in range(trials):
         replay = replicate and t > 0
-        if replay and not isinstance(res, DistributionOverOutcomes):
-            break  # every later trial replays results[0] too
+        if replay and not drawn[-1]:
+            break  # every later trial replays row 0 too
         # child t of root.spawn(trials)
         rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
         if not replay:
-            before = sum(o.query_count for o in oracles)
             res = mech.allocate(*head, rng)
-            spent.append(sum(o.query_count for o in oracles) - before)
-            results.append(res)
-        index[t] = len(results) - 1
-        if isinstance(res, DistributionOverOutcomes):
+            if isinstance(res, Outcome):  # whose bundles are disjoint by construction
+                masks.extend(S.mask for S in res.sets)
+                pays.append(res.payments)
+            else:  # a project of at most k items, in expectation for a distribution
+                size = sum(res.x) if isinstance(res, DistributionOverOutcomes) else len(res)
+                if size > instance.k + 1e-9:
+                    raise InfeasibleOutcomeError(f"outcome of size {size} exceeds k = {instance.k}")
+                # a distribution's rows are filled from its samples below
+                masks.extend([res.mask if isinstance(res, ItemSet) else 0] * n)
+                pays.append((0.0,) * n)
+            drawn.append(isinstance(res, DistributionOverOutcomes))
+        index[t] = len(pays) - 1
+        if drawn[-1]:
             samples.append(res.sample(rng).mask)
-    # one row of n bundles and n payments per result, then one per trial
-    masks: list[int] = []
-    pays: list[tuple[float, ...]] = []
-    for res in results:
-        if isinstance(res, Outcome):
-            masks.extend(S.mask for S in res.sets)
-            pays.append(res.payments)
-        else:  # a distribution's rows are filled from its samples below
-            masks.extend([res.mask if isinstance(res, ItemSet) else 0] * n)
-            pays.append((0.0,) * n)
-    words = words_from_masks(masks, m).reshape(len(results), n, word_count(m))[index]
-    payments = np.array(pays, dtype=float).reshape(len(results), n)[index]
+    words = words_from_masks(masks, m).reshape(len(pays), n, word_count(m))[index]
+    payments = np.array(pays, dtype=float).reshape(len(pays), n)[index]
     if samples:
-        drawn = np.array([isinstance(r, DistributionOverOutcomes) for r in results])[index]
-        words[drawn] = words_from_masks(samples, m)[:, None, :]
-    queries = np.array(spent, dtype=np.int64)[index]
-    return TrialColumns(tuple(results), index, words, payments, queries)
-
-
-def run_mechanism(mech, instance, trials: int, seed: int) -> EmpiricalReport:
-    """Seeded repeated runs with per-trial welfare, query counts, and
-    feasibility flags.  Deterministic for fixed (mechanism, instance, seed).
-    The trials come from run_trials, so a deterministic mechanism is
-    allocated once and its outcome replicated; welfare is summed in player
-    order from one eval_many per oracle.
-    """
-    oracles = instance.oracles
-    m = oracles[0].m
-    is_cpp = isinstance(instance, CPPInstance)
-    runs = run_trials(mech, instance, trials, seed)
-    welfares = np.zeros(trials)
-    for i, o in enumerate(oracles):
-        welfares += o.eval_many(runs.words[:, i])
-    # a distribution is feasible in expectation, a set by its size, and an
-    # Outcome by construction, which enforces disjointness
-    ok = [
-        True if isinstance(r, Outcome)
-        else sum(r.x) <= instance.k + 1e-9 if isinstance(r, DistributionOverOutcomes)
-        else len(r) <= instance.k
-        for r in runs.results
-    ]
-    feasible = [ok[r] for r in runs.index.tolist()]
-    bundles = [masks_from_words(runs.words[:, i]) for i in range(1 if is_cpp else len(oracles))]
-    records = [
-        {"trial": t, "welfare": welfare, "queries": queries, "feasible": feasible[t],
-         "payments": [] if is_cpp else pays,
-         "sets": [ItemSet(col[t], m).to_hex() for col in bundles]}
-        for t, (welfare, queries, pays) in enumerate(
-            zip(welfares.tolist(), runs.queries.tolist(), runs.payments.tolist())
-        )
-    ]
-    mean, stderr = mean_stderr(welfares)
-    return EmpiricalReport(
-        mechanism=getattr(mech, "name", type(mech).__name__),
-        kind="cpp" if is_cpp else "auction",
-        trials=trials,
-        seed=seed,
-        welfare_mean=mean,
-        welfare_stderr=stderr,
-        feasible=all(feasible),
-        query_total=int(runs.queries.sum()),
-        per_trial=records,
-    )
+        words[np.array(drawn)[index]] = words_from_masks(samples, m)[:, None, :]
+    return TrialColumns(words, payments)

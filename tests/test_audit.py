@@ -12,6 +12,7 @@ import pytest
 from symgap.setfn import (
     ItemSet,
     make_additive,
+    make_budget_additive,
     scale_oracle,
     singleton_words,
     word_count,
@@ -23,23 +24,25 @@ from symgap.instances import (
     PhiAlpha,
     make_symgap_valuation,
 )
+from symgap.extensions import mean_stderr
 from symgap.mechanisms import (
     CPPMechanism,
+    DistributionOverOutcomes,
     GreedyCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
     PayYourBidGreedyAuction,
+    run_trials,
 )
 from symgap.audit import (
     AmplificationState,
     MenuObservation,
     MenuSample,
     amplification_step,
+    _SCALING_STREAM,
     audit_truthfulness,
-    auction_special_closure,
     basic_instance_counting,
     chernoff_bisection_test,
-    cpp_allocation_closure,
     DELTA_PAPER,
     extract_menu,
     figure_triple,
@@ -465,16 +468,94 @@ class TestConcentration:
             basic_instance_counting(3, 4, 10, 0)
 
 
+def _cpp_closure(mech, k):
+    """Public-project mechanism as declared oracle -> sampled ItemSet."""
+
+    def closure(declared, rng):
+        views = (declared,) if getattr(mech, "needs_descriptor", False) else (
+            declared.restricted_view(),
+        )
+        res = mech.allocate(views, k, rng)
+        return res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
+
+    return closure
+
+
+def _auction_closure(mech, others, special):
+    """Auction mechanism as the special player's declared oracle -> bundle,
+    the other declarations held fixed."""
+
+    def closure(declared, rng):
+        oracles = list(others)
+        oracles.insert(special, declared)
+        return mech.allocate(tuple(o.restricted_view() for o in oracles), rng).sets[special]
+
+    return closure
+
+
+def _closure_scaling_probe(closure, oracle, schedule, trials, seed, eps=0.0, wm_pairs=()):
+    """The scaling probe as a per-trial loop over an allocation closure, one
+    rng per schedule point and per pair, each bundle scored with scalar eval:
+    an independent reference for a mechanism that draws nothing."""
+    children = np.random.SeedSequence(seed).spawn(len(schedule) + len(wm_pairs))
+    trace = []
+    for idx, alpha in enumerate(schedule):
+        declared = scale_oracle(oracle, float(alpha))
+        rng = np.random.default_rng(children[idx])
+        vals = np.array([oracle.eval(closure(declared, rng)) for _ in range(trials)])
+        mean, se = mean_stderr(vals)
+        trace.append({"alpha": float(alpha), "value": mean, "stderr": se})
+    sup = max(t["value"] for t in trace)
+    sup_se = max(t["stderr"] for t in trace)
+    tail = trace[-1]
+    envelope_ok = tail["value"] >= (1.0 - eps) * sup - 4.0 * math.hypot(
+        tail["stderr"], sup_se
+    ) - 1e-9
+    wm = []
+    for pair_idx, (u_orc, v_orc) in enumerate(wm_pairs):
+        rng = np.random.default_rng(children[len(schedule) + pair_idx])
+        outs_v = [closure(v_orc, rng) for _ in range(trials)]
+        outs_u = [closure(u_orc, rng) for _ in range(trials)]
+        v_Av, u_Av = (np.array([o.eval(S) for S in outs_v]) for o in (v_orc, u_orc))
+        v_Au, u_Au = (np.array([o.eval(S) for S in outs_u]) for o in (v_orc, u_orc))
+        lhs = v_Av.mean() - (1.0 - eps) * u_Av.mean()
+        rhs = (1.0 - eps) * v_Au.mean() - u_Au.mean()
+        se = math.sqrt(
+            (np.var(v_Av - (1.0 - eps) * u_Av, ddof=1) + np.var((1.0 - eps) * v_Au - u_Au, ddof=1))
+            / trials
+        )
+        ok = lhs >= rhs - 4.0 * se - 1e-9
+        wm.append(
+            {"pair": pair_idx, "lhs": float(lhs), "rhs": float(rhs), "stderr": se, "ok": bool(ok)}
+        )
+    return {
+        "experiment": "scaling_probe",
+        "params": {"schedule": [float(a) for a in schedule], "trials": trials, "eps": eps},
+        "seed": seed,
+        "trace": trace,
+        "supremum": sup,
+        "tail_value": tail["value"],
+        "envelope_ok": bool(envelope_ok),
+        "weak_monotonicity": wm,
+        "passed": bool(envelope_ok and all(e["ok"] for e in wm)),
+    }
+
+
+def _budget_additive(rng, m):
+    w = rng.uniform(0.1, 1.0, m)
+    return make_budget_additive([float(x) for x in w], float(0.6 * w.sum()))
+
+
 class TestScalingProbe:
     def test_greedy_cpp_scale_invariant(self):
         oracle = make_additive([0.5, 0.4, 0.3, 0.2, 0.1])
-        closure = cpp_allocation_closure(GreedyCPP(), 2)
         wm = [
             (scale_oracle(oracle, 0.5), oracle),
             (make_additive([0.1, 0.2, 0.3, 0.4, 0.5]), oracle),
         ]
         rep = scaling_probe(
-            closure, oracle, schedule=[0.5, 1.0, 2.0], trials=8, seed=9, wm_pairs=wm
+            GreedyCPP(), CPPInstance((oracle,), 2), schedule=[0.5, 1.0, 2.0], trials=8, seed=9,
+            wm_pairs=wm,
         )
         assert rep["passed"]
         # greedy picks the same top-2 items at every scale
@@ -482,10 +563,70 @@ class TestScalingProbe:
         assert max(vals) - min(vals) <= 1e-12
         assert len(rep["weak_monotonicity"]) == 2
 
-    def test_auction_closure_traces_special_player(self):
+    def test_auction_traces_player_zero(self):
         special = make_additive([0.6, 0.5, 0.1, 0.1])
         other = make_additive([0.2, 0.2, 0.4, 0.4])
-        closure = auction_special_closure(VCGExhaustiveAuction(), [other], 0)
-        rep = scaling_probe(closure, special, schedule=[0.25, 1.0, 4.0], trials=6, seed=3)
+        rep = scaling_probe(
+            VCGExhaustiveAuction(), AuctionInstance((special, other)),
+            schedule=[0.25, 1.0, 4.0], trials=6, seed=3,
+        )
         assert rep["envelope_ok"]
         assert rep["trace"][1]["value"] == pytest.approx(1.1)
+
+    @pytest.mark.parametrize("seed", [0, 5, 29, 41])
+    def test_greedy_cpp_equals_closure_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m, k = 7, 3
+        oracle = _budget_additive(rng, m)
+        wm = [
+            (scale_oracle(oracle, 0.5), oracle),
+            (make_additive([float(x) for x in rng.uniform(0.0, 0.5, m)]), oracle),
+        ]
+        schedule = [0.1, 0.5, 1.0, 3.0]
+        got = scaling_probe(GreedyCPP(), CPPInstance((oracle,), k), schedule, 9, seed, wm_pairs=wm)
+        expected = _closure_scaling_probe(
+            _cpp_closure(GreedyCPP(), k), oracle, schedule, 9, seed, wm_pairs=wm
+        )
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("seed", [0, 5, 29, 41])
+    def test_vcg_auction_equals_closure_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 5
+        special, other = _budget_additive(rng, m), make_additive(list(rng.uniform(0.0, 0.6, m)))
+        wm = [(scale_oracle(special, 0.7), special), (_budget_additive(rng, m), special)]
+        schedule = [0.25, 1.0, 4.0]
+        inst = AuctionInstance((special, other))
+        got = scaling_probe(VCGExhaustiveAuction(), inst, schedule, 6, seed, eps=0.1, wm_pairs=wm)
+        expected = _closure_scaling_probe(
+            _auction_closure(VCGExhaustiveAuction(), [other], 0), special, schedule, 6, seed,
+            eps=0.1, wm_pairs=wm,
+        )
+        assert repr(got) == repr(expected)
+
+    def test_each_declaration_runs_on_its_own_stream(self):
+        # a mechanism that draws: point i and pair declarations v, u take the
+        # entropy (seed, index, _SCALING_STREAM) with index 0, 1, ... in turn
+        oracle = make_additive([0.1 * j for j in range(1, 9)])
+        u = make_additive([0.05] * 8)
+        inst = CPPInstance((oracle,), 3)
+        schedule = [0.5, 2.0]
+        rep = scaling_probe(RandomSubsetCPP(), inst, schedule, 12, 4, wm_pairs=[(u, oracle)])
+
+        def words(idx, declared):
+            runs = run_trials(
+                RandomSubsetCPP(), CPPInstance((declared,), 3), 12, (4, idx, _SCALING_STREAM)
+            )
+            return runs.words[:, 0]
+
+        for idx, alpha in enumerate(schedule):
+            vals = oracle.eval_many(words(idx, scale_oracle(oracle, alpha)))
+            assert rep["trace"][idx]["value"] == mean_stderr(vals)[0]
+        at_v, at_u = words(2, oracle), words(3, u)
+        lhs = oracle.eval_many(at_v).mean() - u.eval_many(at_v).mean()
+        rhs = oracle.eval_many(at_u).mean() - u.eval_many(at_u).mean()
+        assert (rep["weak_monotonicity"][0]["lhs"], rep["weak_monotonicity"][0]["rhs"]) == (
+            float(lhs), float(rhs)
+        )
+        assert not np.array_equal(words(0, oracle), words(1, oracle))
+

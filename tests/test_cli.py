@@ -13,6 +13,7 @@ import symgap
 from symgap.cli import (
     EXPERIMENTS,
     ExperimentConfig,
+    _declared,
     emit_plot_data,
     main,
     run,
@@ -23,6 +24,22 @@ def run_main(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+_DEGENERATE = [
+    (["chernoff", "--m", "0"], "m_prime must be positive and even, got 0"),
+    (["menu-separation", "--menu-trials", "0"], "menu_trials must be positive, got 0"),
+    (["basic-count", "--n", "0"], "need positive n and m with n | m, got n = 0, m = 4"),
+    (["basic-count", "--m", "0"], "need positive n and m with n | m, got n = 2, m = 0"),
+    (["greedy-ratio", "--m-max", "3"], "m_max must be >= 4, got 3"),
+    (["greedy-ratio", "--k-max", "0"], "k_max must be >= 1, got 0"),
+    *(
+        ([exp, "--family", "coverage", "--m", m],
+         f"--m must be >= 2 to draw a coverage oracle, got {m}")
+        for exp in ("submod-check", "concavity", "poisson-midr")
+        for m in ("0", "1")
+    ),
+]
 
 
 class TestExitCodes:
@@ -145,11 +162,58 @@ class TestExitCodes:
         assert not out.exists()
         assert "m must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message", [pytest.param(*case, id=" ".join(case[0])) for case in _DEGENERATE]
+    )
+    def test_degenerate_size_exits_one(self, tmp_path, args, message, capsys):
+        out = tmp_path / "out.json"
+        assert main(args + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"symgap: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["submod-check", "--family", "random"], ["submod-check", "--family", "product"],
+         ["product-compose", "--pairs", "20"]],
+        ids=" ".join,
+    )
+    def test_random_families_need_two_items_at_every_seed(self, args, capsys):
+        # at m = 1 the outcome once depended on the seed (exit 0 or 1); at
+        # m = 2 a drawn coverage set could ask for 3 of 2 elements
+        for seed in range(6):
+            for m in ("0", "1"):
+                assert main(args + ["--m", m, "--seed", str(seed)]) == 1
+                assert "--m must be >= 2 to draw random oracles" in capsys.readouterr().err
+            assert main(args + ["--m", "2", "--seed", str(seed)]) == 0
+            capsys.readouterr()
+
     def test_help_shows_declared_default(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gap955", "--help"])
         assert exc.value.code == 0
         assert re.search(r"--blocks BLOCKS\s+default: 200\n", capsys.readouterr().out)
+
+
+def _int_flag_cases():
+    for name, fn in EXPERIMENTS.items():
+        if name == "suite":  # it runs every other subcommand
+            continue
+        for param, (tp, _, _) in _declared(fn).items():
+            if tp is int:
+                for value in ("0", "-1"):
+                    yield [name, "--" + param.replace("_", "-"), value]
+        yield [name, "--seed", "-1"]  # --seed 0 is the default run
+
+
+@pytest.mark.parametrize("args", list(_int_flag_cases()), ids=" ".join)
+def test_int_flag_at_zero_or_minus_one_never_crashes(args, tmp_path):
+    """Every int flag of every subcommand, one at a time: a pass, a failed
+    claim or a usage error, and a report exactly when it is not a usage
+    error.  An escaping exception fails the test."""
+    out = tmp_path / "out.json"
+    code = main(args + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    assert out.exists() == (code != 1)
 
 
 class TestReproducibility:

@@ -15,6 +15,7 @@ from symgap.setfn import (
     make_additive,
     make_budget_additive,
     make_coverage,
+    masks_from_words,
 )
 from symgap.instances import (
     AuctionInstance,
@@ -29,7 +30,6 @@ from symgap.mechanisms import (
     GAIN_TOL,
     BalancedPrefixCPP,
     DistributionOverOutcomes,
-    ExhaustiveOptCPP,
     GreedyCPP,
     InfeasibleOutcomeError,
     NonConcaveClassError,
@@ -44,7 +44,7 @@ from symgap.mechanisms import (
     exhaustive_opt_cpp,
     greedy_cpp,
     poisson_midr_cpp,
-    run_mechanism,
+    run_trials,
     vcg_auction_exhaustive,
 )
 
@@ -327,35 +327,38 @@ class TestHarness:
             (make_budget_additive([float(x) for x in w], float(0.6 * w.sum())),), k
         )
 
-    def test_feasibility_and_report_shape(self):
+    @staticmethod
+    def _masks(runs):
+        return masks_from_words(runs.words[:, 0])
+
+    def test_feasibility_and_column_shape(self):
         inst = self._instance()
-        rep = run_mechanism(RandomSubsetCPP(), inst, trials=20, seed=3)
-        assert rep.trials == 20
-        assert rep.feasible
-        assert rep.welfare_stderr >= 0
-        d = rep.to_dict(include_trials=False)
-        assert "per_trial" not in d
-        rows = rep.csv_rows()
-        assert rows[0][:3] == ["trial", "welfare", "queries"]
-        assert len(rows) == 21
+        runs = run_trials(RandomSubsetCPP(), inst, trials=20, seed=3)
+        assert runs.words.shape == (20, 1, 1)
+        assert runs.payments.tolist() == [[0.0]] * 20
+        assert [mask.bit_count() for mask in self._masks(runs)] == [3] * 20
+        assert len(set(self._masks(runs))) > 1
 
     def test_deterministic_reruns(self):
         inst = self._instance()
-        a = run_mechanism(RandomSubsetCPP(), inst, trials=10, seed=7)
-        b = run_mechanism(RandomSubsetCPP(), inst, trials=10, seed=7)
-        assert a.welfare_mean == b.welfare_mean
-        assert a.query_total == b.query_total
+        a = run_trials(RandomSubsetCPP(), inst, trials=10, seed=7)
+        b = run_trials(RandomSubsetCPP(), inst, trials=10, seed=7)
+        assert a.words.tolist() == b.words.tolist()
 
     def test_query_accounting(self):
         inst = self._instance(m=6, k=2)
-        rep = run_mechanism(GreedyCPP(), inst, trials=4, seed=1)
-        # greedy on m=6, k=2 queries 6 + 5 candidates per trial
-        assert rep.query_total == 4 * 11
+        oracle = inst.oracles[0]
+        greedy_cpp([oracle.restricted_view()], 2)
+        # greedy on m=6, k=2 queries 6 + 5 candidates
+        assert oracle.query_count == 11
+        # replicated across trials: one more allocate call
+        run_trials(GreedyCPP(), inst, trials=4, seed=1)
+        assert oracle.query_count == 22
 
     def test_balanced_prefix_respects_budget(self):
         inst = self._instance(m=8, k=3)
-        rep = run_mechanism(BalancedPrefixCPP(), inst, trials=10, seed=2)
-        assert rep.feasible
+        runs = run_trials(BalancedPrefixCPP(), inst, trials=10, seed=2)
+        assert all(mask.bit_count() <= 3 for mask in self._masks(runs))
 
     @pytest.mark.parametrize("block_words", [mechanisms.ROW_BLOCK_WORDS, 1, 3])
     @pytest.mark.parametrize("k", [10, 3])
@@ -382,15 +385,12 @@ class TestHarness:
     def test_distribution_mechanism_through_harness(self):
         w = [0.5, 0.4, 0.3, 0.2]
         inst = CPPInstance((make_additive(w),), 2)
-        rep = run_mechanism(PoissonMIDRCPP(), inst, trials=10, seed=4)
-        assert rep.feasible
-        assert rep.welfare_mean > 0
+        runs = run_trials(PoissonMIDRCPP(), inst, trials=10, seed=4)
+        assert inst.oracles[0].eval_many(runs.words[:, 0]).mean() > 0
 
     def test_exhaustive_opt_dominates_greedy(self):
-        inst = self._instance(m=8, k=3)
-        opt = run_mechanism(ExhaustiveOptCPP(), inst, trials=1, seed=0)
-        grd = run_mechanism(GreedyCPP(), inst, trials=1, seed=0)
-        assert opt.welfare_mean >= grd.welfare_mean - 1e-12
+        oracles = self._instance(m=8, k=3).oracles
+        assert exhaustive_opt_cpp(oracles, 3).value >= greedy_cpp(oracles, 3).value - 1e-12
 
 
 class TestPayYourBid:

@@ -8,7 +8,6 @@ scalar reference: one (result, outcome) pair per trial, each scored with
 one scalar eval, with equal values and equal query counts.
 """
 import inspect
-import json
 
 import numpy as np
 import pytest
@@ -33,12 +32,12 @@ from symgap.mechanisms import (
     CPPMechanism,
     DistributionOverOutcomes,
     GreedyCPP,
+    InfeasibleOutcomeError,
     Outcome,
     PayYourBidGreedyAuction,
     PoissonMIDRCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
-    run_mechanism,
     run_trials,
 )
 from symgap.audit import (
@@ -169,28 +168,34 @@ def test_replication_in_extract_menu():
     assert (calls_a, calls_b) == (len(family), TRIALS * len(family))
 
 
+def _columns(runs):
+    return runs.words.tolist(), runs.payments.tolist()
+
+
 @pytest.mark.parametrize(
     "inner_cls, instance", [(GreedyCPP, _cpp), (VCGExhaustiveAuction, _auction)]
 )
-def test_replication_in_run_mechanism(inner_cls, instance):
-    inst = instance()
-    (a, calls_a), (b, calls_b) = _both(
-        inner_cls, lambda mech: run_mechanism(mech, inst, TRIALS, seed=8)
-    )
-    assert a.to_dict() == b.to_dict()
-    assert a.per_trial == b.per_trial
-    assert a.query_total == b.query_total > 0
-    assert (calls_a, calls_b) == (1, TRIALS)
+def test_replication_in_run_trials(inner_cls, instance):
+    inst, ref_inst = instance(), instance()
+    replicated, rerun = _Spy(inner_cls(), True), _Spy(inner_cls(), False)
+    a = run_trials(replicated, inst, TRIALS, seed=8)
+    b = run_trials(rerun, ref_inst, TRIALS, seed=8)
+    assert _columns(a) == _columns(b)
+    assert (replicated.calls, rerun.calls) == (1, TRIALS)
+    # one allocate call's queries, against one per trial
+    spent = [o.query_count for o in inst.oracles]
+    assert sum(spent) > 0
+    assert [TRIALS * q for q in spent] == [o.query_count for o in ref_inst.oracles]
 
 
 def test_replicated_distribution_is_sampled_per_trial():
     inst = _cpp()
     (a, calls_a), (b, calls_b) = _both(
-        PoissonMIDRCPP, lambda mech: run_mechanism(mech, inst, TRIALS, seed=1)
+        PoissonMIDRCPP, lambda mech: run_trials(mech, inst, TRIALS, seed=1)
     )
-    assert a.to_dict() == b.to_dict()
+    assert _columns(a) == _columns(b)
     assert (calls_a, calls_b) == (1, TRIALS)
-    assert len({tuple(rec["sets"]) for rec in a.per_trial}) > 1
+    assert len(set(masks_from_words(a.words[:, 0]))) > 1
 
     devs = [(0, make_additive([0.1, 0.2, 0.3, 0.4, 0.5]))]
     (c, calls_c), (d, calls_d) = _both(
@@ -206,13 +211,13 @@ def test_trial_t_draws_from_child_t_of_the_seed():
     views = tuple(o.restricted_view() for o in inst.oracles)
     children = np.random.SeedSequence((4, 1, 2)).spawn(TRIALS)
     expected = [mech.allocate(views, 3, np.random.default_rng(c)) for c in children]
+    before = inst.oracles[0].query_count
     runs = run_trials(mech, inst, TRIALS, (4, 1, 2))
-    assert runs.results == tuple(expected)
-    assert runs.index.tolist() == list(range(TRIALS))
     assert runs.words.shape == (TRIALS, 1, 1)
     assert [ItemSet(mask, 8) for mask in masks_from_words(runs.words[:, 0])] == expected
     assert runs.payments.tolist() == [[0.0]] * TRIALS
-    assert runs.queries.tolist() == [1] * TRIALS
+    # one confirmation query per trial
+    assert inst.oracles[0].query_count - before == TRIALS
 
 
 def test_distribution_trial_t_samples_with_child_t():
@@ -220,9 +225,9 @@ def test_distribution_trial_t_samples_with_child_t():
     dist = PoissonMIDRCPP().allocate(inst.oracles, 2, None)
     children = np.random.SeedSequence(9).spawn(TRIALS)
     expected = [dist.sample(np.random.default_rng(c)).mask for c in children]
-    runs = run_trials(PoissonMIDRCPP(), inst, TRIALS, 9)
-    assert runs.results == (dist,)
-    assert runs.index.tolist() == [0] * TRIALS
+    spy = _Spy(PoissonMIDRCPP(), True)
+    runs = run_trials(spy, inst, TRIALS, 9)
+    assert spy.calls == 1
     assert masks_from_words(runs.words[:, 0]) == expected
     assert len(set(expected)) > 1
 
@@ -230,13 +235,36 @@ def test_distribution_trial_t_samples_with_child_t():
 def test_replicated_outcome_fills_every_row():
     inst = _auction()
     outcome = VCGExhaustiveAuction().allocate(inst.oracles, None)
+    before = [o.query_count for o in inst.oracles]
     runs = run_trials(VCGExhaustiveAuction(), inst, TRIALS, 5)
-    assert runs.results == (outcome,)
     assert runs.words.dtype == np.uint64 and runs.words.shape == (TRIALS, 2, 1)
     for i, S in enumerate(outcome.sets):
         assert masks_from_words(runs.words[:, i]) == [S.mask] * TRIALS
     assert runs.payments.tolist() == [list(outcome.payments)] * TRIALS
-    assert runs.queries.tolist() == [2 * 2**5] * TRIALS
+    # one allocate call: one 2^5-entry table per player
+    assert [o.query_count - q for o, q in zip(inst.oracles, before)] == [2**5, 2**5]
+
+
+class _Oversized(CPPMechanism):
+    """Returns k + 1 items, or a distribution spending k + 0.5."""
+
+    deterministic = True
+
+    def __init__(self, distribution=False):
+        self.distribution = distribution
+
+    def allocate(self, views, k, rng):
+        m = views[0].m
+        if self.distribution:
+            x = [(k + 0.5) / m] * m
+            return DistributionOverOutcomes(tuple(1.0 - np.exp(-np.array(x))), tuple(x))
+        return ItemSet.from_indices(range(k + 1), m)
+
+
+@pytest.mark.parametrize("distribution", [False, True], ids=["set", "distribution"])
+def test_infeasible_outcome_raises(distribution):
+    with pytest.raises(InfeasibleOutcomeError, match="exceeds k = 2"):
+        run_trials(_Oversized(distribution), _cpp(), TRIALS, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +273,9 @@ def test_replicated_outcome_fills_every_row():
 
 
 def _scalar_trials(mech, instance, trials, seed):
-    """(result, outcome, queries) per trial, allocating once per declaration
-    for a deterministic mechanism and sampling a distribution with each
-    trial's rng."""
+    """(result, outcome) per trial, allocating once per declaration for a
+    deterministic mechanism and sampling a distribution with each trial's
+    rng."""
     oracles = instance.oracles
     if getattr(mech, "needs_descriptor", False):
         views = oracles
@@ -258,11 +286,9 @@ def _scalar_trials(mech, instance, trials, seed):
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
         if t == 0 or not mech.deterministic:
-            before = sum(o.query_count for o in oracles)
             res = mech.allocate(*head, rng)
-            queries = sum(o.query_count for o in oracles) - before
         out = res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
-        runs.append((res, out, queries))
+        runs.append((res, out))
     return runs
 
 
@@ -285,7 +311,7 @@ def _scalar_scores(mech, instance, deviations, trials, seed, eps):
         if player not in truth_scores:
             truth_scores[player] = np.array(
                 [oracles[player].eval(_bundle(out, player)) - _payment(out, player)
-                 for _, out, _ in truth]
+                 for _, out in truth]
             )
         declared = list(oracles)
         declared[player] = dev_oracle
@@ -296,33 +322,10 @@ def _scalar_scores(mech, instance, deviations, trials, seed, eps):
         dev = _scalar_trials(mech, dev_instance, trials, (seed, d, _DEVIATION_STREAM))
         dev_vals = np.array(
             [(1.0 - eps) * oracles[player].eval(_bundle(out, player)) - _payment(out, player)
-             for _, out, _ in dev]
+             for _, out in dev]
         )
         rows.append(mean_stderr(truth_scores[player]) + mean_stderr(dev_vals))
     return rows
-
-
-def _scalar_report(mech, instance, trials, seed):
-    oracles = instance.oracles
-    records, welfares = [], []
-    for t, (res, out, queries) in enumerate(_scalar_trials(mech, instance, trials, seed)):
-        welfare = sum(o.eval(_bundle(out, i)) for i, o in enumerate(oracles))
-        if isinstance(out, Outcome):
-            feasible, payments, sets = True, list(out.payments), [S.to_hex() for S in out.sets]
-        elif isinstance(res, DistributionOverOutcomes):
-            feasible, payments, sets = sum(res.x) <= instance.k + 1e-9, [], [out.to_hex()]
-        else:
-            feasible, payments, sets = len(out) <= instance.k, [], [out.to_hex()]
-        welfares.append(welfare)
-        records.append({"trial": t, "welfare": welfare, "queries": queries,
-                        "feasible": feasible, "payments": payments, "sets": sets})
-    mean, stderr = mean_stderr(np.array(welfares))
-    return {
-        "mechanism": mech.name, "kind": "cpp" if isinstance(instance, CPPInstance) else "auction",
-        "trials": trials, "seed": seed, "welfare_mean": mean, "welfare_stderr": stderr,
-        "feasible": all(rec["feasible"] for rec in records),
-        "query_total": sum(rec["queries"] for rec in records), "per_trial": records,
-    }
 
 
 def _scalar_menu(mech, instance, special, family, trials, seed):
@@ -335,7 +338,7 @@ def _scalar_menu(mech, instance, special, family, trials, seed):
         runs = _scalar_trials(
             mech, AuctionInstance(tuple(declared)), trials, (seed, prov, _MENU_STREAM)
         )
-        for _, out, _ in runs:
+        for _, out in runs:
             X = _bundle(out, special).intersection_size(level_set) / len(level_set)
             samples.append(MenuObservation(X, _payment(out, special), w, prov))
     return MenuSample(samples, len(family), trials, seed)
@@ -415,12 +418,15 @@ def test_audit_scores_equal_scalar_reference(mech_cls, case, plain):
 
 @pytest.mark.parametrize("plain", [False, True], ids=["fn_many", "scalar_fn"])
 @pytest.mark.parametrize("mech_cls, case", SCORE_CASES, ids=_ids)
-def test_run_mechanism_equals_scalar_reference(mech_cls, case, plain):
+def test_run_trials_equals_scalar_reference(mech_cls, case, plain):
     inst, _ = case(plain)
-    got = run_mechanism(mech_cls(), inst, TRIALS, seed=12).to_dict()
+    runs = run_trials(mech_cls(), inst, TRIALS, seed=12)
     ref_inst, _ = case(plain)
-    expected = _scalar_report(mech_cls(), ref_inst, TRIALS, 12)
-    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    ref = _scalar_trials(mech_cls(), ref_inst, TRIALS, 12)
+    for i in range(inst.n):
+        assert masks_from_words(runs.words[:, i]) == [_bundle(out, i).mask for _, out in ref]
+        assert runs.payments[:, i].tolist() == [_payment(out, i) for _, out in ref]
+    # allocate's queries, spent once per declaration when replicated
     assert [o.query_count for o in inst.oracles] == [o.query_count for o in ref_inst.oracles]
 
 
