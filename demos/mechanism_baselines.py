@@ -13,7 +13,7 @@ from symgap.mechanisms import (
     poisson_midr_cpp,
     vcg_auction_exhaustive,
 )
-from symgap.setfn import make_additive, make_budget_additive
+from symgap.setfn import make_additive, make_budget_additive, unpack
 
 rng = np.random.default_rng(7)
 
@@ -21,8 +21,8 @@ inst = random_cpp_instance(rng, m_max=12, k_max=4)
 g = greedy_cpp(inst.oracles, inst.k)
 o = exhaustive_opt_cpp(inst.oracles, inst.k)
 print(f"public project: m={inst.m}, k={inst.k}, {inst.n} players")
-print(f"  greedy  {g.value:.4f}  on {sorted(g.S.indices())}")
-print(f"  optimum {o.value:.4f}  on {sorted(o.S.indices())}")
+print(f"  greedy  {g.value:.4f}  on {unpack(g.S, inst.m).tolist()}")
+print(f"  optimum {o.value:.4f}  on {unpack(o.S, inst.m).tolist()}")
 print(f"  ratio   {g.value / o.value:.4f}  (guarantee 1 - 1/e = {1 - 1 / np.e:.4f})")
 
 # the rounding solver maximizes F(1 - e^{-x}) under the budget, then samples
@@ -37,4 +37,4 @@ v2 = make_budget_additive([0.4] * 4, 1.0)
 out = vcg_auction_exhaustive([v1, v2])
 print("\nVCG on the two-player example")
 for i, (S, pay) in enumerate(zip(out.sets, out.payments)):
-    print(f"  player {i}: bundle {sorted(S.indices())}, pays {pay:.2f}")
+    print(f"  player {i}: bundle {unpack(S, 4).tolist()}, pays {pay:.2f}")

@@ -10,15 +10,14 @@ or a nonnegative line separates it.
 from symgap.audit import extract_menu, map_menu_to_qp, separate_quadrant
 from symgap.instances import AuctionInstance, PhiAlpha, make_symgap_valuation
 from symgap.mechanisms import VCGExhaustiveAuction
-from symgap.setfn import ItemSet, make_additive
+from symgap.setfn import make_additive, pack
 
 m = 8
-A = ItemSet.from_indices([0, 1], m)
-B = ItemSet.from_indices([2, 3], m)
+A, B = pack([0, 1], m), pack([2, 3], m)  # the blocks, as packed rows
 phi = PhiAlpha(0.5)
 beta = 0.25
 
-family = [make_symgap_valuation(A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
+family = [make_symgap_valuation(m, A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
 opponent = make_additive([0.0] * 4 + [0.3] * 4)
 instance = AuctionInstance((family[-1].oracle(), opponent))
 

@@ -9,7 +9,6 @@ scalar and statistical facts the constructions rest on.
 
 from .setfn import (
     GroundSetError,
-    ItemSet,
     MonotoneViolation,
     OracleContractError,
     OracleView,
@@ -22,10 +21,12 @@ from .setfn import (
     make_budget_additive,
     make_coverage,
     make_polar,
+    pack,
     query_count,
     reconstruct_oracle,
     scale_oracle,
     tabulate,
+    unpack,
 )
 from .instances import (
     AuctionInstance,
@@ -37,7 +38,6 @@ from .instances import (
     PhiAlpha,
     PhiTable,
     TwoBlockValuation,
-    balancedness,
     expected_union_size,
     make_basic_auction,
     make_symgap_valuation,

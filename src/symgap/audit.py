@@ -14,12 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .setfn import (
-    ValuationOracle,
-    intersection_sizes,
-    scale_oracle,
-    words_from_masks,
-)
+from .setfn import ValuationOracle, intersection_sizes, scale_oracle
 from .instances import (
     AuctionInstance,
     CPPInstance,
@@ -223,20 +218,16 @@ def symmetry_gap_experiment(
         children = ss.spawn(partitions)
         for t in range(partitions):
             rng = np.random.default_rng(children[t])
-            seq = sample_bisection_sequence(m, 1, rng)
-            A, B = seq.level(0)
-            value_of = make_symgap_valuation(A, B, phi, beta).count_values()
-            a_mask, b_mask = A.mask, B.mask
-            blocks = words_from_masks([a_mask, b_mask], m)
-            a_words, b_words = blocks
+            A, B = blocks = sample_bisection_sequence(m, 1, rng).levels[0]
+            value_of = make_symgap_valuation(m, A, B, phi, beta).count_values()
             labels = item_labels(blocks, m)
-            half = len(A)
+            half = m // 2
 
             # each query's counts (a, b) both classify it and give its value
             def classified_many(words: np.ndarray) -> np.ndarray:
                 nonlocal unbalanced_total
-                a = intersection_sizes(words, a_words)
-                b = intersection_sizes(words, b_words)
+                a = intersection_sizes(words, A)
+                b = intersection_sizes(words, B)
                 unbalanced_total += int(np.count_nonzero(np.abs(a - b) / half > beta))
                 return value_of(a, b)
 
@@ -244,7 +235,7 @@ def symmetry_gap_experiment(
             # unbalanced class adds its number of items
             def classified_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
                 nonlocal unbalanced_total
-                counts = extension_counts(words, a_mask, b_mask, half)
+                counts = extension_counts(words, blocks, half)
                 classes = labels.take(free)
                 sizes = np.bincount(classes, minlength=3).tolist()
                 for size, a, b in zip(sizes, *counts.tolist()):
@@ -256,8 +247,8 @@ def symmetry_gap_experiment(
             R = mech.allocate((probe.restricted_view(),), k, rng)
             if isinstance(R, DistributionOverOutcomes):
                 R = R.sample(rng)
-            value = float(value_of(len(R & A), len(R & B)))
-            X = len(R) / m
+            value = float(value_of(*intersection_sizes(blocks, R)))
+            X = int(np.bitwise_count(R).sum()) / m
             ceiling = 1.0 - (1.0 - float(phi.value(X))) ** 2 + slack
             if value > ceiling + 1e-12:
                 ceiling_ok = False
@@ -351,11 +342,9 @@ def extract_menu(
     w = 1.0 / (len(family) * trials)
     for prov, entry in enumerate(family):
         level_set = entry.A | entry.B
-        level_size = len(level_set)
         dev_instance = _declare(instance, special, entry.oracle())
         runs = run_trials(mech, dev_instance, trials, (seed, prov, _MENU_STREAM))
-        level_words = words_from_masks([level_set.mask], level_set.m)
-        X = intersection_sizes(runs.words[:, special], level_words) / level_size
+        X = intersection_sizes(runs.words[:, special], level_set) / (2 * entry.block_size)
         samples.extend(
             MenuObservation(x, p, w, prov)
             for x, p in zip(X.tolist(), runs.payments[:, special].tolist())
@@ -730,6 +719,8 @@ def scalar_inequality_suite(grid: int = 100_000) -> dict:
       ramp_vs_quad: min(2t, 1+d) >= 1-(1-min(t,1))^2 + d for t >= sqrt(d),
                     with equality at t = sqrt(d) and for t >= 1
     """
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
     tol = INEQUALITY_TOL
     records = []
     d = np.linspace(0.0, 1.0, grid)

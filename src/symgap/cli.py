@@ -21,15 +21,16 @@ import numpy as np
 from . import audit
 from .setfn import (
     GroundSetError,
-    ItemSet,
     OracleContractError,
     ValuationOracle,
+    bits_from_words,
     check_monotone_submodular,
     compose_product,
     make_additive,
     make_budget_additive,
     make_coverage,
     make_polar,
+    pack,
     random_subset,
     scale_oracle,
     words_from_masks,
@@ -93,15 +94,15 @@ def _rng(seed, *salt) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + tuple(salt)))
 
 
-def _need_two_items(m: int, what: str) -> None:
+def _need_items(m: int, least: int, purpose: str) -> None:
     # checked before any draw, so that valid sizes keep their streams
-    if m < 2:
-        raise OracleContractError(f"--m must be >= 2 to draw {what}, got {m}")
+    if m < least:
+        raise OracleContractError(f"--m must be >= {least} {purpose}, got {m}")
 
 
 def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
     """One random monotone submodular oracle from the concrete families."""
-    _need_two_items(m, "random oracles")
+    _need_items(m, 2, "to draw random oracles")
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)])
@@ -120,13 +121,13 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
         ]
         return make_coverage(weights, cover)
     A = random_subset(m, int(rng.integers(1, m)), rng)
-    return make_polar(A, float(rng.uniform(0.05, 0.95)))
+    return make_polar(m, A, float(rng.uniform(0.05, 0.95)))
 
 
 def _unit_range(f: ValuationOracle) -> ValuationOracle:
     """f, rescaled by 1/f(full) when f(full) > 1, so that a product
     composition accepts it (f is monotone, so f(full) is its maximum)."""
-    top = f.eval(ItemSet.full(f.m))
+    top = f.eval(pack(range(f.m), f.m))
     return scale_oracle(f, 1.0 / top) if top > 1.0 else f
 
 
@@ -144,6 +145,8 @@ def _exp_gap955(
     cfg: ExperimentConfig, *, blocks: int = 200, alpha: Literal[0.5, 1.0] = 0.5,
     mc_samples: int = 0,
 ) -> dict:
+    if mc_samples < 0:  # 0 skips the Monte Carlo check
+        raise OracleContractError(f"mc_samples must be >= 0, got {mc_samples}")
     val = two_block_product_instance(blocks, alpha)
     one_a, one_b, mid = f_exp_blockwise(val, [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]).tolist()
     deficit = min(one_a, one_b) - mid
@@ -217,11 +220,11 @@ def _exp_concavity(
         detail.update({"pairs_scanned": scanned, "total_pairs": total, "mode": "grid_scan"})
         expect_violation = True
     elif family in ("coverage", "additive"):
-        oracle = (
-            make_additive([float(w) for w in rng.uniform(0.0, 1.0 / m, m)])
-            if family == "additive"
-            else _coverage_oracle(rng, m)
-        )
+        if family == "additive":
+            _need_items(m, 1, "to draw an additive oracle")
+            oracle = make_additive([float(w) for w in rng.uniform(0.0, 1.0 / m, m)])
+        else:
+            oracle = _coverage_oracle(rng, m)
         found, scanned, total = concavity_grid_scan(
             oracle, step=0.5 if step is None else step, stop_after=5
         )
@@ -246,7 +249,7 @@ def _exp_concavity(
 
 
 def _coverage_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
-    _need_two_items(m, "a coverage oracle")
+    _need_items(m, 2, "to draw a coverage oracle")
     universe = 2 * m
     weights = [float(w) for w in rng.uniform(0.0, 1.0 / universe, universe)]
     cover = [
@@ -264,9 +267,8 @@ def _exp_submod_check(
     if family == "symgap":
         if m % 2:
             raise GroundSetError("symgap family needs even m")
-        seq = sample_bisection_sequence(m, 1, rng)
-        A, B = seq.level(0)
-        oracle = make_symgap_valuation(A, B, PhiAlpha(alpha), beta).oracle()
+        A, B = sample_bisection_sequence(m, 1, rng).level(0)
+        oracle = make_symgap_valuation(m, A, B, PhiAlpha(alpha), beta).oracle()
     elif family == "two_block_product":
         oracle = two_block_product_instance(m // 2, alpha).oracle()
     elif family == "product":
@@ -282,10 +284,11 @@ def _exp_submod_check(
     elif family == "coverage":
         oracle = _coverage_oracle(rng, m)
     elif family == "polar":
-        A = ItemSet.from_indices(list(range(m // 2)), m)
-        oracle = make_polar(A, omega)
+        oracle = make_polar(m, pack(range(m // 2), m), omega)
     else:
         raise OracleContractError(f"unknown family {family!r}")
+    if mode == "exhaustive" and m < 1:  # an empty ground set has no pair (S, i) to check
+        raise OracleContractError(f"--m must be >= 1 for an exhaustive check, got {m}")
     report = check_monotone_submodular(oracle, mode=mode, trials=trials, rng=rng)
     return {
         "experiment": "submod_check",
@@ -313,7 +316,7 @@ def _exp_product_compose(cfg: ExperimentConfig, *, pairs: int = 100, m: int = 10
         direct = 1.0 - (1.0 - f1.eval_many(words)) * (1.0 - f2.eval_many(words))
         identity_worst = max(identity_worst, float(np.abs(comp.eval_many(words) - direct).max()))
         q1 = f1.query_count
-        comp.eval(0)
+        comp.eval(pack((), m))
         if f1.query_count != q1 + 1:
             failures.append(idx)
     return {
@@ -330,6 +333,8 @@ def _exp_psi_tilde_check(
     cfg: ExperimentConfig, *, alpha: float = 0.5, beta: float = 0.1, grid: int = 200,
     block: int = 4,
 ) -> dict:
+    if grid < 2:
+        raise OracleContractError(f"grid must be >= 2, got {grid}")
     phi = PhiAlpha(alpha)
     t = np.linspace(0.0, 1.0, grid)
     X, Y = np.meshgrid(t, t, indexing="ij")
@@ -366,8 +371,9 @@ def _exp_psi_tilde_check(
     # rather than through the adversarial family, which needs beta > 0
     msub = check_monotone_submodular(
         TwoBlockValuation(
-            ItemSet.from_indices(range(block), 2 * block),
-            ItemSet.from_indices(range(block, 2 * block), 2 * block),
+            2 * block,
+            pack(range(block), 2 * block),
+            pack(range(block, 2 * block), 2 * block),
             phi,
             beta,
         ).oracle(),
@@ -394,22 +400,20 @@ def _exp_bisect_uniformity(
     cfg: ExperimentConfig, *, m: int = 32, ell: int = 3, trials: int = 20_000
 ) -> dict:
     rng = _rng(cfg.seed, 4)
-    level_counts = np.zeros((ell, m))
-    top_pair_counts = np.zeros((m, m))
-    structure_ok = True
-    for _ in range(trials):
-        seq = sample_bisection_sequence(m, ell, rng)
-        prev = ItemSet.full(m)
-        for j in range(ell - 1, -1, -1):
-            A, B = seq.level(j)
-            if len(A) != len(B) or (A.mask & B.mask) or (A.mask | B.mask) != prev.mask:
-                structure_ok = False
-            prev = A
-        for j in range(ell):
-            idx = seq.A(j).indices()
-            level_counts[j, idx] += 1
-        top = seq.A(ell - 1).indices()
-        top_pair_counts[np.ix_(top, top)] += 1
+    levels = np.stack([sample_bisection_sequence(m, ell, rng).levels for _ in range(trials)])
+    # A[t, j] and B[t, j] are the packed halves of level j in trial t
+    A, B = levels[:, ::-1, 0], levels[:, ::-1, 1]
+    # each level halves the A part of the level above, the full set at the top
+    full = np.broadcast_to(pack(range(m), m), (trials, 1, A.shape[-1]))
+    above = np.concatenate([A[:, 1:], full], axis=1)
+    sizes = np.bitwise_count(levels).sum(-1)
+    structure_ok = bool(
+        (sizes[..., 0] == sizes[..., 1]).all() and not (A & B).any() and ((A | B) == above).all()
+    )
+    # row j counts the trials with each item in A_j; M marks the top A part
+    level_counts = bits_from_words(A.reshape(-1, A.shape[-1]), m).reshape(trials, ell, m).sum(0)
+    M = bits_from_words(A[:, -1], m).astype(float)
+    top_pair_counts = M.T @ M
     z_max_levels = 0.0
     for j in range(ell):
         p = 2.0 ** (j - ell)
@@ -523,8 +527,8 @@ def _exp_poisson_midr(
         }
     x = np.array(res.x_star)
     feasible = bool((x >= -1e-12).all() and (x <= 1.0 + 1e-12).all() and x.sum() <= k + 1e-9)
-    draws = [res.distribution.sample(rng).mask for _ in range(trials)]
-    samples = oracle.eval_many(words_from_masks(draws, oracle.m))
+    draws = np.stack([res.distribution.sample(rng) for _ in range(trials)])
+    samples = oracle.eval_many(draws)
     mean, se = mean_stderr(samples)
     rounding_ok = abs(mean - res.value) <= 3.0 * se + 1e-9
     closed_form_ok = True if expected is None else abs(res.value - expected) <= 1e-6
@@ -548,6 +552,8 @@ def _exp_poisson_midr(
 def _exp_vcg_audit(
     cfg: ExperimentConfig, *, n: int = 2, m: int = 8, deviations: int = 20, trials: int = 1_000
 ) -> dict:
+    if m < 1:
+        raise OracleContractError(f"m must be positive, got {m}")
     rng = _rng(cfg.seed, 7)
     truths = tuple(
         make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)]) for _ in range(n)
@@ -597,6 +603,8 @@ def _exp_symgap(
     if ell is not None:
         params = CPPLevelParams(ell)
         m, k, n, beta = params.m, params.k, params.n, params.beta
+    if n < 1:
+        raise OracleContractError(f"n must be positive, got {n}")
     phi = PhiAlpha(phi_alpha)
     mechs = [RandomSubsetCPP(), GreedyCPP(), BalancedPrefixCPP()]
     return audit.symmetry_gap_experiment(
@@ -639,11 +647,10 @@ def _exp_menu_separation(
 
     # mechanism demo: the menu a VCG auction offers against a fixed opponent
     m = 8
-    A = ItemSet.from_indices([0, 1], m)
-    B = ItemSet.from_indices([2, 3], m)
+    A, B = pack([0, 1], m), pack([2, 3], m)
     phi = PhiAlpha(0.5)
     beta = 0.25
-    family = [make_symgap_valuation(A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
+    family = [make_symgap_valuation(m, A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
     fixed = make_additive([0.0] * 4 + [0.3] * 4)
     inst = AuctionInstance((family[-1].oracle(), fixed))
     menu = audit.extract_menu(
@@ -677,6 +684,8 @@ def _exp_amplify(
     cfg: ExperimentConfig, *, ell: int = 4, delta: str = "paper", c: float | None = None,
     chains: int = 100,
 ) -> dict:
+    if ell < 1:
+        raise OracleContractError(f"ell must be positive, got {ell}")
     delta = audit.DELTA_PAPER if delta == "paper" else float(delta)
     rng = _rng(cfg.seed, 9)
     seeds = [int(s) for s in rng.integers(0, 2**31, chains)]
@@ -897,6 +906,11 @@ def _serialize_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+# parameters that count repetitions: none of them may be below 1, so that no
+# report passes on zero checks
+_COUNTS = ("trials", "partitions", "chains", "deviations", "instances", "pairs", "configs")
+
+
 def run(config: ExperimentConfig) -> tuple[int, dict]:
     """Execute one experiment; returns (exit_code, report)."""
     fn = EXPERIMENTS.get(config.experiment)
@@ -918,7 +932,7 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
         if choices and value not in choices:
             raise OracleContractError(f"{name} must be one of {list(choices)}, got {value!r}")
     for name, value in params.items():
-        if name.endswith("trials") and value < 1:
+        if name.endswith(_COUNTS) and value < 1:
             raise OracleContractError(f"{name} must be positive, got {value}")
     config = replace(config, params={n: params[n] for n in config.params if n in params})
     report = fn(config, **params)
@@ -960,10 +974,13 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 _COMMON_KEYS = ("seed", "trials", "out", "format", "workers", "config")
 
 
-def build_parser() -> _Parser:
+def build_parser(only: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of the subcommand `only` alone."""
     parser = _Parser(prog="symgap", description=__doc__)
     sub = parser.add_subparsers(dest="experiment")
     for name, fn in EXPERIMENTS.items():
+        if only is not None and name != only:
+            continue
         sp = sub.add_parser(name, prog=f"symgap {name}")
         # flags default to None, so that an unset flag falls through to the
         # config file and then to the declared default
@@ -1009,8 +1026,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known subcommand first needs its own subparser only; anything else,
+    # and any leftover argument, gets the full parser's usage and errors
+    parser = build_parser(argv[0] if argv and argv[0] in EXPERIMENTS else None)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     if args.experiment is None:
         parser.print_usage(sys.stderr)
         print("symgap: error: an experiment subcommand is required", file=sys.stderr)

@@ -11,7 +11,8 @@ The central object is the perturbed two-block surface
 
 applied to block occupancy fractions x = |S ∩ A|/|A|, y = |S ∩ B|/|B|.
 Inside the beta band the value depends on x + y only, which is what makes
-the hidden bisection (A, B) invisible to balanced queries.
+the hidden bisection (A, B) invisible to balanced queries.  Blocks, bisection
+levels and favorite sets are packed uint64 rows, like every set in setfn.
 
 A two-block value depends on the occupancy counts (a, b) alone, so every
 two-block value (value queries, the blockwise extension) is read
@@ -25,23 +26,27 @@ in B), so they need at most three values (extension_counts, item_labels).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .setfn import (
     GroundSetError,
-    ItemSet,
     OracleContractError,
     ValuationOracle,
+    as_rows,
     bits_from_words,
+    from_hex,
     intersection_sizes,
     make_budget_additive,
     make_coverage,
     make_polar,
+    pack,
     random_subset,
-    words_from_masks,
+    to_hex,
+    word_count,
+    words_from_bits,
 )
 
 
@@ -164,42 +169,46 @@ def _count_grid(n: int, phi: Phi, beta: float, lam: float) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoBlockValuation:
-    """Descriptor of lam * psi_tilde(|S∩A|/|A|, |S∩B|/|B|) on ground [0, m).
+    """Descriptor of lam * psi_tilde(|S∩A|/|A|, |S∩B|/|B|) on ground [0, m),
+    the blocks A and B packed rows.
 
     beta = 0 is allowed here (the unperturbed product-of-blocks surface);
     the adversarial family built by make_symgap_valuation requires beta > 0.
     """
 
-    A: ItemSet
-    B: ItemSet
+    m: int
+    A: np.ndarray
+    B: np.ndarray
     phi: Phi
     beta: float
     lam: float = 1.0
     kind: str = "symgap"
 
     def __post_init__(self):
-        if self.A.m != self.B.m:
-            raise GroundSetError("A and B must share a ground set")
-        if len(self.A) == 0 or len(self.B) == 0:
+        for block in (self.A, self.B):
+            as_rows(block, self.m, ndim=1)
+        a, b = np.bitwise_count(self.blocks).sum(1).tolist()
+        if a == 0 or b == 0:
             raise OracleContractError("blocks must be nonempty")
-        if len(self.A) != len(self.B):
+        if a != b:
             raise OracleContractError("blocks must have equal size")
-        if (self.A & self.B).mask:
+        if (self.A & self.B).any():
             raise OracleContractError("blocks must be disjoint")
         if self.beta < 0:
             raise OracleContractError("beta must be >= 0")
         if self.lam < 0:
             raise OracleContractError("lam must be >= 0")
 
-    @property
-    def m(self) -> int:
-        return self.A.m
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """A and B as the two rows of one array."""
+        return np.stack([self.A, self.B])
 
-    @property
+    @cached_property
     def block_size(self) -> int:
-        return len(self.A)
+        return int(np.bitwise_count(self.A).sum())
 
     def count_grid(self) -> np.ndarray:
         """The shared read-only (|A|+1) x (|B|+1) table of values over
@@ -222,8 +231,8 @@ class TwoBlockValuation:
         return {
             "kind": self.kind,
             "params": {
-                "A": self.A.to_hex(),
-                "B": self.B.to_hex(),
+                "A": to_hex(self.A, self.m),
+                "B": to_hex(self.B, self.m),
                 "m": self.m,
                 "phi": self.phi.to_param_dict(),
                 "beta": self.beta,
@@ -233,18 +242,15 @@ class TwoBlockValuation:
         }
 
     def oracle(self) -> ValuationOracle:
-        a_mask, b_mask = self.A.mask, self.B.mask
-        blocks = words_from_masks([a_mask, b_mask], self.m)
-        a_words, b_words = blocks
-        value = self.count_values()
+        blocks, value = self.blocks, self.count_values()
 
         def fn_many(words: np.ndarray) -> np.ndarray:
-            return value(intersection_sizes(words, a_words), intersection_sizes(words, b_words))
+            return value(intersection_sizes(words, self.A), intersection_sizes(words, self.B))
 
         labels, n = item_labels(blocks, self.m), self.block_size
 
         def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
-            return value(*extension_counts(words, a_mask, b_mask, n)).take(labels.take(free))
+            return value(*extension_counts(words, blocks, n)).take(labels.take(free))
 
         return ValuationOracle(self.m, fn_many, self.descriptor(), fn_extensions)
 
@@ -255,8 +261,9 @@ class TwoBlockValuation:
             raise GroundSetError("not a two-block valuation descriptor")
         p = desc["params"]
         return cls(
-            ItemSet.from_hex(p["A"], p["m"]),
-            ItemSet.from_hex(p["B"], p["m"]),
+            p["m"],
+            from_hex(p["A"], p["m"]),
+            from_hex(p["B"], p["m"]),
             phi_from_param_dict(p["phi"]),
             p["beta"],
             p.get("lam", 1.0),
@@ -271,24 +278,25 @@ def item_labels(blocks: np.ndarray, m: int) -> np.ndarray:
     return in_a + 2 * in_b.astype(np.intp)
 
 
-def extension_counts(words: np.ndarray, a_mask: int, b_mask: int, n: int) -> np.ndarray:
-    """Occupancy counts of S + j, S packed as one row: column c holds (a, b)
-    for the items j of class c of item_labels().
+def extension_counts(words: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
+    """Occupancy counts of S + j, S packed as one row and A, B as the two
+    rows of `blocks`: column c holds (a, b) for the items j of class c of
+    item_labels().
 
     A count is capped at the block size n: a full block's class has no
     item outside S, so its value is never asked for."""
-    s = int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
-    a, b = (s & a_mask).bit_count(), (s & b_mask).bit_count()
+    a, b = intersection_sizes(blocks, words).tolist()
     return np.array([[a, min(a + 1, n), a], [b, b, min(b + 1, n)]])
 
 
 def make_symgap_valuation(
-    A: ItemSet, B: ItemSet, phi: Phi, beta: float, lam: float = 1.0
+    m: int, A: np.ndarray, B: np.ndarray, phi: Phi, beta: float, lam: float = 1.0
 ) -> TwoBlockValuation:
-    """The hidden-bisection adversarial valuation; requires beta > 0."""
+    """The hidden-bisection adversarial valuation on [0, m), blocks A and B
+    packed rows; requires beta > 0."""
     if beta <= 0:
         raise OracleContractError(f"adversarial family needs beta > 0, got {beta}")
-    return TwoBlockValuation(A, B, phi, float(beta), float(lam), kind="symgap")
+    return TwoBlockValuation(m, A, B, phi, float(beta), float(lam), kind="symgap")
 
 
 def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuation:
@@ -302,36 +310,33 @@ def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuati
     if block_size <= 0:
         raise OracleContractError("block_size must be positive")
     m = 2 * block_size
-    A = ItemSet((1 << block_size) - 1, m)
-    B = ItemSet(((1 << block_size) - 1) << block_size, m)
-    return TwoBlockValuation(A, B, PhiAlpha(alpha), 0.0, 1.0, kind="two_block_product")
+    A, B = pack(range(block_size), m), pack(range(block_size, m), m)
+    return TwoBlockValuation(m, A, B, PhiAlpha(alpha), 0.0, 1.0, kind="two_block_product")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BisectionSequence:
     """Nested uniform bisections: level ell is the full ground set; each
     level j < ell splits the previous A-part into equal halves (A_j, B_j)."""
 
     m: int
     ell: int
-    levels: tuple[tuple[ItemSet, ItemSet], ...]  # index 0 -> level ell-1, ... last -> level 0
+    # (ell, 2, word_count(m)) packed rows: levels[i] = (A_j, B_j) for
+    # j = ell - 1 - i, so index 0 is level ell - 1 and the last is level 0
+    levels: np.ndarray
 
-    def level(self, j: int) -> tuple[ItemSet, ItemSet]:
+    def level(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(A_j, B_j) for 0 <= j < ell."""
         if not 0 <= j < self.ell:
             raise GroundSetError(f"level {j} outside [0, {self.ell})")
-        return self.levels[self.ell - 1 - j]
+        return tuple(self.levels[self.ell - 1 - j])
 
-    def A(self, j: int) -> ItemSet:
+    def A(self, j: int) -> np.ndarray:
         """A_j; A_ell is the full ground set."""
-        if j == self.ell:
-            return ItemSet.full(self.m)
-        return self.level(j)[0]
+        return pack(range(self.m), self.m) if j == self.ell else self.level(j)[0]
 
-    def B(self, j: int) -> ItemSet:
-        if j == self.ell:
-            return ItemSet.full(self.m)
-        return self.level(j)[1]
+    def B(self, j: int) -> np.ndarray:
+        return pack(range(self.m), self.m) if j == self.ell else self.level(j)[1]
 
 
 def sample_bisection_sequence(
@@ -342,26 +347,17 @@ def sample_bisection_sequence(
         raise GroundSetError(f"ell must be >= 1, got {ell}")
     if m % (1 << ell):
         raise GroundSetError(f"m = {m} not divisible by 2^ell = {1 << ell}")
-    current = list(range(m))
-    levels = []
-    for _ in range(ell):
-        perm = rng.permutation(len(current))
+    if m < 1:
+        raise GroundSetError(f"m must be positive, got {m}")
+    current = np.arange(m)
+    # row 2i holds A and row 2i + 1 holds B of the i-th level drawn
+    bits = np.zeros((2 * ell, m), dtype=bool)
+    for i in range(ell):
+        perm = current[rng.permutation(len(current))]
         half = len(current) // 2
-        a_items = [current[int(i)] for i in perm[:half]]
-        b_items = [current[int(i)] for i in perm[half:]]
-        levels.append(
-            (ItemSet.from_indices(a_items, m), ItemSet.from_indices(b_items, m))
-        )
-        current = a_items
-    return BisectionSequence(m, ell, tuple(levels))
-
-
-def balancedness(S: ItemSet, A: ItemSet, B: ItemSet, beta: float) -> tuple[float, bool]:
-    """(|x - y|, |x - y| <= beta) for x, y the occupancy fractions of S in A, B."""
-    x = S.intersection_size(A) / len(A)
-    y = S.intersection_size(B) / len(B)
-    dev = abs(x - y)
-    return dev, dev <= beta
+        bits[2 * i, perm[:half]] = bits[2 * i + 1, perm[half:]] = True
+        current = perm[:half]
+    return BisectionSequence(m, ell, words_from_bits(bits).reshape(ell, 2, word_count(m)))
 
 
 @dataclass(frozen=True)
@@ -421,9 +417,6 @@ class CPPInstance:
     def n(self) -> int:
         return len(self.oracles)
 
-    def welfare(self, S) -> float:
-        return sum(o.eval(S) for o in self.oracles)
-
 
 @dataclass(frozen=True)
 class AuctionInstance:
@@ -447,13 +440,13 @@ class AuctionInstance:
         return len(self.oracles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasicAuctionDescriptor:
     n: int
     m: int
     omega: float
     seed: int
-    A_sets: tuple[ItemSet, ...]
+    A_sets: np.ndarray  # (n, word_count(m)) packed favorite sets
 
     def to_dict(self) -> dict:
         return {
@@ -462,7 +455,7 @@ class BasicAuctionDescriptor:
             "m": self.m,
             "omega": self.omega,
             "seed": self.seed,
-            "A_sets": [A.to_hex() for A in self.A_sets],
+            "A_sets": [to_hex(A, self.m) for A in self.A_sets],
         }
 
 
@@ -477,8 +470,8 @@ def make_basic_auction(
     if n < 1 or m < n or m % n:
         raise GroundSetError(f"need n | m with n >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    A_sets = tuple(random_subset(m, m // n, rng) for _ in range(n))
-    oracles = tuple(make_polar(A, omega) for A in A_sets)
+    A_sets = np.stack([random_subset(m, m // n, rng) for _ in range(n)])
+    oracles = tuple(make_polar(m, A, omega) for A in A_sets)
     return AuctionInstance(oracles), BasicAuctionDescriptor(n, m, omega, seed, A_sets)
 
 
@@ -520,9 +513,8 @@ def random_cpp_instance(
         else:
             half = m // 2
             perm = rng.permutation(m)
-            A = ItemSet.from_indices([int(j) for j in perm[:half]], m)
-            B = ItemSet.from_indices([int(j) for j in perm[half:]], m)
+            A, B = pack(perm[:half], m), pack(perm[half:], m)
             alpha = float(rng.choice([0.3, 0.5, 1.0]))
             beta = float(rng.choice([0.05, 0.1, 0.25]))
-            oracles.append(make_symgap_valuation(A, B, PhiAlpha(alpha), beta).oracle())
+            oracles.append(make_symgap_valuation(m, A, B, PhiAlpha(alpha), beta).oracle())
     return CPPInstance(tuple(oracles), k)

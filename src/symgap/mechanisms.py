@@ -18,15 +18,15 @@ import numpy as np
 from .setfn import (
     ROW_BLOCK_WORDS,
     GroundSetError,
-    ItemSet,
     OracleView,
     WORD_BITS,
-    masks_from_words,
+    pack,
     random_subset,
     singleton_words,
     tabulate,
+    unpack,
     word_count,
-    words_from_masks,
+    words_from_bits,
 )
 from .instances import CPPInstance, TwoBlockValuation
 from .extensions import enum_weights, f_exp_blockwise
@@ -54,26 +54,26 @@ class NonConcaveClassError(ValueError):
     extension guarantee; pass force=True to run it as a labeled heuristic."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
-    """Auction outcome: one bundle per player plus payments."""
+    """Auction outcome: row i of `sets`, an (n, word_count(m)) uint64 array,
+    packs player i's bundle; one payment per player."""
 
-    sets: tuple[ItemSet, ...]
+    sets: np.ndarray
     payments: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.sets) != len(self.payments):
             raise ValueError("one payment per player required")
-        taken = 0
-        for S in self.sets:
-            if taken & S.mask:
-                raise InfeasibleOutcomeError("allocated bundles overlap")
-            taken |= S.mask
+        # disjoint exactly when no item is counted twice
+        union = np.bitwise_or.reduce(self.sets, axis=0)
+        if np.bitwise_count(self.sets).sum() != np.bitwise_count(union).sum():
+            raise InfeasibleOutcomeError("allocated bundles overlap")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreedyResult:
-    S: ItemSet
+    S: np.ndarray  # packed row
     value: float
     steps: int
 
@@ -107,12 +107,12 @@ def greedy_cpp(oracles: Sequence, k: int) -> GreedyResult:
         words[j // WORD_BITS] |= np.uint64(1) << np.uint64(j % WORD_BITS)
         current = float(vals[best])
         steps += 1
-    return GreedyResult(ItemSet(masks_from_words(words[None])[0], m), current, steps)
+    return GreedyResult(words, current, steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptResult:
-    S: ItemSet
+    S: np.ndarray  # packed row
     value: float
 
 
@@ -136,8 +136,8 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
         if val > best_val + GAIN_TOL:
             best_val = val
             best_row = row
-    best_mask = masks_from_words(words[best_row : best_row + 1])[0] if best_row >= 0 else 0
-    return OptResult(ItemSet(best_mask, m), best_val)
+    best = words[best_row].copy() if best_row >= 0 else np.zeros(word_count(m), np.uint64)
+    return OptResult(best, best_val)
 
 
 @lru_cache(maxsize=32)
@@ -146,12 +146,14 @@ def _cpp_candidates(m: int, k: int) -> np.ndarray:
     caller of the same small (m, k): sizes in turn, each in lexicographic
     order."""
     # extend every set of the previous size by one item above its highest
-    masks: list[int] = []
-    level = [(0, -1)]
+    rows: list[np.ndarray] = []
+    level, tops = np.zeros((1, word_count(m)), dtype=np.uint64), np.array([-1])
+    singletons = singleton_words(m)
     for _ in range(k):
-        level = [(mask | 1 << j, j) for mask, top in level for j in range(top + 1, m)]
-        masks.extend(mask for mask, _ in level)
-    words = words_from_masks(masks, m)
+        parent, item = np.nonzero(np.arange(m) > tops[:, None])
+        level, tops = level[parent] | singletons[item], item
+        rows.append(level)
+    words = np.concatenate(rows)
     words.flags.writeable = False
     return words
 
@@ -172,13 +174,13 @@ def _assignment_masks(n: int, m: int) -> np.ndarray:
 
 def _welfare_optimum(
     oracles: Sequence,
-) -> tuple[tuple[ItemSet, ...], int, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, int, list[np.ndarray], np.ndarray]:
     """Enumerate every assignment of the items to a player or to nobody.
 
     Returns (alloc, best, per_player, welfare): per_player[i] holds player
     i's value of its bundle under each _assignment_masks row, welfare their
     sum added in player order, and best the first row of maximum welfare,
-    whose bundles are alloc.  One tabulate per oracle."""
+    whose bundles are the packed rows of alloc.  One tabulate per oracle."""
     n = len(oracles)
     m = oracles[0].m
     if (n + 1) ** m > _AUCTION_ENUM_CAP:
@@ -192,11 +194,12 @@ def _welfare_optimum(
     for col in per_player:
         welfare += col
     best = int(np.argmax(welfare))
-    alloc = tuple(ItemSet(int(masks[best, i]), m) for i in range(n))
+    # one word per bundle: the enumeration cap keeps m below 64
+    alloc = masks[best].astype(np.uint64)[:, None][:, : word_count(m)]
     return alloc, best, per_player, welfare
 
 
-def exhaustive_opt_auction(oracles: Sequence) -> tuple[tuple[ItemSet, ...], float]:
+def exhaustive_opt_auction(oracles: Sequence) -> tuple[np.ndarray, float]:
     """Welfare-optimal allocation by mixed-radix enumeration (items may stay
     unallocated); deterministic first-maximum tie-breaking."""
     alloc, best, _, welfare = _welfare_optimum(oracles)
@@ -231,12 +234,9 @@ class DistributionOverOutcomes:
     def m(self) -> int:
         return len(self.marginals)
 
-    def sample(self, rng: np.random.Generator) -> ItemSet:
-        draws = rng.random(self.m) < np.asarray(self.marginals)
-        mask = 0
-        for j in np.nonzero(draws)[0]:
-            mask |= 1 << int(j)
-        return ItemSet(mask, self.m)
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw, as a packed row."""
+        return words_from_bits((rng.random(self.m) < np.asarray(self.marginals))[None])[0]
 
     def to_dict(self) -> dict:
         return {
@@ -337,8 +337,7 @@ def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
                 "solver needs m <= 16 for full enumeration or a two-block descriptor"
             )
         bv = TwoBlockValuation.from_descriptor(desc)
-        a_idx = bv.A.indices()
-        b_idx = bv.B.indices()
+        a_idx, b_idx = unpack(bv.A, m), unpack(bv.B, m)
         dim = 2
         weights = np.array([float(len(a_idx)), float(len(b_idx))])
 
@@ -414,7 +413,8 @@ class CPPMechanism(ABC):
     @abstractmethod
     def allocate(
         self, views: Sequence[OracleView], k: int, rng: np.random.Generator
-    ) -> ItemSet | DistributionOverOutcomes:
+    ) -> np.ndarray | DistributionOverOutcomes:
+        """A packed row of at most k items, or a distribution over them."""
         ...
 
 
@@ -460,7 +460,7 @@ class BalancedPrefixCPP(CPPMechanism):
     def allocate(self, views, k, rng):
         m, width = views[0].m, word_count(views[0].m)
         perm = rng.permutation(m)[:k]
-        full = words_from_masks([(1 << m) - 1], m)
+        full = pack(range(m), m)[None]
         total = sum(v.eval_many(full) for v in views)[0]
         # prefix t + 1 is row t; the rows are built and asked a block at a
         # time, so that at m = 160,000 they never all sit in memory at once
@@ -475,7 +475,7 @@ class BalancedPrefixCPP(CPPMechanism):
             values[lo : lo + step] = sum(v.eval_many(rows) for v in views)
         reached = np.flatnonzero(values >= _PREFIX_SHARE * total)
         size = int(reached[0]) + 1 if reached.size else k
-        return ItemSet.from_indices(perm[:size].tolist(), m)
+        return pack(perm[:size], m)
 
 
 class PoissonMIDRCPP(CPPMechanism):
@@ -516,24 +516,23 @@ class PayYourBidGreedyAuction(AuctionMechanism):
     def allocate(self, views, rng):
         n = len(views)
         m = views[0].m
-        bundles = [0] * n
+        bundles = np.zeros((n, word_count(m)), dtype=np.uint64)
         values = [0.0] * n
-        for j in range(m):
+        for j, item in enumerate(singleton_words(m)):
             best_i = -1
             best_gain = GAIN_TOL
             best_val = 0.0
             for i in range(n):
-                cand_val = views[i].eval(bundles[i] | (1 << j))
+                cand_val = views[i].eval(bundles[i] | item)
                 gain = cand_val - values[i]
                 if gain > best_gain:
                     best_gain = gain
                     best_i = i
                     best_val = cand_val
             if best_i >= 0:
-                bundles[best_i] |= 1 << j
+                bundles[best_i] |= item
                 values[best_i] = best_val
-        sets = tuple(ItemSet(b, m) for b in bundles)
-        return Outcome(sets, tuple(values))
+        return Outcome(bundles, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -564,15 +563,15 @@ def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> Tria
         views = oracles
     else:
         views = tuple(o.restricted_view() for o in oracles)
-    n, m = len(oracles), oracles[0].m
+    n, width = len(oracles), word_count(oracles[0].m)
     head = (views, instance.k) if isinstance(instance, CPPInstance) else (views,)
     replicate = getattr(mech, "deterministic", False)
     root = np.random.SeedSequence(seed)
-    # one row of n bundles and n payments per allocate call, then one per trial
-    masks: list[int] = []
+    # n bundles and n payments per allocate call, then one index per trial
+    bundles: list[np.ndarray] = []
     pays: list[tuple[float, ...]] = []
     drawn: list[bool] = []  # whether each call returned a distribution
-    samples: list[int] = []  # masks drawn from distributions, in trial order
+    samples: list[np.ndarray] = []  # rows drawn from distributions, in trial order
     index = np.zeros(trials, dtype=np.intp)
     res = None
     for t in range(trials):
@@ -583,22 +582,24 @@ def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> Tria
         rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
         if not replay:
             res = mech.allocate(*head, rng)
+            is_dist = isinstance(res, DistributionOverOutcomes)
             if isinstance(res, Outcome):  # whose bundles are disjoint by construction
-                masks.extend(S.mask for S in res.sets)
+                bundles.append(res.sets)
                 pays.append(res.payments)
             else:  # a project of at most k items, in expectation for a distribution
-                size = sum(res.x) if isinstance(res, DistributionOverOutcomes) else len(res)
+                size = sum(res.x) if is_dist else int(np.bitwise_count(res).sum())
                 if size > instance.k + 1e-9:
                     raise InfeasibleOutcomeError(f"outcome of size {size} exceeds k = {instance.k}")
                 # a distribution's rows are filled from its samples below
-                masks.extend([res.mask if isinstance(res, ItemSet) else 0] * n)
+                row = np.zeros(width, np.uint64) if is_dist else res
+                bundles.append(np.broadcast_to(row, (n, width)))
                 pays.append((0.0,) * n)
-            drawn.append(isinstance(res, DistributionOverOutcomes))
+            drawn.append(is_dist)
         index[t] = len(pays) - 1
         if drawn[-1]:
-            samples.append(res.sample(rng).mask)
-    words = words_from_masks(masks, m).reshape(len(pays), n, word_count(m))[index]
+            samples.append(res.sample(rng))
+    words = np.array(bundles, dtype=np.uint64).reshape(len(pays), n, width)[index]
     payments = np.array(pays, dtype=float).reshape(len(pays), n)[index]
     if samples:
-        words[np.array(drawn)[index]] = words_from_masks(samples, m)[:, None, :]
+        words[np.array(drawn)[index]] = np.stack(samples)[:, None, :]
     return TrialColumns(words, payments)

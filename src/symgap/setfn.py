@@ -1,10 +1,11 @@
 """Monotone submodular set functions under the value-oracle query model.
 
-Ground sets are [0, m).  A set is queried as a packed row of word_count(m)
-uint64 words, word i holding items [64i, 64i + 64); an ItemSet holds the
-same bits as one int.  Every oracle evaluation bumps a query counter;
-structural checks (monotonicity, submodularity) run either exhaustively over
-all 2^m subsets (m <= 24) or by sampled triples.
+Ground sets are [0, m).  A set is one packed row of word_count(m) uint64
+words, word i holding items [64i, 64i + 64); pack() and unpack() convert
+item arrays, to_hex() and from_hex() the hex form descriptors hold.  Every
+oracle evaluation bumps a query counter; structural checks (monotonicity,
+submodularity) run either exhaustively over all 2^m subsets (m <= 24) or by
+sampled triples.
 
 Each oracle family has one evaluator, over a batch of rows.  eval_many asks
 for the rows of a (batch, word_count(m)) uint64 array and counts one query
@@ -44,128 +45,53 @@ class OracleContractError(ValueError):
     """An oracle violates a construction-time contract (normalization, range)."""
 
 
-class ItemSet:
-    """Immutable subset of [0, m) stored as a bit mask."""
-
-    __slots__ = ("mask", "m")
-
-    def __init__(self, mask: int, m: int):
-        if m < 0:
-            raise GroundSetError(f"ground size must be >= 0, got {m}")
-        if mask < 0 or mask >> m:
-            raise GroundSetError(f"mask {mask:#x} has bits outside [0, {m})")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ItemSet is immutable")
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], m: int) -> "ItemSet":
-        mask = 0
-        for j in indices:
-            if not 0 <= j < m:
-                raise GroundSetError(f"index {j} outside [0, {m})")
-            mask |= 1 << j
-        return cls(mask, m)
-
-    @classmethod
-    def empty(cls, m: int) -> "ItemSet":
-        return cls(0, m)
-
-    @classmethod
-    def full(cls, m: int) -> "ItemSet":
-        return cls((1 << m) - 1, m)
-
-    @classmethod
-    def from_hex(cls, digits: str, m: int) -> "ItemSet":
-        return cls(int(digits, 16) if digits else 0, m)
-
-    def to_hex(self) -> str:
-        width = max(1, (self.m + 3) // 4)
-        return format(self.mask, f"0{width}x")
-
-    def indices(self) -> list[int]:
-        out, mask, base = [], self.mask, 0
-        while mask:
-            chunk = mask & 0xFFFFFFFFFFFFFFFF
-            while chunk:
-                low = chunk & -chunk
-                out.append(base + low.bit_length() - 1)
-                chunk ^= low
-            mask >>= 64
-            base += 64
-        return out
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, j: int) -> bool:
-        return 0 <= j < self.m and bool(self.mask >> j & 1)
-
-    def __iter__(self):
-        return iter(self.indices())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ItemSet)
-            and self.mask == other.mask
-            and self.m == other.m
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.m))
-
-    def _coerce(self, other: "ItemSet") -> int:
-        if not isinstance(other, ItemSet):
-            raise TypeError(f"expected ItemSet, got {type(other).__name__}")
-        if other.m != self.m:
-            raise GroundSetError(f"ground sizes differ: {self.m} vs {other.m}")
-        return other.mask
-
-    def __and__(self, other: "ItemSet") -> "ItemSet":
-        return ItemSet(self.mask & self._coerce(other), self.m)
-
-    def __or__(self, other: "ItemSet") -> "ItemSet":
-        return ItemSet(self.mask | self._coerce(other), self.m)
-
-    def __sub__(self, other: "ItemSet") -> "ItemSet":
-        return ItemSet(self.mask & ~self._coerce(other), self.m)
-
-    def add(self, j: int) -> "ItemSet":
-        if not 0 <= j < self.m:
-            raise GroundSetError(f"index {j} outside [0, {self.m})")
-        return ItemSet(self.mask | (1 << j), self.m)
-
-    def remove(self, j: int) -> "ItemSet":
-        if not 0 <= j < self.m:
-            raise GroundSetError(f"index {j} outside [0, {self.m})")
-        return ItemSet(self.mask & ~(1 << j), self.m)
-
-    def complement(self) -> "ItemSet":
-        return ItemSet(~self.mask & ((1 << self.m) - 1), self.m)
-
-    def intersection_size(self, other: "ItemSet") -> int:
-        return (self.mask & self._coerce(other)).bit_count()
-
-    def issubset(self, other: "ItemSet") -> bool:
-        return self.mask & ~self._coerce(other) == 0
-
-    def __repr__(self) -> str:
-        return f"ItemSet({self.indices()!r}, m={self.m})"
-
-
-def random_subset(m: int, size: int, rng: np.random.Generator) -> ItemSet:
-    """Uniformly random subset of [0, m) with exactly `size` elements."""
-    if not 0 <= size <= m:
-        raise GroundSetError(f"size {size} outside [0, {m}]")
-    idx = rng.choice(m, size=size, replace=False)
-    return ItemSet.from_indices([int(j) for j in idx], m)
-
-
 def word_count(m: int) -> int:
     """uint64 words per packed set on a ground set of size m."""
     return -(-m // WORD_BITS)
+
+
+def pack(items, m: int) -> np.ndarray:
+    """The packed row of word_count(m) words holding the given items of [0, m)."""
+    if m < 0:
+        raise GroundSetError(f"ground size must be >= 0, got {m}")
+    items = np.asarray(items, dtype=np.intp).ravel()
+    if items.size and not (0 <= items.min() and items.max() < m):
+        raise GroundSetError(f"index {items[(items < 0) | (items >= m)][0]} outside [0, {m})")
+    bits = np.zeros(WORD_BITS * word_count(m), dtype=bool)
+    bits[items] = True
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack(row: np.ndarray, m: int) -> np.ndarray:
+    """The items of a packed row, increasing."""
+    return np.flatnonzero(bits_from_words(row[None], m)[0])
+
+
+def to_hex(row: np.ndarray, m: int) -> str:
+    """A packed row as hex digits, item j at bit j, zero-padded to (m+3)//4
+    digits (at least one): the descriptor form of a set."""
+    mask = int.from_bytes(np.asarray(row, dtype="<u8").tobytes(), "little")
+    if mask >> m:
+        raise GroundSetError(f"mask {mask:#x} has bits outside [0, {m})")
+    return format(mask, f"0{max(1, (m + 3) // 4)}x")
+
+
+def from_hex(digits: str, m: int) -> np.ndarray:
+    """The packed row of hex digits of any width; a bit at or above m is an
+    error."""
+    mask = int(digits, 16) if digits else 0
+    if mask < 0 or mask >> m:
+        raise GroundSetError(f"mask {mask:#x} has bits outside [0, {m})")
+    data = mask.to_bytes(8 * word_count(m), "little")
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
+
+
+def random_subset(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Packed row of a uniformly random subset of [0, m) with exactly `size`
+    elements."""
+    if not 0 <= size <= m:
+        raise GroundSetError(f"size {size} outside [0, {m}]")
+    return pack(rng.choice(m, size=size, replace=False), m)
 
 
 def words_from_masks(masks: Sequence[int], m: int) -> np.ndarray:
@@ -217,19 +143,26 @@ def _singleton_rows(items: np.ndarray, m: int) -> np.ndarray:
     return singleton_words(m, items)
 
 
-def masks_from_words(words: np.ndarray) -> list[int]:
-    """Rows of a packed uint64 array to int masks."""
-    batch, width = words.shape
-    if width <= 1:
-        return words[:, 0].tolist() if width else [0] * batch
-    data = words.astype("<u8", copy=False).tobytes()
-    step = 8 * width
-    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+def as_rows(words, m: int, ndim: int = 2) -> np.ndarray:
+    """`words` checked as sets on [0, m): uint64 rows of word_count(m) words,
+    a (batch, width) array for ndim 2 and one row for ndim 1."""
+    words = np.asarray(words)
+    width = word_count(m)
+    if words.dtype != np.uint64 or words.ndim != ndim or words.shape[-1] != width:
+        raise GroundSetError(
+            f"expected uint64 rows of {width} words, got {words.dtype} {words.shape}"
+        )
+    tail = m % WORD_BITS
+    if tail:
+        high = words.T[-1] >> np.uint64(tail)  # one row's is a scalar, fast to test
+        if high.any() if ndim == 2 else high:
+            raise GroundSetError(f"set outside ground set of size {m}")
+    return words
 
 
 def intersection_sizes(words: np.ndarray, within: np.ndarray) -> np.ndarray:
     """|S ∩ W| for each packed row S, with W packed as one row `within`."""
-    return np.bitwise_count(words & within).sum(1, dtype=np.int64)
+    return np.add.reduce(np.bitwise_count(words & within), axis=-1, dtype=np.int64)
 
 
 def _sum_in_item_order(weights: np.ndarray, selected: np.ndarray) -> np.ndarray:
@@ -248,8 +181,8 @@ class ValuationOracle:
     fn_many(words) is the oracle's one evaluator: it takes packed sets, the
     rows of a (batch, word_count(m)) uint64 array, at most _EVAL_CHUNK rows
     per call, and returns their values as floats.  eval_many() checks a
-    batch and counts one query per row; eval() takes an ItemSet or a raw
-    mask int and asks for it as a one-row batch.  The counter is thread-safe
+    batch and counts one query per row; eval() asks for one packed row as a
+    one-row batch.  The counter is thread-safe
     so concurrent audits still report exact totals.
 
     eval_extensions(words, free) asks for S + j for every j in `free`, S one
@@ -283,25 +216,14 @@ class ValuationOracle:
         if not abs(v0) <= 1e-12:  # NaN fails too
             raise OracleContractError(f"f(empty) = {v0!r}, expected 0")
 
-    def eval(self, S) -> float:
-        mask = S.mask if isinstance(S, ItemSet) else S
-        if mask < 0 or mask >> self.m:
-            raise GroundSetError(f"query outside ground set of size {self.m}")
-        return float(self._query(words_from_masks([mask], self.m))[0])
+    def eval(self, S: np.ndarray) -> float:
+        """The value of one set, packed as a row of word_count(m) words."""
+        return float(self._query(as_rows(S, self.m, ndim=1)[None])[0])
 
     def eval_many(self, words: np.ndarray) -> np.ndarray:
         """Values of the sets packed in the rows of a (batch, word_count(m))
         uint64 array; counts `batch` queries."""
-        words = np.asarray(words)
-        width = word_count(self.m)
-        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != width:
-            raise GroundSetError(
-                f"expected uint64 rows of {width} words, got {words.dtype} {words.shape}"
-            )
-        tail = self.m % WORD_BITS
-        if tail and (words[:, -1] >> np.uint64(tail)).any():
-            raise GroundSetError(f"query outside ground set of size {self.m}")
-        return self._query(words)
+        return self._query(as_rows(words, self.m))
 
     def _query(self, words: np.ndarray) -> np.ndarray:
         """eval_many on rows already checked against this ground set: product
@@ -320,15 +242,7 @@ class ValuationOracle:
         """Values of S + j for each j in `free`, with S packed as one row of
         word_count(m) uint64 words and `free` an increasing int array of
         items outside S; counts len(free) queries."""
-        words = np.asarray(words)
-        width = word_count(self.m)
-        if words.dtype != np.uint64 or words.shape != (width,):
-            raise GroundSetError(
-                f"expected one uint64 row of {width} words, got {words.dtype} {words.shape}"
-            )
-        tail = self.m % WORD_BITS
-        if tail and words[-1] >> np.uint64(tail):
-            raise GroundSetError(f"query outside ground set of size {self.m}")
+        words = as_rows(words, self.m, ndim=1)
         free = np.asarray(free)
         if free.ndim != 1 or (free.size and free.dtype.kind not in "iu"):
             raise GroundSetError(
@@ -379,7 +293,7 @@ class OracleView:
         self.m = oracle.m
         self._oracle = oracle
 
-    def eval(self, S) -> float:
+    def eval(self, S: np.ndarray) -> float:
         return self._oracle.eval(S)
 
     def eval_many(self, words: np.ndarray) -> np.ndarray:
@@ -471,15 +385,15 @@ def make_coverage(
     return ValuationOracle(m, fn_many, desc)
 
 
-def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
-    """v(S) = |A ∩ S| + omega * |S \\ A|, the two-rate counting valuation.
+def make_polar(m: int, A: np.ndarray, omega: float) -> ValuationOracle:
+    """v(S) = |A ∩ S| + omega * |S \\ A|, the two-rate counting valuation on
+    [0, m), A a packed row.
 
     omega must lie in (0, 1) so items inside A strictly dominate.
     """
     if not 0.0 < omega < 1.0:
         raise OracleContractError(f"omega must be in (0, 1), got {omega}")
-    m, w = A.m, float(omega)
-    a_words = words_from_masks([A.mask], m)
+    w, a_words = float(omega), as_rows(A, m, ndim=1)[None]
 
     def fn_many(words: np.ndarray) -> np.ndarray:
         inside = intersection_sizes(words, a_words)
@@ -487,7 +401,7 @@ def make_polar(A: ItemSet, omega: float) -> ValuationOracle:
 
     desc = {
         "kind": "polar",
-        "params": {"A": A.to_hex(), "m": m, "omega": w},
+        "params": {"A": to_hex(A, m), "m": m, "omega": w},
         "seed": None,
     }
     return ValuationOracle(m, fn_many, desc)
@@ -502,7 +416,7 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     if f1.m != f2.m:
         raise GroundSetError(f"component ground sizes differ: {f1.m} vs {f2.m}")
     m = f1.m
-    full = words_from_masks([(1 << m) - 1], m)
+    full = pack(range(m), m)[None]
     for f in (f1, f2):
         top = float(f._fn_many(full)[0])
         if top > 1.0 + 1e-12 or top < -1e-12:
@@ -557,16 +471,16 @@ def tabulate(oracle) -> np.ndarray:
     return oracle.eval_many(words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneViolation:
-    S: ItemSet
+    S: np.ndarray  # packed row
     item: int
     gap: float  # f(S + item) - f(S), negative when violating
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubmodularViolation:
-    S: ItemSet
+    S: np.ndarray  # packed row
     item_i: int
     item_j: int
     gap: float  # marginal(i | S) - marginal(i | S + j), negative when violating
@@ -648,7 +562,8 @@ def check_monotone_submodular(
                 # later insertion keeps the earlier zeros
                 for item in items:
                     S += S & -(1 << item)
-                recorded.append(record(ItemSet(S, m), *items, float(gap[t])))
+                row = np.array([S], dtype=np.uint64)  # one word: m <= 24
+                recorded.append(record(row, *items, float(gap[t])))
         passed = counts == [0, 0]
         return StructureReport(passed, "exhaustive", m, checked, STRUCT_TOL, *found, *counts)
 
@@ -686,11 +601,9 @@ def check_monotone_submodular(
             mono_count += bad_mono.size
             sub_count += bad_sub.size
             for t in bad_mono[: _MAX_RECORDED - len(mono)].tolist():
-                mono.append(MonotoneViolation(ItemSet(masks[t], m), items_i[t], float(gain[t])))
+                mono.append(MonotoneViolation(S[t].copy(), items_i[t], float(gain[t])))
             for t in bad_sub[: _MAX_RECORDED - len(sub)].tolist():
-                sub.append(
-                    SubmodularViolation(ItemSet(masks[t], m), items_i[t], items_j[t], float(diff[t]))
-                )
+                sub.append(SubmodularViolation(S[t].copy(), items_i[t], items_j[t], float(diff[t])))
         passed = mono_count == 0 and sub_count == 0
         return StructureReport(
             passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
@@ -712,8 +625,7 @@ def reconstruct_oracle(descriptor: dict | str) -> ValuationOracle:
     if kind == "coverage":
         return make_coverage(params["universe_weights"], params["cover_map"])
     if kind == "polar":
-        A = ItemSet.from_hex(params["A"], params["m"])
-        return make_polar(A, params["omega"])
+        return make_polar(params["m"], from_hex(params["A"], params["m"]), params["omega"])
     if kind == "product":
         c1, c2 = params["components"]
         return compose_product(reconstruct_oracle(c1), reconstruct_oracle(c2))

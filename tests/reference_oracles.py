@@ -1,15 +1,42 @@
 """Scalar reference values for every oracle family, driven by the descriptor.
 
-The package evaluates sets only as packed uint64 rows.  Here one set is an
-int mask and its value comes from Python loops over its bits, written apart
-from the batch evaluators, so that tests can hold the batch path equal to an
+The package holds sets only as packed uint64 rows.  Here one set is an int
+mask and its value comes from Python loops over its bits, written apart from
+the batch evaluators, so that tests can hold the batch path equal to an
 independent reference bit for bit.  Sums run left to right from 0.0 in item
 (or universe element) order, the order the batch evaluators promise.
+masks_from_words, mask_of, row_of and mask_hex convert between rows, int
+masks and hex the int way: the reference for pack, unpack and the hex pair.
 """
 import numpy as np
 
 from symgap.instances import TwoBlockValuation
-from symgap.setfn import ValuationOracle, masks_from_words
+from symgap.setfn import ValuationOracle, words_from_masks
+
+
+def masks_from_words(words: np.ndarray) -> list[int]:
+    """Rows of a packed uint64 array to int masks."""
+    batch, width = words.shape
+    if width <= 1:
+        return words[:, 0].tolist() if width else [0] * batch
+    data = words.astype("<u8", copy=False).tobytes()
+    step = 8 * width
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
+def mask_of(row: np.ndarray) -> int:
+    """The int mask of one packed row."""
+    return masks_from_words(np.asarray(row)[None])[0]
+
+
+def row_of(mask: int, m: int) -> np.ndarray:
+    """The packed row of an int mask on [0, m)."""
+    return words_from_masks([mask], m)[0]
+
+
+def mask_hex(mask: int, m: int) -> str:
+    """An int mask as zero-padded hex, the descriptor form of a set."""
+    return format(mask, f"0{max(1, (m + 3) // 4)}x")
 
 
 def _items(mask: int):
@@ -67,7 +94,8 @@ def _scaled(params, mask):
 
 def _two_block(descriptor, mask):
     val = TwoBlockValuation.from_descriptor(descriptor)
-    a, b = (mask & val.A.mask).bit_count(), (mask & val.B.mask).bit_count()
+    p = descriptor["params"]
+    a, b = (mask & int(p["A"], 16)).bit_count(), (mask & int(p["B"], 16)).bit_count()
     return float(val.count_values()(a, b))
 
 

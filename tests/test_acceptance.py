@@ -13,11 +13,11 @@ import pytest
 from scipy import optimize
 
 from symgap.setfn import (
-    ItemSet,
     check_monotone_submodular,
     make_additive,
     make_budget_additive,
     make_coverage,
+    pack,
     scale_oracle,
     tabulate,
 )
@@ -106,18 +106,18 @@ def test_criterion_04_perturbed_two_block_family(capsys):
     all_ok = True
     for size in range(2, 7):
         m = 2 * size
-        A = ItemSet.from_indices(range(size), m)
-        B = ItemSet.from_indices(range(size, m), m)
+        A, B = pack(range(size), m), pack(range(size, m), m)
+        a_mask, b_mask = (1 << size) - 1, ((1 << size) - 1) << size
         for alpha in (0.3, 0.5, 1.0):
             phi = PhiAlpha(alpha)
             for beta in (0.05, 0.1, 0.25):
-                oracle = make_symgap_valuation(A, B, phi, beta).oracle()
+                oracle = make_symgap_valuation(m, A, B, phi, beta).oracle()
                 rep = check_monotone_submodular(oracle, mode="exhaustive")
                 all_ok &= rep.passed
                 table = tabulate(oracle)
                 for mask in range(1 << m):
-                    xa = (mask & A.mask).bit_count() / size
-                    xb = (mask & B.mask).bit_count() / size
+                    xa = (mask & a_mask).bit_count() / size
+                    xb = (mask & b_mask).bit_count() / size
                     floor = float(phi.value(max(max(xa, xb) - beta, 0.0)))
                     worst_floor = min(worst_floor, table[mask] - floor)
                 combos += 1

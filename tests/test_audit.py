@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from symgap.setfn import (
-    ItemSet,
     make_additive,
     make_budget_additive,
+    pack,
     scale_oracle,
     singleton_words,
     word_count,
@@ -174,7 +174,7 @@ class _SampledGreedy(CPPMechanism):
                 values = view.eval_extensions(words, free)
             inside[free[values.argmax()]] = True
             words = words_from_bits(inside[None])[0]
-        return ItemSet.from_indices(np.flatnonzero(inside).tolist(), m)
+        return words
 
 
 class TestProbeClassifiesExtensions:
@@ -203,11 +203,10 @@ class TestProbeClassifiesExtensions:
 class TestMenus:
     def _setup(self):
         m = 6
-        A = ItemSet.from_indices([0, 1], m)
-        B = ItemSet.from_indices([2, 3], m)
+        A, B = pack([0, 1], m), pack([2, 3], m)
         phi = PhiAlpha(0.5)
         family = [
-            make_symgap_valuation(A, B, phi, 0.25, lam) for lam in (0.5, 1.0)
+            make_symgap_valuation(m, A, B, phi, 0.25, lam) for lam in (0.5, 1.0)
         ]
         opponent = make_additive([0.0, 0.0, 0.0, 0.0, 0.3, 0.3])
         inst = AuctionInstance((family[1].oracle(), opponent))
@@ -469,7 +468,7 @@ class TestConcentration:
 
 
 def _cpp_closure(mech, k):
-    """Public-project mechanism as declared oracle -> sampled ItemSet."""
+    """Public-project mechanism as declared oracle -> sampled packed row."""
 
     def closure(declared, rng):
         views = (declared,) if getattr(mech, "needs_descriptor", False) else (

@@ -26,7 +26,6 @@ from symgap.instances import (
 from symgap.mechanisms import greedy_cpp
 from symgap.setfn import (
     GroundSetError,
-    ItemSet,
     ValuationOracle,
     bits_from_words,
     compose_product,
@@ -35,17 +34,25 @@ from symgap.setfn import (
     make_budget_additive,
     make_coverage,
     make_polar,
-    masks_from_words,
+    pack,
     query_count,
     reconstruct_oracle,
     scale_oracle,
     singleton_words,
     tabulate,
+    unpack,
     word_count,
     words_from_bits,
     words_from_masks,
 )
-from reference_oracles import KINDS, scalar_value, scalar_values
+from reference_oracles import (
+    KINDS,
+    mask_of,
+    masks_from_words,
+    row_of,
+    scalar_value,
+    scalar_values,
+)
 
 SIZES = (2, 63, 64, 65, 130, 400)
 PHIS = (
@@ -59,18 +66,15 @@ FALLBACK_KINDS = ("additive", "budget_additive", "coverage", "polar", "product",
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _split(m: int, rng: np.random.Generator) -> tuple[ItemSet, ItemSet]:
+def _split(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     perm = rng.permutation(m)
     half = m // 2
-    return (
-        ItemSet.from_indices(perm[:half].tolist(), m),
-        ItemSet.from_indices(perm[half : 2 * half].tolist(), m),
-    )
+    return pack(perm[:half], m), pack(perm[half : 2 * half], m)
 
 
 def _two_block(m, phi, beta, rng) -> TwoBlockValuation:
     A, B = _split(m, rng)
-    return TwoBlockValuation(A, B, phi, beta, float(rng.uniform(0.5, 2.0)))
+    return TwoBlockValuation(m, A, B, phi, beta, float(rng.uniform(0.5, 2.0)))
 
 
 def _fallback(kind: str, m: int, rng: np.random.Generator):
@@ -85,9 +89,9 @@ def _fallback(kind: str, m: int, rng: np.random.Generator):
         return make_coverage(rng.uniform(0.0, 1.0, universe).tolist(), cover)
     A, _ = _split(m, rng)
     if kind == "polar":
-        return make_polar(A, 0.3)
+        return make_polar(m, A, 0.3)
     if kind == "scaled":
-        return scale_oracle(make_polar(A, 0.3), 0.25)
+        return scale_oracle(make_polar(m, A, 0.3), 0.25)
     return compose_product(
         make_additive((w / w.sum()).tolist()),
         make_budget_additive(rng.uniform(0.0, 1.0, m).tolist(), 1.0),
@@ -176,7 +180,7 @@ class TestEvalMany:
             oracle = _fallback(kind, m, rng)
         view = oracle.restricted_view()
         words = _random_rows(m, rng, batch=13)
-        oracle.eval(0)
+        oracle.eval(pack((), m))
         oracle.eval_many(words)
         assert query_count(oracle) == 14
         view.eval_many(words[:5])
@@ -317,7 +321,7 @@ class TestEdgeCases:
         weights = [0.5, math.inf, 0.25, -0.0, 0.125, 7.0]
         oracle = make_coverage(weights, [[0], [2, 4], [0, 2], []])
         _assert_matches_scalar(oracle, _all_rows(4))
-        assert oracle.eval(0b1111) == 0.875
+        assert oracle.eval(pack(range(4), 4)) == 0.875
 
     def test_coverage_over_an_empty_universe(self):
         oracle = make_coverage([], [[], [], []])
@@ -327,17 +331,17 @@ class TestEdgeCases:
     @pytest.mark.parametrize("omega", (1e-300, 0.3, 1.0 - 2.0**-53))
     def test_polar_rates(self, omega):
         for members in ([], [0, 2], [0, 1, 2, 3, 4]):
-            _assert_matches_scalar(make_polar(ItemSet.from_indices(members, 5), omega),
+            _assert_matches_scalar(make_polar(5, pack(members, 5), omega),
                                    _all_rows(5))
 
     def test_empty_ground_set(self):
-        empty = ItemSet.empty(0)
+        empty = pack((), 0)
         oracles = [
             make_additive([]),
             make_budget_additive([], 1.0),
             make_coverage([0.5, math.inf], []),
-            make_polar(empty, 0.5),
-            scale_oracle(make_polar(empty, 0.5), 2.0),
+            make_polar(0, empty, 0.5),
+            scale_oracle(make_polar(0, empty, 0.5), 2.0),
             compose_product(make_additive([]), make_coverage([0.5], [])),
         ]
         for oracle in oracles:
@@ -360,15 +364,22 @@ class TestEdgeCases:
             return 0.5 * np.bitwise_count(words).sum(1)
 
         oracle = ValuationOracle(70, fn_many, {"kind": "custom"})
-        value = oracle.eval(ItemSet.from_indices([1, 2, 66], 70))
+        value = oracle.eval(pack([1, 2, 66], 70))
         assert type(value) is float and value == 1.5
-        assert oracle.eval(1 << 69) == 0.5
+        assert oracle.eval(row_of(1 << 69, 70)) == 0.5
         # f(empty) is checked at construction on one row, and counts nothing
         assert [r.tolist() for r in rows] == [[[0, 0]], [[6, 4]], [[0, 1 << 5]]]
         assert oracle.query_count == 2
-        for mask in (-1, 1 << 70):
+        bad = (
+            np.array([0, 1 << 6], dtype=np.uint64),  # bit 70
+            np.array([6, 4], dtype=np.int64),
+            np.zeros(1, dtype=np.uint64),
+            np.zeros((1, 2), dtype=np.uint64),  # a batch, not one row
+            6,
+        )
+        for row in bad:
             with pytest.raises(GroundSetError):
-                oracle.eval(mask)
+                oracle.eval(row)
         assert oracle.query_count == 2
 
 
@@ -386,22 +397,22 @@ class TestAboveGridSize:
         bits = np.zeros((batch, m), dtype=bool)
         for block in (val.A, val.B):
             p = rng.uniform(0.0, 1.0, batch)
-            bits[:, block.indices()] = rng.random((batch, n)) < p[:, None]
+            bits[:, unpack(block, m)] = rng.random((batch, n)) < p[:, None]
         words = words_from_bits(bits)
         ref = np.array(
             [
-                val.lam * float(psi_tilde(phi, beta, (mask & val.A.mask).bit_count() / n,
-                                          (mask & val.B.mask).bit_count() / n))
+                val.lam * float(psi_tilde(phi, beta, (mask & mask_of(val.A)).bit_count() / n,
+                                          (mask & mask_of(val.B)).bit_count() / n))
                 for mask in masks_from_words(words)
             ]
         )
-        a = intersection_sizes(words, words_from_masks([val.A.mask], m)) / n
-        b = intersection_sizes(words, words_from_masks([val.B.mask], m)) / n
+        a = intersection_sizes(words, val.A) / n
+        b = intersection_sizes(words, val.B) / n
         assert (a - b > beta).any() and (b - a > beta).any() and (abs(a - b) <= beta).any()
         oracle = val.oracle()
         assert oracle.eval_many(words).tobytes() == ref.tobytes()
         assert scalar_values(oracle, words).tobytes() == ref.tobytes()
-        single = [oracle.eval(mask) for mask in masks_from_words(words)]
+        single = [oracle.eval(row) for row in words]
         assert np.array(single).tobytes() == ref.tobytes()
 
 
@@ -419,7 +430,7 @@ class TestTabulate:
         assert query_count(oracle) == 1 << m
         assert tabulate(view).tobytes() == table.tobytes()
         assert query_count(view) == 2 << m
-        loop = np.array([oracle.eval(mask) for mask in range(1 << m)], dtype=float)
+        loop = np.array([oracle.eval(row_of(mask, m)) for mask in range(1 << m)], dtype=float)
         assert table.tobytes() == loop.tobytes()
 
     def test_empty_ground_set(self):
@@ -454,7 +465,7 @@ def _extension_oracle(kind: str, m: int, seed: int):
         return _two_block(2 * GRID_MAX_BLOCK + 10, phi, beta, rng).oracle(), []
     if kind in ("scaled", "scaled_two_block"):
         A, _ = _split(m, rng)
-        inner = make_polar(A, 0.3) if kind == "scaled" else _two_block(m, phi, beta, rng).oracle()
+        inner = make_polar(m, A, 0.3) if kind == "scaled" else _two_block(m, phi, beta, rng).oracle()
         return scale_oracle(inner, 0.25), [inner]
     if kind in ("product", "product_two_block"):
         w = rng.uniform(0.0, 1.0, m)
@@ -463,7 +474,7 @@ def _extension_oracle(kind: str, m: int, seed: int):
             f2 = make_budget_additive(rng.uniform(0.0, 1.0, m).tolist(), 1.0)
         else:
             A, B = _split(m, rng)
-            f2 = TwoBlockValuation(A, B, phi, beta, 1.0).oracle()
+            f2 = TwoBlockValuation(m, A, B, phi, beta, 1.0).oracle()
         return compose_product(f1, f2), [f1, f2]
     return _fallback(kind, m, rng), []
 
@@ -516,13 +527,11 @@ class TestEvalExtensions:
         # S holds all of A, all of B or both; the full block's class is empty
         m = 2 * n + 1
         val = TwoBlockValuation(
-            ItemSet.from_indices(range(0, 2 * n, 2), m),
-            ItemSet.from_indices(range(1, 2 * n, 2), m),
-            phi, 0.1, 0.75,
+            m, pack(range(0, 2 * n, 2), m), pack(range(1, 2 * n, 2), m), phi, 0.1, 0.75
         )
         oracle = val.oracle()
-        for members in (val.A.indices(), val.B.indices(), val.A.indices() + val.B.indices()[:2],
-                        list(range(2 * n))):
+        a, b = unpack(val.A, m).tolist(), unpack(val.B, m).tolist()
+        for members in (a, b, a + b[:2], list(range(2 * n))):
             inside = np.zeros(m, dtype=bool)
             inside[members] = True
             words = words_from_bits(inside[None])[0]
@@ -573,14 +582,14 @@ class TestEvalExtensions:
         assert [p.query_count for p in parts] == before
 
     def test_empty_ground_set(self):
-        empty = ItemSet.empty(0)
+        empty = pack((), 0)
         words = np.zeros(0, dtype=np.uint64)
         for oracle in (
             make_additive([]),
             make_budget_additive([], 1.0),
             make_coverage([0.5], []),
-            make_polar(empty, 0.5),
-            scale_oracle(make_polar(empty, 0.5), 2.0),
+            make_polar(0, empty, 0.5),
+            scale_oracle(make_polar(0, empty, 0.5), 2.0),
             compose_product(make_additive([]), make_coverage([0.5], [])),
         ):
             assert oracle.eval_extensions(words, np.array([], dtype=int)).shape == (0,)
@@ -628,7 +637,7 @@ def _scalar_greedy(oracles, k, tol=1e-12):
                 continue
             val = 0.0
             for o in oracles:
-                val += o.eval(mask | 1 << j)
+                val += o.eval(row_of(mask | 1 << j, m))
             if val > best_val:
                 best, best_val = j, val
         if best is None:
@@ -649,12 +658,12 @@ class TestBatchedGreedy:
             A, B = _split(400, rng)
             phi = PhiAlpha(float(rng.choice([0.3, 0.5, 1.0])))
             beta = float(rng.choice([0.05, 0.1, 0.25]))
-            vals.append(make_symgap_valuation(A, B, phi, beta, float(rng.uniform(0.5, 1.5))))
+            vals.append(make_symgap_valuation(400, A, B, phi, beta, float(rng.uniform(0.5, 1.5))))
         batch_side = [v.oracle() for v in vals]
         scalar_side = [v.oracle() for v in vals]
         res = greedy_cpp([o.restricted_view() for o in batch_side], k)
         mask, value = _scalar_greedy(scalar_side, k)
-        assert res.S.mask == mask
+        assert mask_of(res.S) == mask
         assert res.value == value
         assert [o.query_count for o in batch_side] == [o.query_count for o in scalar_side]
 
@@ -669,7 +678,7 @@ class TestBatchedGreedy:
         scalar_side = [two_block.oracle(), reconstruct_oracle(other)]
         res = greedy_cpp(batch_side, k)
         mask, value = _scalar_greedy(scalar_side, k)
-        assert (res.S.mask, res.value) == (mask, value)
+        assert (mask_of(res.S), res.value) == (mask, value)
         assert [o.query_count for o in batch_side] == [o.query_count for o in scalar_side]
 
 
@@ -712,7 +721,7 @@ def test_monte_carlo_matches_scalar_accumulation():
     bits = rng.random((samples, m)) < x
     acc_sum = acc_sq = 0.0
     for row in bits:
-        v = oracle.eval(sum(1 << int(j) for j in np.flatnonzero(row)))
+        v = oracle.eval(pack(np.flatnonzero(row), m))
         acc_sum += v
         acc_sq += v * v
     mean = acc_sum / samples

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import symgap
+from symgap import cli
 from symgap.cli import (
     EXPERIMENTS,
     ExperimentConfig,
     _declared,
+    build_parser,
     emit_plot_data,
     main,
     run,
@@ -38,6 +40,33 @@ _DEGENERATE = [
          f"--m must be >= 2 to draw a coverage oracle, got {m}")
         for exp in ("submod-check", "concavity", "poisson-midr")
         for m in ("0", "1")
+    ),
+    # counts that once passed on zero checks or wrote NaN
+    *(
+        ([exp, flag, v], f"{flag[2:].replace('-', '_')} must be positive, got {v}")
+        for exp, flag in (
+            ("symgap", "--partitions"), ("symgap", "--n"), ("amplify", "--ell"),
+            ("amplify", "--chains"), ("vcg-audit", "--deviations"),
+            ("greedy-ratio", "--instances"), ("product-compose", "--pairs"),
+            ("menu-separation", "--configs"),
+        )
+        for v in ("0", "-1")
+    ),
+    (["vcg-audit", "--m", "0"], "m must be positive, got 0"),
+    (["gap955", "--mc-samples", "-1"], "mc_samples must be >= 0, got -1"),
+    # sizes that once crashed or named no flag
+    (["concavity", "--family", "additive", "--m", "0"],
+     "--m must be >= 1 to draw an additive oracle, got 0"),
+    *(
+        (["submod-check", "--family", family, "--m", "0"],
+         "--m must be >= 1 for an exhaustive check, got 0")
+        for family in ("additive", "budget_additive", "polar")
+    ),
+    (["bisect-uniformity", "--m", "0"], "m must be positive, got 0"),
+    *(
+        ([exp, "--grid", v], f"grid must be >= 2, got {v}")
+        for exp in ("psi-tilde-check", "inequalities")
+        for v in ("0", "-1", "1")
     ),
 ]
 
@@ -393,6 +422,36 @@ class TestRunApi:
         assert rep["passed"] is True
         assert rep["byte_identical_reruns"] is True
         assert len(rep["reports"]) >= 20
+
+
+class TestParserBuild:
+    @staticmethod
+    def _choices(parser):
+        (action,) = parser._subparsers._group_actions
+        return set(action.choices)
+
+    def test_main_builds_only_the_chosen_subparser(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(only=None):
+            built.append(only)
+            return build_parser(only)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(["inequalities", "--grid", "1000", "--out", str(tmp_path / "o.json")]) == 0
+        assert built == ["inequalities"]
+
+    def test_every_subparser_by_default(self):
+        assert self._choices(build_parser()) == set(EXPERIMENTS)
+        assert self._choices(build_parser("gap955")) == {"gap955"}
+
+    def test_leftover_argument_shows_the_full_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap955", "extra"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        build_parser().print_usage()
+        assert err == capsys.readouterr().out + "symgap: error: unrecognized arguments: extra\n"
 
 
 def test_cli_import_loads_no_scipy():

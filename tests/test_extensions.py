@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from symgap.setfn import (
-    GroundSetError, ItemSet, make_additive, make_budget_additive, scale_oracle, tabulate,
+    GroundSetError, make_additive, make_budget_additive, pack, scale_oracle, tabulate,
 )
 from symgap.instances import PhiAlpha, make_symgap_valuation, psi_tilde, two_block_product_instance
 from symgap.extensions import (
@@ -65,12 +65,9 @@ def brute_force_F(oracle, x) -> float:
     total = 0.0
     for bits in itertools.product((0, 1), repeat=m):
         w = 1.0
-        mask = 0
         for j, b in enumerate(bits):
             w *= x[j] if b else 1.0 - x[j]
-            if b:
-                mask |= 1 << j
-        total += w * oracle.eval(mask)
+        total += w * oracle.eval(pack(np.flatnonzero(bits), m))
     return total
 
 
@@ -190,8 +187,9 @@ class TestBinomPmf:
 class TestBlockwise:
     def test_matches_enumeration_small_blocks(self):
         val = make_symgap_valuation(
-            ItemSet.from_indices([0, 1, 2], 6),
-            ItemSet.from_indices([3, 4, 5], 6),
+            6,
+            pack([0, 1, 2], 6),
+            pack([3, 4, 5], 6),
             PhiAlpha(0.5),
             0.2,
         )
@@ -218,11 +216,10 @@ class TestBlockwise:
         n = 1100
         ks = np.arange(n + 1)
         pmf = lambda p: binom_pmf_lgamma(n, p)
-        A = ItemSet.from_indices(range(n), 2 * n)
-        B = ItemSet.from_indices(range(n, 2 * n), 2 * n)
+        A, B = pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n)
         for val in (
             two_block_product_instance(n, 0.5),
-            make_symgap_valuation(A, B, PhiAlpha(0.3), 0.05, 0.7),
+            make_symgap_valuation(2 * n, A, B, PhiAlpha(0.3), 0.05, 0.7),
         ):
             grid = val.lam * psi_tilde(val.phi, val.beta, ks[:, None] / n, ks[None, :] / n)
             for xA, xB in ((0.3, 0.7), (0.5, 0.5), (0.9, 0.1)):
@@ -232,14 +229,13 @@ class TestBlockwise:
 
     @pytest.mark.parametrize("n", [8, 200, 1100])
     def test_batch_matches_scalar_calls(self, n):
-        A = ItemSet.from_indices(range(n), 2 * n)
-        B = ItemSet.from_indices(range(n, 2 * n), 2 * n)
+        A, B = pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n)
         rng = np.random.default_rng(n)
         xA = np.concatenate([[0.0, 1.0, 0.0, 1.0, 0.5], rng.uniform(0, 1, 40)])
         xB = np.concatenate([[0.0, 0.0, 1.0, 1.0, 0.5], rng.uniform(0, 1, 40)])
         for val in (
             two_block_product_instance(n, 0.5),
-            make_symgap_valuation(A, B, PhiAlpha(0.3), 0.05, 0.7),
+            make_symgap_valuation(2 * n, A, B, PhiAlpha(0.3), 0.05, 0.7),
         ):
             batch = exact_F_blockwise(val, xA, xB)
             scalar = [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
@@ -283,8 +279,9 @@ class TestBlockwise:
 
     def test_degenerate_points(self):
         val = make_symgap_valuation(
-            ItemSet.from_indices([0, 1], 4),
-            ItemSet.from_indices([2, 3], 4),
+            4,
+            pack([0, 1], 4),
+            pack([2, 3], 4),
             PhiAlpha(0.5),
             0.1,
         )
@@ -299,8 +296,9 @@ class TestBlockwise:
 
     def test_blockwise_vs_monte_carlo_composition(self):
         val = make_symgap_valuation(
-            ItemSet.from_indices(range(8), 16),
-            ItemSet.from_indices(range(8, 16), 16),
+            16,
+            pack(range(8), 16),
+            pack(range(8, 16), 16),
             PhiAlpha(0.5),
             0.25,
         )

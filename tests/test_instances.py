@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from symgap.setfn import GroundSetError, ItemSet, OracleContractError, check_monotone_submodular
+from symgap.setfn import (
+    GroundSetError,
+    OracleContractError,
+    check_monotone_submodular,
+    pack,
+    unpack,
+)
 from symgap.instances import (
     AuctionInstance,
     CPPInstance,
@@ -18,7 +24,6 @@ from symgap.instances import (
     PhiTable,
     TwoBlockValuation,
     _count_grid,
-    balancedness,
     expected_union_size,
     make_basic_auction,
     make_symgap_valuation,
@@ -28,6 +33,12 @@ from symgap.instances import (
     sample_bisection_sequence,
     two_block_product_instance,
 )
+from reference_oracles import mask_of, row_of
+
+
+def _size(row) -> int:
+    """The number of items in a packed row."""
+    return int(np.bitwise_count(row).sum())
 
 
 def ref_phi(alpha, t):
@@ -151,54 +162,47 @@ class TestTwoBlockValuation:
             TwoBlockValuation.from_descriptor({"kind": "additive", "params": {}})
 
     def test_eval_depends_only_on_occupancies(self):
-        A = ItemSet.from_indices([0, 1, 2], 8)
-        B = ItemSet.from_indices([3, 4, 5], 8)
-        val = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.2)
+        A, B = pack([0, 1, 2], 8), pack([3, 4, 5], 8)
+        val = make_symgap_valuation(8, A, B, PhiAlpha(0.5), 0.2)
         oracle = val.oracle()
         # items 6, 7 are outside A ∪ B and contribute nothing
-        assert oracle.eval(ItemSet.from_indices([0, 6, 7], 8)) == pytest.approx(
-            oracle.eval(ItemSet.from_indices([2], 8))
-        )
+        assert oracle.eval(pack([0, 6, 7], 8)) == pytest.approx(oracle.eval(pack([2], 8)))
 
     def test_eval_matches_psi_tilde_of_counts(self):
-        A = ItemSet.from_indices([0, 1, 2, 3], 8)
-        B = ItemSet.from_indices([4, 5, 6, 7], 8)
-        val = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.25)
+        A, B = pack([0, 1, 2, 3], 8), pack([4, 5, 6, 7], 8)
+        val = make_symgap_valuation(8, A, B, PhiAlpha(0.5), 0.25)
         oracle = val.oracle()
         rng = np.random.default_rng(6)
         for _ in range(60):
             mask = int(rng.integers(0, 256))
-            a = bin(mask & A.mask).count("1")
-            b = bin(mask & B.mask).count("1")
-            assert oracle.eval(mask) == pytest.approx(
+            a = bin(mask & mask_of(A)).count("1")
+            b = bin(mask & mask_of(B)).count("1")
+            assert oracle.eval(row_of(mask, 8)) == pytest.approx(
                 ref_psi_tilde(0.5, 0.25, a / 4, b / 4), abs=1e-14
             )
 
     def test_block_saturation_values(self):
-        A = ItemSet.from_indices([0, 1], 4)
-        B = ItemSet.from_indices([2, 3], 4)
-        val = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1)
+        A, B = pack([0, 1], 4), pack([2, 3], 4)
+        val = make_symgap_valuation(4, A, B, PhiAlpha(0.5), 0.1)
         oracle = val.oracle()
         assert oracle.eval(A) == pytest.approx(ref_psi_tilde(0.5, 0.1, 1.0, 0.0))
         assert oracle.eval(A | B) == pytest.approx(1.0)
 
     def test_scaled_valuation(self):
-        A = ItemSet.from_indices([0, 1], 4)
-        B = ItemSet.from_indices([2, 3], 4)
+        A, B = pack([0, 1], 4), pack([2, 3], 4)
         lam = 0.37
-        val = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1, lam)
-        plain = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1)
+        val = make_symgap_valuation(4, A, B, PhiAlpha(0.5), 0.1, lam)
+        plain = make_symgap_valuation(4, A, B, PhiAlpha(0.5), 0.1)
         for mask in range(16):
-            assert val.oracle().eval(mask) == pytest.approx(
-                lam * plain.oracle().eval(mask), abs=1e-15
+            assert val.oracle().eval(row_of(mask, 4)) == pytest.approx(
+                lam * plain.oracle().eval(row_of(mask, 4)), abs=1e-15
             )
         with pytest.raises(OracleContractError):
-            make_symgap_valuation(A, B, PhiAlpha(0.5), 0.1, -0.5)
+            make_symgap_valuation(4, A, B, PhiAlpha(0.5), 0.1, -0.5)
 
     def test_count_grid_matches_direct(self):
-        A = ItemSet.from_indices([0, 1, 2], 6)
-        B = ItemSet.from_indices([3, 4, 5], 6)
-        val = make_symgap_valuation(A, B, PhiAlpha(0.5), 0.2)
+        A, B = pack([0, 1, 2], 6), pack([3, 4, 5], 6)
+        val = make_symgap_valuation(6, A, B, PhiAlpha(0.5), 0.2)
         grid = val.count_grid()
         assert grid.shape == (4, 4)
         for a in range(4):
@@ -209,9 +213,7 @@ class TestTwoBlockValuation:
         m = 12
         halves = [(range(6), range(6, 12)), (range(0, 12, 2), range(1, 12, 2))]
         vals = [
-            make_symgap_valuation(
-                ItemSet.from_indices(a, m), ItemSet.from_indices(b, m), PhiAlpha(0.5), 0.1, 0.8
-            )
+            make_symgap_valuation(m, pack(a, m), pack(b, m), PhiAlpha(0.5), 0.1, 0.8)
             for a, b in halves
         ]
         _count_grid.cache_clear()
@@ -225,64 +227,74 @@ class TestTwoBlockValuation:
         assert grid[0, 0] == 0.0
 
     def test_construction_validation(self):
-        A = ItemSet.from_indices([0, 1], 6)
+        A = pack([0, 1], 6)
         with pytest.raises(OracleContractError):
-            make_symgap_valuation(A, ItemSet.from_indices([1, 2], 6), PhiAlpha(0.5), 0.1)
+            make_symgap_valuation(6, A, pack([1, 2], 6), PhiAlpha(0.5), 0.1)
         with pytest.raises(OracleContractError):
-            make_symgap_valuation(A, ItemSet.from_indices([2, 3, 4], 6), PhiAlpha(0.5), 0.1)
+            make_symgap_valuation(6, A, pack([2, 3, 4], 6), PhiAlpha(0.5), 0.1)
         with pytest.raises(OracleContractError):
-            make_symgap_valuation(A, ItemSet.from_indices([2, 3], 6), PhiAlpha(0.5), 0.0)
+            make_symgap_valuation(6, A, pack([2, 3], 6), PhiAlpha(0.5), 0.0)
+        with pytest.raises(GroundSetError):  # a block with a bit outside [0, m)
+            make_symgap_valuation(6, A, pack([2, 6], 7), PhiAlpha(0.5), 0.1)
 
     def test_beta_zero_allowed_for_product_instance(self):
         val = two_block_product_instance(3, 0.5)
         assert val.beta == 0.0
         oracle = val.oracle()
         # product of two saturating block functions
-        assert oracle.eval(ItemSet.from_indices([0, 1], 6)) == pytest.approx(1.0)
+        assert oracle.eval(pack([0, 1], 6)) == pytest.approx(1.0)
 
     def test_pointwise_floor_all_sets(self):
         # f(R) >= phi(|R ∩ A|/|A| - beta) over every subset
-        A = ItemSet.from_indices([0, 1, 2], 6)
-        B = ItemSet.from_indices([3, 4, 5], 6)
+        A, B = pack([0, 1, 2], 6), pack([3, 4, 5], 6)
         for beta in (0.05, 0.25):
-            oracle = make_symgap_valuation(A, B, PhiAlpha(0.5), beta).oracle()
+            oracle = make_symgap_valuation(6, A, B, PhiAlpha(0.5), beta).oracle()
             for mask in range(64):
-                x = bin(mask & A.mask).count("1") / 3
-                assert oracle.eval(mask) >= ref_phi(0.5, max(x - beta, 0.0)) - 1e-12
+                x = bin(mask & mask_of(A)).count("1") / 3
+                assert oracle.eval(row_of(mask, 6)) >= ref_phi(0.5, max(x - beta, 0.0)) - 1e-12
 
 
 class TestBisection:
     def test_structure_invariants(self):
         rng = np.random.default_rng(8)
         seq = sample_bisection_sequence(32, 3, rng)
-        assert seq.A(3) == ItemSet.full(32)
-        prev = ItemSet.full(32)
+        full = (1 << 32) - 1
+        assert mask_of(seq.A(3)) == mask_of(seq.B(3)) == full
+        prev = full
         for j in (2, 1, 0):
-            A, B = seq.level(j)
-            assert len(A) == len(B) == len(prev) // 2
-            assert (A.mask & B.mask) == 0
-            assert (A.mask | B.mask) == prev.mask
+            A, B = mask_of(seq.level(j)[0]), mask_of(seq.level(j)[1])
+            assert A.bit_count() == B.bit_count() == prev.bit_count() // 2
+            assert (A & B) == 0
+            assert (A | B) == prev
             prev = A
 
     def test_level_sizes_follow_spec(self):
         rng = np.random.default_rng(9)
         seq = sample_bisection_sequence(64, 2, rng)
-        assert len(seq.A(0)) == 16  # 2^{0-2} * 64
-        assert len(seq.A(1)) == 32
+        assert _size(seq.A(0)) == 16  # 2^{0-2} * 64
+        assert _size(seq.A(1)) == 32
 
     def test_divisibility_required(self):
         with pytest.raises(GroundSetError):
             sample_bisection_sequence(30, 2, np.random.default_rng(0))
+        with pytest.raises(GroundSetError):
+            sample_bisection_sequence(0, 1, np.random.default_rng(0))
 
-    def test_balancedness_helper(self):
-        A = ItemSet.from_indices([0, 1, 2, 3], 8)
-        B = ItemSet.from_indices([4, 5, 6, 7], 8)
-        S = ItemSet.from_indices([0, 1, 4], 8)
-        dev, ok = balancedness(S, A, B, 0.25)
-        assert dev == pytest.approx(0.25)
-        assert ok
-        _, bad = balancedness(ItemSet.from_indices([0, 1, 2], 8), A, B, 0.25)
-        assert not bad
+    @pytest.mark.parametrize("m, ell", [(2, 1), (32, 3), (130, 1), (400, 2)])
+    def test_same_stream_as_list_shuffles(self, m, ell):
+        # the list-and-int-mask form the packed levels replaced
+        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+        seq = sample_bisection_sequence(m, ell, rng)
+        current, expected = list(range(m)), []
+        for _ in range(ell):
+            perm = ref_rng.permutation(len(current))
+            half = len(current) // 2
+            a = [current[int(i)] for i in perm[:half]]
+            b = [current[int(i)] for i in perm[half:]]
+            expected.append([sum(1 << j for j in a), sum(1 << j for j in b)])
+            current = a
+        assert [[mask_of(A), mask_of(B)] for A, B in seq.levels] == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestLevelParams:
@@ -309,15 +321,15 @@ class TestBasicAuction:
         assert inst.n == 4 and inst.m == 16
         assert len(desc.A_sets) == 4
         for A in desc.A_sets:
-            assert len(A) == 4
+            assert _size(A) == 4
 
     def test_polar_payoffs(self):
         inst, desc = make_basic_auction(2, 4, 0.25, seed=3)
         A0 = desc.A_sets[0]
         v = inst.oracles[0]
-        assert v.eval(A0) == pytest.approx(len(A0))
-        out = A0.complement()
-        assert v.eval(out) == pytest.approx(0.25 * len(out))
+        assert v.eval(A0) == pytest.approx(_size(A0))
+        out = pack(np.setdiff1d(np.arange(4), unpack(A0, 4)), 4)
+        assert v.eval(out) == pytest.approx(0.25 * _size(out))
 
     def test_expected_union_closed_form(self):
         # E|union| = m (1 - (1 - 1/n)^n), independently: inclusion-exclusion per item
@@ -341,7 +353,7 @@ class TestRandomInstances:
             assert isinstance(inst, CPPInstance)
             assert 0 < inst.k <= inst.m
             for o in inst.oracles:
-                assert o.eval(0) == 0.0
+                assert o.eval(pack((), inst.m)) == 0.0
 
     def test_small_instances_submodular(self):
         rng = np.random.default_rng(13)
@@ -358,8 +370,7 @@ class TestInstanceContainers:
         o = make_additive([0.5, 0.5])
         with pytest.raises(GroundSetError):
             CPPInstance((o,), 3)
-        inst = CPPInstance((o,), 1)
-        assert inst.welfare(ItemSet.from_indices([0], 2)) == pytest.approx(0.5)
+        assert CPPInstance((o,), 1).m == 2
 
     def test_auction_instance_validation(self):
         from symgap.setfn import make_additive

@@ -11,11 +11,11 @@ import pytest
 
 from symgap.setfn import (
     GroundSetError,
-    ItemSet,
     make_additive,
     make_budget_additive,
     make_coverage,
-    masks_from_words,
+    pack,
+    unpack,
 )
 from symgap.instances import (
     AuctionInstance,
@@ -25,6 +25,7 @@ from symgap.instances import (
     random_cpp_instance,
     two_block_product_instance,
 )
+from reference_oracles import mask_of, masks_from_words, row_of
 from symgap import mechanisms
 from symgap.mechanisms import (
     GAIN_TOL,
@@ -58,7 +59,7 @@ def ref_opt_cpp(oracles, k):
             mask = 0
             for j in combo:
                 mask |= 1 << j
-            v = sum(o.eval(mask) for o in oracles)
+            v = sum(o.eval(row_of(mask, m)) for o in oracles)
             if v > best + 1e-15:
                 best, best_mask = v, mask
     return best_mask, best
@@ -68,13 +69,13 @@ class TestGreedy:
     def test_matches_reference_on_modular(self):
         oracle = make_additive([0.1, 0.9, 0.4, 0.7])
         res = greedy_cpp([oracle], 2)
-        assert set(res.S.indices()) == {1, 3}
+        assert unpack(res.S, 4).tolist() == [1, 3]
         assert res.value == pytest.approx(1.6)
 
     def test_ties_resolve_to_lowest_index(self):
         oracle = make_additive([0.5, 0.5, 0.5])
         res = greedy_cpp([oracle], 2)
-        assert res.S.indices() == [0, 1]
+        assert unpack(res.S, 3).tolist() == [0, 1]
 
     def test_early_stop_when_no_gain(self):
         oracle = make_budget_additive([0.6, 0.6, 0.6], 0.6)
@@ -123,7 +124,7 @@ class TestExhaustiveOpt:
                     mask |= 1 << j
                 val = 0.0
                 for o in oracles:
-                    val += o.eval(mask)
+                    val += o.eval(row_of(mask, m))
                 if val > best_val + GAIN_TOL:
                     best_mask, best_val = mask, val
         return best_mask, best_val
@@ -133,7 +134,7 @@ class TestExhaustiveOpt:
         inst = random_cpp_instance(np.random.default_rng(seed))
         ref = random_cpp_instance(np.random.default_rng(seed))
         res = exhaustive_opt_cpp(inst.oracles, inst.k)
-        assert (res.S.mask, res.value) == self.scalar_opt(ref.oracles, ref.k)
+        assert (mask_of(res.S), res.value) == self.scalar_opt(ref.oracles, ref.k)
         counts = [o.query_count for o in inst.oracles]
         assert counts == [o.query_count for o in ref.oracles]
         sets = sum(math.comb(inst.oracles[0].m, t) for t in range(1, inst.k + 1))
@@ -148,8 +149,8 @@ class TestExhaustiveOpt:
         ):
             res = exhaustive_opt_cpp(oracles, 2)
             ref_mask, ref_val = self.scalar_opt(oracles, 2)
-            assert (res.S.mask, res.value) == (ref_mask, ref_val)
-            assert res.S.indices() == [0, 1]
+            assert (mask_of(res.S), res.value) == (ref_mask, ref_val)
+            assert unpack(res.S, 6).tolist() == [0, 1]
 
     def test_auction_exhaustive_matches_reference(self):
         v1 = make_additive([0.5, 0.3])
@@ -157,7 +158,7 @@ class TestExhaustiveOpt:
         alloc, val = exhaustive_opt_auction([v1, v2])
         # best assignment: item 0 -> player 1, item 1 -> player 2
         assert val == pytest.approx(0.95)
-        assert alloc[0].indices() == [0] and alloc[1].indices() == [1]
+        assert unpack(alloc[0], 2).tolist() == [0] and unpack(alloc[1], 2).tolist() == [1]
 
     def test_enumeration_cap(self):
         oracle = make_additive([0.01] * 64)
@@ -169,9 +170,10 @@ class TestExhaustiveOpt:
         _cpp_candidates.cache_clear()
         first = exhaustive_opt_cpp(oracles, 3)
         assert _cpp_candidates.cache_info()[:2] == (0, 1)  # (hits, misses)
-        assert exhaustive_opt_cpp(oracles, 3) == first
+        again = exhaustive_opt_cpp(oracles, 3)
+        assert (mask_of(again.S), again.value) == (mask_of(first.S), first.value)
         assert _cpp_candidates.cache_info()[:2] == (1, 1)
-        assert (first.S.mask, first.value) == self.scalar_opt(oracles, 3)
+        assert (mask_of(first.S), first.value) == self.scalar_opt(oracles, 3)
         words = _cpp_candidates(11, 3)
         assert words.shape == (sum(math.comb(11, t) for t in (1, 2, 3)), 1)
         with pytest.raises(ValueError):
@@ -183,12 +185,12 @@ class TestExhaustiveOpt:
         _cpp_candidates.cache_clear()
         res = exhaustive_opt_cpp(oracles, 2)
         assert _cpp_candidates.cache_info().currsize == 0
-        assert set(res.S.indices()) == {6, 13}
+        assert unpack(res.S, 300).tolist() == [6, 13]
         assert res.value == 0.012
 
     def test_no_gain_keeps_the_empty_set(self):
         res = exhaustive_opt_cpp([make_additive([0.0] * 5)], 2)
-        assert (res.S.mask, res.value) == (0, 0.0)
+        assert (mask_of(res.S), res.value) == (0, 0.0)
 
     def test_cap_raises_before_caching(self):
         oracle = make_additive([0.01] * 40)
@@ -205,8 +207,8 @@ class TestVCG:
         v1 = make_additive([0.5, 0.3, 0.2, 0.1])
         v2 = make_budget_additive([0.4] * 4, 1.0)
         out = vcg_auction_exhaustive([v1, v2])
-        assert set(out.sets[0].indices()) == {0, 1}
-        assert set(out.sets[1].indices()) == {2, 3}
+        assert unpack(out.sets[0], 4).tolist() == [0, 1]
+        assert unpack(out.sets[1], 4).tolist() == [2, 3]
         # pivots: without p1 others get 1.0, at opt others get 0.8 -> 0.2
         #         without p2 others get 1.1, at opt others get 0.8 -> 0.3
         assert out.payments[0] == pytest.approx(0.2, abs=1e-12)
@@ -246,15 +248,18 @@ class TestVCG:
 
 class TestOutcome:
     def test_overlap_rejected(self):
-        a = ItemSet.from_indices([0, 1], 4)
-        b = ItemSet.from_indices([1, 2], 4)
+        a, b = pack([0, 1], 4), pack([1, 2], 4)
         with pytest.raises(InfeasibleOutcomeError):
-            Outcome((a, b), (0.0, 0.0))
+            Outcome(np.stack([a, b]), (0.0, 0.0))
+        # bundles that meet only in a second word overlap too
+        a, b, c = pack([0, 70], 130), pack([1, 129], 130), pack([2, 70], 130)
+        Outcome(np.stack([a, b]), (0.0, 0.0))
+        with pytest.raises(InfeasibleOutcomeError):
+            Outcome(np.stack([a, b, c]), (0.0, 0.0, 0.0))
 
     def test_payment_arity(self):
-        a = ItemSet.from_indices([0], 4)
         with pytest.raises(ValueError):
-            Outcome((a,), (0.0, 0.0))
+            Outcome(pack([0], 4)[None], (0.0, 0.0))
 
 
 class TestPoissonMIDR:
@@ -310,8 +315,9 @@ class TestPoissonMIDR:
 
     def test_symgap_kind_not_whitelisted(self):
         val = make_symgap_valuation(
-            ItemSet.from_indices([0, 1], 4),
-            ItemSet.from_indices([2, 3], 4),
+            4,
+            pack([0, 1], 4),
+            pack([2, 3], 4),
             PhiAlpha(0.5),
             0.1,
         )
@@ -378,7 +384,7 @@ class TestHarness:
         S = BalancedPrefixCPP().allocate(
             tuple(o.restricted_view() for o in oracles), k, np.random.default_rng(seed)
         )
-        assert S == ItemSet.from_indices(perm[: 6 if k == 10 else k], m)
+        assert unpack(S, m).tolist() == sorted(perm[: 6 if k == 10 else k])
         # the full set and every prefix up to k, early stop or not
         assert [o.query_count for o in oracles] == [k + 1, k + 1]
 
@@ -401,10 +407,10 @@ class TestPayYourBid:
         mech = PayYourBidGreedyAuction()
         rng = np.random.default_rng(0)
         honest = mech.allocate([v.restricted_view() for v in (big, small)], rng)
-        assert set(honest.sets[0].indices()) == {0, 1}
+        assert unpack(honest.sets[0], 2).tolist() == [0, 1]
         assert honest.payments[0] == pytest.approx(20.0)
         out = mech.allocate([v.restricted_view() for v in (shaded, small)], rng)
-        assert set(out.sets[0].indices()) == {0, 1}
+        assert unpack(out.sets[0], 2).tolist() == [0, 1]
         assert out.payments[0] == pytest.approx(2.0)
 
 

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symgap.setfn import (
-    ItemSet,
     compose_product,
+    from_hex,
+    intersection_sizes,
     make_additive,
     make_budget_additive,
     make_coverage,
     check_monotone_submodular,
+    pack,
+    to_hex,
+    unpack,
 )
 from symgap.instances import PhiAlpha, psi, psi_tilde
 from symgap.extensions import enum_weights
@@ -21,31 +25,35 @@ from symgap.audit import quadrant_feasible_by_grid, separate_quadrant
 idx_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=10)
 
 
-class TestItemSetAlgebra:
+def _items(row) -> set[int]:
+    return set(unpack(row, 10).tolist())
+
+
+class TestRowAlgebra:
+    """Sets are packed rows: the word-wise bit operators are the set algebra."""
+
     @given(idx_lists, idx_lists)
     def test_union_intersection_difference(self, a, b):
-        A = ItemSet.from_indices(a, 10)
-        B = ItemSet.from_indices(b, 10)
+        A, B = pack(a, 10), pack(b, 10)
         sa, sb = set(a), set(b)
-        assert set((A | B).indices()) == sa | sb
-        assert set((A & B).indices()) == sa & sb
-        assert set((A - B).indices()) == sa - sb
-        assert len(A) == len(sa)
-        assert A.intersection_size(B) == len(sa & sb)
-        assert A.issubset(A | B)
+        assert _items(A | B) == sa | sb
+        assert _items(A & B) == sa & sb
+        assert _items(A & ~B) == sa - sb
+        assert len(unpack(A, 10)) == len(sa)
+        assert intersection_sizes(A[None], B).tolist() == [len(sa & sb)]
 
     @given(idx_lists)
     def test_complement_partitions(self, a):
-        A = ItemSet.from_indices(a, 10)
-        C = A.complement()
-        assert len(A) + len(C) == 10
-        assert A.intersection_size(C) == 0
-        assert set((A | C).indices()) == set(range(10))
+        A = pack(a, 10)
+        C = A ^ pack(range(10), 10)
+        assert len(unpack(A, 10)) + len(unpack(C, 10)) == 10
+        assert intersection_sizes(A[None], C).tolist() == [0]
+        assert _items(A | C) == set(range(10))
 
     @given(idx_lists)
     def test_hex_roundtrip(self, a):
-        A = ItemSet.from_indices(a, 10)
-        assert ItemSet.from_hex(A.to_hex(), 10).mask == A.mask
+        A = pack(a, 10)
+        assert (from_hex(to_hex(A, 10), 10) == A).all()
 
 
 class TestPsiTildeProperties:

@@ -1,4 +1,4 @@
-"""Oracle layer: bit-mask sets, query-counted valuations, structure checks.
+"""Oracle layer: packed-row sets, query-counted valuations, structure checks.
 
 Expected values for the concrete families are recomputed inside the tests by
 independent brute-force implementations (plain Python sets and loops), never
@@ -9,12 +9,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symgap import setfn
 from symgap.setfn import (
     STRUCT_TOL,
     GroundSetError,
-    ItemSet,
     OracleContractError,
     ValuationOracle,
     check_monotone_submodular,
@@ -29,7 +29,12 @@ from symgap.setfn import (
     scale_oracle,
     StructureReport,
     SubmodularViolation,
+    from_hex,
+    pack,
     tabulate,
+    to_hex,
+    unpack,
+    word_count,
 )
 from symgap.instances import (
     PhiAlpha,
@@ -38,58 +43,77 @@ from symgap.instances import (
     make_symgap_valuation,
     two_block_product_instance,
 )
-from reference_oracles import oracle_from_scalar, scalar_value
+from reference_oracles import mask_hex, mask_of, oracle_from_scalar, row_of, scalar_value
+
+ROW_SIZES = (0, 1, 63, 64, 65, 130)
+# (m, mask) with mask a subset of [0, m), for each m of ROW_SIZES
+sized_masks = st.sampled_from(ROW_SIZES).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))
+)
 
 
-class TestItemSet:
+def _items(mask: int, m: int) -> list[int]:
+    return [j for j in range(m) if mask >> j & 1]
+
+
+class TestRows:
+    """pack, unpack and the hex pair against the int-mask reference."""
+
     def test_roundtrip_indices(self):
-        s = ItemSet.from_indices([0, 3, 7], 8)
-        assert s.indices() == [0, 3, 7]
-        assert len(s) == 3
-        assert s.mask == 0b10001001
+        s = pack([0, 3, 7], 8)
+        assert unpack(s, 8).tolist() == [0, 3, 7]
+        assert mask_of(s) == 0b10001001
 
-    def test_set_algebra_matches_python_sets(self):
-        rng = np.random.default_rng(5)
-        m = 20
-        for _ in range(50):
-            a = set(int(i) for i in rng.choice(m, size=rng.integers(0, m), replace=False))
-            b = set(int(i) for i in rng.choice(m, size=rng.integers(0, m), replace=False))
-            A = ItemSet.from_indices(a, m)
-            B = ItemSet.from_indices(b, m)
-            assert set((A | B).indices()) == a | b
-            assert set((A & B).indices()) == a & b
-            assert set((A - B).indices()) == a - b
-            assert A.intersection_size(B) == len(a & b)
-            assert A.issubset(B) == a.issubset(b)
+    @given(sized_masks)
+    def test_pack_unpack_roundtrip(self, case):
+        m, mask = case
+        items = _items(mask, m)
+        row = pack(items, m)
+        assert row.dtype == np.uint64 and row.shape == (word_count(m),)
+        assert mask_of(row) == mask
+        assert unpack(row, m).tolist() == items
+        # order and repeats do not matter
+        assert mask_of(pack(items[::-1] + items, m)) == mask
 
-    def test_complement_and_full(self):
-        m = 6
-        A = ItemSet.from_indices([1, 4], m)
-        assert set(A.complement().indices()) == {0, 2, 3, 5}
-        assert len(ItemSet.full(m)) == m
-        assert ItemSet.empty(m).mask == 0
+    @given(sized_masks)
+    def test_hex_matches_int_format(self, case):
+        m, mask = case
+        digits = to_hex(row_of(mask, m), m)
+        assert digits == mask_hex(mask, m)
+        assert mask_of(from_hex(digits, m)) == mask
+
+    @pytest.mark.parametrize("m", ROW_SIZES)
+    def test_from_hex_reads_any_digit_width(self, m):
+        mask = (1 << m) - 1 if m < 64 else 1 << (m - 1) | 5
+        for digits in (format(mask, "x"), "000" + format(mask, "x"), mask_hex(mask, m)):
+            row = from_hex(digits, m)
+            assert row.dtype == np.uint64 and row.shape == (word_count(m),)
+            assert mask_of(row) == mask
+        assert mask_of(from_hex("", m)) == 0
 
     def test_hex_roundtrip_wide_mask(self):
         m = 400
-        s = ItemSet.from_indices([0, 399], m)
-        assert ItemSet.from_hex(s.to_hex(), m) == s
+        s = pack([0, 399], m)
+        assert (from_hex(to_hex(s, m), m) == s).all()
 
-    def test_out_of_range_index_rejected(self):
+    @pytest.mark.parametrize("m", ROW_SIZES)
+    def test_out_of_range_rejected(self, m):
+        for j in (-1, m, m + 64):
+            with pytest.raises(GroundSetError):
+                pack([j], m)
         with pytest.raises(GroundSetError):
-            ItemSet.from_indices([8], 8)
-
-    def test_add_remove(self):
-        s = ItemSet.empty(4).add(2).add(0)
-        assert s.indices() == [0, 2]
-        assert s.remove(2).indices() == [0]
+            from_hex(format(1 << m, "x"), m)
+        if m % 64:  # a row with a bit at m
+            with pytest.raises(GroundSetError):
+                to_hex(pack([m], m + 1)[: word_count(m)], m)
 
 
 class TestValuationOracle:
     def test_query_counting_thread_safe_counter(self):
         oracle = make_additive([0.1, 0.2])
         base = oracle.query_count
-        oracle.eval(0b11)
-        oracle.eval(ItemSet.from_indices([0], 2))
+        oracle.eval(row_of(0b11, 2))
+        oracle.eval(pack([0], 2))
         assert oracle.query_count == base + 2
         assert query_count(oracle.restricted_view()) == oracle.query_count
 
@@ -100,7 +124,9 @@ class TestValuationOracle:
     def test_query_outside_ground_set(self):
         oracle = make_additive([0.5])
         with pytest.raises(GroundSetError):
-            oracle.eval(0b10)
+            oracle.eval(row_of(0b10, 2))
+        with pytest.raises(GroundSetError):  # one row, not an int mask
+            oracle.eval(1)
 
     def test_restricted_view_hides_descriptor(self):
         oracle = make_additive([0.5, 0.5])
@@ -116,14 +142,14 @@ class TestFamilies:
         rng = np.random.default_rng(0)
         for _ in range(30):
             idx = [int(i) for i in rng.choice(4, size=rng.integers(0, 5), replace=False)]
-            assert oracle.eval(ItemSet.from_indices(idx, 4)) == pytest.approx(
+            assert oracle.eval(pack(idx, 4)) == pytest.approx(
                 sum(w[i] for i in idx), abs=1e-15
             )
 
     def test_budget_additive_caps(self):
         oracle = make_budget_additive([0.6, 0.6], 1.0)
-        assert oracle.eval(0b01) == pytest.approx(0.6)
-        assert oracle.eval(0b11) == pytest.approx(1.0)
+        assert oracle.eval(pack([0], 2)) == pytest.approx(0.6)
+        assert oracle.eval(pack([0, 1], 2)) == pytest.approx(1.0)
 
     def test_coverage_against_set_union(self):
         weights = [0.2, 0.5, 0.1, 0.4]
@@ -136,25 +162,24 @@ class TestFamilies:
             for i in idx:
                 covered |= set(cover[i])
             expect = sum(weights[u] for u in covered)
-            assert oracle.eval(ItemSet.from_indices(idx, 3)) == pytest.approx(expect, abs=1e-15)
+            assert oracle.eval(pack(idx, 3)) == pytest.approx(expect, abs=1e-15)
 
     def test_polar_two_rates(self):
-        A = ItemSet.from_indices([0, 1], 4)
-        oracle = make_polar(A, 0.125)
+        oracle = make_polar(4, pack([0, 1], 4), 0.125)
         # v(S) = |A ∩ S| + omega |S \ A|
-        assert oracle.eval(ItemSet.from_indices([0], 4)) == pytest.approx(1.0)
-        assert oracle.eval(ItemSet.from_indices([2], 4)) == pytest.approx(0.125)
-        assert oracle.eval(ItemSet.from_indices([0, 1, 2, 3], 4)) == pytest.approx(2.25)
+        assert oracle.eval(pack([0], 4)) == pytest.approx(1.0)
+        assert oracle.eval(pack([2], 4)) == pytest.approx(0.125)
+        assert oracle.eval(pack([0, 1, 2, 3], 4)) == pytest.approx(2.25)
 
     def test_polar_omega_domain(self):
-        A = ItemSet.from_indices([0], 2)
+        A = pack([0], 2)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(OracleContractError):
-                make_polar(A, bad)
+                make_polar(2, A, bad)
 
     def test_scale_oracle(self):
         oracle = scale_oracle(make_additive([0.4, 0.4]), 0.5)
-        assert oracle.eval(0b11) == pytest.approx(0.4)
+        assert oracle.eval(pack([0, 1], 2)) == pytest.approx(0.4)
         with pytest.raises(OracleContractError):
             scale_oracle(oracle, -1.0)
 
@@ -187,10 +212,10 @@ class TestNaNInputs:
     def test_nan_at_the_empty_set(self):
         with pytest.raises(OracleContractError):
             oracle_from_scalar(2, lambda mask: self.NAN, {"kind": "bad"})
-        A, B = ItemSet.from_indices([0], 2), ItemSet.from_indices([1], 2)
+        A, B = pack([0], 2), pack([1], 2)
         for beta, lam in ((self.NAN, 1.0), (0.1, self.NAN)):
             with pytest.raises(OracleContractError):
-                TwoBlockValuation(A, B, PhiAlpha(1.0), beta, lam).oracle()
+                TwoBlockValuation(2, A, B, PhiAlpha(1.0), beta, lam).oracle()
 
 
 class TestComposeProduct:
@@ -199,15 +224,15 @@ class TestComposeProduct:
         f2 = make_additive([0.1, 0.2, 0.3])
         comp = compose_product(f1, f2)
         for mask in range(8):
-            a, b = f1.eval(mask), f2.eval(mask)
-            assert comp.eval(mask) == pytest.approx(1 - (1 - a) * (1 - b), abs=1e-15)
+            a, b = f1.eval(row_of(mask, 3)), f2.eval(row_of(mask, 3))
+            assert comp.eval(row_of(mask, 3)) == pytest.approx(1 - (1 - a) * (1 - b), abs=1e-15)
 
     def test_one_query_per_component(self):
         f1 = make_additive([0.5, 0.5])
         f2 = make_additive([0.25, 0.25])
         comp = compose_product(f1, f2)
         q1, q2 = f1.query_count, f2.query_count
-        comp.eval(0b10)
+        comp.eval(pack([1], 2))
         assert (f1.query_count, f2.query_count) == (q1 + 1, q2 + 1)
 
     def test_rejects_range_violation(self):
@@ -223,7 +248,7 @@ class TestComposeProduct:
             w2 = rng.uniform(0, 1, 6)
             f1 = make_additive([float(x) for x in w1])
             f2 = make_budget_additive([float(x) for x in w2], float(0.4 * w2.sum()))
-            f2 = scale_oracle(f2, 1.0 / f2.eval(ItemSet.full(6)))
+            f2 = scale_oracle(f2, 1.0 / f2.eval(pack(range(6), 6)))
             rep = check_monotone_submodular(compose_product(f1, f2))
             assert rep.passed
 
@@ -285,7 +310,7 @@ def _reference_scan(oracle) -> StructureReport:
         bad = np.nonzero(gain_i < -STRUCT_TOL)[0]
         mono_count += bad.size
         for t in bad[: max(0, 100 - len(mono))]:
-            mono.append(MonotoneViolation(ItemSet(int(no_i[t]), m), i, float(gain_i[t])))
+            mono.append(MonotoneViolation(row_of(int(no_i[t]), m), i, float(gain_i[t])))
         for j in range(i + 1, m):
             bit_j = 1 << j
             base = no_i[(no_i & bit_j) == 0]
@@ -296,7 +321,7 @@ def _reference_scan(oracle) -> StructureReport:
             bad = np.nonzero(diff < -STRUCT_TOL)[0]
             sub_count += bad.size
             for t in bad[: max(0, 100 - len(sub))]:
-                sub.append(SubmodularViolation(ItemSet(int(base[t]), m), i, j, float(diff[t])))
+                sub.append(SubmodularViolation(row_of(int(base[t]), m), i, j, float(diff[t])))
     passed = mono_count == 0 and sub_count == 0
     return StructureReport(
         passed, "exhaustive", m, checked, STRUCT_TOL, mono, sub, mono_count, sub_count
@@ -346,20 +371,20 @@ def _reference_sampled(oracle, trials: int, rng: np.random.Generator) -> Structu
                 mask |= int(rng.integers(0, 1 << min(62, m - 62 * block))) << (62 * block)
         i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
         mask &= ~(1 << i) & ~(1 << j)
-        f_s = ev(mask)
-        f_si = ev(mask | (1 << i))
+        f_s = ev(row_of(mask, m))
+        f_si = ev(row_of(mask | (1 << i), m))
         gain = f_si - f_s
         if gain < -STRUCT_TOL:
             mono_count += 1
             if len(mono) < 100:
-                mono.append(MonotoneViolation(ItemSet(mask, m), i, gain))
-        f_sj = ev(mask | (1 << j))
-        f_sij = ev(mask | (1 << i) | (1 << j))
+                mono.append(MonotoneViolation(row_of(mask, m), i, gain))
+        f_sj = ev(row_of(mask | (1 << j), m))
+        f_sij = ev(row_of(mask | (1 << i) | (1 << j), m))
         diff = gain - (f_sij - f_sj)
         if diff < -STRUCT_TOL:
             sub_count += 1
             if len(sub) < 100:
-                sub.append(SubmodularViolation(ItemSet(mask, m), i, j, diff))
+                sub.append(SubmodularViolation(row_of(mask, m), i, j, diff))
     passed = mono_count == 0 and sub_count == 0
     return StructureReport(
         passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
@@ -374,7 +399,7 @@ SAMPLED_CASES = {
     "square_m70": lambda: oracle_from_scalar(
         70, lambda mask: float(mask.bit_count() ** 2), {"kind": "planted"}
     ),
-    "polar_m130": lambda: make_polar(ItemSet.from_indices(range(0, 130, 3), 130), 0.25),
+    "polar_m130": lambda: make_polar(130, pack(range(0, 130, 3), 130), 0.25),
 }
 
 
@@ -415,13 +440,13 @@ class TestReconstruct:
             lambda: make_additive([0.1, 0.7, 0.3]),
             lambda: make_budget_additive([0.5, 0.5, 0.5], 1.2),
             lambda: make_coverage([0.4, 0.6], [[0], [0, 1], [1]]),
-            lambda: make_polar(ItemSet.from_indices([0, 2], 4), 0.25),
+            lambda: make_polar(4, pack([0, 2], 4), 0.25),
             lambda: scale_oracle(make_additive([0.4, 0.2]), 0.3),
             lambda: compose_product(
                 make_budget_additive([0.4, 0.5], 0.8), make_additive([0.2, 0.1])
             ),
             lambda: make_symgap_valuation(
-                ItemSet.from_indices([0, 3], 4), ItemSet.from_indices([1, 2], 4),
+                4, pack([0, 3], 4), pack([1, 2], 4),
                 PhiTable((0.0, 0.5, 1.0), (0.0, 0.8, 1.0)), 0.25, 0.6,
             ).oracle(),
             lambda: two_block_product_instance(3, 0.5).oracle(),
@@ -432,4 +457,5 @@ class TestReconstruct:
         clone = reconstruct_oracle(oracle.to_json())
         assert clone.m == oracle.m
         for mask in range(1 << oracle.m):
-            assert clone.eval(mask) == oracle.eval(mask) == scalar_value(oracle.descriptor, mask)
+            row = row_of(mask, oracle.m)
+            assert clone.eval(row) == oracle.eval(row) == scalar_value(oracle.descriptor, mask)

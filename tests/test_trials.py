@@ -14,10 +14,9 @@ import pytest
 
 from symgap import mechanisms
 from symgap.setfn import (
-    ItemSet,
     make_additive,
     make_budget_additive,
-    masks_from_words,
+    pack,
     scale_oracle,
 )
 from symgap.extensions import mean_stderr
@@ -48,7 +47,7 @@ from symgap.audit import (
     audit_truthfulness,
     extract_menu,
 )
-from reference_oracles import oracle_from_scalar
+from reference_oracles import mask_of, masks_from_words, oracle_from_scalar
 
 
 def _deterministic_classes():
@@ -101,6 +100,11 @@ def test_deterministic_flag_is_honest(cls):
         state = rng.bit_generator.state
         before = sum(o.query_count for o in oracles)
         out = mech.allocate(*args, rng)
+        # bundles as lists of words, so that results compare by value
+        if isinstance(out, Outcome):
+            out = (out.sets.tolist(), out.payments)
+        elif isinstance(out, np.ndarray):
+            out = out.tolist()
         results.append((out, sum(o.query_count for o in oracles) - before))
         assert rng.bit_generator.state == state
     assert results[0] == results[1]
@@ -154,10 +158,9 @@ def test_replication_in_audit_truthfulness(inner_cls):
 
 def test_replication_in_extract_menu():
     m = 6
-    A = ItemSet.from_indices([0, 1], m)
-    B = ItemSet.from_indices([2, 3], m)
+    A, B = pack([0, 1], m), pack([2, 3], m)
     family = [
-        make_symgap_valuation(A, B, PhiAlpha(0.5), 0.25, lam) for lam in (0.5, 1.0)
+        make_symgap_valuation(m, A, B, PhiAlpha(0.5), 0.25, lam) for lam in (0.5, 1.0)
     ]
     opponent = make_additive([0.0, 0.0, 0.0, 0.0, 0.3, 0.3])
     inst = AuctionInstance((family[1].oracle(), opponent))
@@ -214,7 +217,7 @@ def test_trial_t_draws_from_child_t_of_the_seed():
     before = inst.oracles[0].query_count
     runs = run_trials(mech, inst, TRIALS, (4, 1, 2))
     assert runs.words.shape == (TRIALS, 1, 1)
-    assert [ItemSet(mask, 8) for mask in masks_from_words(runs.words[:, 0])] == expected
+    assert masks_from_words(runs.words[:, 0]) == [mask_of(S) for S in expected]
     assert runs.payments.tolist() == [[0.0]] * TRIALS
     # one confirmation query per trial
     assert inst.oracles[0].query_count - before == TRIALS
@@ -224,7 +227,7 @@ def test_distribution_trial_t_samples_with_child_t():
     inst = _cpp()
     dist = PoissonMIDRCPP().allocate(inst.oracles, 2, None)
     children = np.random.SeedSequence(9).spawn(TRIALS)
-    expected = [dist.sample(np.random.default_rng(c)).mask for c in children]
+    expected = [mask_of(dist.sample(np.random.default_rng(c))) for c in children]
     spy = _Spy(PoissonMIDRCPP(), True)
     runs = run_trials(spy, inst, TRIALS, 9)
     assert spy.calls == 1
@@ -239,7 +242,7 @@ def test_replicated_outcome_fills_every_row():
     runs = run_trials(VCGExhaustiveAuction(), inst, TRIALS, 5)
     assert runs.words.dtype == np.uint64 and runs.words.shape == (TRIALS, 2, 1)
     for i, S in enumerate(outcome.sets):
-        assert masks_from_words(runs.words[:, i]) == [S.mask] * TRIALS
+        assert masks_from_words(runs.words[:, i]) == [mask_of(S)] * TRIALS
     assert runs.payments.tolist() == [list(outcome.payments)] * TRIALS
     # one allocate call: one 2^5-entry table per player
     assert [o.query_count - q for o, q in zip(inst.oracles, before)] == [2**5, 2**5]
@@ -258,7 +261,7 @@ class _Oversized(CPPMechanism):
         if self.distribution:
             x = [(k + 0.5) / m] * m
             return DistributionOverOutcomes(tuple(1.0 - np.exp(-np.array(x))), tuple(x))
-        return ItemSet.from_indices(range(k + 1), m)
+        return pack(range(k + 1), m)
 
 
 @pytest.mark.parametrize("distribution", [False, True], ids=["set", "distribution"])
@@ -339,7 +342,8 @@ def _scalar_menu(mech, instance, special, family, trials, seed):
             mech, AuctionInstance(tuple(declared)), trials, (seed, prov, _MENU_STREAM)
         )
         for _, out in runs:
-            X = _bundle(out, special).intersection_size(level_set) / len(level_set)
+            inside = mask_of(_bundle(out, special)) & mask_of(level_set)
+            X = inside.bit_count() / mask_of(level_set).bit_count()
             samples.append(MenuObservation(X, _payment(out, special), w, prov))
     return MenuSample(samples, len(family), trials, seed)
 
@@ -424,7 +428,7 @@ def test_run_trials_equals_scalar_reference(mech_cls, case, plain):
     ref_inst, _ = case(plain)
     ref = _scalar_trials(mech_cls(), ref_inst, TRIALS, 12)
     for i in range(inst.n):
-        assert masks_from_words(runs.words[:, i]) == [_bundle(out, i).mask for _, out in ref]
+        assert masks_from_words(runs.words[:, i]) == [mask_of(_bundle(out, i)) for _, out in ref]
         assert runs.payments[:, i].tolist() == [_payment(out, i) for _, out in ref]
     # allocate's queries, spent once per declaration when replicated
     assert [o.query_count for o in inst.oracles] == [o.query_count for o in ref_inst.oracles]
@@ -433,10 +437,9 @@ def test_run_trials_equals_scalar_reference(mech_cls, case, plain):
 @pytest.mark.parametrize("mech_cls", [VCGExhaustiveAuction, PayYourBidGreedyAuction])
 def test_extract_menu_equals_scalar_reference(mech_cls):
     m = 6
-    A = ItemSet.from_indices([0, 1], m)
-    B = ItemSet.from_indices([2, 4], m)
+    A, B = pack([0, 1], m), pack([2, 4], m)
     family = [
-        make_symgap_valuation(A, B, PhiAlpha(0.5), 0.25, lam) for lam in (0.25, 0.5, 1.0)
+        make_symgap_valuation(m, A, B, PhiAlpha(0.5), 0.25, lam) for lam in (0.25, 0.5, 1.0)
     ]
 
     def instance():
