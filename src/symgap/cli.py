@@ -601,6 +601,10 @@ def _exp_symgap(
     beta: float = 0.1, partitions: int = 100, phi_alpha: float = 1.0,
 ) -> dict:
     if ell is not None:
+        clash = [f"--{name}" for name in ("m", "k", "n", "beta") if name in cfg.params]
+        if clash:
+            drop = " ".join(clash)
+            raise OracleContractError(f"--ell sets --m, --k, --n and --beta; drop {drop}")
         params = CPPLevelParams(ell)
         m, k, n, beta = params.m, params.k, params.n, params.beta
     if n < 1:

@@ -389,9 +389,6 @@ class CPPLevelParams:
     def beta(self) -> float:
         return self.n / np.sqrt(self.m)
 
-    def to_dict(self) -> dict:
-        return {"ell": self.ell, "m": self.m, "k": self.k, "n": self.n, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class CPPInstance:
@@ -447,16 +444,6 @@ class BasicAuctionDescriptor:
     omega: float
     seed: int
     A_sets: np.ndarray  # (n, word_count(m)) packed favorite sets
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "basic_auction",
-            "n": self.n,
-            "m": self.m,
-            "omega": self.omega,
-            "seed": self.seed,
-            "A_sets": [to_hex(A, self.m) for A in self.A_sets],
-        }
 
 
 def make_basic_auction(

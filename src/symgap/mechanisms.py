@@ -82,11 +82,11 @@ def greedy_cpp(oracles: Sequence, k: int) -> GreedyResult:
     """k-step greedy on the declared welfare sum; ties to the lowest item
     index; stops early when no candidate improves.
 
-    Each step asks every oracle once, through eval_extensions, for all
-    candidates S + j with j outside the chosen set S, so the query counts
-    are those of asking for each candidate in turn.  S is kept as one
-    packed row plus a boolean mask of the items outside it, so a step
-    builds no row per candidate."""
+    Each step asks every oracle once, through eval_extensions(S), for all
+    candidates S + j with j outside the chosen set S, in increasing j, so
+    the query counts are those of asking for each candidate in turn.  S is
+    kept as one packed row plus a boolean mask of the items outside it,
+    which maps the best candidate back to its item."""
     m = oracles[0].m
     if not 0 < k <= m:
         raise GroundSetError(f"k = {k} outside (0, {m}]")
@@ -95,14 +95,13 @@ def greedy_cpp(oracles: Sequence, k: int) -> GreedyResult:
     current = 0.0
     steps = 0
     for _ in range(k):
-        free = outside.nonzero()[0]
-        vals = np.zeros(free.size)
+        vals = np.zeros(m - steps)
         for o in oracles:
-            vals += o.eval_extensions(words, free)
+            vals += o.eval_extensions(words)
         best = int(vals.argmax())  # first maximum: the lowest item index
         if not vals[best] > current + GAIN_TOL:
             break
-        j = int(free[best])
+        j = int(outside.nonzero()[0][best])
         outside[j] = False
         words[j // WORD_BITS] |= np.uint64(1) << np.uint64(j % WORD_BITS)
         current = float(vals[best])
@@ -228,7 +227,6 @@ class DistributionOverOutcomes:
 
     marginals: tuple[float, ...]
     x: tuple[float, ...]
-    kind: str = "poisson_product"
 
     @property
     def m(self) -> int:
@@ -237,13 +235,6 @@ class DistributionOverOutcomes:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One draw, as a packed row."""
         return words_from_bits((rng.random(self.m) < np.asarray(self.marginals))[None])[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "marginals": list(self.marginals),
-            "x": list(self.x),
-        }
 
 
 _CONCAVE_KINDS = ("additive", "coverage")
@@ -287,16 +278,6 @@ class MIDRResult:
     iterations: int
     heuristic: bool
     objective_mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "x_star": list(self.x_star),
-            "value": self.value,
-            "iterations": self.iterations,
-            "heuristic": self.heuristic,
-            "objective_mode": self.objective_mode,
-            "distribution": self.distribution.to_dict(),
-        }
 
 
 def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
@@ -407,7 +388,6 @@ class CPPMechanism(ABC):
     # counts, for equal declarations.  run_trials then calls allocate once per
     # declaration and replicates the outcome across trials.
     deterministic: bool = False
-    kind: str = "cpp"
     needs_descriptor: bool = False
 
     @abstractmethod
@@ -421,7 +401,6 @@ class CPPMechanism(ABC):
 class AuctionMechanism(ABC):
     name: str = "auction"
     deterministic: bool = False  # same contract as CPPMechanism.deterministic
-    kind: str = "auction"
 
     @abstractmethod
     def allocate(

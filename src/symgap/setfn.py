@@ -10,8 +10,8 @@ sampled triples.
 Each oracle family has one evaluator, over a batch of rows.  eval_many asks
 for the rows of a (batch, word_count(m)) uint64 array and counts one query
 per row; eval asks for one set as a one-row batch.  eval_extensions asks for
-the singleton extensions S + j of one packed set S, one query per item j,
-with the values eval_many gives on those rows.
+the singleton extensions S + j of one packed set S, one query per item j
+outside S, with the values eval_many gives on those rows.
 """
 from __future__ import annotations
 
@@ -185,13 +185,13 @@ class ValuationOracle:
     one-row batch.  The counter is thread-safe
     so concurrent audits still report exact totals.
 
-    eval_extensions(words, free) asks for S + j for every j in `free`, S one
+    eval_extensions(words) asks for S + j for every item j outside S, S one
     packed row, and counts one query per j.  By default it builds those rows,
-    _EVAL_CHUNK at a time, for fn_many.  An oracle may pass
-    fn_extensions(words, free) to answer without the rows (two-block
-    valuations answer from the occupancy counts of S; product and scaled
-    oracles forward to their components); it must return what eval_many
-    returns on the rows, bit for bit.
+    _EVAL_CHUNK at a time, for fn_many; product and scaled oracles pass them
+    on to their components.  An oracle may pass fn_extensions(words, free),
+    `free` the increasing items outside S, to answer without the rows
+    (two-block valuations answer from the occupancy counts of S); it must
+    return what eval_many returns on the rows, bit for bit.
 
     The descriptor is enough to rebuild the function bit-exactly and is
     withheld from mechanisms under audit (see restricted_view()).
@@ -238,24 +238,12 @@ class ValuationOracle:
             out[lo:hi] = self._fn_many(words[lo:hi])
         return out
 
-    def eval_extensions(self, words: np.ndarray, free) -> np.ndarray:
-        """Values of S + j for each j in `free`, with S packed as one row of
-        word_count(m) uint64 words and `free` an increasing int array of
-        items outside S; counts len(free) queries."""
+    def eval_extensions(self, words: np.ndarray) -> np.ndarray:
+        """Values of S + j for each item j outside S, in increasing j, with S
+        packed as one row of word_count(m) uint64 words; counts m - |S|
+        queries."""
         words = as_rows(words, self.m, ndim=1)
-        free = np.asarray(free)
-        if free.ndim != 1 or (free.size and free.dtype.kind not in "iu"):
-            raise GroundSetError(
-                f"expected a 1-d int array of items, got {free.dtype} {free.shape}"
-            )
-        free = free.astype(np.intp, copy=False)
-        if free.size and (free[0] < 0 or free[-1] >= self.m):
-            raise GroundSetError(f"item outside ground set of size {self.m}")
-        if np.count_nonzero(free[1:] <= free[:-1]):
-            raise GroundSetError("items must be increasing, without repeats")
-        data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-        if np.count_nonzero(np.unpackbits(data, count=self.m, bitorder="little").take(free)):
-            raise GroundSetError("an item to add is already in the set")
+        free = np.flatnonzero(~bits_from_words(words[None], self.m)[0])
         with self._lock:
             self._count += len(free)
         if self._fn_extensions is not None:
@@ -299,8 +287,8 @@ class OracleView:
     def eval_many(self, words: np.ndarray) -> np.ndarray:
         return self._oracle.eval_many(words)
 
-    def eval_extensions(self, words: np.ndarray, free) -> np.ndarray:
-        return self._oracle.eval_extensions(words, free)
+    def eval_extensions(self, words: np.ndarray) -> np.ndarray:
+        return self._oracle.eval_extensions(words)
 
 
 def query_count(oracle) -> int:
@@ -427,17 +415,12 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     def fn_many(words: np.ndarray) -> np.ndarray:
         return 1.0 - (1.0 - f1._query(words)) * (1.0 - f2._query(words))
 
-    def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
-        return 1.0 - (1.0 - f1.eval_extensions(words, free)) * (
-            1.0 - f2.eval_extensions(words, free)
-        )
-
     desc = {
         "kind": "product",
         "params": {"components": [f1.descriptor, f2.descriptor]},
         "seed": None,
     }
-    return ValuationOracle(m, fn_many, desc, fn_extensions)
+    return ValuationOracle(m, fn_many, desc)
 
 
 def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
@@ -448,11 +431,8 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     def fn_many(words: np.ndarray) -> np.ndarray:
         return lam * f._query(words)
 
-    def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
-        return lam * f.eval_extensions(words, free)
-
     desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}, "seed": None}
-    return ValuationOracle(f.m, fn_many, desc, fn_extensions)
+    return ValuationOracle(f.m, fn_many, desc)
 
 
 def tabulate(oracle) -> np.ndarray:
@@ -497,17 +477,6 @@ class StructureReport:
     submodular_violations: list[SubmodularViolation] = field(default_factory=list)
     monotone_violation_count: int = 0
     submodular_violation_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "m": self.m,
-            "checked": self.checked,
-            "tolerance": self.tolerance,
-            "monotone_violation_count": self.monotone_violation_count,
-            "submodular_violation_count": self.submodular_violation_count,
-        }
 
 
 _MAX_RECORDED = 100

@@ -152,7 +152,7 @@ class TestSymmetryGapRun:
 
 class _SampledGreedy(CPPMechanism):
     """Greedy over a random half of the free items at each step.  It asks
-    for the candidates S + j through eval_extensions, or with `rows`
+    for every candidate S + j through eval_extensions, or with `rows`
     through eval_many on the packed rows; both draw the same halves."""
 
     def __init__(self, rows: bool):
@@ -165,14 +165,14 @@ class _SampledGreedy(CPPMechanism):
         words = np.zeros(word_count(m), dtype=np.uint64)
         for _ in range(k):
             free = np.flatnonzero(~inside)
-            free = free[rng.random(free.size) < 0.5]
-            if not free.size:
-                continue
             if self.rows:
                 values = view.eval_many(singleton_words(m)[free] | words)
             else:
-                values = view.eval_extensions(words, free)
-            inside[free[values.argmax()]] = True
+                values = view.eval_extensions(words)
+            half = np.flatnonzero(rng.random(free.size) < 0.5)
+            if not half.size:
+                continue
+            inside[free[half[values[half].argmax()]]] = True
             words = words_from_bits(inside[None])[0]
         return words
 

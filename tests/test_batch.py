@@ -479,21 +479,27 @@ def _extension_oracle(kind: str, m: int, seed: int):
     return _fallback(kind, m, rng), []
 
 
-def _extension_rows(words: np.ndarray, free: np.ndarray, m: int) -> np.ndarray:
-    """The rows S + j, built as greedy built them before eval_extensions."""
+def _extension_rows(words: np.ndarray, m: int) -> np.ndarray:
+    """The rows S + j for each item j outside S, in increasing j."""
+    free = np.setdiff1d(np.arange(m), unpack(words, m))
     return singleton_words(m)[free] | words
 
 
+def _all_but(free, m: int) -> np.ndarray:
+    """The packed set of every item of [0, m) outside `free`."""
+    return pack(np.setdiff1d(np.arange(m), free), m)
+
+
 class TestEvalExtensions:
-    """eval_extensions against eval_many over the rows S + j it stands for:
-    the same values bit for bit and the same query counts on the oracle, its
-    view and every component."""
+    """eval_extensions(S) against eval_many over the rows S + j it stands
+    for, j outside S: the same values bit for bit and the same query counts
+    on the oracle, its view and every component."""
 
     @given(
         seeds,
         st.sampled_from(SIZES),
         st.sampled_from(EXTENSION_KINDS),
-        st.sampled_from(("all", "some", "none")),
+        st.sampled_from(("empty", "random", "full")),
         st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
@@ -502,24 +508,20 @@ class TestEvalExtensions:
         ref, ref_parts = _extension_oracle(kind, m, seed)
         m = oracle.m
         rng = np.random.default_rng(seed)
-        inside = rng.random(m) < rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0])
-        outside = np.flatnonzero(~inside)
-        free = {
-            "all": outside,
-            "some": outside[rng.random(outside.size) < 0.5],
-            "none": outside[:0],
-        }[which]
+        density = {"empty": 0.0, "random": rng.uniform(0.0, 1.0), "full": 1.0}[which]
+        inside = rng.random(m) < density
         words = words_from_bits(inside[None])[0]
         asker = oracle.restricted_view() if through_view else oracle
         # building a product queries each component once, at the empty set
         before = [p.query_count for p in parts + ref_parts]
-        values = asker.eval_extensions(words, free)
-        expected = ref.eval_many(_extension_rows(words, free, m))
+        values = asker.eval_extensions(words)
+        expected = ref.eval_many(_extension_rows(words, m))
+        outside = m - int(inside.sum())
         assert values.dtype == np.float64 and values.flags.c_contiguous
         assert values.tobytes() == expected.tobytes()
-        assert query_count(asker) == ref.query_count == free.size
+        assert query_count(asker) == ref.query_count == outside
         after = [p.query_count for p in parts + ref_parts]
-        assert [b - a for a, b in zip(before, after)] == [free.size] * len(after)
+        assert [b - a for a, b in zip(before, after)] == [outside] * len(after)
 
     @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.kind)
     @pytest.mark.parametrize("n", (5, GRID_MAX_BLOCK + 3))
@@ -532,32 +534,16 @@ class TestEvalExtensions:
         oracle = val.oracle()
         a, b = unpack(val.A, m).tolist(), unpack(val.B, m).tolist()
         for members in (a, b, a + b[:2], list(range(2 * n))):
-            inside = np.zeros(m, dtype=bool)
-            inside[members] = True
-            words = words_from_bits(inside[None])[0]
-            free = np.flatnonzero(~inside)
-            expected = val.oracle().eval_many(_extension_rows(words, free, m))
-            assert oracle.eval_extensions(words, free).tobytes() == expected.tobytes()
+            words = pack(members, m)
+            expected = val.oracle().eval_many(_extension_rows(words, m))
+            assert oracle.eval_extensions(words).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ("two_block", "additive", "product", "product_two_block"))
-    def test_rejects_bad_items_without_counting(self, kind):
+    def test_rejects_bad_rows_without_counting(self, kind):
         m = 70
         oracle, parts = _extension_oracle(kind, m, 5)
         before = [p.query_count for p in parts]
         words = words_from_masks([0b1011 | 1 << 66], m)[0]
-        bad_free = [
-            [1, 4, 5],  # 1 is in S
-            [4, 66],  # 66 is in S, in the second word
-            [4, 5, m],  # out of range
-            [-1, 4],
-            [4, 5, 5, 6],  # repeated
-            [6, 5, 4],  # not increasing
-            [[4, 5]],  # not 1-d
-            [4.0, 5.0],  # not ints
-        ]
-        for free in bad_free:
-            with pytest.raises(GroundSetError):
-                oracle.eval_extensions(words, np.array(free))
         bad_words = [
             words[None],  # a batch, not one row
             words[:-1],
@@ -566,24 +552,21 @@ class TestEvalExtensions:
         ]
         for row in bad_words:
             with pytest.raises(GroundSetError):
-                oracle.eval_extensions(row, np.array([4, 5]))
+                oracle.eval_extensions(row)
         assert oracle.query_count == 0
         assert [p.query_count for p in parts] == before
 
     @pytest.mark.parametrize("kind", EXTENSION_KINDS)
-    def test_empty_free(self, kind):
+    def test_full_set(self, kind):
         oracle, parts = _extension_oracle(kind, 65, 2)
-        words = words_from_masks([0b101], oracle.m)[0]
         before = [p.query_count for p in parts]
-        for free in (np.array([], dtype=np.int64), [], np.array([], dtype=np.uint32)):
-            values = oracle.eval_extensions(words, free)
-            assert values.shape == (0,) and values.dtype == np.float64
+        values = oracle.eval_extensions(pack(range(oracle.m), oracle.m))
+        assert values.shape == (0,) and values.dtype == np.float64
         assert oracle.query_count == 0
         assert [p.query_count for p in parts] == before
 
     def test_empty_ground_set(self):
         empty = pack((), 0)
-        words = np.zeros(0, dtype=np.uint64)
         for oracle in (
             make_additive([]),
             make_budget_additive([], 1.0),
@@ -592,9 +575,9 @@ class TestEvalExtensions:
             scale_oracle(make_polar(0, empty, 0.5), 2.0),
             compose_product(make_additive([]), make_coverage([0.5], [])),
         ):
-            assert oracle.eval_extensions(words, np.array([], dtype=int)).shape == (0,)
+            assert oracle.eval_extensions(empty).shape == (0,)
             with pytest.raises(GroundSetError):
-                oracle.eval_extensions(words, np.array([0]))
+                oracle.eval_extensions(np.zeros(1, dtype=np.uint64))
             assert oracle.query_count == 0
 
     @pytest.mark.parametrize("table_words", (0, setfn._SINGLETON_TABLE_WORDS))
@@ -605,17 +588,18 @@ class TestEvalExtensions:
         monkeypatch.setattr(setfn, "_SINGLETON_TABLE_WORDS", table_words)
         oracle, _ = _extension_oracle(kind, 65, 9)
         ref, _ = _extension_oracle(kind, 65, 9)
-        words = words_from_masks([1 << 3 | 1 << 64], 65)[0]
         for size in (5, 10, 13):
-            free = np.setdiff1d(np.arange(65), [3, 64])[:size]
-            expected = ref.eval_many(_extension_rows(words, free, 65))
-            assert oracle.eval_extensions(words, free).tobytes() == expected.tobytes()
+            # S leaves `size` items outside it, in both of its words
+            free = np.union1d(np.arange(size - 2), [63, 64])
+            words = _all_but(free, 65)
+            expected = ref.eval_many(_extension_rows(words, 65))
+            assert oracle.eval_extensions(words).tobytes() == expected.tobytes()
         assert oracle.query_count == ref.query_count == 28
 
     def test_singleton_table_is_shared_and_read_only(self):
         setfn._singleton_table.cache_clear()
         for _ in range(2):
-            make_additive([0.5] * 9).eval_extensions(np.zeros(1, dtype=np.uint64), [2, 3])
+            make_additive([0.5] * 9).eval_extensions(_all_but([2, 3], 9))
         info = setfn._singleton_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         table = setfn._singleton_table(9)

@@ -383,6 +383,27 @@ class TestConfigFile:
         assert main(["gap955", "--config", str(cfgfile)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, given, named",
+        [
+            (["--m", "40"], {}, "--m"),
+            (["--k", "20", "--beta", "0.2"], {}, "--k --beta"),
+            ([], {"n": 4}, "--n"),
+            (["--m", "40"], {"beta": 0.2}, "--m --beta"),
+        ],
+    )
+    def test_ell_with_its_own_sizes_exits_one(self, tmp_path, capsys, flags, given, named):
+        # --ell sets m, k, n and beta; an explicit value once lost silently
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(given))
+        out = tmp_path / "out.json"
+        args = ["symgap", "--ell", "1", "--partitions", "1", "--config", str(cfgfile)]
+        assert main(args + flags + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"symgap: error: --ell sets --m, --k, --n and --beta; drop {named}\n"
+        )
+
     def test_missing_config_file_exits_one(self, capsys):
         assert main(["gap955", "--config", "/nonexistent/cfg.json"]) == 1
         capsys.readouterr()
