@@ -22,7 +22,8 @@ opponent = make_additive([0.0] * 4 + [0.3] * 4)
 instance = AuctionInstance((family[-1].oracle(), opponent))
 
 menu = extract_menu(VCGExhaustiveAuction(), instance, 0, family, trials=3, seed=0)
-print(f"menu sample: {len(menu.samples)} observations, total weight {menu.total_weight():.3f}")
+weight = sum(s.weight for s in menu.samples)
+print(f"menu sample: {len(menu.samples)} observations, total weight {weight:.3f}")
 
 eps, ell = 1e-4, 1
 points = map_menu_to_qp(menu, "level_j", phi, eps, ell)

@@ -22,15 +22,12 @@ from .setfn import (
     make_coverage,
     make_polar,
     pack,
-    query_count,
-    reconstruct_oracle,
     scale_oracle,
     tabulate,
     unpack,
 )
 from .instances import (
     AuctionInstance,
-    BasicAuctionDescriptor,
     BisectionSequence,
     CPPInstance,
     CPPLevelParams,
@@ -39,7 +36,6 @@ from .instances import (
     PhiTable,
     TwoBlockValuation,
     expected_union_size,
-    make_basic_auction,
     make_symgap_valuation,
     psi,
     psi_tilde,
@@ -72,7 +68,6 @@ from .mechanisms import (
     PoissonMIDRCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
-    exhaustive_opt_auction,
     exhaustive_opt_cpp,
     greedy_cpp,
     poisson_midr_cpp,

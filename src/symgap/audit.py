@@ -316,9 +316,6 @@ class MenuSample:
     trials: int
     seed: int
 
-    def total_weight(self) -> float:
-        return sum(s.weight for s in self.samples)
-
 
 def extract_menu(
     mech,
@@ -350,19 +347,6 @@ def extract_menu(
             for x, p in zip(X.tolist(), runs.payments[:, special].tolist())
         )
     return MenuSample(samples, len(family), trials, seed)
-
-
-def mix_menus(menu_a: MenuSample, menu_b: MenuSample, w: float) -> MenuSample:
-    """Convex mixture of two menu samples (weights rescaled, provenance kept)."""
-    if menu_a.n_entries != menu_b.n_entries:
-        raise ValueError("menus must share a family to mix")
-    samples = [
-        MenuObservation(s.X, s.P, s.weight * w, s.provenance) for s in menu_a.samples
-    ] + [
-        MenuObservation(s.X, s.P, s.weight * (1.0 - w), s.provenance)
-        for s in menu_b.samples
-    ]
-    return MenuSample(samples, menu_a.n_entries, menu_a.trials + menu_b.trials, menu_a.seed)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import audit
 from .setfn import (
-    GroundSetError,
     OracleContractError,
     ValuationOracle,
     bits_from_words,
@@ -33,7 +32,6 @@ from .setfn import (
     pack,
     random_subset,
     scale_oracle,
-    words_from_masks,
 )
 from .instances import (
     AuctionInstance,
@@ -98,6 +96,13 @@ def _need_items(m: int, least: int, purpose: str) -> None:
     # checked before any draw, so that valid sizes keep their streams
     if m < least:
         raise OracleContractError(f"--m must be >= {least} {purpose}, got {m}")
+
+
+def _half(m: int) -> int:
+    """The block size of a two-block family on m items."""
+    if m < 2 or m % 2:
+        raise OracleContractError(f"--m must be even and >= 2 for a two-block family, got {m}")
+    return m // 2
 
 
 def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
@@ -265,12 +270,11 @@ def _exp_submod_check(
 ) -> dict:
     rng = _rng(cfg.seed, 2)
     if family == "symgap":
-        if m % 2:
-            raise GroundSetError("symgap family needs even m")
+        _half(m)
         A, B = sample_bisection_sequence(m, 1, rng).level(0)
         oracle = make_symgap_valuation(m, A, B, PhiAlpha(alpha), beta).oracle()
     elif family == "two_block_product":
-        oracle = two_block_product_instance(m // 2, alpha).oracle()
+        oracle = two_block_product_instance(_half(m), alpha).oracle()
     elif family == "product":
         f1 = _unit_range(_random_base_oracle(rng, m))
         oracle = compose_product(f1, _unit_range(_random_base_oracle(rng, m)))
@@ -312,7 +316,7 @@ def _exp_product_compose(cfg: ExperimentConfig, *, pairs: int = 100, m: int = 10
         rep = check_monotone_submodular(comp, mode="exhaustive")
         if not rep.passed:
             failures.append(idx)
-        words = words_from_masks([int(rng.integers(0, 1 << m)) for _ in range(20)], m)
+        words = rng.integers(0, 1 << m, (20, 1)).astype(np.uint64)
         direct = 1.0 - (1.0 - f1.eval_many(words)) * (1.0 - f2.eval_many(words))
         identity_worst = max(identity_worst, float(np.abs(comp.eval_many(words) - direct).max()))
         q1 = f1.query_count
@@ -399,6 +403,7 @@ def _exp_chernoff(
 def _exp_bisect_uniformity(
     cfg: ExperimentConfig, *, m: int = 32, ell: int = 3, trials: int = 20_000
 ) -> dict:
+    _need_items(m, 4, "for a pair inside one half")
     rng = _rng(cfg.seed, 4)
     levels = np.stack([sample_bisection_sequence(m, ell, rng).levels for _ in range(trials)])
     # A[t, j] and B[t, j] are the packed halves of level j in trial t
@@ -499,7 +504,7 @@ def _exp_poisson_midr(
         oracle = make_additive([float(x) for x in w])
         expected = _waterfill_additive(w, k)
     elif family == "two_block_product":
-        blocks = m // 2
+        blocks = _half(m)
         oracle = two_block_product_instance(blocks, 1.0).oracle()
         expected = 1.0 - math.exp(-k / blocks)
     elif family == "coverage":

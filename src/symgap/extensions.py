@@ -237,17 +237,13 @@ def random_pair_source(dim: int, trials: int, rng: np.random.Generator) -> np.nd
 def concavity_probe(
     g: Callable[[np.ndarray], np.ndarray],
     pairs: np.ndarray,
-    max_violations: int | None = None,
 ) -> tuple[list[ConcavityViolation], int]:
     """Midpoint-concavity check of g over an (N, 2, dim) array of pairs.
 
     g maps an (M, dim) array of points to M values; it is called once, on
     every x, y and midpoint.  Violations come in pair order.  Returns
-    (violations, pairs_checked); with max_violations, the pairs after the
-    max_violations-th violation count as unchecked.
+    (violations, pairs_checked).
     """
-    if max_violations is not None and max_violations < 1:
-        raise ValueError("max_violations must be >= 1")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
         raise ValueError(f"pairs must have shape (N, 2, dim), got {pairs.shape}")
@@ -257,10 +253,6 @@ def concavity_probe(
     gx, gy, gm = vals[:N], vals[N : 2 * N], vals[2 * N :]
     slack = gm - 0.5 * (gx + gy)
     bad = np.flatnonzero(slack < -_CONCAVITY_TOL)
-    checked = N
-    if max_violations is not None and len(bad) >= max_violations:
-        bad = bad[:max_violations]
-        checked = int(bad[-1]) + 1
     violations = [
         ConcavityViolation(
             tuple(x[i].tolist()), tuple(y[i].tolist()),
@@ -268,7 +260,7 @@ def concavity_probe(
         )
         for i in bad.tolist()
     ]
-    return violations, checked
+    return violations, N
 
 
 _GRID_POINT_CAP = 5_000_000

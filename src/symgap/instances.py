@@ -1,5 +1,6 @@
 """Hard-instance families: two-block symmetric valuations, bisection
-sequences, polar-player auctions, and level parameter schedules.
+sequences, auction and public-project instances, and level parameter
+schedules.
 
 The central object is the perturbed two-block surface
 
@@ -11,8 +12,8 @@ The central object is the perturbed two-block surface
 
 applied to block occupancy fractions x = |S ∩ A|/|A|, y = |S ∩ B|/|B|.
 Inside the beta band the value depends on x + y only, which is what makes
-the hidden bisection (A, B) invisible to balanced queries.  Blocks, bisection
-levels and favorite sets are packed uint64 rows, like every set in setfn.
+the hidden bisection (A, B) invisible to balanced queries.  Blocks and
+bisection levels are packed uint64 rows, like every set in setfn.
 
 A two-block value depends on the occupancy counts (a, b) alone, so every
 two-block value (value queries, the blockwise extension) is read
@@ -41,9 +42,7 @@ from .setfn import (
     intersection_sizes,
     make_budget_additive,
     make_coverage,
-    make_polar,
     pack,
-    random_subset,
     to_hex,
     word_count,
     words_from_bits,
@@ -57,9 +56,6 @@ class Phi:
 
     def value(self, t):
         raise NotImplementedError
-
-    def __call__(self, t):
-        return self.value(t)
 
     def to_param_dict(self) -> dict:
         raise NotImplementedError
@@ -316,8 +312,9 @@ def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuati
 
 @dataclass(frozen=True, eq=False)
 class BisectionSequence:
-    """Nested uniform bisections: level ell is the full ground set; each
-    level j < ell splits the previous A-part into equal halves (A_j, B_j)."""
+    """Nested uniform bisections: level ell - 1 splits the ground set into
+    equal halves (A_j, B_j), and each lower level j splits the A-part of the
+    level above."""
 
     m: int
     ell: int
@@ -330,13 +327,6 @@ class BisectionSequence:
         if not 0 <= j < self.ell:
             raise GroundSetError(f"level {j} outside [0, {self.ell})")
         return tuple(self.levels[self.ell - 1 - j])
-
-    def A(self, j: int) -> np.ndarray:
-        """A_j; A_ell is the full ground set."""
-        return pack(range(self.m), self.m) if j == self.ell else self.level(j)[0]
-
-    def B(self, j: int) -> np.ndarray:
-        return pack(range(self.m), self.m) if j == self.ell else self.level(j)[1]
 
 
 def sample_bisection_sequence(
@@ -437,31 +427,6 @@ class AuctionInstance:
         return len(self.oracles)
 
 
-@dataclass(frozen=True, eq=False)
-class BasicAuctionDescriptor:
-    n: int
-    m: int
-    omega: float
-    seed: int
-    A_sets: np.ndarray  # (n, word_count(m)) packed favorite sets
-
-
-def make_basic_auction(
-    n: int, m: int, omega: float, seed: int
-) -> tuple[AuctionInstance, BasicAuctionDescriptor]:
-    """n polar players with independent uniformly random favorite sets of size m/n.
-
-    The expected union of the favorite sets is m(1 - (1 - 1/n)^n) > m/2, which
-    is what gives socially-efficient outcomes their counting advantage.
-    """
-    if n < 1 or m < n or m % n:
-        raise GroundSetError(f"need n | m with n >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(seed)
-    A_sets = np.stack([random_subset(m, m // n, rng) for _ in range(n)])
-    oracles = tuple(make_polar(m, A, omega) for A in A_sets)
-    return AuctionInstance(oracles), BasicAuctionDescriptor(n, m, omega, seed, A_sets)
-
-
 def expected_union_size(n: int, m: int) -> float:
     """Closed form E|A_1 ∪ ... ∪ A_n| = m (1 - (1 - 1/n)^n) for independent
     uniform size-(m/n) favorite sets."""
@@ -472,7 +437,6 @@ def random_cpp_instance(
     rng: np.random.Generator,
     m_max: int = 16,
     k_max: int = 4,
-    n_max: int = 3,
 ) -> CPPInstance:
     """Random small public-project instance mixing the concrete oracle families."""
     for name, value, least in (("m_max", m_max, 4), ("k_max", k_max, 1)):
@@ -481,7 +445,7 @@ def random_cpp_instance(
     m = int(rng.integers(4, m_max + 1))
     m -= m % 2  # keep even so a symgap split is always available
     k = int(rng.integers(1, min(k_max, m) + 1))
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(1, 4))  # 1 to 3 players
     oracles = []
     for _ in range(n):
         family = rng.choice(["coverage", "budget_additive", "symgap"])

@@ -198,13 +198,6 @@ def _welfare_optimum(
     return alloc, best, per_player, welfare
 
 
-def exhaustive_opt_auction(oracles: Sequence) -> tuple[np.ndarray, float]:
-    """Welfare-optimal allocation by mixed-radix enumeration (items may stay
-    unallocated); deterministic first-maximum tie-breaking."""
-    alloc, best, _, welfare = _welfare_optimum(oracles)
-    return alloc, float(welfare[best])
-
-
 def vcg_auction_exhaustive(oracles: Sequence) -> Outcome:
     """Exhaustive VCG with Clarke pivot payments.
 

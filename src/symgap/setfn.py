@@ -15,7 +15,6 @@ outside S, with the values eval_many gives on those rows.
 """
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,14 +91,6 @@ def random_subset(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
     if not 0 <= size <= m:
         raise GroundSetError(f"size {size} outside [0, {m}]")
     return pack(rng.choice(m, size=size, replace=False), m)
-
-
-def words_from_masks(masks: Sequence[int], m: int) -> np.ndarray:
-    """Int masks to the rows of a (len(masks), word_count(m)) uint64 array."""
-    width = 8 * word_count(m)
-    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    words = np.frombuffer(data, dtype="<u8").reshape(len(masks), word_count(m))
-    return words.astype(np.uint64)
 
 
 def words_from_bits(bits: np.ndarray) -> np.ndarray:
@@ -193,8 +184,9 @@ class ValuationOracle:
     (two-block valuations answer from the occupancy counts of S); it must
     return what eval_many returns on the rows, bit for bit.
 
-    The descriptor is enough to rebuild the function bit-exactly and is
-    withheld from mechanisms under audit (see restricted_view()).
+    The descriptor names the family and its parameters, enough to recompute
+    every value; it is withheld from mechanisms under audit (see
+    restricted_view()).
     """
 
     __slots__ = ("m", "descriptor", "_fn_many", "_fn_extensions", "_count", "_lock")
@@ -263,9 +255,6 @@ class ValuationOracle:
     def restricted_view(self) -> "OracleView":
         return OracleView(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor, sort_keys=True)
-
 
 class OracleView:
     """Value-query handle handed to mechanisms: eval and ground size only.
@@ -289,13 +278,6 @@ class OracleView:
 
     def eval_extensions(self, words: np.ndarray) -> np.ndarray:
         return self._oracle.eval_extensions(words)
-
-
-def query_count(oracle) -> int:
-    """Total value queries issued to `oracle` (or to the oracle behind a view)."""
-    if isinstance(oracle, OracleView):
-        return oracle._oracle.query_count
-    return oracle.query_count
 
 
 def make_additive(weights: Sequence[float]) -> ValuationOracle:
@@ -509,8 +491,9 @@ def check_monotone_submodular(
     exhaustive: tabulates all 2^m values (m <= 24) and scans every
     (S, i) monotonicity pair and (S, i, j) submodularity triple in one
     array pass per item and per pair.
-    sampled: checks `trials` random triples; a statistical smoke test for
-    ground sets beyond the exhaustive cap.
+    sampled: checks `trials` random triples (S, i, j), (i, j) a uniform
+    ordered pair of distinct items and S a uniform set with i and j removed;
+    a statistical smoke test for ground sets beyond the exhaustive cap.
     A gain below -STRUCT_TOL is a violation.
     """
     m = oracle.m
@@ -543,24 +526,21 @@ def check_monotone_submodular(
             rng = np.random.default_rng(0)
         mono, sub = [], []
         mono_count = sub_count = 0
-        # the triples are drawn one at a time and asked for a block at a time
-        step = max(1, ROW_BLOCK_WORDS // max(1, word_count(m)))
+        # every pair first: i uniform, then j uniform on the other m - 1 items
+        items_i = rng.integers(0, m, trials)
+        items_j = rng.integers(0, m - 1, trials)
+        items_j += items_j >= items_i
+        # then each block's sets, one full-range draw per word, so that the
+        # triples do not depend on the block size; the bits from m up cleared
+        width = word_count(m)
+        below_m = np.uint64((1 << (m - 1) % WORD_BITS + 1) - 1)
+        step = max(1, ROW_BLOCK_WORDS // width)
         for lo in range(0, trials, step):
-            masks, items_i, items_j = [], [], []
-            for _ in range(min(step, trials - lo)):
-                mask = int(rng.integers(0, 1 << min(m, 62)))
-                if m > 62:
-                    mask = 0
-                    for block in range((m + 61) // 62):
-                        draw = int(rng.integers(0, 1 << min(62, m - 62 * block)))
-                        mask |= draw << (62 * block)
-                i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
-                masks.append(mask & ~(1 << i) & ~(1 << j))
-                items_i.append(i)
-                items_j.append(j)
-            S = words_from_masks(masks, m)
-            bit_i = singleton_words(m, np.array(items_i, dtype=np.intp))
-            bit_j = singleton_words(m, np.array(items_j, dtype=np.intp))
+            pair_i, pair_j = items_i[lo : lo + step], items_j[lo : lo + step]
+            bit_i, bit_j = singleton_words(m, pair_i), singleton_words(m, pair_j)
+            S = rng.integers(0, 1 << WORD_BITS, (len(pair_i), width), dtype=np.uint64)
+            S[:, -1] &= below_m
+            S &= ~(bit_i | bit_j)
             f_s, f_si = oracle.eval_many(S), oracle.eval_many(S | bit_i)
             f_sj, f_sij = oracle.eval_many(S | bit_j), oracle.eval_many(S | bit_i | bit_j)
             gain = f_si - f_s
@@ -570,38 +550,13 @@ def check_monotone_submodular(
             mono_count += bad_mono.size
             sub_count += bad_sub.size
             for t in bad_mono[: _MAX_RECORDED - len(mono)].tolist():
-                mono.append(MonotoneViolation(S[t].copy(), items_i[t], float(gain[t])))
+                mono.append(MonotoneViolation(S[t].copy(), int(pair_i[t]), float(gain[t])))
             for t in bad_sub[: _MAX_RECORDED - len(sub)].tolist():
-                sub.append(SubmodularViolation(S[t].copy(), items_i[t], items_j[t], float(diff[t])))
+                i, j = int(pair_i[t]), int(pair_j[t])
+                sub.append(SubmodularViolation(S[t].copy(), i, j, float(diff[t])))
         passed = mono_count == 0 and sub_count == 0
         return StructureReport(
             passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
         )
 
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def reconstruct_oracle(descriptor: dict | str) -> ValuationOracle:
-    """Rebuild an oracle bit-exactly from its JSON descriptor."""
-    if isinstance(descriptor, str):
-        descriptor = json.loads(descriptor)
-    kind = descriptor["kind"]
-    params = descriptor.get("params", {})
-    if kind == "additive":
-        return make_additive(params["weights"])
-    if kind == "budget_additive":
-        return make_budget_additive(params["weights"], params["budget"])
-    if kind == "coverage":
-        return make_coverage(params["universe_weights"], params["cover_map"])
-    if kind == "polar":
-        return make_polar(params["m"], from_hex(params["A"], params["m"]), params["omega"])
-    if kind == "product":
-        c1, c2 = params["components"]
-        return compose_product(reconstruct_oracle(c1), reconstruct_oracle(c2))
-    if kind == "scaled":
-        return scale_oracle(reconstruct_oracle(params["inner"]), params["lam"])
-    if kind in ("symgap", "two_block_product"):
-        from . import instances
-
-        return instances.TwoBlockValuation.from_descriptor(descriptor).oracle()
-    raise ValueError(f"unknown oracle kind {kind!r}")

@@ -11,7 +11,7 @@ masks and hex the int way: the reference for pack, unpack and the hex pair.
 import numpy as np
 
 from symgap.instances import TwoBlockValuation
-from symgap.setfn import ValuationOracle, words_from_masks
+from symgap.setfn import ValuationOracle
 
 
 def masks_from_words(words: np.ndarray) -> list[int]:
@@ -30,8 +30,10 @@ def mask_of(row: np.ndarray) -> int:
 
 
 def row_of(mask: int, m: int) -> np.ndarray:
-    """The packed row of an int mask on [0, m)."""
-    return words_from_masks([mask], m)[0]
+    """The packed row of an int mask on [0, m): ceil(m / 64) little-endian
+    64-bit words, word i holding bits [64i, 64i + 64)."""
+    data = mask.to_bytes(8 * -(-m // 64), "little")
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
 
 
 def mask_hex(mask: int, m: int) -> str:

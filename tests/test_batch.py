@@ -5,8 +5,8 @@ for bit, what the descriptor-driven scalar reference in reference_oracles
 gives on the same sets, and count one query per row.
 """
 import ast
-import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,15 +35,12 @@ from symgap.setfn import (
     make_coverage,
     make_polar,
     pack,
-    query_count,
-    reconstruct_oracle,
     scale_oracle,
     singleton_words,
     tabulate,
     unpack,
     word_count,
     words_from_bits,
-    words_from_masks,
 )
 from reference_oracles import (
     KINDS,
@@ -112,7 +109,7 @@ class TestPacking:
         masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in bits]
         words = words_from_bits(bits)
         assert words.dtype == np.uint64 and words.shape == (10, word_count(m))
-        assert np.array_equal(words, words_from_masks(masks, m))
+        assert np.array_equal(words, np.stack([row_of(mask, m) for mask in masks]))
         assert masks_from_words(words) == masks
         assert np.array_equal(bits_from_words(words, m), bits)
 
@@ -124,20 +121,27 @@ class TestPacking:
         assert [word_count(m) for m in (0, 1, 63, 64, 65, 128, 400)] == [0, 1, 1, 1, 2, 2, 7]
 
 
-def _reconstructible_kinds() -> set[str]:
-    """The descriptor kinds that reconstruct_oracle compares `kind` against."""
-    tree = ast.parse(inspect.getsource(setfn.reconstruct_oracle))
-    return {
-        const.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind"
-        for const in ast.walk(node.comparators[0])
-        if isinstance(const, ast.Constant) and isinstance(const.value, str)
-    }
+def _descriptor_kinds() -> set[str]:
+    """The oracle descriptor kinds written in the package: the "kind" of a
+    dict literal that also has "params", and each `kind=` keyword argument
+    (the two-block families)."""
+    kinds = set()
+    for path in Path(setfn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Dict):
+                keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+                if {"kind", "params"} <= set(keys):
+                    value = node.values[keys.index("kind")]
+                    if isinstance(value, ast.Constant):
+                        kinds.add(value.value)
+            elif isinstance(node, ast.keyword) and node.arg == "kind":
+                if isinstance(node.value, ast.Constant):
+                    kinds.add(node.value.value)
+    return kinds
 
 
-def test_every_reconstructible_kind_has_a_scalar_reference():
-    kinds = _reconstructible_kinds()
+def test_every_descriptor_kind_has_a_scalar_reference():
+    kinds = _descriptor_kinds()
     assert {"additive", "product", "symgap"} <= kinds
     assert kinds == KINDS
     with pytest.raises(KeyError):
@@ -182,11 +186,11 @@ class TestEvalMany:
         words = _random_rows(m, rng, batch=13)
         oracle.eval(pack((), m))
         oracle.eval_many(words)
-        assert query_count(oracle) == 14
+        assert oracle.query_count == 14
         view.eval_many(words[:5])
-        assert query_count(view) == 19
+        assert oracle.query_count == 19
         assert oracle.eval_many(words[:0]).shape == (0,)
-        assert query_count(oracle) == 19
+        assert oracle.query_count == 19
 
     def test_product_components_count_each_row(self):
         rng = np.random.default_rng(3)
@@ -427,9 +431,9 @@ class TestTabulate:
             oracle = _fallback(kind, m, rng)
         view = oracle.restricted_view()
         table = tabulate(oracle)
-        assert query_count(oracle) == 1 << m
+        assert oracle.query_count == 1 << m
         assert tabulate(view).tobytes() == table.tobytes()
-        assert query_count(view) == 2 << m
+        assert oracle.query_count == 2 << m
         loop = np.array([oracle.eval(row_of(mask, m)) for mask in range(1 << m)], dtype=float)
         assert table.tobytes() == loop.tobytes()
 
@@ -519,7 +523,7 @@ class TestEvalExtensions:
         outside = m - int(inside.sum())
         assert values.dtype == np.float64 and values.flags.c_contiguous
         assert values.tobytes() == expected.tobytes()
-        assert query_count(asker) == ref.query_count == outside
+        assert oracle.query_count == ref.query_count == outside
         after = [p.query_count for p in parts + ref_parts]
         assert [b - a for a, b in zip(before, after)] == [outside] * len(after)
 
@@ -543,7 +547,7 @@ class TestEvalExtensions:
         m = 70
         oracle, parts = _extension_oracle(kind, m, 5)
         before = [p.query_count for p in parts]
-        words = words_from_masks([0b1011 | 1 << 66], m)[0]
+        words = row_of(0b1011 | 1 << 66, m)
         bad_words = [
             words[None],  # a batch, not one row
             words[:-1],
@@ -657,9 +661,9 @@ class TestBatchedGreedy:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, min(m, 12) + 1))
         two_block = _two_block(m, PhiAlpha(0.5), 0.1, rng)
-        other = _fallback(kind, m, rng).descriptor
-        batch_side = [two_block.oracle(), reconstruct_oracle(other)]
-        scalar_side = [two_block.oracle(), reconstruct_oracle(other)]
+        other_seed = int(rng.integers(2**32))
+        batch_side = [two_block.oracle(), _fallback(kind, m, np.random.default_rng(other_seed))]
+        scalar_side = [two_block.oracle(), _fallback(kind, m, np.random.default_rng(other_seed))]
         res = greedy_cpp(batch_side, k)
         mask, value = _scalar_greedy(scalar_side, k)
         assert (mask_of(res.S), res.value) == (mask, value)

@@ -62,7 +62,19 @@ _DEGENERATE = [
          "--m must be >= 1 for an exhaustive check, got 0")
         for family in ("additive", "budget_additive", "polar")
     ),
-    (["bisect-uniformity", "--m", "0"], "m must be positive, got 0"),
+    # an odd size once dropped an item and reported the odd m
+    (["submod-check", "--family", "two_block_product", "--m", "9"],
+     "--m must be even and >= 2 for a two-block family, got 9"),
+    (["poisson-midr", "--family", "two_block_product", "--m", "7"],
+     "--m must be even and >= 2 for a two-block family, got 7"),
+    (["submod-check", "--family", "symgap", "--m", "9"],
+     "--m must be even and >= 2 for a two-block family, got 9"),
+    (["poisson-midr", "--family", "two_block_product", "--m", "0"],
+     "--m must be even and >= 2 for a two-block family, got 0"),
+    # below 4 items one half holds no pair: the pair gate once wrote NaN
+    (["bisect-uniformity", "--m", "0"], "--m must be >= 4 for a pair inside one half, got 0"),
+    (["bisect-uniformity", "--m", "2", "--ell", "1"],
+     "--m must be >= 4 for a pair inside one half, got 2"),
     *(
         ([exp, "--grid", v], f"grid must be >= 2, got {v}")
         for exp in ("psi-tilde-check", "inequalities")

@@ -367,10 +367,9 @@ class TestConcavity:
         violations, checked = concavity_probe(g, pairs)
         assert calls == [(15, 1)]
         assert checked == 5
-        assert [v.x for v in violations] == [(0.1,), (0.3,), (0.0,)]
-        violations, checked = concavity_probe(g, pairs, max_violations=2)
-        assert checked == 4
-        assert [(v.x, v.y) for v in violations] == [((0.1,), (0.9,)), ((0.3,), (0.8,))]
+        assert [(v.x, v.y) for v in violations] == [
+            ((0.1,), (0.9,)), ((0.3,), (0.8,)), ((0.0,), (1.0,))
+        ]
         assert violations[1].slack == pytest.approx(-0.25 * 0.5**2, rel=1e-12)
 
     def test_pair_source_matches_per_pair_draws(self):
@@ -379,12 +378,3 @@ class TestConcavity:
         for x, y in pairs:
             assert (x == rng.uniform(0.0, 1.0, size=3)).all()
             assert (y == rng.uniform(0.0, 1.0, size=3)).all()
-
-    def test_probe_respects_max_violations(self):
-        g = lambda pts: (pts[:, 0] - 0.5) ** 2  # convex, violates everywhere
-        rng = np.random.default_rng(7)
-        violations, checked = concavity_probe(
-            g, random_pair_source(1, 50, rng), max_violations=3
-        )
-        assert len(violations) == 3
-        assert checked <= 50

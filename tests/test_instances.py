@@ -14,7 +14,6 @@ from symgap.setfn import (
     OracleContractError,
     check_monotone_submodular,
     pack,
-    unpack,
 )
 from symgap.instances import (
     AuctionInstance,
@@ -25,7 +24,6 @@ from symgap.instances import (
     TwoBlockValuation,
     _count_grid,
     expected_union_size,
-    make_basic_auction,
     make_symgap_valuation,
     psi,
     psi_tilde,
@@ -259,7 +257,6 @@ class TestBisection:
         rng = np.random.default_rng(8)
         seq = sample_bisection_sequence(32, 3, rng)
         full = (1 << 32) - 1
-        assert mask_of(seq.A(3)) == mask_of(seq.B(3)) == full
         prev = full
         for j in (2, 1, 0):
             A, B = mask_of(seq.level(j)[0]), mask_of(seq.level(j)[1])
@@ -271,8 +268,8 @@ class TestBisection:
     def test_level_sizes_follow_spec(self):
         rng = np.random.default_rng(9)
         seq = sample_bisection_sequence(64, 2, rng)
-        assert _size(seq.A(0)) == 16  # 2^{0-2} * 64
-        assert _size(seq.A(1)) == 32
+        assert _size(seq.level(0)[0]) == 16  # 2^{0-2} * 64
+        assert _size(seq.level(1)[0]) == 32
 
     def test_divisibility_required(self):
         with pytest.raises(GroundSetError):
@@ -316,33 +313,12 @@ class TestLevelParams:
 
 
 class TestBasicAuction:
-    def test_structure(self):
-        inst, desc = make_basic_auction(4, 16, 0.125, seed=11)
-        assert inst.n == 4 and inst.m == 16
-        assert len(desc.A_sets) == 4
-        for A in desc.A_sets:
-            assert _size(A) == 4
-
-    def test_polar_payoffs(self):
-        inst, desc = make_basic_auction(2, 4, 0.25, seed=3)
-        A0 = desc.A_sets[0]
-        v = inst.oracles[0]
-        assert v.eval(A0) == pytest.approx(_size(A0))
-        out = pack(np.setdiff1d(np.arange(4), unpack(A0, 4)), 4)
-        assert v.eval(out) == pytest.approx(0.25 * _size(out))
-
     def test_expected_union_closed_form(self):
         # E|union| = m (1 - (1 - 1/n)^n), independently: inclusion-exclusion per item
         for n, m in ((2, 4), (4, 16), (16, 160)):
             per_item = 1.0 - (1.0 - 1.0 / n) ** n
             assert expected_union_size(n, m) == pytest.approx(m * per_item)
             assert expected_union_size(n, m) > m / 2
-
-    def test_usage_errors(self):
-        with pytest.raises((GroundSetError, OracleContractError)):
-            make_basic_auction(3, 16, 0.125, seed=0)  # n does not divide m
-        with pytest.raises(OracleContractError):
-            make_basic_auction(2, 4, 1.0, seed=0)  # omega outside (0,1)
 
 
 class TestRandomInstances:

@@ -41,7 +41,6 @@ from symgap.mechanisms import (
     VCGExhaustiveAuction,
     _assignment_masks,
     _cpp_candidates,
-    exhaustive_opt_auction,
     exhaustive_opt_cpp,
     greedy_cpp,
     poisson_midr_cpp,
@@ -151,14 +150,6 @@ class TestExhaustiveOpt:
             ref_mask, ref_val = self.scalar_opt(oracles, 2)
             assert (mask_of(res.S), res.value) == (ref_mask, ref_val)
             assert unpack(res.S, 6).tolist() == [0, 1]
-
-    def test_auction_exhaustive_matches_reference(self):
-        v1 = make_additive([0.5, 0.3])
-        v2 = make_additive([0.4, 0.45])
-        alloc, val = exhaustive_opt_auction([v1, v2])
-        # best assignment: item 0 -> player 1, item 1 -> player 2
-        assert val == pytest.approx(0.95)
-        assert unpack(alloc[0], 2).tolist() == [0] and unpack(alloc[1], 2).tolist() == [1]
 
     def test_enumeration_cap(self):
         oracle = make_additive([0.01] * 64)

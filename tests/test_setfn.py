@@ -4,6 +4,7 @@ Expected values for the concrete families are recomputed inside the tests by
 independent brute-force implementations (plain Python sets and loops), never
 by calling the code under test twice.
 """
+import json
 import math
 import pickle
 
@@ -24,8 +25,6 @@ from symgap.setfn import (
     make_coverage,
     make_polar,
     MonotoneViolation,
-    query_count,
-    reconstruct_oracle,
     scale_oracle,
     StructureReport,
     SubmodularViolation,
@@ -43,7 +42,9 @@ from symgap.instances import (
     make_symgap_valuation,
     two_block_product_instance,
 )
-from reference_oracles import mask_hex, mask_of, oracle_from_scalar, row_of, scalar_value
+from reference_oracles import (
+    mask_hex, mask_of, masks_from_words, oracle_from_scalar, row_of, scalar_value,
+)
 
 ROW_SIZES = (0, 1, 63, 64, 65, 130)
 # (m, mask) with mask a subset of [0, m), for each m of ROW_SIZES
@@ -115,7 +116,8 @@ class TestValuationOracle:
         oracle.eval(row_of(0b11, 2))
         oracle.eval(pack([0], 2))
         assert oracle.query_count == base + 2
-        assert query_count(oracle.restricted_view()) == oracle.query_count
+        oracle.restricted_view().eval(pack([1], 2))  # a view's queries count on the oracle
+        assert oracle.query_count == base + 3
 
     def test_normalization_enforced(self):
         with pytest.raises(OracleContractError):
@@ -356,6 +358,21 @@ class TestExhaustiveScanMatchesLoop:
         assert check_monotone_submodular(_planted(10, seed=10, noise=0.0)).passed
 
 
+def _reference_triples(m: int, trials: int, rng: np.random.Generator):
+    """The sampled check's triples (mask, i, j) as int masks: every i, then
+    every j from the other m - 1 items, then per trial one 64-bit draw per
+    word, the bits at or above m and bits i, j cleared."""
+    items_i = [int(x) for x in rng.integers(0, m, trials)]
+    items_j = [int(x) for x in rng.integers(0, m - 1, trials)]
+    items_j = [j + (j >= i) for i, j in zip(items_i, items_j)]
+    width = -(-m // 64)
+    for i, j in zip(items_i, items_j):
+        mask = 0
+        for w, word in enumerate(rng.integers(0, 1 << 64, width, dtype=np.uint64).tolist()):
+            mask |= word << (64 * w)
+        yield mask & ((1 << m) - 1) & ~(1 << i) & ~(1 << j), i, j
+
+
 def _reference_sampled(oracle, trials: int, rng: np.random.Generator) -> StructureReport:
     """The sampled check as a loop of four single queries per trial, with
     the first 100 records of each kind in trial order."""
@@ -363,14 +380,7 @@ def _reference_sampled(oracle, trials: int, rng: np.random.Generator) -> Structu
     mono, sub = [], []
     mono_count = sub_count = 0
     ev = oracle.eval
-    for _ in range(trials):
-        mask = int(rng.integers(0, 1 << min(m, 62)))
-        if m > 62:
-            mask = 0
-            for block in range((m + 61) // 62):
-                mask |= int(rng.integers(0, 1 << min(62, m - 62 * block))) << (62 * block)
-        i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
-        mask &= ~(1 << i) & ~(1 << j)
+    for mask, i, j in _reference_triples(m, trials, rng):
         f_s = ev(row_of(mask, m))
         f_si = ev(row_of(mask | (1 << i), m))
         gain = f_si - f_s
@@ -395,7 +405,7 @@ SAMPLED_CASES = {
     "planted_m2": lambda: _planted(2, seed=2, noise=3.0),
     "planted_m10": lambda: _planted(10, seed=10, noise=3.0),
     "budget_additive_m5": lambda: make_budget_additive([0.2, 0.3, 0.1, 0.4, 0.15], 0.7),
-    # supermodular over two words: the draw takes two 62-bit blocks
+    # supermodular over two words
     "square_m70": lambda: oracle_from_scalar(
         70, lambda mask: float(mask.bit_count() ** 2), {"kind": "planted"}
     ),
@@ -433,7 +443,34 @@ class TestSampledCheckMatchesLoop:
         assert oracle.query_count == 0
 
 
-class TestReconstruct:
+class TestSampledTriples:
+    @pytest.mark.parametrize("m", [2, 63, 64, 65, 130])
+    def test_pairs_are_distinct_and_sets_hold_neither(self, m):
+        asked = []
+
+        def fn_many(words):
+            asked.append(masks_from_words(words))
+            return np.zeros(len(words))
+
+        oracle = ValuationOracle(m, fn_many, {"kind": "planted"})
+        asked.clear()  # the construction-time f(empty) check
+        check_monotone_submodular(oracle, mode="sampled", trials=500, rng=np.random.default_rng(m))
+        # one block: the rows S, S + i, S + j, S + i + j
+        assert len(asked) == 4
+        union, pairs = 0, set()
+        for s, s_i, s_j, s_ij in zip(*asked):
+            i, j = s_i ^ s, s_j ^ s
+            assert i.bit_count() == j.bit_count() == 1 and i != j
+            assert s & (i | j) == 0 and s_ij == s | i | j
+            assert s >> m == 0
+            union |= s
+            pairs.add((i, j))
+        # the tail word keeps its items below m; at m = 2 both orders occur
+        assert union == (0 if m == 2 else (1 << m) - 1)
+        assert pairs == {(1, 2), (2, 1)} if m == 2 else len(pairs) > 400
+
+
+class TestDescriptor:
     @pytest.mark.parametrize(
         "build",
         [
@@ -452,10 +489,10 @@ class TestReconstruct:
             lambda: two_block_product_instance(3, 0.5).oracle(),
         ],
     )
-    def test_descriptor_roundtrip_bit_exact(self, build):
+    def test_descriptor_alone_gives_every_value(self, build):
         oracle = build()
-        clone = reconstruct_oracle(oracle.to_json())
-        assert clone.m == oracle.m
+        # the descriptor survives JSON, and the scalar reference reads
+        # nothing but it
+        descriptor = json.loads(json.dumps(oracle.descriptor))
         for mask in range(1 << oracle.m):
-            row = row_of(mask, oracle.m)
-            assert clone.eval(row) == oracle.eval(row) == scalar_value(oracle.descriptor, mask)
+            assert oracle.eval(row_of(mask, oracle.m)) == scalar_value(descriptor, mask)
