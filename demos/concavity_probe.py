@@ -20,8 +20,9 @@ rng = np.random.default_rng(0)
 # coverage-like two-block instance at alpha = 1: no violation anywhere
 clean = two_block_product_instance(8, 1.0)
 g = lambda pts: f_exp_blockwise(clean, pts[:, 0], pts[:, 1])
-violations, checked = concavity_probe(g, random_pair_source(2, 5000, rng))
-print(f"alpha = 1.0 : {len(violations)} violations in {checked} random midpoint probes")
+pairs = random_pair_source(2, 5000, rng)
+violations = concavity_probe(g, pairs)
+print(f"alpha = 1.0 : {len(violations)} violations in {len(pairs)} random midpoint probes")
 
 # alpha = 1/2 concentrates value on saturated blocks; the midpoint dips
 curved = two_block_product_instance(200, 0.5)

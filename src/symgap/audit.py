@@ -22,8 +22,7 @@ from .instances import (
     PhiAlpha,
     TwoBlockValuation,
     expected_union_size,
-    extension_counts,
-    item_labels,
+    extension_answers,
     make_symgap_valuation,
     sample_bisection_sequence,
 )
@@ -219,8 +218,9 @@ def symmetry_gap_experiment(
         for t in range(partitions):
             rng = np.random.default_rng(children[t])
             A, B = blocks = sample_bisection_sequence(m, 1, rng).levels[0]
-            value_of = make_symgap_valuation(m, A, B, phi, beta).count_values()
-            labels = item_labels(blocks, m)
+            valuation = make_symgap_valuation(m, A, B, phi, beta)
+            value_of = valuation.count_values()
+            answer = extension_answers(valuation, value_of)
             half = m // 2
 
             # each query's counts (a, b) both classify it and give its value
@@ -231,17 +231,15 @@ def symmetry_gap_experiment(
                 unbalanced_total += int(np.count_nonzero(np.abs(a - b) / half > beta))
                 return value_of(a, b)
 
-            # the extensions of one set fall in three count classes; each
-            # unbalanced class adds its number of items
-            def classified_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
+            # the extensions of one set fall in at most three count classes;
+            # each unbalanced class adds its number of free items
+            def classified_extensions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 nonlocal unbalanced_total
-                counts = extension_counts(words, blocks, half)
-                classes = labels.take(free)
-                sizes = np.bincount(classes, minlength=3).tolist()
-                for size, a, b in zip(sizes, *counts.tolist()):
+                values, groups, found = answer(words)
+                for size, a, b in found:
                     if abs(a - b) / half > beta:
                         unbalanced_total += size
-                return value_of(*counts).take(classes)
+                return values, groups
 
             probe = ValuationOracle(m, classified_many, {"kind": "hidden"}, classified_extensions)
             R = mech.allocate((probe.restricted_view(),), k, rng)

@@ -202,8 +202,9 @@ def _exp_concavity(
         if alpha >= 1.0:
             expect_violation = False
             g = lambda pts: f_exp_blockwise(val, pts[:, 0], pts[:, 1])
-            violations, checked = concavity_probe(g, random_pair_source(2, trials, rng))
-            detail["pairs_checked"] = checked
+            pairs = random_pair_source(2, trials, rng)
+            violations = concavity_probe(g, pairs)
+            detail["pairs_checked"] = len(pairs)
             detail["mode"] = "exact_blockwise_random_pairs"
         else:
             expect_violation = True

@@ -237,12 +237,11 @@ def random_pair_source(dim: int, trials: int, rng: np.random.Generator) -> np.nd
 def concavity_probe(
     g: Callable[[np.ndarray], np.ndarray],
     pairs: np.ndarray,
-) -> tuple[list[ConcavityViolation], int]:
+) -> list[ConcavityViolation]:
     """Midpoint-concavity check of g over an (N, 2, dim) array of pairs.
 
     g maps an (M, dim) array of points to M values; it is called once, on
-    every x, y and midpoint.  Violations come in pair order.  Returns
-    (violations, pairs_checked).
+    every x, y and midpoint.  Returns the violations, in pair order.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
@@ -253,14 +252,13 @@ def concavity_probe(
     gx, gy, gm = vals[:N], vals[N : 2 * N], vals[2 * N :]
     slack = gm - 0.5 * (gx + gy)
     bad = np.flatnonzero(slack < -_CONCAVITY_TOL)
-    violations = [
+    return [
         ConcavityViolation(
             tuple(x[i].tolist()), tuple(y[i].tolist()),
             float(gx[i]), float(gy[i]), float(gm[i]), float(slack[i]),
         )
         for i in bad.tolist()
     ]
-    return violations, N
 
 
 _GRID_POINT_CAP = 5_000_000

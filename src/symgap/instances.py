@@ -22,7 +22,8 @@ built once per (n, phi, beta, lam) and shared by every bisection of that
 size.  Blocks above GRID_MAX_BLOCK evaluate psi_tilde on the counts asked
 about instead, with the same values bit for bit.  The singleton extensions
 S + j of one set fall in three count classes (j outside both blocks, in A,
-in B), so they need at most three values (extension_counts, item_labels).
+in B), so they take at most three values: a two-block oracle answers an
+extension query with the level sets of those values (extension_answers).
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .setfn import (
     OracleContractError,
     ValuationOracle,
     as_rows,
-    bits_from_words,
     from_hex,
     intersection_sizes,
     make_budget_additive,
@@ -238,15 +238,14 @@ class TwoBlockValuation:
         }
 
     def oracle(self) -> ValuationOracle:
-        blocks, value = self.blocks, self.count_values()
+        value = self.count_values()
+        answer = extension_answers(self, value)
 
         def fn_many(words: np.ndarray) -> np.ndarray:
             return value(intersection_sizes(words, self.A), intersection_sizes(words, self.B))
 
-        labels, n = item_labels(blocks, self.m), self.block_size
-
-        def fn_extensions(words: np.ndarray, free: np.ndarray) -> np.ndarray:
-            return value(*extension_counts(words, blocks, n)).take(labels.take(free))
+        def fn_extensions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return answer(words)[:2]
 
         return ValuationOracle(self.m, fn_many, self.descriptor(), fn_extensions)
 
@@ -267,22 +266,45 @@ class TwoBlockValuation:
         )
 
 
-def item_labels(blocks: np.ndarray, m: int) -> np.ndarray:
-    """Per item of [0, m): 1 in A, 2 in B, 0 in neither block, with A and B
-    packed as the two rows of `blocks`; the classes of extension_counts()."""
-    in_a, in_b = bits_from_words(blocks, m)
-    return in_a + 2 * in_b.astype(np.intp)
+# row c: which of the three count classes the union numbered c holds, class
+# i when bit i of c is set
+_UNION_CLASSES = (np.arange(8)[:, None] >> np.arange(3) & 1).astype(bool)
 
 
-def extension_counts(words: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
-    """Occupancy counts of S + j, S packed as one row and A, B as the two
-    rows of `blocks`: column c holds (a, b) for the items j of class c of
-    item_labels().
+def extension_answers(val: TwoBlockValuation, value: Callable) -> Callable:
+    """The extension queries of a two-block valuation, answered by count
+    class; `value` is the valuation's count_values().
 
-    A count is capped at the block size n: a full block's class has no
-    item outside S, so its value is never asked for."""
-    a, b = intersection_sizes(blocks, words).tolist()
-    return np.array([[a, min(a + 1, n), a], [b, b, min(b + 1, n)]])
+    The items outside both blocks, the items of A and those of B are three
+    classes, and S + j has the occupancy counts (a, b), (a + 1, b) or
+    (a, b + 1) by the class of j, with (a, b) those of S.  The function
+    returned maps S, one packed row, to (values, groups, found): values and
+    groups the level sets of j -> f(S + j), the answer of eval_extensions,
+    and found the (size, a, b) of each class with items outside S, size
+    their number and (a, b) the occupancy counts of S + j for each of them.
+    The class rows are built once, here."""
+    m, n = val.m, val.block_size
+    classes = np.stack([pack(range(m), m) & ~(val.A | val.B), val.A, val.B])
+    unions = np.bitwise_or.reduce(np.where(_UNION_CLASSES[:, :, None], classes, 0), axis=1)
+    totals = (m - 2 * n, n, n)
+    adds = ((0, 0), (1, 0), (0, 1))  # what j adds to (a, b), by class
+
+    def answer(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+        held = np.add.reduce(np.bitwise_count(classes & words), axis=1).tolist()
+        found = []
+        # level value -> the bits of its classes.  Equal values merge and a
+        # NaN merges with none; the zeros of a two-block valuation all have
+        # the sign of lam, so equal values have equal bits
+        levels: dict[float, int] = {}
+        for c in range(3):
+            if held[c] < totals[c]:
+                a, b = held[1] + adds[c][0], held[2] + adds[c][1]
+                found.append((totals[c] - held[c], a, b))
+                v = float(value(a, b))
+                levels[v] = levels.get(v, 0) | 1 << c
+        return np.array(list(levels)), unions.take(list(levels.values()), axis=0) & ~words, found
+
+    return answer
 
 
 def make_symgap_valuation(

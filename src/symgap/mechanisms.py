@@ -19,7 +19,6 @@ from .setfn import (
     ROW_BLOCK_WORDS,
     GroundSetError,
     OracleView,
-    WORD_BITS,
     pack,
     random_subset,
     singleton_words,
@@ -83,28 +82,35 @@ def greedy_cpp(oracles: Sequence, k: int) -> GreedyResult:
     index; stops early when no candidate improves.
 
     Each step asks every oracle once, through eval_extensions(S), for all
-    candidates S + j with j outside the chosen set S, in increasing j, so
-    the query counts are those of asking for each candidate in turn.  S is
-    kept as one packed row plus a boolean mask of the items outside it,
-    which maps the best candidate back to its item."""
+    candidates S + j with j outside the chosen set S, so the query counts are
+    those of asking for each candidate in turn.  The step works on groups of
+    free items that share one welfare value: the first oracle's answer,
+    refined by each later one through pairwise intersection, values added in
+    oracle order.  Refining G1 groups by G2 costs O(G1 * G2 * word_count(m));
+    every caller with several oracles has m <= 16."""
     m = oracles[0].m
     if not 0 < k <= m:
         raise GroundSetError(f"k = {k} outside (0, {m}]")
     words = np.zeros(word_count(m), dtype=np.uint64)
-    outside = np.ones(m, dtype=bool)
     current = 0.0
     steps = 0
     for _ in range(k):
-        vals = np.zeros(m - steps)
-        for o in oracles:
-            vals += o.eval_extensions(words)
-        best = int(vals.argmax())  # first maximum: the lowest item index
-        if not vals[best] > current + GAIN_TOL:
+        values, groups = oracles[0].eval_extensions(words)
+        for o in oracles[1:]:
+            more_values, more_groups = o.eval_extensions(words)
+            both = groups[:, None] & more_groups
+            kept = both.any(axis=2)
+            values, groups = (values[:, None] + more_values)[kept], both[kept]
+        best = values.max()
+        if not best > current + GAIN_TOL:
             break
-        j = int(outside.nonzero()[0][best])
-        outside[j] = False
-        words[j // WORD_BITS] |= np.uint64(1) << np.uint64(j % WORD_BITS)
-        current = float(vals[best])
+        # the lowest item of the groups at the best value: its first nonzero
+        # word, then that word's lowest bit
+        tied = np.bitwise_or.reduce(groups, axis=0, where=(values == best)[:, None])
+        w = int(tied.nonzero()[0][0])
+        low = int(tied[w])
+        words[w] |= np.uint64(low & -low)
+        current = float(best)
         steps += 1
     return GreedyResult(words, current, steps)
 
@@ -129,14 +135,24 @@ def exhaustive_opt_cpp(oracles: Sequence, k: int) -> OptResult:
     vals = np.zeros(len(words))
     for o in oracles:  # summed in oracle order, as one scalar sum per set
         vals += o.eval_many(words)
-    best_row = -1
-    best_val = 0.0
-    for row, val in enumerate(vals.tolist()):
-        if val > best_val + GAIN_TOL:
-            best_val = val
-            best_row = row
+    best_row, best_val = _first_max(vals)
     best = words[best_row].copy() if best_row >= 0 else np.zeros(word_count(m), np.uint64)
     return OptResult(best, best_val)
+
+
+def _first_max(vals: np.ndarray) -> tuple[int, float]:
+    """(row, value) of the scan that starts at (-1, 0.0) and moves to each
+    row whose value exceeds the current one by more than GAIN_TOL.
+
+    Only a row above 0.0 and above every earlier value can be moved to, so
+    the scan visits just those rows; NaN rows are never moved to."""
+    best_row, best_val = -1, 0.0
+    above = np.fmax.accumulate(np.concatenate(([0.0], vals)))[:-1]
+    for row in np.flatnonzero(vals > above).tolist():
+        val = float(vals[row])
+        if val > best_val + GAIN_TOL:
+            best_row, best_val = row, val
+    return best_row, best_val
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ Each oracle family has one evaluator, over a batch of rows.  eval_many asks
 for the rows of a (batch, word_count(m)) uint64 array and counts one query
 per row; eval asks for one set as a one-row batch.  eval_extensions asks for
 the singleton extensions S + j of one packed set S, one query per item j
-outside S, with the values eval_many gives on those rows.
+outside S, and answers with groups of free items that share one value.
 """
 from __future__ import annotations
 
@@ -177,12 +177,17 @@ class ValuationOracle:
     so concurrent audits still report exact totals.
 
     eval_extensions(words) asks for S + j for every item j outside S, S one
-    packed row, and counts one query per j.  By default it builds those rows,
-    _EVAL_CHUNK at a time, for fn_many; product and scaled oracles pass them
-    on to their components.  An oracle may pass fn_extensions(words, free),
-    `free` the increasing items outside S, to answer without the rows
-    (two-block valuations answer from the occupancy counts of S); it must
-    return what eval_many returns on the rows, bit for bit.
+    packed row, and counts one query per j.  It answers (values, groups):
+    groups is a (G, word_count(m)) uint64 array of disjoint packed rows that
+    together cover the items outside S, and f(S + j) = values[g] for every j
+    in groups[g], bit for bit what eval_many gives on the row S + j.  By
+    default it builds those rows, _EVAL_CHUNK at a time, for fn_many, and
+    answers one group per free item in increasing item order; product and
+    scaled oracles pass the rows on to their components.  An oracle may pass
+    fn_extensions(words) to answer with the level sets of j -> f(S + j)
+    instead (two-block valuations answer from the occupancy counts of S).
+    Either shape tells a caller the m - |S| values and nothing more, and
+    returned rows never alias oracle state.
 
     The descriptor names the family and its parameters, enough to recompute
     every value; it is withheld from mechanisms under audit (see
@@ -196,7 +201,7 @@ class ValuationOracle:
         m: int,
         fn_many: Callable[[np.ndarray], np.ndarray],
         descriptor: dict,
-        fn_extensions: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+        fn_extensions: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
     ):
         self.m = m
         self._fn_many = fn_many
@@ -230,23 +235,23 @@ class ValuationOracle:
             out[lo:hi] = self._fn_many(words[lo:hi])
         return out
 
-    def eval_extensions(self, words: np.ndarray) -> np.ndarray:
-        """Values of S + j for each item j outside S, in increasing j, with S
-        packed as one row of word_count(m) uint64 words; counts m - |S|
-        queries."""
+    def eval_extensions(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, groups) for S + j, j outside S, with S packed as one row of
+        word_count(m) uint64 words: f(S + j) = values[g] for every item j of
+        the packed row groups[g].  Counts m - |S| queries."""
         words = as_rows(words, self.m, ndim=1)
-        free = np.flatnonzero(~bits_from_words(words[None], self.m)[0])
         with self._lock:
-            self._count += len(free)
+            self._count += self.m - int(np.bitwise_count(words).sum())
         if self._fn_extensions is not None:
-            return self._fn_extensions(words, free)
-        # the rows S + j, built and evaluated _EVAL_CHUNK at a time
-        out = np.empty(len(free))
-        for lo in range(0, len(free), _EVAL_CHUNK):
-            rows = _singleton_rows(free[lo : lo + _EVAL_CHUNK], self.m)
-            rows |= words
-            out[lo : lo + _EVAL_CHUNK] = self._fn_many(rows)
-        return out
+            return self._fn_extensions(words)
+        # one group {j} per free item; the rows S + j evaluated _EVAL_CHUNK
+        # at a time
+        free = np.flatnonzero(~bits_from_words(words[None], self.m)[0])
+        groups = _singleton_rows(free, self.m)
+        values = np.empty(len(groups))
+        for lo in range(0, len(groups), _EVAL_CHUNK):
+            values[lo : lo + _EVAL_CHUNK] = self._fn_many(groups[lo : lo + _EVAL_CHUNK] | words)
+        return values, groups
 
     @property
     def query_count(self) -> int:
@@ -276,7 +281,7 @@ class OracleView:
     def eval_many(self, words: np.ndarray) -> np.ndarray:
         return self._oracle.eval_many(words)
 
-    def eval_extensions(self, words: np.ndarray) -> np.ndarray:
+    def eval_extensions(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._oracle.eval_extensions(words)
 
 

@@ -7,6 +7,7 @@ independent reference bit for bit.  Sums run left to right from 0.0 in item
 (or universe element) order, the order the batch evaluators promise.
 masks_from_words, mask_of, row_of and mask_hex convert between rows, int
 masks and hex the int way: the reference for pack, unpack and the hex pair.
+extension_vector decodes an extension answer item by item.
 """
 import numpy as np
 
@@ -47,6 +48,28 @@ def _items(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def extension_vector(answer, words: np.ndarray, m: int) -> np.ndarray:
+    """The values f(S + j) of an eval_extensions answer (values, groups),
+    one per item j outside S = `words`, in increasing j.
+
+    Checks the answer's shape on the way: values one float64 per group,
+    groups uint64 rows of the ground set's width, each nonempty, pairwise
+    disjoint, together covering exactly the items outside S."""
+    values, groups = answer
+    assert values.dtype == np.float64 and values.shape == (len(groups),)
+    assert groups.dtype == np.uint64 and groups.shape == (len(groups), -(-m // 64))
+    inside = mask_of(words)
+    group_of = {}
+    for g, mask in enumerate(masks_from_words(groups)):
+        assert mask, "empty group"
+        for j in _items(mask):
+            assert j not in group_of, f"item {j} in two groups"
+            group_of[j] = g
+    free = [j for j in range(m) if not inside >> j & 1]
+    assert sorted(group_of) == free
+    return values[np.array([group_of[j] for j in free], dtype=np.intp)]
 
 
 def _additive(params, mask):

@@ -18,6 +18,7 @@ from symgap.setfn import (
     word_count,
     words_from_bits,
 )
+from reference_oracles import extension_vector
 from symgap.instances import (
     AuctionInstance,
     CPPInstance,
@@ -151,8 +152,9 @@ class TestSymmetryGapRun:
 
 class _SampledGreedy(CPPMechanism):
     """Greedy over a random half of the free items at each step.  It asks
-    for every candidate S + j through eval_extensions, or with `rows`
-    through eval_many on the packed rows; both draw the same halves."""
+    for every candidate S + j through eval_extensions, decoding the answer
+    item by item, or with `rows` through eval_many on the packed rows; both
+    draw the same halves."""
 
     def __init__(self, rows: bool):
         self.rows = rows
@@ -167,7 +169,7 @@ class _SampledGreedy(CPPMechanism):
             if self.rows:
                 values = view.eval_many(singleton_words(m)[free] | words)
             else:
-                values = view.eval_extensions(words)
+                values = extension_vector(view.eval_extensions(words), words, m)
             half = np.flatnonzero(rng.random(free.size) < 0.5)
             if not half.size:
                 continue
@@ -176,10 +178,47 @@ class _SampledGreedy(CPPMechanism):
         return words
 
 
+class _AnswerChecker(CPPMechanism):
+    """Walks S through k + 1 growing random prefixes; at each S it asks the
+    probe for the extensions of S and for the rows S + j, and holds the
+    answer to the extension-answer contract."""
+
+    name = "answers"
+
+    def __init__(self):
+        self.asked = 0
+
+    def allocate(self, views, k, rng):
+        view, m = views[0], views[0].m
+        order = rng.permutation(m)
+        for size in range(k + 1):
+            words = pack(order[:size], m)
+            answer = view.eval_extensions(words)
+            rows = singleton_words(m, np.sort(order[size:])) | words
+            assert extension_vector(answer, words, m).tobytes() == view.eval_many(rows).tobytes()
+            # only level sets group items: the empty set's answer is one
+            # group, and a group of several items has a value of its own
+            values, groups = answer
+            assert size or len(values) == 1
+            for g in np.flatnonzero(np.bitwise_count(groups).sum(axis=1) > 1).tolist():
+                assert np.count_nonzero(values == values[g]) == 1
+            self.asked += 2 * (m - size)
+        return pack(order[:k], m)
+
+
 class TestProbeClassifiesExtensions:
     """The probe answers eval_extensions from count classes.  Its Chernoff
     gate input, the unbalanced-query count, must equal the count of the
     same queries asked as packed rows."""
+
+    @pytest.mark.parametrize("m, beta", [(40, 0.1), (40, 0.3), (130, 0.05)])
+    def test_answers_decode_to_the_row_values(self, m, beta):
+        checker = _AnswerChecker()
+        report = symmetry_gap_experiment(
+            m=m, k=m // 2, n=2, beta=beta, phi=PhiAlpha(0.5),
+            mechanisms=[checker], partitions=3, seed=5,
+        )["mechanisms"][0]
+        assert report["queries_total"] == checker.asked
 
     @pytest.mark.parametrize(
         "m, beta, seed", [(40, 0.1, 0), (40, 0.3, 3), (130, 0.05, 1), (130, 0.02, 2)]

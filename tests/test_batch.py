@@ -44,6 +44,7 @@ from symgap.setfn import (
 )
 from reference_oracles import (
     KINDS,
+    extension_vector,
     mask_of,
     masks_from_words,
     row_of,
@@ -496,8 +497,10 @@ def _all_but(free, m: int) -> np.ndarray:
 
 class TestEvalExtensions:
     """eval_extensions(S) against eval_many over the rows S + j it stands
-    for, j outside S: the same values bit for bit and the same query counts
-    on the oracle, its view and every component."""
+    for, j outside S: the answer decoded item by item gives the same values
+    bit for bit, and the query counts on the oracle, its view and every
+    component are the same.  Two-block oracles answer with level sets, the
+    other families with one group per free item."""
 
     @given(
         seeds,
@@ -518,11 +521,10 @@ class TestEvalExtensions:
         asker = oracle.restricted_view() if through_view else oracle
         # building a product queries each component once, at the empty set
         before = [p.query_count for p in parts + ref_parts]
-        values = asker.eval_extensions(words)
+        answer = asker.eval_extensions(words)
         expected = ref.eval_many(_extension_rows(words, m))
         outside = m - int(inside.sum())
-        assert values.dtype == np.float64 and values.flags.c_contiguous
-        assert values.tobytes() == expected.tobytes()
+        assert extension_vector(answer, words, m).tobytes() == expected.tobytes()
         assert oracle.query_count == ref.query_count == outside
         after = [p.query_count for p in parts + ref_parts]
         assert [b - a for a, b in zip(before, after)] == [outside] * len(after)
@@ -540,7 +542,8 @@ class TestEvalExtensions:
         for members in (a, b, a + b[:2], list(range(2 * n))):
             words = pack(members, m)
             expected = val.oracle().eval_many(_extension_rows(words, m))
-            assert oracle.eval_extensions(words).tobytes() == expected.tobytes()
+            decoded = extension_vector(oracle.eval_extensions(words), words, m)
+            assert decoded.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ("two_block", "additive", "product", "product_two_block"))
     def test_rejects_bad_rows_without_counting(self, kind):
@@ -564,8 +567,9 @@ class TestEvalExtensions:
     def test_full_set(self, kind):
         oracle, parts = _extension_oracle(kind, 65, 2)
         before = [p.query_count for p in parts]
-        values = oracle.eval_extensions(pack(range(oracle.m), oracle.m))
+        values, groups = oracle.eval_extensions(pack(range(oracle.m), oracle.m))
         assert values.shape == (0,) and values.dtype == np.float64
+        assert groups.shape == (0, word_count(oracle.m)) and groups.dtype == np.uint64
         assert oracle.query_count == 0
         assert [p.query_count for p in parts] == before
 
@@ -579,7 +583,8 @@ class TestEvalExtensions:
             scale_oracle(make_polar(0, empty, 0.5), 2.0),
             compose_product(make_additive([]), make_coverage([0.5], [])),
         ):
-            assert oracle.eval_extensions(empty).shape == (0,)
+            values, groups = oracle.eval_extensions(empty)
+            assert values.shape == (0,) and groups.shape == (0, 0)
             with pytest.raises(GroundSetError):
                 oracle.eval_extensions(np.zeros(1, dtype=np.uint64))
             assert oracle.query_count == 0
@@ -587,7 +592,7 @@ class TestEvalExtensions:
     @pytest.mark.parametrize("table_words", (0, setfn._SINGLETON_TABLE_WORDS))
     @pytest.mark.parametrize("kind", ("additive", "coverage", "product"))
     def test_rows_are_built_a_chunk_at_a_time(self, monkeypatch, kind, table_words):
-        # with no room for a shared table, each chunk builds its own singletons
+        # with no room for a shared table the singletons are built, not copied
         monkeypatch.setattr(setfn, "_EVAL_CHUNK", 5)
         monkeypatch.setattr(setfn, "_SINGLETON_TABLE_WORDS", table_words)
         oracle, _ = _extension_oracle(kind, 65, 9)
@@ -597,8 +602,47 @@ class TestEvalExtensions:
             free = np.union1d(np.arange(size - 2), [63, 64])
             words = _all_but(free, 65)
             expected = ref.eval_many(_extension_rows(words, 65))
-            assert oracle.eval_extensions(words).tobytes() == expected.tobytes()
+            decoded = extension_vector(oracle.eval_extensions(words), words, 65)
+            assert decoded.tobytes() == expected.tobytes()
         assert oracle.query_count == ref.query_count == 28
+
+    @pytest.mark.parametrize("kind", EXTENSION_KINDS)
+    def test_returned_rows_do_not_alias_oracle_state(self, kind):
+        oracle, _ = _extension_oracle(kind, 65, 4)
+        m = oracle.m
+        rng = np.random.default_rng(4)
+        words = words_from_bits((rng.random(m) < 0.3)[None])[0]
+        first = oracle.eval_extensions(words)
+        expected = extension_vector(first, words, m).tobytes()
+        for part in first:
+            part[...] = part.dtype.type(0)  # writable, and written
+        again = oracle.eval_extensions(words)
+        assert extension_vector(again, words, m).tobytes() == expected
+        assert oracle.query_count == 2 * (m - int(np.bitwise_count(words).sum()))
+
+    @given(seeds, st.sampled_from(SIZES), st.sampled_from(EXTENSION_KINDS))
+    @settings(max_examples=60, deadline=None)
+    def test_groups_sharing_a_value_are_single_items(self, seed, m, kind):
+        # a group of several items is a level set: no other group has its value
+        oracle, _ = _extension_oracle(kind, m, seed)
+        rng = np.random.default_rng(seed)
+        words = words_from_bits((rng.random(oracle.m) < rng.uniform(0.0, 1.0))[None])[0]
+        values, groups = oracle.restricted_view().eval_extensions(words)
+        sizes = np.bitwise_count(groups).sum(axis=1)
+        for g in np.flatnonzero(sizes > 1).tolist():
+            assert np.count_nonzero(values == values[g]) == 1
+
+    @pytest.mark.parametrize("m", (2, 64, 400, 2 * GRID_MAX_BLOCK + 2))
+    def test_symgap_answer_at_the_empty_set_is_one_group(self, m):
+        # every single item added to the empty set gives the same value, so
+        # the answer cannot tell A from B
+        rng = np.random.default_rng(m)
+        A, B = _split(m, rng)
+        for phi, beta in ((PhiAlpha(0.5), 0.1), (PhiAlpha(1.0), 1e-6), (PHIS[-1], 0.25)):
+            view = make_symgap_valuation(m, A, B, phi, beta).oracle().restricted_view()
+            values, groups = view.eval_extensions(pack((), m))
+            assert len(values) == 1
+            assert groups.tolist() == [pack(range(m), m).tolist()]
 
     def test_singleton_table_is_shared_and_read_only(self):
         setfn._singleton_table.cache_clear()
@@ -654,6 +698,24 @@ class TestBatchedGreedy:
         assert mask_of(res.S) == mask
         assert res.value == value
         assert [o.query_count for o in batch_side] == [o.query_count for o in scalar_side]
+
+    def test_matches_scalar_greedy_at_64_words(self):
+        m = 4096
+        A, B = _split(m, np.random.default_rng(17))
+        val = make_symgap_valuation(m, A, B, PhiAlpha(0.5), 0.05, 1.25)
+        batch_side, scalar_side = val.oracle(), val.oracle()
+        res = greedy_cpp([batch_side.restricted_view()], 6)
+        mask, value = _scalar_greedy([scalar_side], 6)
+        assert (mask_of(res.S), res.value) == (mask, value)
+        assert batch_side.query_count == scalar_side.query_count == sum(m - t for t in range(6))
+
+    def test_thousand_steps_on_the_ell_two_ground_set(self):
+        m, k = 160_000, 1000
+        A, B = _split(m, np.random.default_rng(18))
+        oracle = make_symgap_valuation(m, A, B, PhiAlpha(1.0), 0.01).oracle()
+        res = greedy_cpp([oracle.restricted_view()], k)
+        assert res.steps == k == int(np.bitwise_count(res.S).sum())
+        assert oracle.query_count == sum(m - t for t in range(k))
 
     @given(seeds, st.sampled_from(SIZES), st.sampled_from(FALLBACK_KINDS))
     @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symgap.setfn import (
     GroundSetError,
@@ -21,6 +22,7 @@ from symgap.instances import (
     AuctionInstance,
     CPPInstance,
     PhiAlpha,
+    TwoBlockValuation,
     make_symgap_valuation,
     random_cpp_instance,
     two_block_product_instance,
@@ -75,6 +77,16 @@ class TestGreedy:
         oracle = make_additive([0.5, 0.5, 0.5])
         res = greedy_cpp([oracle], 2)
         assert unpack(res.S, 3).tolist() == [0, 1]
+
+    def test_ties_across_refined_groups_resolve_to_lowest_index(self):
+        # the two-block answer lists its level sets by class, the items
+        # outside both blocks (8 and 9) first, so the groups refined by the
+        # additive answer are out of item order; every item ties at 0.25
+        m = 10
+        blocks = TwoBlockValuation(m, pack(range(4), m), pack(range(4, 8), m), PhiAlpha(1.0), 0.0)
+        oracles = [blocks.oracle(), make_additive([0.0] * 8 + [0.25] * 2)]
+        res = greedy_cpp(oracles, 1)
+        assert (unpack(res.S, m).tolist(), res.value) == ([0], 0.25)
 
     def test_early_stop_when_no_gain(self):
         oracle = make_budget_additive([0.6, 0.6, 0.6], 0.6)
@@ -150,6 +162,33 @@ class TestExhaustiveOpt:
             ref_mask, ref_val = self.scalar_opt(oracles, 2)
             assert (mask_of(res.S), res.value) == (ref_mask, ref_val)
             assert unpack(res.S, 6).tolist() == [0, 1]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, GAIN_TOL, 2 * GAIN_TOL, -1.0, math.nan, math.inf]),
+                # values a fraction of GAIN_TOL apart: ties and near-ties
+                st.builds(
+                    lambda base, step: base + step * 0.5 * GAIN_TOL,
+                    st.sampled_from([0.5, 1.0, 3.0]),
+                    st.integers(-4, 4),
+                ),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=60,
+        )
+    )
+    @example([])
+    @example([math.nan, 0.5, 1.0])  # no record before the first number
+    @example([1.0, 1.0 + 0.5 * GAIN_TOL, 1.0 + 1.5 * GAIN_TOL, 1.0 + 2.5 * GAIN_TOL])
+    @settings(max_examples=300, deadline=None)
+    def test_record_scan_matches_the_full_scan(self, vals):
+        # the reference: a scan over every row
+        best_row, best_val = -1, 0.0
+        for row, val in enumerate(vals):
+            if val > best_val + GAIN_TOL:
+                best_row, best_val = row, val
+        assert mechanisms._first_max(np.array(vals, dtype=float)) == (best_row, best_val)
 
     def test_enumeration_cap(self):
         oracle = make_additive([0.01] * 64)
