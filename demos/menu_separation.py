@@ -21,12 +21,11 @@ family = [make_symgap_valuation(m, A, B, phi, beta, lam) for lam in (0.25, 0.5, 
 opponent = make_additive([0.0] * 4 + [0.3] * 4)
 instance = AuctionInstance((family[-1].oracle(), opponent))
 
-menu = extract_menu(VCGExhaustiveAuction(), instance, 0, family, trials=3, seed=0)
-weight = sum(s.weight for s in menu.samples)
-print(f"menu sample: {len(menu.samples)} observations, total weight {weight:.3f}")
+X, P = extract_menu(VCGExhaustiveAuction(), instance, 0, family, trials=3, seed=0)
+print(f"menu sample: {X.shape[0]} declarations x {X.shape[1]} trials of (X, payment)")
 
 eps, ell = 1e-4, 1
-points = map_menu_to_qp(menu, "level_j", phi, eps, ell)
+points = map_menu_to_qp(X, P, phi, eps, ell)
 for p in points:
     print(f"  declaration {p.provenance}: q = {p.q:.4f}  p = {p.p:.4f}")
 

@@ -75,9 +75,7 @@ from .mechanisms import (
 )
 from .audit import (
     AmplificationState,
-    MenuObservation,
     MenuPoint,
-    MenuSample,
     SeparationResult,
     StepCertificate,
     TruthReport,

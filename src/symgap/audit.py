@@ -9,7 +9,7 @@ e^{-n/8}; the constant is recorded in every report that uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .setfn import ValuationOracle, intersection_sizes, scale_oracle
 from .instances import (
     AuctionInstance,
-    CPPInstance,
     Phi,
     PhiAlpha,
     TwoBlockValuation,
@@ -88,11 +87,8 @@ _SCALING_STREAM = 3
 
 def _declare(instance, player: int, oracle: ValuationOracle):
     """`instance` with player's declaration replaced by `oracle`."""
-    declared = list(instance.oracles)
-    declared[player] = oracle
-    if isinstance(instance, CPPInstance):
-        return CPPInstance(tuple(declared), instance.k)
-    return AuctionInstance(tuple(declared))
+    oracles = instance.oracles
+    return replace(instance, oracles=(*oracles[:player], oracle, *oracles[player + 1:]))
 
 
 def audit_truthfulness(
@@ -299,22 +295,6 @@ def symmetry_gap_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MenuObservation:
-    X: float
-    P: float
-    weight: float
-    provenance: int
-
-
-@dataclass
-class MenuSample:
-    samples: list[MenuObservation]
-    n_entries: int
-    trials: int
-    seed: int
-
-
 def extract_menu(
     mech,
     instance: AuctionInstance,
@@ -322,29 +302,26 @@ def extract_menu(
     family: Sequence[TwoBlockValuation],
     trials: int,
     seed: int,
-) -> MenuSample:
+) -> tuple[np.ndarray, np.ndarray]:
     """Probe the menu a mechanism offers one player.
 
     For each declared valuation in the family (a scaled two-block function),
     rerun the mechanism and record X = |bundle ∩ (A ∪ B)| / |A ∪ B| and the
-    payment.  Weights are uniform and sum to 1 across the whole sample.
+    payment.  Returns (X, P), two (entries, trials) arrays: row e holds
+    entry e's trials in order.
 
-    Entry p's trials use the entropy tuple (seed, p, _MENU_STREAM).  Trials
+    Entry e's trials use the entropy tuple (seed, e, _MENU_STREAM).  Trials
     come from run_trials: a deterministic mechanism runs once per declared
     entry and its outcome is replicated across `trials`.
     """
-    samples: list[MenuObservation] = []
-    w = 1.0 / (len(family) * trials)
+    X, P = [], []
     for prov, entry in enumerate(family):
-        level_set = entry.A | entry.B
         dev_instance = _declare(instance, special, entry.oracle())
         runs = run_trials(mech, dev_instance, trials, (seed, prov, _MENU_STREAM))
-        X = intersection_sizes(runs.words[:, special], level_set) / (2 * entry.block_size)
-        samples.extend(
-            MenuObservation(x, p, w, prov)
-            for x, p in zip(X.tolist(), runs.payments[:, special].tolist())
-        )
-    return MenuSample(samples, len(family), trials, seed)
+        words = runs.words[:, special]
+        X.append(intersection_sizes(words, entry.A | entry.B) / (2 * entry.block_size))
+        P.append(runs.payments[:, special])
+    return np.array(X), np.array(P)
 
 
 @dataclass(frozen=True)
@@ -352,42 +329,25 @@ class MenuPoint:
     q: float
     p: float
     provenance: int
-    weight: float
 
 
 def map_menu_to_qp(
-    menu: MenuSample,
-    role: str,
-    phi: Phi,
-    eps: float,
-    ell: int,
+    X: np.ndarray, P: np.ndarray, phi: Phi, eps: float, ell: int
 ) -> list[MenuPoint]:
-    """Map menu observations to expected (q, p) per declared valuation.
-
-    role 'level_j':        q = E[(1-eps) phi(X - 10^-ell) - 10^-ell]
-    role 'level_j_plus_1': q = E[1 - (1 - phi(X))^2]
+    """Map each row of `extract_menu`'s (X, P) to its expected
+    q = E[(1-eps) phi(X - 10^-ell) - 10^-ell] and p = E[P], with the row
+    index as provenance.  Each expectation is sum_t w term_t / sum_t w with
+    w = 1/(entries * trials), summed in trial order: a plain mean can round
+    the menu-separation demo's q to the other side of its threshold q0.
     """
     err = 10.0 ** (-ell)
-    groups: dict[int, list[MenuObservation]] = {}
-    for s in menu.samples:
-        groups.setdefault(s.provenance, []).append(s)
+    w = 1.0 / X.size
+    Q = (1.0 - eps) * phi.value(np.maximum(X - err, 0.0)) - err
     points = []
-    for prov in sorted(groups):
-        obs = groups[prov]
-        wsum = sum(s.weight for s in obs)
-        if role == "level_j":
-            q = sum(
-                s.weight * ((1.0 - eps) * float(phi.value(max(s.X - err, 0.0))) - err)
-                for s in obs
-            ) / wsum
-        elif role == "level_j_plus_1":
-            q = sum(
-                s.weight * (1.0 - (1.0 - float(phi.value(s.X))) ** 2) for s in obs
-            ) / wsum
-        else:
-            raise ValueError(f"unknown role {role!r}")
-        p = sum(s.weight * s.P for s in obs) / wsum
-        points.append(MenuPoint(q, p, prov, wsum))
+    for prov, (q_row, p_row) in enumerate(zip(Q.tolist(), P.tolist())):
+        wsum = sum(w for _ in q_row)
+        q = sum(w * v for v in q_row) / wsum
+        points.append(MenuPoint(q, sum(w * v for v in p_row) / wsum, prov))
     return points
 
 
@@ -704,39 +664,31 @@ def scalar_inequality_suite(grid: int = 100_000) -> dict:
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     tol = INEQUALITY_TOL
+    table = [
+        ("pow_delta", (0.0, 1.0), lambda d: (1.0 + d**2) - (1.0 + d) ** d),
+        ("case2_chain", (0.0, 0.25),
+         lambda d: (1.0 - 4.0 * d + 2.0 * d**1.5) ** (1.0 + d) - (1.0 - 4.0 * d)),
+        ("case1_chain", (0.0, 0.5),
+         lambda d: (1.0 + 2.0 * d**2 - 2.0 * d**4) ** (1.0 + d) - (1.0 + 2.0 * d**2 + d**4)),
+        *((f"ramp_vs_quad_delta={delta:.6g}", (math.sqrt(delta), 1.5),
+           lambda t, delta=delta: np.minimum(2.0 * t, 1.0 + delta)
+           - (1.0 - (1.0 - np.minimum(t, 1.0)) ** 2 + delta))
+          for delta in (DELTA_PAPER, DELTA_VISIBLE)),
+    ]
     records = []
-    d = np.linspace(0.0, 1.0, grid)
-    m1 = (1.0 + d**2) - (1.0 + d) ** d
-    records.append(
-        InequalityRecord("pow_delta", (0.0, 1.0), grid, float(m1.min()), bool(m1.min() >= -tol))
-    )
-    d = np.linspace(0.0, 0.25, grid)
-    m2 = (1.0 - 4.0 * d + 2.0 * d**1.5) ** (1.0 + d) - (1.0 - 4.0 * d)
-    records.append(
-        InequalityRecord("case2_chain", (0.0, 0.25), grid, float(m2.min()), bool(m2.min() >= -tol))
-    )
-    d = np.linspace(0.0, 0.5, grid)
-    m3 = (1.0 + 2.0 * d**2 - 2.0 * d**4) ** (1.0 + d) - (1.0 + 2.0 * d**2 + d**4)
-    records.append(
-        InequalityRecord("case1_chain", (0.0, 0.5), grid, float(m3.min()), bool(m3.min() >= -tol))
-    )
     boundary_eq = {}
-    for delta in (DELTA_PAPER, DELTA_VISIBLE):
-        t = np.linspace(math.sqrt(delta), 1.5, grid)
-        lhs = np.minimum(2.0 * t, 1.0 + delta)
-        rhs = 1.0 - (1.0 - np.minimum(t, 1.0)) ** 2 + delta
-        m4 = lhs - rhs
-        name = f"ramp_vs_quad_delta={delta:.6g}"
-        records.append(
-            InequalityRecord(
-                name, (math.sqrt(delta), 1.5), grid, float(m4.min()), bool(m4.min() >= -tol)
-            )
-        )
-        boundary_eq[name] = {
-            "at_sqrt_delta": float(abs(m4[0])),
-            "at_one_and_beyond": float(np.abs(m4[t >= 1.0]).max()),
-            "equality_ok": bool(abs(m4[0]) <= tol and np.abs(m4[t >= 1.0]).max() <= tol),
-        }
+    for name, domain, margin_of in table:
+        t = np.linspace(*domain, grid)
+        margin = margin_of(t)
+        worst = float(margin.min())
+        records.append(InequalityRecord(name, domain, grid, worst, bool(worst >= -tol)))
+        if name.startswith("ramp_vs_quad"):
+            beyond = float(np.abs(margin[t >= 1.0]).max())
+            boundary_eq[name] = {
+                "at_sqrt_delta": float(abs(margin[0])),
+                "at_one_and_beyond": beyond,
+                "equality_ok": bool(abs(margin[0]) <= tol and beyond <= tol),
+            }
     passed = all(r.passed for r in records) and all(
         b["equality_ok"] for b in boundary_eq.values()
     )

@@ -74,7 +74,6 @@ FAIL_EXIT = 2
 class ExperimentConfig:
     experiment: str
     params: dict = field(default_factory=dict)
-    trials: int | None = None
     seed: int = 0
     out: str | None = None
     format: str = "json"
@@ -105,12 +104,45 @@ def _half(m: int) -> int:
     return m // 2
 
 
+def _reject_unread(cfg: ExperimentConfig, context: str, reads: dict[str, bool]) -> None:
+    """A usage error naming each given parameter whose entry in `reads` is
+    False, so that no report echoes a flag its run never read."""
+    unread = [f"--{name.replace('_', '-')}" for name, read in reads.items()
+              if not read and name in cfg.params]
+    if unread:
+        raise OracleContractError(f"{context}; drop {' '.join(unread)}")
+
+
+def _additive_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
+    return make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)])
+
+
+def _half_budget_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
+    w = rng.uniform(0.0, 1.0, m)
+    return make_budget_additive([float(x) for x in w], float(0.5 * w.sum()))
+
+
+def _coverage_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
+    _need_items(m, 2, "to draw a coverage oracle")
+    universe = 2 * m
+    weights = [float(w) for w in rng.uniform(0.0, 1.0 / universe, universe)]
+    cover = [
+        [int(u) for u in rng.choice(universe, size=3, replace=False)] for _ in range(m)
+    ]
+    return make_coverage(weights, cover)
+
+
+# the drawn families that submod-check and poisson-midr share
+_DRAWN = {"additive": _additive_oracle, "budget_additive": _half_budget_oracle,
+          "coverage": _coverage_oracle}
+
+
 def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
     """One random monotone submodular oracle from the concrete families."""
     _need_items(m, 2, "to draw random oracles")
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        return make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)])
+        return _additive_oracle(rng, m)
     if kind == 1:
         w = rng.uniform(0.0, 1.0, m)
         budget = float(rng.uniform(0.3, 0.9) * w.sum())
@@ -194,10 +226,18 @@ def _exp_concavity(
     alpha: float = 1.0, m: int = 6, step: float | None = None, trials: int = 10_000,
 ) -> dict:
     rng = _rng(cfg.seed, 1)
-    expect_violation: bool
+    blockwise = family == "two_block_product"
+    if not blockwise and family not in ("budget_additive_demo", "coverage", "additive"):
+        raise OracleContractError(f"unknown concavity family {family!r}")
+    _reject_unread(
+        cfg, f"concavity --family {family}" + (f" --alpha {alpha}" if blockwise else "")
+        + " reads none of these",
+        {"blocks": blockwise, "alpha": blockwise, "m": family in ("coverage", "additive"),
+         "step": not blockwise, "trials": blockwise and alpha >= 1.0},
+    )
     detail: dict = {}
     violations: list = []
-    if family == "two_block_product":
+    if blockwise:
         val = two_block_product_instance(blocks, alpha)
         if alpha >= 1.0:
             expect_violation = False
@@ -216,35 +256,28 @@ def _exp_concavity(
                 ]
             detail["mode"] = "block_endpoints_vs_midpoint"
             detail["slack"] = slack
-    elif family == "budget_additive_demo":
-        oracle = make_budget_additive([1.0, 1.0, 1.0, 2.0], 2.0)
-        scaled = scale_oracle(oracle, 0.5)  # keep values in [0,1]
-        found, scanned, total = concavity_grid_scan(
-            scaled, step=0.1 if step is None else step, stop_after=5
-        )
-        violations = found
-        detail.update({"pairs_scanned": scanned, "total_pairs": total, "mode": "grid_scan"})
-        expect_violation = True
-    elif family in ("coverage", "additive"):
-        if family == "additive":
-            _need_items(m, 1, "to draw an additive oracle")
-            oracle = make_additive([float(w) for w in rng.uniform(0.0, 1.0 / m, m)])
-        else:
-            oracle = _coverage_oracle(rng, m)
-        found, scanned, total = concavity_grid_scan(
-            oracle, step=0.5 if step is None else step, stop_after=5
-        )
-        violations = found
-        detail.update({"pairs_scanned": scanned, "total_pairs": total, "mode": "grid_scan"})
-        expect_violation = False
     else:
-        raise OracleContractError(f"unknown concavity family {family!r}")
+        if family == "budget_additive_demo":
+            # halved, so that its values lie in [0, 1]
+            oracle = scale_oracle(make_budget_additive([1.0, 1.0, 1.0, 2.0], 2.0), 0.5)
+            expect_violation, default_step = True, 0.1
+        else:
+            if family == "additive":
+                _need_items(m, 1, "to draw an additive oracle")
+                oracle = make_additive([float(w) for w in rng.uniform(0.0, 1.0 / m, m)])
+            else:
+                oracle = _coverage_oracle(rng, m)
+            expect_violation, default_step = False, 0.5
+        violations, scanned, total = concavity_grid_scan(
+            oracle, step=default_step if step is None else step, stop_after=5
+        )
+        detail.update({"pairs_scanned": scanned, "total_pairs": total, "mode": "grid_scan"})
     found_any = len(violations) > 0
     recs = [v if isinstance(v, dict) else v.to_dict() for v in violations]
     return {
         "experiment": "concavity",
-        # echoes only the parameters that were given, as converted by run
-        "params": {"family": family, **cfg.params},
+        # the given parameters as converted by run, less "trials", reported below
+        "params": {"family": family, **{k: v for k, v in cfg.params.items() if k != "trials"}},
         "seed": cfg.seed,
         "trials": trials,
         "violations": recs,
@@ -252,16 +285,6 @@ def _exp_concavity(
         "detail": detail,
         "passed": found_any == expect_violation,
     }
-
-
-def _coverage_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
-    _need_items(m, 2, "to draw a coverage oracle")
-    universe = 2 * m
-    weights = [float(w) for w in rng.uniform(0.0, 1.0 / universe, universe)]
-    cover = [
-        [int(u) for u in rng.choice(universe, size=3, replace=False)] for _ in range(m)
-    ]
-    return make_coverage(weights, cover)
 
 
 def _exp_submod_check(
@@ -281,17 +304,17 @@ def _exp_submod_check(
         oracle = compose_product(f1, _unit_range(_random_base_oracle(rng, m)))
     elif family == "random":
         oracle = _random_base_oracle(rng, m)
-    elif family == "additive":
-        oracle = make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)])
-    elif family == "budget_additive":
-        w = rng.uniform(0.0, 1.0, m)
-        oracle = make_budget_additive([float(x) for x in w], float(0.5 * w.sum()))
-    elif family == "coverage":
-        oracle = _coverage_oracle(rng, m)
     elif family == "polar":
         oracle = make_polar(m, pack(range(m // 2), m), omega)
+    elif family in _DRAWN:
+        oracle = _DRAWN[family](rng, m)
     else:
         raise OracleContractError(f"unknown family {family!r}")
+    _reject_unread(
+        cfg, f"submod-check --family {family} --mode {mode} reads none of these",
+        {"alpha": family in ("symgap", "two_block_product"), "beta": family == "symgap",
+         "omega": family == "polar", "trials": mode == "sampled"},
+    )
     if mode == "exhaustive" and m < 1:  # an empty ground set has no pair (S, i) to check
         raise OracleContractError(f"--m must be >= 1 for an exhaustive check, got {m}")
     report = check_monotone_submodular(oracle, mode=mode, trials=trials, rng=rng)
@@ -508,11 +531,8 @@ def _exp_poisson_midr(
         blocks = _half(m)
         oracle = two_block_product_instance(blocks, 1.0).oracle()
         expected = 1.0 - math.exp(-k / blocks)
-    elif family == "coverage":
-        oracle = _coverage_oracle(rng, m)
-    elif family == "budget_additive":
-        w = rng.uniform(0.0, 1.0, m)
-        oracle = make_budget_additive([float(x) for x in w], float(0.5 * w.sum()))
+    elif family in _DRAWN:
+        oracle = _DRAWN[family](rng, m)
     else:
         raise OracleContractError(f"unknown family {family!r}")
     refused = False
@@ -561,9 +581,7 @@ def _exp_vcg_audit(
     if m < 1:
         raise OracleContractError(f"m must be positive, got {m}")
     rng = _rng(cfg.seed, 7)
-    truths = tuple(
-        make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)]) for _ in range(n)
-    )
+    truths = tuple(_additive_oracle(rng, m) for _ in range(n))
     inst = AuctionInstance(truths)
     devs = []
     for d in range(deviations):
@@ -574,10 +592,9 @@ def _exp_vcg_audit(
         elif kind == 1:
             devs.append((player, scale_oracle(truths[player], float(rng.uniform(1.2, 3.0)))))
         elif kind == 2:
-            devs.append((player, make_additive([float(w) for w in rng.uniform(0.0, 1.0, m)])))
+            devs.append((player, _additive_oracle(rng, m)))
         else:
-            w = rng.uniform(0.0, 1.0, m)
-            devs.append((player, make_budget_additive([float(x) for x in w], float(0.5 * w.sum()))))
+            devs.append((player, _half_budget_oracle(rng, m)))
     vcg = audit.audit_truthfulness(VCGExhaustiveAuction(), inst, devs, trials, cfg.seed)
     # the deliberately manipulable baseline must be flagged
     big = make_additive([10.0, 10.0])
@@ -607,10 +624,8 @@ def _exp_symgap(
     beta: float = 0.1, partitions: int = 100, phi_alpha: float = 1.0,
 ) -> dict:
     if ell is not None:
-        clash = [f"--{name}" for name in ("m", "k", "n", "beta") if name in cfg.params]
-        if clash:
-            drop = " ".join(clash)
-            raise OracleContractError(f"--ell sets --m, --k, --n and --beta; drop {drop}")
+        sizes = dict.fromkeys(("m", "k", "n", "beta"), False)
+        _reject_unread(cfg, "--ell sets --m, --k, --n and --beta", sizes)
         params = CPPLevelParams(ell)
         m, k, n, beta = params.m, params.k, params.n, params.beta
     if n < 1:
@@ -663,14 +678,13 @@ def _exp_menu_separation(
     family = [make_symgap_valuation(m, A, B, phi, beta, lam) for lam in (0.25, 0.5, 1.0)]
     fixed = make_additive([0.0] * 4 + [0.3] * 4)
     inst = AuctionInstance((family[-1].oracle(), fixed))
-    menu = audit.extract_menu(
+    X, P = audit.extract_menu(
         VCGExhaustiveAuction(), inst, 0, family, trials=menu_trials, seed=cfg.seed
     )
     eps, ell = 1e-4, 1
-    pts_j = audit.map_menu_to_qp(menu, "level_j", phi, eps, ell)
+    pts_j = audit.map_menu_to_qp(X, P, phi, eps, ell)
     q0 = (1.0 - eps) * float(phi.value(1.0 - beta - 10.0**-ell)) - 10.0**-ell
     demo = audit.separate_quadrant([(p.q, p.p) for p in pts_j], q0, 0.05)
-    negative_payments = any(s.P < -1e-12 for s in menu.samples)
     passed = not mismatches and not inconsistencies
     return {
         "experiment": "menu_separation",
@@ -684,7 +698,7 @@ def _exp_menu_separation(
             "q0": q0,
             "p0": 0.05,
             "result": demo.to_dict(),
-            "negative_expected_payments": bool(negative_payments),
+            "negative_expected_payments": bool((P < -1e-12).any()),
         },
         "passed": bool(passed),
     }
@@ -753,32 +767,32 @@ def _exp_scaling_probe(
     )
 
 
-_SUITE_PLAN: list[tuple[str, dict, int | None]] = [
-    ("gap955", {"blocks": 200, "alpha": 0.5}, None),
-    ("concavity", {"family": "two_block_product", "blocks": 8, "alpha": 1.0}, 10_000),
-    ("concavity", {"family": "two_block_product", "blocks": 200, "alpha": 0.5}, None),
-    ("concavity", {"family": "budget_additive_demo"}, None),
-    ("submod-check", {"family": "two_block_product", "m": 10}, None),
-    ("submod-check", {"family": "symgap", "m": 10}, None),
-    ("product-compose", {"pairs": 100, "m": 10}, None),
-    ("psi-tilde-check", {"alpha": 0.5, "beta": 0.1, "grid": 200}, None),
-    ("chernoff", {"m": 100, "beta": 0.2}, 100_000),
-    ("chernoff", {"m": 400, "beta": 0.1}, 100_000),
-    ("chernoff", {"m": 400, "beta": 0.2}, 100_000),
-    ("bisect-uniformity", {"m": 32, "ell": 3}, 20_000),
-    ("greedy-ratio", {"instances": 50, "m_max": 16, "k_max": 4}, None),
-    ("poisson-midr", {"family": "additive", "m": 8, "k": 2}, 10_000),
-    ("poisson-midr", {"family": "two_block_product", "m": 8, "k": 2}, 10_000),
-    ("vcg-audit", {"n": 2, "m": 8, "deviations": 20}, 1_000),
-    ("symgap", {"ell": 1, "partitions": 100}, None),
-    ("menu-separation", {"configs": 200}, None),
-    ("amplify", {"delta": "paper", "ell": 4, "chains": 1250}, None),
-    ("amplify", {"delta": 0.05, "ell": 4, "chains": 1250}, None),
-    ("inequalities", {"grid": 100_000}, None),
-    ("basic-count", {"n": 2, "m": 4}, 100_000),
-    ("basic-count", {"n": 4, "m": 16}, 100_000),
-    ("basic-count", {"n": 16, "m": 160}, 100_000),
-    ("scaling-probe", {"m": 6, "k": 3}, 50),
+_SUITE_PLAN: list[tuple[str, dict]] = [
+    ("gap955", {"blocks": 200, "alpha": 0.5}),
+    ("concavity", {"family": "two_block_product", "blocks": 8, "alpha": 1.0, "trials": 10_000}),
+    ("concavity", {"family": "two_block_product", "blocks": 200, "alpha": 0.5}),
+    ("concavity", {"family": "budget_additive_demo"}),
+    ("submod-check", {"family": "two_block_product", "m": 10}),
+    ("submod-check", {"family": "symgap", "m": 10}),
+    ("product-compose", {"pairs": 100, "m": 10}),
+    ("psi-tilde-check", {"alpha": 0.5, "beta": 0.1, "grid": 200}),
+    ("chernoff", {"m": 100, "beta": 0.2, "trials": 100_000}),
+    ("chernoff", {"m": 400, "beta": 0.1, "trials": 100_000}),
+    ("chernoff", {"m": 400, "beta": 0.2, "trials": 100_000}),
+    ("bisect-uniformity", {"m": 32, "ell": 3, "trials": 20_000}),
+    ("greedy-ratio", {"instances": 50, "m_max": 16, "k_max": 4}),
+    ("poisson-midr", {"family": "additive", "m": 8, "k": 2, "trials": 10_000}),
+    ("poisson-midr", {"family": "two_block_product", "m": 8, "k": 2, "trials": 10_000}),
+    ("vcg-audit", {"n": 2, "m": 8, "deviations": 20, "trials": 1_000}),
+    ("symgap", {"ell": 1, "partitions": 100}),
+    ("menu-separation", {"configs": 200}),
+    ("amplify", {"delta": "paper", "ell": 4, "chains": 1250}),
+    ("amplify", {"delta": 0.05, "ell": 4, "chains": 1250}),
+    ("inequalities", {"grid": 100_000}),
+    ("basic-count", {"n": 2, "m": 4, "trials": 100_000}),
+    ("basic-count", {"n": 4, "m": 16, "trials": 100_000}),
+    ("basic-count", {"n": 16, "m": 160, "trials": 100_000}),
+    ("scaling-probe", {"m": 6, "k": 3, "trials": 50}),
 ]
 
 _FAST_OVERRIDES = {
@@ -796,16 +810,14 @@ _FAST_OVERRIDES = {
 def _exp_suite(cfg: ExperimentConfig, *, fast: bool = False) -> dict:
     sub_reports = []
     all_passed = True
-    for name, params, trials in _SUITE_PLAN:
+    for name, params in _SUITE_PLAN:
         params = dict(params)
         if fast:
-            ov = _FAST_OVERRIDES.get(name)
-            if ov:
-                params.update(ov)
-            if trials is not None:
-                trials = max(100, trials // 100)
-        sub_cfg = ExperimentConfig(experiment=name, params=params, trials=trials, seed=cfg.seed)
-        rep = run(sub_cfg)[1]
+            # shrink only the sizes the step sets: a flag it does not read is a usage error
+            params.update({k: v for k, v in _FAST_OVERRIDES.get(name, {}).items() if k in params})
+            if "trials" in params:
+                params["trials"] = max(100, params["trials"] // 100)
+        rep = run(ExperimentConfig(experiment=name, params=params, seed=cfg.seed))[1]
         sub_reports.append(rep)
         all_passed = all_passed and bool(rep.get("passed", False))
     # byte-identity: rerunning an experiment with the same config must
@@ -904,8 +916,6 @@ def emit_plot_data(report: dict) -> list[list]:
         val = report[key]
         if isinstance(val, (int, float, bool, str)) or val is None:
             rows.append([key, val])
-    if len(rows) == 1 and not report:
-        return [["key", "value"]]
     return rows
 
 
@@ -928,8 +938,6 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
         raise OracleContractError(f"unknown experiment {config.experiment!r}")
     declared = _declared(fn)
     given = dict(config.params)
-    if config.trials is not None:
-        given["trials"] = config.trials
     unknown = sorted(set(given) - set(declared))
     if unknown:
         raise OracleContractError(f"{config.experiment} takes no parameters {unknown}")
@@ -981,7 +989,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", type=str, default=None, help="JSON file of flag defaults; explicit flags win")
 
 
-_COMMON_KEYS = ("seed", "trials", "out", "format", "workers", "config")
+_COMMON_KEYS = ("seed", "out", "format", "workers", "config")
 
 
 def build_parser(only: str | None = None) -> _Parser:
@@ -1028,7 +1036,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=ns["experiment"],
         params=params,
-        trials=common.get("trials"),
         seed=int(common.get("seed", 0)),
         out=common.get("out"),
         format=common.get("format", "json"),

@@ -134,7 +134,7 @@ def test_criterion_05_bisection_tail_bound(capsys):
     ok = True
     for m_prime, beta in ((100, 0.2), (400, 0.1), (400, 0.2)):
         code, rep = run(
-            ExperimentConfig("chernoff", {"m": m_prime, "beta": beta}, trials=100_000)
+            ExperimentConfig("chernoff", {"m": m_prime, "beta": beta, "trials": 100_000})
         )
         ok &= code == 0 and rep["passed"]
         entries.append(f"({m_prime},{beta}): {rep['empirical_tail']:.4f}<={rep['bound']:.4f}")
@@ -196,7 +196,7 @@ def test_criterion_08_union_counting(capsys):
     ok = True
     for n, m in ((2, 4), (4, 16), (16, 160)):
         code, rep = run(
-            ExperimentConfig("basic-count", {"n": n, "m": m}, trials=100_000, seed=n)
+            ExperimentConfig("basic-count", {"n": n, "m": m, "trials": 100_000}, seed=n)
         )
         ok &= code == 0 and rep["passed"] and rep["expected"] > m / 2.0
         entries.append(f"({n},{m}): {rep['empirical_mean']:.3f}~{rep['expected']:.3f}")
@@ -257,7 +257,7 @@ def test_criterion_10_poisson_solver_closed_forms(capsys):
 
 def test_criterion_11_truthfulness_audit(capsys):
     code, rep = run(
-        ExperimentConfig("vcg-audit", {"n": 2, "m": 8, "deviations": 20}, trials=1_000)
+        ExperimentConfig("vcg-audit", {"n": 2, "m": 8, "deviations": 20, "trials": 1_000})
     )
     ok = code == 0 and rep["vcg_clean"] and rep["pay_your_bid_flagged"]
     gap = rep["pay_your_bid"]["entries"][0]["gap"]

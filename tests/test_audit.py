@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symgap.setfn import (
     make_additive,
@@ -37,8 +38,6 @@ from symgap.mechanisms import (
 )
 from symgap.audit import (
     AmplificationState,
-    MenuObservation,
-    MenuSample,
     amplification_step,
     _SCALING_STREAM,
     audit_truthfulness,
@@ -238,6 +237,34 @@ class TestProbeClassifiesExtensions:
         assert ext == rows
 
 
+@st.composite
+def _menu_columns(draw):
+    """(X, P) with 1-4 entries of 1-12 trials each."""
+    entries, trials = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+
+    def column(lo, hi):
+        row = st.lists(st.floats(lo, hi), min_size=trials, max_size=trials)
+        return np.array(draw(st.lists(row, min_size=entries, max_size=entries)))
+
+    return column(0.0, 1.0), column(-1.0, 1.0)
+
+
+def _weighted_records_qp(X, P, phi, eps, ell):
+    """(q, p) per entry from one weighted record per trial, each of weight
+    1/(entries * trials): the weighted mean over an entry's records, summed
+    in trial order with scalar phi calls."""
+    err = 10.0 ** (-ell)
+    w = 1.0 / (X.shape[0] * X.shape[1])
+    points = []
+    for x_row, p_row in zip(X.tolist(), P.tolist()):
+        weights = [w] * len(x_row)
+        wsum = sum(weights)
+        terms = [(1.0 - eps) * float(phi.value(max(x - err, 0.0))) - err for x in x_row]
+        q = sum(wt * term for wt, term in zip(weights, terms)) / wsum
+        points.append((q, sum(wt * p for wt, p in zip(weights, p_row)) / wsum))
+    return points
+
+
 class TestMenus:
     def _setup(self):
         m = 6
@@ -250,41 +277,46 @@ class TestMenus:
         inst = AuctionInstance((family[1].oracle(), opponent))
         return inst, family
 
-    def test_weights_sum_to_one(self):
+    def test_menu_is_entries_by_trials_columns(self):
         inst, family = self._setup()
-        menu = extract_menu(VCGExhaustiveAuction(), inst, 0, family, trials=4, seed=2)
-        assert sum(s.weight for s in menu.samples) == pytest.approx(1.0, abs=1e-12)
-        assert len(menu.samples) == len(family) * 4
-        for s in menu.samples:
-            assert 0.0 <= s.X <= 1.0
+        X, P = extract_menu(VCGExhaustiveAuction(), inst, 0, family, trials=4, seed=2)
+        assert X.shape == P.shape == (len(family), 4)
+        assert X.dtype == P.dtype == np.float64
+        assert ((0.0 <= X) & (X <= 1.0)).all()
 
-    def test_role_formulas_against_inline_reference(self):
+    def test_qp_formula_against_inline_reference(self):
         phi = PhiAlpha(0.5)
-        obs = [
-            MenuObservation(0.9, 0.2, 0.25, 0),
-            MenuObservation(0.4, 0.1, 0.25, 0),
-            MenuObservation(0.7, 0.05, 0.5, 1),
-        ]
-        menu = MenuSample(obs, 2, 1, 0)
+        X = np.array([[0.9, 0.4], [0.7, 0.7]])
+        P = np.array([[0.2, 0.1], [0.05, 0.05]])
         eps, ell = 0.02, 1
         err = 0.1
 
         def phi_v(t):
             return min(t / 0.5, 1.0) if t > 0 else 0.0
 
-        pts = map_menu_to_qp(menu, "level_j", phi, eps, ell)
+        pts = map_menu_to_qp(X, P, phi, eps, ell)
+        assert [pt.provenance for pt in pts] == [0, 1]
         q0_ref = 0.5 * ((1 - eps) * phi_v(0.8) - err) + 0.5 * ((1 - eps) * phi_v(0.3) - err)
         assert pts[0].q == pytest.approx(q0_ref, abs=1e-12)
         assert pts[0].p == pytest.approx(0.15, abs=1e-12)
         assert pts[1].q == pytest.approx((1 - eps) * phi_v(0.6) - err, abs=1e-12)
-        pts2 = map_menu_to_qp(menu, "level_j_plus_1", phi, eps, ell)
-        q_ref = 0.5 * (1 - (1 - phi_v(0.9)) ** 2) + 0.5 * (1 - (1 - phi_v(0.4)) ** 2)
-        assert pts2[0].q == pytest.approx(q_ref, abs=1e-12)
+        assert pts[1].p == pytest.approx(0.05, abs=1e-12)
 
-    def test_unknown_role_rejected(self):
-        menu = MenuSample([MenuObservation(0.5, 0.1, 1.0, 0)], 1, 1, 0)
-        with pytest.raises(ValueError):
-            map_menu_to_qp(menu, "level_j_plus_2", PhiAlpha(1.0), 0.0, 1)
+    # the menu-separation demo at --menu-trials 7: a plain mean puts q one
+    # ulp below its threshold, where this formula puts it one ulp above
+    @example(columns=(np.ones((3, 7)), np.zeros((3, 7))), alpha=0.5, eps=1e-4, ell=1)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=_menu_columns(),
+        alpha=st.floats(0.05, 1.0),
+        eps=st.floats(0.0, 0.1),
+        ell=st.integers(1, 3),
+    )
+    def test_qp_equals_weighted_records_bit_for_bit(self, columns, alpha, eps, ell):
+        X, P = columns
+        phi = PhiAlpha(alpha)
+        got = [(pt.q, pt.p) for pt in map_menu_to_qp(X, P, phi, eps, ell)]
+        assert got == _weighted_records_qp(X, P, phi, eps, ell)
 
 
 class TestSeparation:

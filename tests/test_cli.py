@@ -416,6 +416,61 @@ class TestConfigFile:
             f"symgap: error: --ell sets --m, --k, --n and --beta; drop {named}\n"
         )
 
+    @pytest.mark.parametrize("where", ["flags", "file"])
+    @pytest.mark.parametrize(
+        "args, given, reason",
+        [
+            (["concavity", "--family", "coverage"], {"blocks": 7, "alpha": 0.3, "trials": 5},
+             "concavity --family coverage"),
+            (["concavity"], {"m": 4}, "concavity --family budget_additive_demo"),
+            (["concavity", "--family", "additive", "--m", "3"], {"blocks": 9},
+             "concavity --family additive"),
+            (["concavity", "--family", "two_block_product", "--alpha", "0.5"], {"trials": 5},
+             "concavity --family two_block_product --alpha 0.5"),
+            (["concavity", "--family", "two_block_product"], {"m": 4, "step": 0.25},
+             "concavity --family two_block_product --alpha 1.0"),
+            (["submod-check", "--family", "additive"], {"alpha": 0.2, "omega": 0.9, "trials": 3},
+             "submod-check --family additive --mode exhaustive"),
+            (["submod-check", "--family", "two_block_product", "--mode", "sampled"],
+             {"beta": 0.2, "omega": 0.3}, "submod-check --family two_block_product --mode sampled"),
+            (["submod-check", "--family", "polar"], {"alpha": 0.7, "beta": 0.2},
+             "submod-check --family polar --mode exhaustive"),
+            (["submod-check", "--family", "symgap"], {"trials": 50},
+             "submod-check --family symgap --mode exhaustive"),
+        ],
+    )
+    def test_flags_the_run_does_not_read_exit_one(
+        self, tmp_path, capsys, args, given, reason, where
+    ):
+        # each was once accepted, echoed in the report and never read
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(given if where == "file" else {}))
+        flags = [] if where == "file" else [
+            str(x) for name, value in given.items() for x in (f"--{name}", value)
+        ]
+        out = tmp_path / "out.json"
+        assert main(args + flags + ["--config", str(cfgfile), "--out", str(out)]) == 1
+        assert not out.exists()
+        named = " ".join(f"--{name}" for name in given)
+        assert capsys.readouterr().err == (
+            f"symgap: error: {reason} reads none of these; drop {named}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["concavity", "--family", "additive", "--m", "3", "--step", "0.5"],
+            ["concavity", "--family", "two_block_product", "--blocks", "8", "--alpha", "0.5"],
+            ["concavity", "--family", "two_block_product", "--blocks", "8", "--trials", "20"],
+            ["submod-check", "--family", "symgap", "--alpha", "0.7", "--beta", "0.2"],
+            ["submod-check", "--family", "polar", "--omega", "0.3", "--mode", "sampled",
+             "--trials", "20"],
+        ],
+        ids=" ".join,
+    )
+    def test_flags_the_run_reads_are_accepted(self, tmp_path, args):
+        assert run_main(args, tmp_path)[0] == 0
+
     def test_missing_config_file_exits_one(self, capsys):
         assert main(["gap955", "--config", "/nonexistent/cfg.json"]) == 1
         capsys.readouterr()

@@ -26,6 +26,8 @@ CASES = {
         "vcg-audit", "--m", "6", "--deviations", "8", "--trials", "200", "--seed", "0",
     ],
     "menu_separation_seed0.json": ["menu-separation", "--seed", "0"],
+    # at 7 trials a plain mean moves q by an ulp, below q0 = 0.8999
+    "menu_separation_t7_seed3.json": ["menu-separation", "--menu-trials", "7", "--seed", "3"],
     # One run of every other subcommand, mostly at its defaults, so that the
     # reports pin the default of each parameter they record.
     "gap955_seed0.json": ["gap955", "--seed", "0"],

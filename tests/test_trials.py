@@ -42,8 +42,6 @@ from symgap.mechanisms import (
 from symgap.audit import (
     _DEVIATION_STREAM,
     _MENU_STREAM,
-    MenuObservation,
-    MenuSample,
     audit_truthfulness,
     extract_menu,
 )
@@ -167,7 +165,7 @@ def test_replication_in_extract_menu():
     (a, calls_a), (b, calls_b) = _both(
         VCGExhaustiveAuction, lambda mech: extract_menu(mech, inst, 0, family, TRIALS, seed=2)
     )
-    assert a == b
+    assert [col.tolist() for col in a] == [col.tolist() for col in b]
     assert (calls_a, calls_b) == (len(family), TRIALS * len(family))
 
 
@@ -332,8 +330,9 @@ def _scalar_scores(mech, instance, deviations, trials, seed, eps):
 
 
 def _scalar_menu(mech, instance, special, family, trials, seed):
-    w = 1.0 / (len(family) * trials)
-    samples = []
+    """(X, P) as nested lists, one row per declared entry and one scalar
+    outcome per trial."""
+    X, P = [], []
     for prov, entry in enumerate(family):
         level_set = entry.A | entry.B
         declared = list(instance.oracles)
@@ -341,11 +340,13 @@ def _scalar_menu(mech, instance, special, family, trials, seed):
         runs = _scalar_trials(
             mech, AuctionInstance(tuple(declared)), trials, (seed, prov, _MENU_STREAM)
         )
-        for _, out in runs:
-            inside = mask_of(_bundle(out, special)) & mask_of(level_set)
-            X = inside.bit_count() / mask_of(level_set).bit_count()
-            samples.append(MenuObservation(X, _payment(out, special), w, prov))
-    return MenuSample(samples, len(family), trials, seed)
+        X.append([
+            (mask_of(_bundle(out, special)) & mask_of(level_set)).bit_count()
+            / mask_of(level_set).bit_count()
+            for _, out in runs
+        ])
+        P.append([_payment(out, special) for _, out in runs])
+    return X, P
 
 
 def _plain_additive(weights):
@@ -447,10 +448,11 @@ def test_extract_menu_equals_scalar_reference(mech_cls):
         return AuctionInstance((opponent, family[2].oracle()))
 
     inst, ref_inst = instance(), instance()
-    got = extract_menu(mech_cls(), inst, 1, family, TRIALS, seed=4)
+    X, P = extract_menu(mech_cls(), inst, 1, family, TRIALS, seed=4)
     expected = _scalar_menu(mech_cls(), ref_inst, 1, family, TRIALS, 4)
-    assert repr(got) == repr(expected)
-    assert len({(s.X, s.P) for s in got.samples}) > 1
+    assert X.shape == P.shape == (len(family), TRIALS)
+    assert repr((X.tolist(), P.tolist())) == repr(expected)
+    assert len(set(zip(X.ravel().tolist(), P.ravel().tolist()))) > 1
     assert [o.query_count for o in inst.oracles] == [o.query_count for o in ref_inst.oracles]
 
 
