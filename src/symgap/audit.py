@@ -1,10 +1,10 @@
 """Audit experiments: everything that turns the hardness construction into
 numerical pass/fail evidence.
 
-Statistical assertions use a 4-sigma significance gate plus a 1e-9 absolute
-guard (so exactly-tied quantities computed along different float paths never
-flag at stderr = 0).  The asymptotic e^{-Omega(n)} slack is instantiated as
-e^{-n/8}; the constant is recorded in every report that uses it.
+The Chernoff tail and the basic instance's union size are exact integer laws;
+sampled assertions use a 4-sigma gate plus a 1e-9 absolute guard (so tied
+quantities computed along different float paths never flag at stderr = 0).
+The e^{-Omega(n)} slack is e^{-n/8}, recorded in every report that uses it.
 """
 from __future__ import annotations
 
@@ -455,21 +455,28 @@ def separate_quadrant(
     return SeparationResult("line", q0, p0, lam_q=lq, lam_p=lp, margin=-worst)
 
 
-def quadrant_feasible_by_grid(
-    points: Sequence[tuple[float, float]], q0: float, p0: float, step: float = 1e-3
+def quadrant_feasible_exact(
+    points: Sequence[tuple[float, float]], q0: float, p0: float, slack: float = _SNAP
 ) -> bool:
-    """Brute-force oracle: scan all pairwise mixtures on a w-grid."""
-    qs = np.array([q for q, _ in points])
-    ps = np.array([p for _, p in points])
-    if ((qs >= q0 - _SNAP) & (ps <= p0 + _SNAP)).any():
-        return True
-    w = np.arange(0.0, 1.0 + step / 2, step)[:, None]
-    n = len(points)
-    for i in range(n):
-        q_mix = w * qs[i] + (1 - w) * qs[None, :]
-        p_mix = w * ps[i] + (1 - w) * ps[None, :]
-        if ((q_mix >= q0 - _SNAP) & (p_mix <= p0 + _SNAP)).any():
-            return True
+    """Reference for `separate_quadrant`: does a point or a mixture of two reach
+    {q >= q0 - slack, p <= p0 + slack}?  Exact rationals on the float inputs."""
+    from fractions import Fraction  # imported here, off the CLI's import path
+
+    q_min, p_max = Fraction(q0) - Fraction(slack), Fraction(p0) + Fraction(slack)
+    pts = [(Fraction(q), Fraction(p)) for q, p in points]
+    for i, (qi, pi) in enumerate(pts):
+        for qj, pj in pts[i:]:
+            lo, hi = 0, 1
+            # q(w) >= q_min and p(w) <= p_max, each as slope * w >= need
+            for slope, need in ((qi - qj, q_min - qj), (pj - pi, pj - p_max)):
+                if slope > 0:
+                    lo = max(lo, need / slope)
+                elif slope < 0:
+                    hi = min(hi, need / slope)
+                elif need > 0:
+                    hi = -1  # no w satisfies 0 >= need
+            if lo <= hi:
+                return True
     return False
 
 
@@ -717,75 +724,70 @@ def figure_triple(delta: float, points: int = 501) -> list[tuple[float, float, f
 # ---------------------------------------------------------------------------
 
 
-def chernoff_bisection_test(
-    m_prime: int, beta: float, trials: int, seed: int
-) -> dict:
-    """Empirical tail of ||S∩A| - |S∩B|| over uniform equal bisections vs the
-    4 e^{-beta^2 m'/2} bound, for the fixed probe set S = first half."""
+def chernoff_bisection_test(m_prime: int, beta: float) -> dict:
+    """Exact P(||S∩A| - |S∩B|| > beta m') over uniform equal bisections vs the
+    4 e^{-beta^2 m'/2} bound, for S = the first h = m'/2 items: a = |S∩A| has
+    P(a) = C(h, a)^2 / C(m', h), summed in integers and divided once."""
     if m_prime < 2 or m_prime % 2:
         raise ValueError(f"m_prime must be positive and even, got {m_prime}")
     if not 0.0 < beta < 1.0:  # NaN fails too
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     half = m_prime // 2
-    rng = np.random.default_rng(seed)
-    threshold = beta * m_prime
-    exceed = 0
-    done = 0
-    while done < trials:
-        chunk = min(trials - done, 20_000)
-        keys = rng.random((chunk, m_prime))
-        cutoff = np.partition(keys, half - 1, axis=1)[:, half - 1]
-        count = (keys[:, :half] <= cutoff[:, None]).sum(axis=1)
-        diff = np.abs(2 * count - half)  # |S∩A| - |S∩B| with |S| = half
-        exceed += int((diff > threshold).sum())
-        done += chunk
-    empirical = exceed / trials
+    tail, a, c = 0, 0, 1  # c = C(h, a); a and h - a are equally likely: double the lower tail
+    while half - 2 * a > beta * m_prime:
+        tail += c * c
+        c = c * (half - a) // (a + 1)
+        a += 1
+    exact = 2 * tail / math.comb(m_prime, half)
     bound = 4.0 * math.exp(-beta * beta * m_prime / 2.0)
-    stderr = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
-    passed = empirical <= bound + 3.0 * stderr
     return {
         "experiment": "chernoff_bisection",
-        "params": {"m_prime": m_prime, "beta": beta, "trials": trials},
-        "seed": seed,
-        "empirical_tail": empirical,
+        "params": {"m_prime": m_prime, "beta": beta},
+        "exact_tail": exact,
         "bound": bound,
-        "stderr": stderr,
-        "passed": bool(passed),
+        "passed": exact <= bound,
     }
 
 
-def basic_instance_counting(n: int, m: int, trials: int, seed: int) -> dict:
-    """Empirical E|A_1 ∪ ... ∪ A_n| for independent uniform size-(m/n) sets
-    against the closed form m(1 - (1 - 1/n)^n), which exceeds m/2."""
+def union_size_counts(n: int, m: int) -> list[int]:
+    """counts[u] = the number of sequences of n size-(m/n) subsets of [0, m)
+    whose union has u items, a chain over the sets: a union of u items meets
+    the next set in o items in C(u, o) C(m - u, s - o) ways."""
+    s, counts = m // n, [1] + [0] * m
+    for _ in range(n):
+        step = [0] * (m + 1)
+        for u, ways in enumerate(counts):
+            for o in range(max(0, u + s - m), min(u, s) + 1):
+                step[u + s - o] += ways * math.comb(u, o) * math.comb(m - u, s - o)
+        counts = step
+    return counts
+
+
+def _union_closed_form(n: int, m: int) -> tuple[int, int]:
+    """E|A_1 ∪ ... ∪ A_n| = m (n^n - (n - 1)^n) / n^n as (numerator, denominator)."""
+    return m * (n**n - (n - 1) ** n), n**n
+
+
+def basic_instance_counting(n: int, m: int) -> dict:
+    """Exact E|A_1 ∪ ... ∪ A_n| for independent uniform size-(m/n) sets, checked
+    in integers against the closed form m(1 - (1 - 1/n)^n), which exceeds m/2."""
     if n < 1 or m < 1 or m % n:
         raise ValueError(f"need positive n and m with n | m, got n = {n}, m = {m}")
-    size = m // n
-    rng = np.random.default_rng(seed)
-    sizes = np.zeros(trials)
-    done = 0
-    while done < trials:
-        chunk = min(trials - done, max(1, 4_000_000 // (n * m)))
-        keys = rng.random((chunk, n, m))
-        idx = np.argpartition(keys, size - 1, axis=2)[:, :, :size]
-        member = np.zeros((chunk, n, m), dtype=bool)
-        np.put_along_axis(member, idx, True, axis=2)
-        union = member.any(axis=1)
-        sizes[done : done + chunk] = union.sum(axis=1)
-        done += chunk
-    mean, stderr = mean_stderr(sizes)
+    total = sum(u * ways for u, ways in enumerate(union_size_counts(n, m)))
+    sequences = math.comb(m, m // n) ** n
+    exact_mean = total / sequences
+    num, den = _union_closed_form(n, m)
+    closed_form_exact = total * den == num * sequences
     expected = expected_union_size(n, m)
-    within = abs(mean - expected) <= 3.0 * stderr + ABS_GUARD
-    above_half = mean > m / 2.0 and expected > m / 2.0
+    above_half = exact_mean > m / 2.0 and expected > m / 2.0
     return {
         "experiment": "basic_instance_counting",
-        "params": {"n": n, "m": m, "trials": trials},
-        "seed": seed,
-        "empirical_mean": mean,
-        "stderr": stderr,
+        "params": {"n": n, "m": m},
+        "exact_mean": exact_mean,
         "expected": expected,
-        "within_3_sigma": bool(within),
-        "above_half": bool(above_half),
-        "passed": bool(within and above_half),
+        "closed_form_exact": closed_form_exact,
+        "above_half": above_half,
+        "passed": closed_form_exact and above_half,
     }
 
 

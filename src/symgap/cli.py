@@ -418,10 +418,8 @@ def _exp_psi_tilde_check(
     }
 
 
-def _exp_chernoff(
-    cfg: ExperimentConfig, *, m: int = 400, beta: float = 0.1, trials: int = 100_000
-) -> dict:
-    return audit.chernoff_bisection_test(m, beta, trials, cfg.seed)
+def _exp_chernoff(cfg: ExperimentConfig, *, m: int = 400, beta: float = 0.1) -> dict:
+    return {**audit.chernoff_bisection_test(m, beta), "seed": cfg.seed}
 
 
 def _exp_bisect_uniformity(
@@ -653,8 +651,7 @@ def _exp_menu_separation(
         q0 = float(rng.uniform(-0.5, 0.5))
         p0 = float(rng.uniform(-0.5, 0.5))
         res = audit.separate_quadrant(pts, q0, p0)
-        grid_says = audit.quadrant_feasible_by_grid(pts, q0, p0)
-        if (res.branch == "witness") != grid_says:
+        if (res.branch == "witness") != audit.quadrant_feasible_exact(pts, q0, p0):
             mismatches.append(c)
             continue
         if res.branch == "witness":
@@ -744,10 +741,8 @@ def _exp_inequalities(
     return rep
 
 
-def _exp_basic_count(
-    cfg: ExperimentConfig, *, n: int = 2, m: int = 4, trials: int = 100_000
-) -> dict:
-    return audit.basic_instance_counting(n, m, trials, cfg.seed)
+def _exp_basic_count(cfg: ExperimentConfig, *, n: int = 2, m: int = 4) -> dict:
+    return {**audit.basic_instance_counting(n, m), "seed": cfg.seed}
 
 
 def _exp_scaling_probe(
@@ -776,9 +771,9 @@ _SUITE_PLAN: list[tuple[str, dict]] = [
     ("submod-check", {"family": "symgap", "m": 10}),
     ("product-compose", {"pairs": 100, "m": 10}),
     ("psi-tilde-check", {"alpha": 0.5, "beta": 0.1, "grid": 200}),
-    ("chernoff", {"m": 100, "beta": 0.2, "trials": 100_000}),
-    ("chernoff", {"m": 400, "beta": 0.1, "trials": 100_000}),
-    ("chernoff", {"m": 400, "beta": 0.2, "trials": 100_000}),
+    ("chernoff", {"m": 100, "beta": 0.2}),
+    ("chernoff", {"m": 400, "beta": 0.1}),
+    ("chernoff", {"m": 400, "beta": 0.2}),
     ("bisect-uniformity", {"m": 32, "ell": 3, "trials": 20_000}),
     ("greedy-ratio", {"instances": 50, "m_max": 16, "k_max": 4}),
     ("poisson-midr", {"family": "additive", "m": 8, "k": 2, "trials": 10_000}),
@@ -789,9 +784,9 @@ _SUITE_PLAN: list[tuple[str, dict]] = [
     ("amplify", {"delta": "paper", "ell": 4, "chains": 1250}),
     ("amplify", {"delta": 0.05, "ell": 4, "chains": 1250}),
     ("inequalities", {"grid": 100_000}),
-    ("basic-count", {"n": 2, "m": 4, "trials": 100_000}),
-    ("basic-count", {"n": 4, "m": 16, "trials": 100_000}),
-    ("basic-count", {"n": 16, "m": 160, "trials": 100_000}),
+    ("basic-count", {"n": 2, "m": 4}),
+    ("basic-count", {"n": 4, "m": 16}),
+    ("basic-count", {"n": 16, "m": 160}),
     ("scaling-probe", {"m": 6, "k": 3, "trials": 50}),
 ]
 

@@ -274,6 +274,8 @@ def concavity_grid_scan(
     the half-step grid), then pairs are scanned in lexicographic order.
     Returns (violations, pairs_scanned, total_pairs).
     """
+    if not 0.0 < step <= 1.0:  # NaN fails too
+        raise ValueError(f"step must lie in (0, 1], got {step!r}")
     m = oracle.m
     K = round(1.0 / step)
     if abs(K * step - 1.0) > 1e-9:

@@ -139,8 +139,8 @@ def psi(phi: Phi, x, y):
 
 def psi_tilde(phi: Phi, beta: float, x, y):
     """The beta-band perturbation of psi (vectorized; beta = 0 degenerates to psi)."""
-    if beta < 0:
-        raise OracleContractError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < np.inf:  # NaN fails too
+        raise OracleContractError(f"beta must be finite and >= 0, got {beta}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x - y

@@ -133,11 +133,9 @@ def test_criterion_05_bisection_tail_bound(capsys):
     entries = []
     ok = True
     for m_prime, beta in ((100, 0.2), (400, 0.1), (400, 0.2)):
-        code, rep = run(
-            ExperimentConfig("chernoff", {"m": m_prime, "beta": beta, "trials": 100_000})
-        )
+        code, rep = run(ExperimentConfig("chernoff", {"m": m_prime, "beta": beta}))
         ok &= code == 0 and rep["passed"]
-        entries.append(f"({m_prime},{beta}): {rep['empirical_tail']:.4f}<={rep['bound']:.4f}")
+        entries.append(f"({m_prime},{beta}): {rep['exact_tail']:.3e}<={rep['bound']:.3e}")
     verdict(capsys, 5, ok, "; ".join(entries))
 
 
@@ -195,11 +193,10 @@ def test_criterion_08_union_counting(capsys):
     entries = []
     ok = True
     for n, m in ((2, 4), (4, 16), (16, 160)):
-        code, rep = run(
-            ExperimentConfig("basic-count", {"n": n, "m": m, "trials": 100_000}, seed=n)
-        )
-        ok &= code == 0 and rep["passed"] and rep["expected"] > m / 2.0
-        entries.append(f"({n},{m}): {rep['empirical_mean']:.3f}~{rep['expected']:.3f}")
+        code, rep = run(ExperimentConfig("basic-count", {"n": n, "m": m}, seed=n))
+        ok &= code == 0 and rep["passed"] and rep["closed_form_exact"]
+        ok &= rep["expected"] > m / 2.0
+        entries.append(f"({n},{m}): {rep['exact_mean']:.3f}=={rep['expected']:.3f}")
     verdict(capsys, 8, ok, "; ".join(entries))
 
 
@@ -277,7 +274,7 @@ def test_criterion_12_quadrant_separation(capsys):
     )
     verdict(
         capsys, 12, ok,
-        "200 configs agree with the mixture-grid oracle; certificates verify to 1e-9",
+        "200 configs agree with the exact mixture oracle; certificates verify to 1e-9",
     )
 
 
@@ -288,7 +285,7 @@ def test_criterion_13_byte_identical_reruns(capsys, tmp_path):
         ["submod-check", "--family", "symgap", "--m", "10"],
         ["product-compose", "--pairs", "10", "--m", "8"],
         ["psi-tilde-check", "--grid", "100"],
-        ["chernoff", "--m", "400", "--beta", "0.2", "--trials", "100000"],
+        ["chernoff", "--m", "400", "--beta", "0.2"],
         ["bisect-uniformity", "--m", "32", "--ell", "3", "--trials", "5000"],
         ["greedy-ratio", "--instances", "10"],
         ["poisson-midr", "--family", "additive", "--trials", "2000"],
@@ -297,7 +294,7 @@ def test_criterion_13_byte_identical_reruns(capsys, tmp_path):
         ["menu-separation", "--configs", "50"],
         ["amplify", "--delta", "paper", "--chains", "100"],
         ["inequalities", "--grid", "20000"],
-        ["basic-count", "--n", "4", "--m", "16", "--trials", "20000"],
+        ["basic-count", "--n", "4", "--m", "16"],
         ["scaling-probe", "--trials", "20"],
     ]
     mismatched = []

@@ -1,10 +1,13 @@
 """Audit layer: truthfulness gates, hidden-partition runs, menu geometry,
-amplification certificates, scalar inequalities, concentration checks.
+amplification certificates, scalar inequalities, exact concentration laws.
 
-Separation results are validated two ways: against a brute-force mixture
-grid and against the defining inequalities of each branch.
+Separation results are validated two ways: against an exact rational
+mixture oracle and against the defining inequalities of each branch.  The
+exact laws are validated against enumeration and scipy.
 """
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -48,13 +51,15 @@ from symgap.audit import (
     figure_triple,
     hypothesis_satisfying_distribution,
     map_menu_to_qp,
-    quadrant_feasible_by_grid,
+    quadrant_feasible_exact,
     run_amplification,
     scalar_inequality_suite,
     scaling_probe,
     separate_quadrant,
     symmetry_gap_experiment,
+    union_size_counts,
 )
+from symgap import audit
 
 
 class TestTruthAudit:
@@ -363,7 +368,7 @@ class TestSeparation:
         with pytest.raises(ValueError):
             separate_quadrant([], 0.0, 0.0)
 
-    def test_agrees_with_grid_oracle(self):
+    def test_agrees_with_exact_oracle(self):
         rng = np.random.default_rng(77)
         witness = line = 0
         for _ in range(120):
@@ -371,12 +376,25 @@ class TestSeparation:
             pts = [tuple(rng.uniform(-1, 1, 2)) for _ in range(n)]
             q0, p0 = rng.uniform(-1, 1, 2)
             res = separate_quadrant(pts, q0, p0)
-            feasible = quadrant_feasible_by_grid(pts, q0, p0)
+            feasible = quadrant_feasible_exact(pts, q0, p0)
             assert (res.branch == "witness") == feasible
             self._check_result(pts, q0, p0, res)
             witness += res.branch == "witness"
             line += res.branch == "line"
         assert witness > 10 and line > 10
+
+    def test_exact_oracle_finds_interval_narrower_than_a_grid(self):
+        # feasible exactly for w in [0.50005, 0.50015], between two 1e-3 grid points
+        pts = [(1.0, 1.0), (-1.0, -1.0)]
+        assert quadrant_feasible_exact(pts, 1e-4, 3e-4)
+        assert separate_quadrant(pts, 1e-4, 3e-4).branch == "witness"
+        assert not quadrant_feasible_exact(pts, 1e-4, 9e-5)
+        assert separate_quadrant(pts, 1e-4, 9e-5).branch == "line"
+
+    def test_exact_oracle_single_points_and_snap(self):
+        assert quadrant_feasible_exact([(0.5, 0.5)], 0.5 + 1e-12, 0.5 - 1e-12)
+        assert not quadrant_feasible_exact([(0.5, 0.5)], 0.5 + 2e-12, 0.5)
+        assert not quadrant_feasible_exact([(0.5, 0.5)], 0.5, 0.5 - 2e-12)
 
 
 class TestAmplification:
@@ -499,26 +517,65 @@ class TestScalarInequalities:
         assert rows[-1][0] == pytest.approx(1.5)
 
 
-class TestConcentration:
-    def test_chernoff_small(self):
-        rep = chernoff_bisection_test(100, 0.2, trials=20_000, seed=4)
+class TestExactLaws:
+    @staticmethod
+    def _enumerated_tail(m_prime: int, beta: float) -> float:
+        """P(||S∩A| - |S∩B|| > beta m') over every equal bisection, S = first half."""
+        half = m_prime // 2
+        exceed = sum(
+            abs(2 * sum(i < half for i in A) - half) > beta * m_prime
+            for A in itertools.combinations(range(m_prime), half)
+        )
+        return exceed / math.comb(m_prime, half)
+
+    @pytest.mark.parametrize("m_prime", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.2, 0.25, 0.5])
+    def test_chernoff_tail_matches_enumeration(self, m_prime, beta):
+        # beta = 0.25 and 0.5 put beta m' on an integer at some sizes: the tail is strict
+        rep = chernoff_bisection_test(m_prime, beta)
+        assert rep["exact_tail"] == self._enumerated_tail(m_prime, beta)
+        assert rep["passed"] == (rep["exact_tail"] <= rep["bound"])
+
+    @pytest.mark.parametrize("m_prime, beta", [(100, 0.2), (400, 0.1), (400, 0.2)])
+    def test_chernoff_tail_matches_scipy_hypergeom(self, m_prime, beta):
+        from scipy.stats import hypergeom
+
+        half = m_prime // 2
+        a = np.arange(half + 1)
+        pmf = hypergeom(m_prime, half, half).pmf(a)
+        expected = float(pmf[np.abs(2 * a - half) > beta * m_prime].sum())
+        rep = chernoff_bisection_test(m_prime, beta)
+        assert rep["exact_tail"] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert rep["passed"]
-        assert rep["bound"] == pytest.approx(4 * math.exp(-0.04 * 100 / 2))
-        assert 0.0 <= rep["empirical_tail"] <= 1.0
+        assert rep["bound"] == 4 * math.exp(-beta * beta * m_prime / 2)
 
     def test_chernoff_odd_rejected(self):
         with pytest.raises(ValueError):
-            chernoff_bisection_test(101, 0.1, 10, 0)
+            chernoff_bisection_test(101, 0.1)
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 6), (2, 6), (4, 4)])
+    def test_union_law_matches_enumeration(self, n, m):
+        sets = [set(c) for c in itertools.combinations(range(m), m // n)]
+        law = Counter(len(set().union(*seq)) for seq in itertools.product(sets, repeat=n))
+        assert union_size_counts(n, m) == [law[u] for u in range(m + 1)]
 
     def test_counting_small(self):
-        rep = basic_instance_counting(2, 4, trials=30_000, seed=6)
-        assert rep["passed"]
-        assert rep["expected"] == pytest.approx(3.0)
-        assert abs(rep["empirical_mean"] - 3.0) <= 3 * rep["stderr"] + 1e-9
+        rep = basic_instance_counting(2, 4)
+        assert rep["passed"] and rep["closed_form_exact"]
+        assert rep["exact_mean"] == rep["expected"] == 3.0
+
+    def test_planted_wrong_closed_form_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            audit, "_union_closed_form",
+            lambda n, m: (m * (n ** (n - 1) - (n - 1) ** (n - 1)), n ** (n - 1)),
+        )
+        for n, m in ((2, 4), (4, 16), (16, 160)):
+            rep = basic_instance_counting(n, m)
+            assert not rep["closed_form_exact"] and not rep["passed"]
 
     def test_counting_divisibility(self):
         with pytest.raises(ValueError):
-            basic_instance_counting(3, 4, 10, 0)
+            basic_instance_counting(3, 4)
 
 
 def _cpp_closure(mech, k):

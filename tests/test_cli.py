@@ -80,6 +80,16 @@ _DEGENERATE = [
         for exp in ("psi-tilde-check", "inequalities")
         for v in ("0", "-1", "1")
     ),
+    # float flags that once crashed, failed a claim, passed vacuously or named no flag
+    *(
+        (["concavity", "--step", v], f"step must lie in (0, 1], got {float(v)!r}")
+        for v in ("0", "inf", "nan", "-1")
+    ),
+    *(
+        ([exp, "--beta", v], f"beta must be finite and >= 0, got {v}")
+        for exp in ("psi-tilde-check", "symgap")
+        for v in ("inf", "nan")
+    ),
 ]
 
 
@@ -100,7 +110,7 @@ class TestExitCodes:
     def test_usage_errors_are_one(self, capsys):
         assert main([]) == 1
         assert main(["symgap", "--ell", "3"]) == 1
-        assert main(["chernoff", "--m", "101", "--beta", "0.1", "--trials", "50"]) == 1
+        assert main(["chernoff", "--m", "101", "--beta", "0.1"]) == 1
         capsys.readouterr()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -155,8 +165,21 @@ class TestExitCodes:
         assert rep["checks"]["induced_set_function_submodular"] is True
 
     def test_zero_trials_is_usage_error(self, capsys):
-        assert main(["chernoff", "--m", "100", "--beta", "0.2", "--trials", "0"]) == 1
+        assert main(["bisect-uniformity", "--trials", "0"]) == 1
         assert "trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["chernoff", "basic-count"])
+    def test_exact_laws_take_no_trials(self, tmp_path, experiment, capsys):
+        # both compute their law exactly: a trial count would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--trials", "100"])
+        assert exc.value.code == 1
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"trials": 100}))
+        assert main([experiment, "--config", str(cfgfile)]) == 1
+        assert "unknown config keys: ['trials']" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=r"takes no parameters \['trials'\]"):
+            run(ExperimentConfig(experiment, {"trials": 100}))
 
     def test_workers_accepts_only_one(self, tmp_path, capsys):
         args = ["gap955", "--blocks", "20", "--mc-samples", "2000", "--seed", "3"]
@@ -174,7 +197,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("beta", ["nan", "0", "1", "-0.5", "1.5"])
     def test_chernoff_beta_outside_unit_interval_exits_one(self, tmp_path, beta, capsys):
         out = tmp_path / "out.json"
-        args = ["chernoff", "--m", "100", "--beta", beta, "--trials", "50", "--out", str(out)]
+        args = ["chernoff", "--m", "100", "--beta", beta, "--out", str(out)]
         assert main(args) == 1
         assert not out.exists()
         assert "beta must lie in (0, 1)" in capsys.readouterr().err
@@ -257,20 +280,64 @@ def test_int_flag_at_zero_or_minus_one_never_crashes(args, tmp_path):
     assert out.exists() == (code != 1)
 
 
+def _float_flag_cases():
+    for name, fn in EXPERIMENTS.items():
+        if name == "suite":  # it runs every other subcommand
+            continue
+        for param, (tp, _, _) in _declared(fn).items():
+            if tp is float:
+                for value in ("nan", "inf", "-1", "0"):
+                    yield [name, "--" + param.replace("_", "-"), value]
+
+
+@pytest.mark.parametrize("args", list(_float_flag_cases()), ids=" ".join)
+def test_float_flag_at_degenerate_values_never_crashes(args, tmp_path, capsys):
+    """Every float flag of every subcommand at nan, inf, -1 and 0, one at a
+    time: a pass, a failed claim or a usage error (argparse's rejected
+    choices included), and a report exactly when it is not a usage error.
+    An escaping exception fails the test."""
+    out = tmp_path / "out.json"
+    try:
+        code = main(args + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert out.exists() == (code != 1)
+    capsys.readouterr()
+
+
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):
-        args = ["chernoff", "--m", "100", "--beta", "0.2", "--trials", "2000", "--seed", "5"]
+        args = ["bisect-uniformity", "--trials", "500", "--seed", "5"]
         _, a = run_main(args, tmp_path, "a.json")
         _, b = run_main(args, tmp_path, "b.json")
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_stochastic_output(self, tmp_path):
-        base = ["basic-count", "--n", "2", "--m", "8", "--trials", "500"]
+        base = ["bisect-uniformity", "--trials", "500"]
         _, a = run_main(base + ["--seed", "1"], tmp_path, "a.json")
         _, b = run_main(base + ["--seed", "2"], tmp_path, "b.json")
         ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert ja["empirical_mean"] != jb["empirical_mean"]
-        assert ja["expected"] == jb["expected"]
+        assert ja["z_max_membership"] != jb["z_max_membership"]
+        assert ja["params"] == jb["params"]
+
+    @pytest.mark.parametrize(
+        "args", [["chernoff", "--m", "100", "--beta", "0.2"], ["basic-count", "--n", "2", "--m", "4"]]
+    )
+    def test_exact_laws_ignore_the_seed(self, tmp_path, args):
+        # seed 362 once failed basic-count's 3-sigma gate on an identity
+        _, a = run_main(args + ["--seed", "0"], tmp_path, "a.json")
+        code, b = run_main(args + ["--seed", "362"], tmp_path, "b.json")
+        assert code == 0
+        ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert (ja.pop("seed"), jb.pop("seed")) == (0, 362)
+        assert ja == jb
+
+    def test_menu_separation_seed_5_passes(self, tmp_path):
+        # its once grid-scanned reference missed a narrow feasible interval
+        code, out = run_main(["menu-separation", "--seed", "5"], tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["grid_oracle_mismatches"] == []
 
     def test_stdout_when_no_out_flag(self, capsys):
         code = main(["inequalities", "--grid", "1000"])

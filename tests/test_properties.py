@@ -19,7 +19,7 @@ from symgap.setfn import (
 )
 from symgap.instances import PhiAlpha, psi, psi_tilde
 from symgap.extensions import enum_weights
-from symgap.audit import quadrant_feasible_by_grid, separate_quadrant
+from symgap.audit import quadrant_feasible_exact, separate_quadrant
 
 
 idx_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=10)
@@ -134,12 +134,17 @@ class TestSeparationProperty:
     @settings(max_examples=200, deadline=None)
     def test_branch_soundness(self, pts, q0, p0):
         res = separate_quadrant(pts, q0, p0)
+        # both directions, against the exact oracle: an exactly reachable
+        # quadrant gets a witness, and a witness reaches the quadrant grown by
+        # twice the 1e-12 snap, within which separate_quadrant's float snapping decides
+        witness = res.branch == "witness"
+        assert quadrant_feasible_exact(pts, q0, p0, slack=0.0) <= witness
+        assert witness <= quadrant_feasible_exact(pts, q0, p0, slack=2e-12)
         if res.branch == "witness":
             q = sum(w * pts[i][0] for i, w in zip(res.indices, res.weights))
             p = sum(w * pts[i][1] for i, w in zip(res.indices, res.weights))
             assert q >= q0 - 1e-9 and p <= p0 + 1e-9
         else:
-            assert not quadrant_feasible_by_grid(pts, q0, p0, step=0.01)
             ref = res.lam_q * q0 - res.lam_p * p0
             for q, p in pts:
                 assert res.lam_q * q - res.lam_p * p < ref
