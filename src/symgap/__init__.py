@@ -28,7 +28,6 @@ from .setfn import (
 )
 from .instances import (
     AuctionInstance,
-    BisectionSequence,
     CPPInstance,
     CPPLevelParams,
     Phi,

@@ -198,7 +198,7 @@ def symmetry_gap_experiment(
     the planted asymmetric solution (one full block).
     """
     slack = math.exp(-n * OMEGA_N_RATE)
-    chernoff_bound = min(1.0, 4.0 * math.exp(-beta * beta * m / 2.0))
+    chernoff_bound = min(1.0, _chernoff_bound(m, beta))
     results = []
     informed = float(phi.value(1.0 - beta))
     for mech_idx, mech in enumerate(mechanisms):
@@ -213,7 +213,7 @@ def symmetry_gap_experiment(
         children = ss.spawn(partitions)
         for t in range(partitions):
             rng = np.random.default_rng(children[t])
-            A, B = blocks = sample_bisection_sequence(m, 1, rng).levels[0]
+            A, B = blocks = sample_bisection_sequence(m, rng)
             valuation = make_symgap_valuation(m, A, B, phi, beta)
             value_of = valuation.count_values()
             answer = extension_answers(valuation, value_of)
@@ -724,6 +724,11 @@ def figure_triple(delta: float, points: int = 501) -> list[tuple[float, float, f
 # ---------------------------------------------------------------------------
 
 
+def _chernoff_bound(m: int, beta: float) -> float:
+    """4 e^{-beta^2 m/2}, the Chernoff bound both bisection reports quote."""
+    return 4.0 * math.exp(-beta * beta * m / 2.0)
+
+
 def chernoff_bisection_test(m_prime: int, beta: float) -> dict:
     """Exact P(||S∩A| - |S∩B|| > beta m') over uniform equal bisections vs the
     4 e^{-beta^2 m'/2} bound, for S = the first h = m'/2 items: a = |S∩A| has
@@ -739,7 +744,7 @@ def chernoff_bisection_test(m_prime: int, beta: float) -> dict:
         c = c * (half - a) // (a + 1)
         a += 1
     exact = 2 * tail / math.comb(m_prime, half)
-    bound = 4.0 * math.exp(-beta * beta * m_prime / 2.0)
+    bound = _chernoff_bound(m_prime, beta)
     return {
         "experiment": "chernoff_bisection",
         "params": {"m_prime": m_prime, "beta": beta},

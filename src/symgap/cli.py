@@ -295,7 +295,7 @@ def _exp_submod_check(
     rng = _rng(cfg.seed, 2)
     if family == "symgap":
         _half(m)
-        A, B = sample_bisection_sequence(m, 1, rng).level(0)
+        A, B = sample_bisection_sequence(m, rng)
         oracle = make_symgap_valuation(m, A, B, PhiAlpha(alpha), beta).oracle()
     elif family == "two_block_product":
         oracle = two_block_product_instance(_half(m), alpha).oracle()
@@ -422,47 +422,30 @@ def _exp_chernoff(cfg: ExperimentConfig, *, m: int = 400, beta: float = 0.1) -> 
     return {**audit.chernoff_bisection_test(m, beta), "seed": cfg.seed}
 
 
-def _exp_bisect_uniformity(
-    cfg: ExperimentConfig, *, m: int = 32, ell: int = 3, trials: int = 20_000
-) -> dict:
-    _need_items(m, 4, "for a pair inside one half")
+def _exp_bisect_uniformity(cfg: ExperimentConfig, *, m: int = 32, trials: int = 20_000) -> dict:
+    if m < 4 or m % 2:
+        raise OracleContractError(f"--m must be even and >= 4 for a pair inside one half, got {m}")
     rng = _rng(cfg.seed, 4)
-    levels = np.stack([sample_bisection_sequence(m, ell, rng).levels for _ in range(trials)])
-    # A[t, j] and B[t, j] are the packed halves of level j in trial t
-    A, B = levels[:, ::-1, 0], levels[:, ::-1, 1]
-    # each level halves the A part of the level above, the full set at the top
-    full = np.broadcast_to(pack(range(m), m), (trials, 1, A.shape[-1]))
-    above = np.concatenate([A[:, 1:], full], axis=1)
-    sizes = np.bitwise_count(levels).sum(-1)
-    structure_ok = bool(
-        (sizes[..., 0] == sizes[..., 1]).all() and not (A & B).any() and ((A | B) == above).all()
-    )
-    # row j counts the trials with each item in A_j; M marks the top A part
-    level_counts = bits_from_words(A.reshape(-1, A.shape[-1]), m).reshape(trials, ell, m).sum(0)
-    M = bits_from_words(A[:, -1], m).astype(float)
-    top_pair_counts = M.T @ M
-    z_max_levels = 0.0
-    for j in range(ell):
-        p = 2.0 ** (j - ell)
-        se = math.sqrt(p * (1 - p) / trials)
-        z = np.abs(level_counts[j] / trials - p) / se
-        z_max_levels = max(z_max_levels, float(z.max()))
-    # top-level pairwise co-membership under a uniform bisection
+    A, B = np.stack([sample_bisection_sequence(m, rng) for _ in range(trials)], axis=1)
+    same_size = (np.bitwise_count(A).sum(-1) == np.bitwise_count(B).sum(-1)).all()
+    structure_ok = bool(same_size and not (A & B).any() and ((A | B) == pack(range(m), m)).all())
+
+    def z_max(counts, p):  # the largest z-score of trial counts against probability p
+        return float((np.abs(counts / trials - p) / math.sqrt(p * (1 - p) / trials)).max())
+
+    # each item lies in A with probability 1/2, each pair with (m/2)(m/2 - 1) / (m(m - 1))
+    M = bits_from_words(A, m).astype(float)
     half = m // 2
-    p_pair = half * (half - 1) / (m * (m - 1))
-    se_pair = math.sqrt(p_pair * (1 - p_pair) / trials)
-    iu = np.triu_indices(m, 1)
-    z_pairs = np.abs(top_pair_counts[iu] / trials - p_pair) / se_pair
-    z_max_pairs = float(z_pairs.max())
-    passed = structure_ok and z_max_levels <= 6.0 and z_max_pairs <= 6.0
+    z_max_membership = z_max(M.sum(0), 0.5)
+    z_max_pairs = z_max((M.T @ M)[np.triu_indices(m, 1)], half * (half - 1) / (m * (m - 1)))
     return {
         "experiment": "bisect_uniformity",
-        "params": {"m": m, "ell": ell, "trials": trials},
+        "params": {"m": m, "trials": trials},
         "seed": cfg.seed,
         "structure_ok": structure_ok,
-        "z_max_membership": z_max_levels,
+        "z_max_membership": z_max_membership,
         "z_max_pairwise": z_max_pairs,
-        "passed": bool(passed),
+        "passed": structure_ok and z_max_membership <= 6.0 and z_max_pairs <= 6.0,
     }
 
 
@@ -707,7 +690,14 @@ def _exp_amplify(
 ) -> dict:
     if ell < 1:
         raise OracleContractError(f"ell must be positive, got {ell}")
-    delta = audit.DELTA_PAPER if delta == "paper" else float(delta)
+    try:
+        value = audit.DELTA_PAPER if delta == "paper" else float(delta)
+    except ValueError:
+        value = math.nan
+    # alpha' = sqrt(delta) * alpha leaves (0, 1] outside this range; NaN fails too
+    if not 0.0 < value <= 1.0:
+        raise OracleContractError(f"--delta must be 'paper' or lie in (0, 1], got {delta!r}")
+    delta = value
     rng = _rng(cfg.seed, 9)
     seeds = [int(s) for s in rng.integers(0, 2**31, chains)]
     runs = []
@@ -735,6 +725,8 @@ def _exp_amplify(
 def _exp_inequalities(
     cfg: ExperimentConfig, *, grid: int = 100_000, figure_delta: float = 0.05
 ) -> dict:
+    if not math.isfinite(figure_delta):
+        raise OracleContractError(f"figure_delta must be finite, got {figure_delta}")
     rep = audit.scalar_inequality_suite(grid=grid)
     rep["params"]["figure_delta"] = figure_delta
     rep["seed"] = cfg.seed
@@ -774,7 +766,7 @@ _SUITE_PLAN: list[tuple[str, dict]] = [
     ("chernoff", {"m": 100, "beta": 0.2}),
     ("chernoff", {"m": 400, "beta": 0.1}),
     ("chernoff", {"m": 400, "beta": 0.2}),
-    ("bisect-uniformity", {"m": 32, "ell": 3, "trials": 20_000}),
+    ("bisect-uniformity", {"m": 32, "trials": 20_000}),
     ("greedy-ratio", {"instances": 50, "m_max": 16, "k_max": 4}),
     ("poisson-midr", {"family": "additive", "m": 8, "k": 2, "trials": 10_000}),
     ("poisson-midr", {"family": "two_block_product", "m": 8, "k": 2, "trials": 10_000}),

@@ -1,6 +1,6 @@
-"""Hard-instance families: two-block symmetric valuations, bisection
-sequences, auction and public-project instances, and level parameter
-schedules.
+"""Hard-instance families: two-block symmetric valuations, the uniform
+hidden bisection, auction and public-project instances, and the paper's
+parameter schedule.
 
 The central object is the perturbed two-block surface
 
@@ -12,8 +12,8 @@ The central object is the perturbed two-block surface
 
 applied to block occupancy fractions x = |S ∩ A|/|A|, y = |S ∩ B|/|B|.
 Inside the beta band the value depends on x + y only, which is what makes
-the hidden bisection (A, B) invisible to balanced queries.  Blocks and
-bisection levels are packed uint64 rows, like every set in setfn.
+the hidden bisection (A, B) invisible to balanced queries.  Blocks are
+packed uint64 rows, like every set in setfn.
 
 A two-block value depends on the occupancy counts (a, b) alone, so every
 two-block value (value queries, the blockwise extension) is read
@@ -44,7 +44,6 @@ from .setfn import (
     make_coverage,
     pack,
     to_hex,
-    word_count,
     words_from_bits,
 )
 
@@ -332,58 +331,30 @@ def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuati
     return TwoBlockValuation(m, A, B, PhiAlpha(alpha), 0.0, 1.0, kind="two_block_product")
 
 
-@dataclass(frozen=True, eq=False)
-class BisectionSequence:
-    """Nested uniform bisections: level ell - 1 splits the ground set into
-    equal halves (A_j, B_j), and each lower level j splits the A-part of the
-    level above."""
-
-    m: int
-    ell: int
-    # (ell, 2, word_count(m)) packed rows: levels[i] = (A_j, B_j) for
-    # j = ell - 1 - i, so index 0 is level ell - 1 and the last is level 0
-    levels: np.ndarray
-
-    def level(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(A_j, B_j) for 0 <= j < ell."""
-        if not 0 <= j < self.ell:
-            raise GroundSetError(f"level {j} outside [0, {self.ell})")
-        return tuple(self.levels[self.ell - 1 - j])
-
-
-def sample_bisection_sequence(
-    m: int, ell: int, rng: np.random.Generator
-) -> BisectionSequence:
-    """Sample the nested bisections by shuffle-then-split at every level."""
-    if ell < 1:
-        raise GroundSetError(f"ell must be >= 1, got {ell}")
-    if m % (1 << ell):
-        raise GroundSetError(f"m = {m} not divisible by 2^ell = {1 << ell}")
-    if m < 1:
-        raise GroundSetError(f"m must be positive, got {m}")
-    current = np.arange(m)
-    # row 2i holds A and row 2i + 1 holds B of the i-th level drawn
-    bits = np.zeros((2 * ell, m), dtype=bool)
-    for i in range(ell):
-        perm = current[rng.permutation(len(current))]
-        half = len(current) // 2
-        bits[2 * i, perm[:half]] = bits[2 * i + 1, perm[half:]] = True
-        current = perm[:half]
-    return BisectionSequence(m, ell, words_from_bits(bits).reshape(ell, 2, word_count(m)))
+# named for the nested levels it once drew: perfbench's tracer wraps it by name
+def sample_bisection_sequence(m: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform equal bisection of [0, m): shuffle, then A = the first
+    m/2 items and B = the rest, as a (2, word_count(m)) array of packed
+    rows (A, B)."""
+    if m < 2 or m % 2:
+        raise GroundSetError(f"a bisection needs an even m >= 2, got {m}")
+    perm = rng.permutation(m)
+    bits = np.zeros((2, m), dtype=bool)
+    bits[0, perm[: m // 2]] = bits[1, perm[m // 2 :]] = True
+    return words_from_bits(bits)
 
 
 @dataclass(frozen=True)
 class CPPLevelParams:
-    """Parameter schedule per recursion level: m = 400^ell, k = 200^ell,
-    n = 2^ell, beta = n / sqrt(m) = 10^-ell.  Desk scale stops at ell = 2."""
+    """The paper's parameters at scale index ell: m = 400^ell, k = 200^ell,
+    n = 2^ell, beta = n / sqrt(m) = 10^-ell.  Each scale is one two-block
+    instance on m items, not a recursion level.  Desk scale stops at ell = 2."""
 
     ell: int
 
     def __post_init__(self):
         if self.ell not in (1, 2):
-            raise GroundSetError(
-                f"paper-profile levels are ell in {{1, 2}} at desk scale, got {self.ell}"
-            )
+            raise GroundSetError(f"desk-scale paper profiles have ell in {{1, 2}}, got {self.ell}")
 
     @property
     def m(self) -> int:
@@ -484,9 +455,7 @@ def random_cpp_instance(
             budget = float(rng.uniform(0.5, 0.9) * w.sum())
             oracles.append(make_budget_additive(w.tolist(), budget))
         else:
-            half = m // 2
-            perm = rng.permutation(m)
-            A, B = pack(perm[:half], m), pack(perm[half:], m)
+            A, B = sample_bisection_sequence(m, rng)
             alpha = float(rng.choice([0.3, 0.5, 1.0]))
             beta = float(rng.choice([0.05, 0.1, 0.25]))
             oracles.append(make_symgap_valuation(m, A, B, PhiAlpha(alpha), beta).oracle())

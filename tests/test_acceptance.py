@@ -286,7 +286,7 @@ def test_criterion_13_byte_identical_reruns(capsys, tmp_path):
         ["product-compose", "--pairs", "10", "--m", "8"],
         ["psi-tilde-check", "--grid", "100"],
         ["chernoff", "--m", "400", "--beta", "0.2"],
-        ["bisect-uniformity", "--m", "32", "--ell", "3", "--trials", "5000"],
+        ["bisect-uniformity", "--m", "32", "--trials", "5000"],
         ["greedy-ratio", "--instances", "10"],
         ["poisson-midr", "--family", "additive", "--trials", "2000"],
         ["vcg-audit", "--deviations", "6", "--trials", "200"],

@@ -72,9 +72,11 @@ _DEGENERATE = [
     (["poisson-midr", "--family", "two_block_product", "--m", "0"],
      "--m must be even and >= 2 for a two-block family, got 0"),
     # below 4 items one half holds no pair: the pair gate once wrote NaN
-    (["bisect-uniformity", "--m", "0"], "--m must be >= 4 for a pair inside one half, got 0"),
-    (["bisect-uniformity", "--m", "2", "--ell", "1"],
-     "--m must be >= 4 for a pair inside one half, got 2"),
+    *(
+        (["bisect-uniformity", "--m", v],
+         f"--m must be even and >= 4 for a pair inside one half, got {v}")
+        for v in ("0", "2", "33")
+    ),
     *(
         ([exp, "--grid", v], f"grid must be >= 2, got {v}")
         for exp in ("psi-tilde-check", "inequalities")
@@ -89,6 +91,15 @@ _DEGENERATE = [
         ([exp, "--beta", v], f"beta must be finite and >= 0, got {v}")
         for exp in ("psi-tilde-check", "symgap")
         for v in ("inf", "nan")
+    ),
+    *(
+        (["inequalities", "--figure-delta", v], f"figure_delta must be finite, got {v}")
+        for v in ("inf", "nan")
+    ),
+    # alpha' = sqrt(delta) alpha leaves (0, 1] outside this range
+    *(
+        (["amplify", "--delta", v], f"--delta must be 'paper' or lie in (0, 1], got {v!r}")
+        for v in ("nan", "inf", "-0.1", "0", "2", "half")
     ),
 ]
 
@@ -139,6 +150,7 @@ class TestExitCodes:
             ["gap955", "--trials", "5"],  # gap955 runs no trials
             ["suite", "--all"],  # the suite always runs every experiment
             ["submod-check", "--mode", "bogus"],
+            ["bisect-uniformity", "--ell", "3"],  # it draws one bisection, no levels
         ],
     )
     def test_undeclared_flag_or_choice_exits_one(self, args, capsys):
@@ -288,6 +300,9 @@ def _float_flag_cases():
             if tp is float:
                 for value in ("nan", "inf", "-1", "0"):
                     yield [name, "--" + param.replace("_", "-"), value]
+    # a string flag that takes "paper" or a number
+    for value in ("nan", "inf", "-1", "0"):
+        yield ["amplify", "--delta", value]
 
 
 @pytest.mark.parametrize("args", list(_float_flag_cases()), ids=" ".join)

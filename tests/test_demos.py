@@ -3,12 +3,15 @@
 Each demo runs in process, so a deleted or renamed export, function or
 method that a demo calls fails here.  The export guard reads the sources of
 the package, the demos and the benchmark harness: an exported name that none
-of them refers to, outside its own definition, is dead code.
+of them refers to, outside its own definition, is dead code.  The benchmark's
+layer tracer wraps package functions by name, so it must install.
 """
 import ast
 import functools
 import inspect
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,15 @@ def _unreferenced_exports() -> list[str]:
 def test_every_export_is_referenced():
     dead = sorted(set(_unreferenced_exports()) - UNREFERENCED_EXPORTS)
     assert not dead, f"exported, but nothing refers to: {', '.join(dead)}"
+
+
+def test_benchmark_tracer_installs():
+    # in a fresh process, because install() patches the package for good
+    code = (
+        f"import sys; sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]; "
+        "from layer_trace import Tracer; t = Tracer(); t.install(); t.summary()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -34,11 +34,6 @@ from symgap.instances import (
 from reference_oracles import mask_of, row_of
 
 
-def _size(row) -> int:
-    """The number of items in a packed row."""
-    return int(np.bitwise_count(row).sum())
-
-
 def ref_phi(alpha, t):
     return min(t / alpha, 1.0)
 
@@ -253,44 +248,28 @@ class TestTwoBlockValuation:
 
 
 class TestBisection:
-    def test_structure_invariants(self):
-        rng = np.random.default_rng(8)
-        seq = sample_bisection_sequence(32, 3, rng)
-        full = (1 << 32) - 1
-        prev = full
-        for j in (2, 1, 0):
-            A, B = mask_of(seq.level(j)[0]), mask_of(seq.level(j)[1])
-            assert A.bit_count() == B.bit_count() == prev.bit_count() // 2
-            assert (A & B) == 0
-            assert (A | B) == prev
-            prev = A
+    @pytest.mark.parametrize("m", [2, 130, 400])
+    def test_structure_invariants(self, m):
+        A, B = sample_bisection_sequence(m, np.random.default_rng(8))
+        A, B = mask_of(A), mask_of(B)
+        assert A.bit_count() == B.bit_count() == m // 2
+        assert (A & B) == 0
+        assert (A | B) == (1 << m) - 1
 
-    def test_level_sizes_follow_spec(self):
-        rng = np.random.default_rng(9)
-        seq = sample_bisection_sequence(64, 2, rng)
-        assert _size(seq.level(0)[0]) == 16  # 2^{0-2} * 64
-        assert _size(seq.level(1)[0]) == 32
-
-    def test_divisibility_required(self):
+    @pytest.mark.parametrize("m", [0, 1, 3, 31])
+    def test_odd_or_tiny_m_rejected(self, m):
         with pytest.raises(GroundSetError):
-            sample_bisection_sequence(30, 2, np.random.default_rng(0))
-        with pytest.raises(GroundSetError):
-            sample_bisection_sequence(0, 1, np.random.default_rng(0))
+            sample_bisection_sequence(m, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("m, ell", [(2, 1), (32, 3), (130, 1), (400, 2)])
-    def test_same_stream_as_list_shuffles(self, m, ell):
-        # the list-and-int-mask form the packed levels replaced
+    @pytest.mark.parametrize("m", [2, 130, 400])
+    def test_same_stream_as_list_shuffles(self, m):
+        # the list-and-int-mask form the packed rows replaced
         rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
-        seq = sample_bisection_sequence(m, ell, rng)
-        current, expected = list(range(m)), []
-        for _ in range(ell):
-            perm = ref_rng.permutation(len(current))
-            half = len(current) // 2
-            a = [current[int(i)] for i in perm[:half]]
-            b = [current[int(i)] for i in perm[half:]]
-            expected.append([sum(1 << j for j in a), sum(1 << j for j in b)])
-            current = a
-        assert [[mask_of(A), mask_of(B)] for A, B in seq.levels] == expected
+        halves = sample_bisection_sequence(m, rng)
+        perm = [int(i) for i in ref_rng.permutation(m)]
+        expected = [sum(1 << j for j in perm[: m // 2]), sum(1 << j for j in perm[m // 2 :])]
+        assert halves.shape == (2, -(-m // 64))
+        assert [mask_of(halves[0]), mask_of(halves[1])] == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
