@@ -9,11 +9,9 @@ scalar and statistical facts the constructions rest on.
 
 from .setfn import (
     GroundSetError,
-    MonotoneViolation,
     OracleContractError,
     OracleView,
     StructureReport,
-    SubmodularViolation,
     ValuationOracle,
     check_monotone_submodular,
     compose_product,
@@ -30,9 +28,7 @@ from .instances import (
     AuctionInstance,
     CPPInstance,
     CPPLevelParams,
-    Phi,
     PhiAlpha,
-    PhiTable,
     TwoBlockValuation,
     expected_union_size,
     make_symgap_valuation,

@@ -17,11 +17,9 @@ import numpy as np
 from .setfn import ValuationOracle, intersection_sizes, scale_oracle
 from .instances import (
     AuctionInstance,
-    Phi,
     PhiAlpha,
     TwoBlockValuation,
     expected_union_size,
-    extension_answers,
     make_symgap_valuation,
     sample_bisection_sequence,
 )
@@ -184,7 +182,7 @@ def symmetry_gap_experiment(
     k: int,
     n: int,
     beta: float,
-    phi: Phi,
+    phi: PhiAlpha,
     mechanisms: Sequence,
     partitions: int,
     seed: int,
@@ -201,6 +199,20 @@ def symmetry_gap_experiment(
     chernoff_bound = min(1.0, _chernoff_bound(m, beta))
     results = []
     informed = float(phi.value(1.0 - beta))
+    half = m // 2
+
+    # the probe classifies every query by its counts: a batch row each, an
+    # extension class by its number of free items
+    def tally(counts) -> None:
+        nonlocal unbalanced_total
+        if isinstance(counts, list):
+            for size, a, b in counts:
+                if abs(a - b) / half > beta:
+                    unbalanced_total += size
+        else:
+            a, b = counts
+            unbalanced_total += int(np.count_nonzero(np.abs(a - b) / half > beta))
+
     for mech_idx, mech in enumerate(mechanisms):
         values = np.zeros(partitions)
         Xs = np.zeros(partitions)
@@ -216,28 +228,7 @@ def symmetry_gap_experiment(
             A, B = blocks = sample_bisection_sequence(m, rng)
             valuation = make_symgap_valuation(m, A, B, phi, beta)
             value_of = valuation.count_values()
-            answer = extension_answers(valuation, value_of)
-            half = m // 2
-
-            # each query's counts (a, b) both classify it and give its value
-            def classified_many(words: np.ndarray) -> np.ndarray:
-                nonlocal unbalanced_total
-                a = intersection_sizes(words, A)
-                b = intersection_sizes(words, B)
-                unbalanced_total += int(np.count_nonzero(np.abs(a - b) / half > beta))
-                return value_of(a, b)
-
-            # the extensions of one set fall in at most three count classes;
-            # each unbalanced class adds its number of free items
-            def classified_extensions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                nonlocal unbalanced_total
-                values, groups, found = answer(words)
-                for size, a, b in found:
-                    if abs(a - b) / half > beta:
-                        unbalanced_total += size
-                return values, groups
-
-            probe = ValuationOracle(m, classified_many, {"kind": "hidden"}, classified_extensions)
+            probe = valuation.oracle(tally)
             R = mech.allocate((probe.restricted_view(),), k, rng)
             if isinstance(R, DistributionOverOutcomes):
                 R = R.sample(rng)
@@ -332,7 +323,7 @@ class MenuPoint:
 
 
 def map_menu_to_qp(
-    X: np.ndarray, P: np.ndarray, phi: Phi, eps: float, ell: int
+    X: np.ndarray, P: np.ndarray, phi: PhiAlpha, eps: float, ell: int
 ) -> list[MenuPoint]:
     """Map each row of `extract_menu`'s (X, P) to its expected
     q = E[(1-eps) phi(X - 10^-ell) - 10^-ell] and p = E[P], with the row

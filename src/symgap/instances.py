@@ -10,10 +10,11 @@ The central object is the perturbed two-block surface
         x - y  >  beta  : (x - beta/2, y + beta/2)
         y - x  >  beta  : (x + beta/2, y - beta/2)
 
-applied to block occupancy fractions x = |S ∩ A|/|A|, y = |S ∩ B|/|B|.
-Inside the beta band the value depends on x + y only, which is what makes
-the hidden bisection (A, B) invisible to balanced queries.  Blocks are
-packed uint64 rows, like every set in setfn.
+applied to block occupancy fractions x = |S ∩ A|/|A|, y = |S ∩ B|/|B|,
+with phi the ramp phi_alpha(t) = min(t / alpha, 1) (PhiAlpha, the one
+profile).  Inside the beta band the value depends on x + y only, which is
+what makes the hidden bisection (A, B) invisible to balanced queries.
+Blocks are packed uint64 rows, like every set in setfn.
 
 A two-block value depends on the occupancy counts (a, b) alone, so every
 two-block value (value queries, the blockwise extension) is read
@@ -24,10 +25,12 @@ about instead, with the same values bit for bit.  The singleton extensions
 S + j of one set fall in three count classes (j outside both blocks, in A,
 in B), so they take at most three values: a two-block oracle answers an
 extension query with the level sets of those values (extension_answers).
+An observer passed to TwoBlockValuation.oracle() sees the counts of every
+query, which is how the hidden-bisection experiment classifies them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -48,24 +51,12 @@ from .setfn import (
 )
 
 
-class Phi:
-    """Normalized concave profile on [0, 1]: phi(0) = 0, nondecreasing, concave."""
-
-    kind: str
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def to_param_dict(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PhiAlpha(Phi):
-    """phi(t) = min(t / alpha, 1): linear ramp saturating at t = alpha."""
+class PhiAlpha:
+    """The normalized concave profile phi(t) = min(t / alpha, 1) on [0, 1]:
+    a linear ramp saturating at t = alpha."""
 
     alpha: float
-    kind: str = field(default="alpha", init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -83,60 +74,13 @@ class PhiAlpha(Phi):
         return {"kind": "alpha", "alpha": self.alpha}
 
 
-@dataclass(frozen=True)
-class PhiTable(Phi):
-    """Piecewise-linear concave profile given by knots; validated on build."""
-
-    knots_t: tuple[float, ...]
-    knots_v: tuple[float, ...]
-    kind: str = field(default="table", init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.knots_t, dtype=float)
-        v = np.asarray(self.knots_v, dtype=float)
-        if t.size < 2 or t.size != v.size:
-            raise OracleContractError("need matching knot arrays with >= 2 knots")
-        if t[0] != 0.0 or t[-1] != 1.0 or (np.diff(t) <= 0).any():
-            raise OracleContractError("knots_t must increase from 0 to 1")
-        if abs(v[0]) > 1e-12:
-            raise OracleContractError("phi(0) must be 0")
-        if (v < -1e-12).any() or (v > 1.0 + 1e-12).any():
-            raise OracleContractError("phi values must lie in [0, 1]")
-        slopes = np.diff(v) / np.diff(t)
-        if (slopes < -1e-12).any():
-            raise OracleContractError("phi must be nondecreasing")
-        if (np.diff(slopes) > 1e-12).any():
-            raise OracleContractError("phi must be concave (slopes nonincreasing)")
-
-    def value(self, t):
-        out = np.interp(np.asarray(t, dtype=float), self.knots_t, self.knots_v)
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
-
-    def to_param_dict(self) -> dict:
-        return {
-            "kind": "table",
-            "knots_t": list(self.knots_t),
-            "knots_v": list(self.knots_v),
-        }
-
-
-def phi_from_param_dict(d: dict) -> Phi:
-    if d["kind"] == "alpha":
-        return PhiAlpha(d["alpha"])
-    if d["kind"] == "table":
-        return PhiTable(tuple(d["knots_t"]), tuple(d["knots_v"]))
-    raise ValueError(f"unknown phi kind {d['kind']!r}")
-
-
-def psi(phi: Phi, x, y):
+def psi(phi: PhiAlpha, x, y):
     """psi(x, y) = 1 - (1 - phi(x))(1 - phi(y)); the product composition surface."""
     px, py = phi.value(x), phi.value(y)
     return 1.0 - (1.0 - px) * (1.0 - py)
 
 
-def psi_tilde(phi: Phi, beta: float, x, y):
+def psi_tilde(phi: PhiAlpha, beta: float, x, y):
     """The beta-band perturbation of psi (vectorized; beta = 0 degenerates to psi)."""
     if not 0.0 <= beta < np.inf:  # NaN fails too
         raise OracleContractError(f"beta must be finite and >= 0, got {beta}")
@@ -155,7 +99,7 @@ GRID_MAX_BLOCK = 1024
 
 
 @lru_cache(maxsize=32)
-def _count_grid(n: int, phi: Phi, beta: float, lam: float) -> np.ndarray:
+def _count_grid(n: int, phi: PhiAlpha, beta: float, lam: float) -> np.ndarray:
     """Read-only (n+1) x (n+1) table of lam * psi_tilde(a/n, b/n) over the
     occupancy counts; the blocks are not part of the key."""
     xs = np.arange(n + 1) / n
@@ -176,7 +120,7 @@ class TwoBlockValuation:
     m: int
     A: np.ndarray
     B: np.ndarray
-    phi: Phi
+    phi: PhiAlpha
     beta: float
     lam: float = 1.0
     kind: str = "symgap"
@@ -236,15 +180,25 @@ class TwoBlockValuation:
             "seed": None,
         }
 
-    def oracle(self) -> ValuationOracle:
+    def oracle(self, observe: Callable | None = None) -> ValuationOracle:
+        """The value oracle of this valuation.  `observe`, when given, sees
+        the occupancy counts of every query, one call per query: the tuple
+        (a, b) of int arrays, one entry per row, for a batch, and the list of
+        (size, a, b) classes of extension_answers for an extension query."""
         value = self.count_values()
         answer = extension_answers(self, value)
 
         def fn_many(words: np.ndarray) -> np.ndarray:
-            return value(intersection_sizes(words, self.A), intersection_sizes(words, self.B))
+            counts = intersection_sizes(words, self.A), intersection_sizes(words, self.B)
+            if observe is not None:
+                observe(counts)
+            return value(*counts)
 
         def fn_extensions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return answer(words)[:2]
+            values, groups, found = answer(words)
+            if observe is not None:
+                observe(found)
+            return values, groups
 
         return ValuationOracle(self.m, fn_many, self.descriptor(), fn_extensions)
 
@@ -254,11 +208,13 @@ class TwoBlockValuation:
         if desc.get("kind") not in ("symgap", "two_block_product"):
             raise GroundSetError("not a two-block valuation descriptor")
         p = desc["params"]
+        if p["phi"]["kind"] != "alpha":
+            raise ValueError(f"unknown phi kind {p['phi']['kind']!r}")
         return cls(
             p["m"],
             from_hex(p["A"], p["m"]),
             from_hex(p["B"], p["m"]),
-            phi_from_param_dict(p["phi"]),
+            PhiAlpha(p["phi"]["alpha"]),
             p["beta"],
             p.get("lam", 1.0),
             kind=desc["kind"],
@@ -307,7 +263,7 @@ def extension_answers(val: TwoBlockValuation, value: Callable) -> Callable:
 
 
 def make_symgap_valuation(
-    m: int, A: np.ndarray, B: np.ndarray, phi: Phi, beta: float, lam: float = 1.0
+    m: int, A: np.ndarray, B: np.ndarray, phi: PhiAlpha, beta: float, lam: float = 1.0
 ) -> TwoBlockValuation:
     """The hidden-bisection adversarial valuation on [0, m), blocks A and B
     packed rows; requires beta > 0."""

@@ -5,7 +5,8 @@ words, word i holding items [64i, 64i + 64); pack() and unpack() convert
 item arrays, to_hex() and from_hex() the hex form descriptors hold.  Every
 oracle evaluation bumps a query counter; structural checks (monotonicity,
 submodularity) run either exhaustively over all 2^m subsets (m <= 24) or by
-sampled triples.
+sampled triples, and report how many pairs and triples they checked and how
+many of each kind violate.
 
 Each oracle family has one evaluator, over a batch of rows.  eval_many asks
 for the rows of a (batch, word_count(m)) uint64 array and counts one query
@@ -16,7 +17,7 @@ outside S, and answers with groups of free items that share one value.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -438,51 +439,31 @@ def tabulate(oracle) -> np.ndarray:
     return oracle.eval_many(words)
 
 
-@dataclass(frozen=True, eq=False)
-class MonotoneViolation:
-    S: np.ndarray  # packed row
-    item: int
-    gap: float  # f(S + item) - f(S), negative when violating
-
-
-@dataclass(frozen=True, eq=False)
-class SubmodularViolation:
-    S: np.ndarray  # packed row
-    item_i: int
-    item_j: int
-    gap: float  # marginal(i | S) - marginal(i | S + j), negative when violating
-
-
 @dataclass
 class StructureReport:
+    """The number of (S, i) pairs and (S, i, j) triples checked, and of the
+    monotonicity and submodularity violations among them."""
+
     passed: bool
-    mode: str
-    m: int
     checked: int
-    tolerance: float
-    monotone_violations: list[MonotoneViolation] = field(default_factory=list)
-    submodular_violations: list[SubmodularViolation] = field(default_factory=list)
-    monotone_violation_count: int = 0
-    submodular_violation_count: int = 0
-
-
-_MAX_RECORDED = 100
+    monotone_violation_count: int
+    submodular_violation_count: int
 
 
 def _structure_gaps(table: np.ndarray, m: int):
-    """Yield ((i,), gain of i) for each item and ((i, j), gain of i minus its
-    gain after j) for each pair i < j, one value per S holding none of the
-    items, in increasing S.  Both are differences of strided views of the
-    table: an item's gains take half the table's size, a pair's a quarter."""
+    """Yield (0, gain of i) for each item i and (1, gain of i minus its gain
+    after j) for each pair i < j, one value per S holding none of the items,
+    in increasing S.  Both are differences of strided views of the table: an
+    item's gains take half the table's size, a pair's a quarter."""
     for i in range(m):
         # axes: the bits above i, bit i, the bits below i
         v = table.reshape(-1, 2, 1 << i)
         gain = (v[:, 1] - v[:, 0]).ravel()
-        yield (i,), gain
+        yield 0, gain
         for j in range(i + 1, m):
             # bit j of S is bit j - 1 of the gain's index
             w = gain.reshape(-1, 2, 1 << (j - 1))
-            yield (i, j), (w[:, 0] - w[:, 1]).ravel()
+            yield 1, (w[:, 0] - w[:, 1]).ravel()
 
 
 def check_monotone_submodular(
@@ -504,32 +485,17 @@ def check_monotone_submodular(
     m = oracle.m
     if mode == "exhaustive":
         checked = 0
-        found: tuple[list, list] = ([], [])
         counts = [0, 0]
-        for items, gap in _structure_gaps(tabulate(oracle), m):
+        for kind, gap in _structure_gaps(tabulate(oracle), m):
             checked += gap.size
-            bad = np.flatnonzero(gap < -STRUCT_TOL)
-            kind = len(items) - 1
-            counts[kind] += bad.size
-            recorded = found[kind]
-            record = (MonotoneViolation, SubmodularViolation)[kind]
-            for t in bad[: _MAX_RECORDED - len(recorded)].tolist():
-                S = t
-                # insert a zero bit at each item, lowest first, so that a
-                # later insertion keeps the earlier zeros
-                for item in items:
-                    S += S & -(1 << item)
-                row = np.array([S], dtype=np.uint64)  # one word: m <= 24
-                recorded.append(record(row, *items, float(gap[t])))
-        passed = counts == [0, 0]
-        return StructureReport(passed, "exhaustive", m, checked, STRUCT_TOL, *found, *counts)
+            counts[kind] += int(np.count_nonzero(gap < -STRUCT_TOL))
+        return StructureReport(counts == [0, 0], checked, *counts)
 
     if mode == "sampled":
         if m < 2:
             raise GroundSetError(f"a sampled check draws item pairs: m must be >= 2, got {m}")
         if rng is None:
             rng = np.random.default_rng(0)
-        mono, sub = [], []
         mono_count = sub_count = 0
         # every pair first: i uniform, then j uniform on the other m - 1 items
         items_i = rng.integers(0, m, trials)
@@ -549,19 +515,8 @@ def check_monotone_submodular(
             f_s, f_si = oracle.eval_many(S), oracle.eval_many(S | bit_i)
             f_sj, f_sij = oracle.eval_many(S | bit_j), oracle.eval_many(S | bit_i | bit_j)
             gain = f_si - f_s
-            diff = gain - (f_sij - f_sj)
-            bad_mono = np.flatnonzero(gain < -STRUCT_TOL)
-            bad_sub = np.flatnonzero(diff < -STRUCT_TOL)
-            mono_count += bad_mono.size
-            sub_count += bad_sub.size
-            for t in bad_mono[: _MAX_RECORDED - len(mono)].tolist():
-                mono.append(MonotoneViolation(S[t].copy(), int(pair_i[t]), float(gain[t])))
-            for t in bad_sub[: _MAX_RECORDED - len(sub)].tolist():
-                i, j = int(pair_i[t]), int(pair_j[t])
-                sub.append(SubmodularViolation(S[t].copy(), i, j, float(diff[t])))
-        passed = mono_count == 0 and sub_count == 0
-        return StructureReport(
-            passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
-        )
+            mono_count += int(np.count_nonzero(gain < -STRUCT_TOL))
+            sub_count += int(np.count_nonzero(gain - (f_sij - f_sj) < -STRUCT_TOL))
+        return StructureReport(mono_count == sub_count == 0, trials, mono_count, sub_count)
 
     raise ValueError(f"unknown mode {mode!r}")

@@ -8,11 +8,32 @@ independent reference bit for bit.  Sums run left to right from 0.0 in item
 masks_from_words, mask_of, row_of and mask_hex convert between rows, int
 masks and hex the int way: the reference for pack, unpack and the hex pair.
 extension_vector decodes an extension answer item by item.
+KnotProfile is a concave profile other than the package's ramp, so that
+tests can hold the two-block evaluators to reading a profile only through
+value() and to_param_dict().
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from symgap.instances import TwoBlockValuation
-from symgap.setfn import ValuationOracle
+from symgap.setfn import ValuationOracle, from_hex
+
+
+@dataclass(frozen=True)
+class KnotProfile:
+    """Piecewise-linear profile through the knots (knots_t[i], knots_v[i]);
+    concave, increasing and normalized when the knots are."""
+
+    knots_t: tuple[float, ...]
+    knots_v: tuple[float, ...]
+
+    def value(self, t):
+        out = np.interp(np.asarray(t, dtype=float), self.knots_t, self.knots_v)
+        return float(out) if np.ndim(t) == 0 else out
+
+    def to_param_dict(self) -> dict:
+        return {"kind": "table", "knots_t": list(self.knots_t), "knots_v": list(self.knots_v)}
 
 
 def masks_from_words(words: np.ndarray) -> list[int]:
@@ -118,8 +139,13 @@ def _scaled(params, mask):
 
 
 def _two_block(descriptor, mask):
-    val = TwoBlockValuation.from_descriptor(descriptor)
     p = descriptor["params"]
+    if p["phi"]["kind"] == "table":
+        phi = KnotProfile(tuple(p["phi"]["knots_t"]), tuple(p["phi"]["knots_v"]))
+        m, lam = p["m"], p.get("lam", 1.0)
+        val = TwoBlockValuation(m, from_hex(p["A"], m), from_hex(p["B"], m), phi, p["beta"], lam)
+    else:
+        val = TwoBlockValuation.from_descriptor(descriptor)
     a, b = (mask & int(p["A"], 16)).bit_count(), (mask & int(p["B"], 16)).bit_count()
     return float(val.count_values()(a, b))
 

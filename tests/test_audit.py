@@ -22,7 +22,7 @@ from symgap.setfn import (
     word_count,
     words_from_bits,
 )
-from reference_oracles import extension_vector
+from reference_oracles import extension_vector, masks_from_words
 from symgap.instances import (
     AuctionInstance,
     CPPInstance,
@@ -240,6 +240,69 @@ class TestProbeClassifiesExtensions:
         assert ext["unbalanced_queries"] == rows["unbalanced_queries"] > 0
         assert ext["value_mean"] == rows["value_mean"]
         assert ext == rows
+
+
+class _QueryRecorder(CPPMechanism):
+    """Grows S along a random order.  At each step it asks the extensions of
+    S, and as packed rows S + j for the next three items of the order and
+    three random sets; it logs every query, one list per partition."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.log = []
+
+    def allocate(self, views, k, rng):
+        view, m = views[0], views[0].m
+        asked = []
+        self.log.append(asked)
+        order = rng.permutation(m)
+        for size in range(k):
+            words = pack(order[:size], m)
+            view.eval_extensions(words)
+            asked.append(("extensions", words))
+            rows = np.vstack([
+                singleton_words(m, order[size : size + 3]) | words,
+                words_from_bits(rng.random((3, m)) < rng.random()),
+            ])
+            view.eval_many(rows)
+            asked.append(("rows", rows))
+        return pack(order[:k], m)
+
+
+class TestProbeRecount:
+    """The probe's unbalanced-query count, recounted from a log of every
+    query: the bisection drawn again from each partition's seed, and every
+    row and every extension S + j classified one set at a time."""
+
+    @pytest.mark.parametrize("m, beta", [(40, 0.3), (130, 0.05)])
+    def test_unbalanced_queries_match_an_independent_recount(self, m, beta):
+        seed, partitions = 4, 3
+        recorder = _QueryRecorder()
+        report = symmetry_gap_experiment(
+            m=m, k=m // 2, n=2, beta=beta, phi=PhiAlpha(1.0),
+            mechanisms=[recorder], partitions=partitions, seed=seed,
+        )["mechanisms"][0]
+        half, asked_total = m // 2, 0
+        unbalanced = {"rows": 0, "extensions": 0}
+        children = np.random.SeedSequence(entropy=(seed, 0)).spawn(partitions)
+        for child, asked in zip(children, recorder.log, strict=True):
+            # the experiment's first draw from the child: shuffle, then split
+            perm = np.random.default_rng(child).permutation(m).tolist()
+            A, B = (sum(1 << j for j in perm[lo : lo + half]) for lo in (0, half))
+            for kind, words in asked:
+                if kind == "rows":
+                    masks = masks_from_words(words)
+                else:
+                    (S,) = masks_from_words(words[None])
+                    masks = [S | 1 << j for j in range(m) if not S >> j & 1]
+                asked_total += len(masks)
+                unbalanced[kind] += sum(
+                    abs((T & A).bit_count() - (T & B).bit_count()) / half > beta for T in masks
+                )
+        assert unbalanced["rows"] > 0 and unbalanced["extensions"] > 0
+        assert report["unbalanced_queries"] == unbalanced["rows"] + unbalanced["extensions"]
+        assert report["queries_total"] == asked_total
 
 
 @st.composite

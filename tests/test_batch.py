@@ -17,7 +17,6 @@ from symgap.extensions import multilinear_F
 from symgap.instances import (
     GRID_MAX_BLOCK,
     PhiAlpha,
-    PhiTable,
     TwoBlockValuation,
     make_symgap_valuation,
     psi,
@@ -44,6 +43,7 @@ from symgap.setfn import (
 )
 from reference_oracles import (
     KINDS,
+    KnotProfile,
     extension_vector,
     mask_of,
     masks_from_words,
@@ -57,7 +57,7 @@ PHIS = (
     PhiAlpha(0.3),
     PhiAlpha(0.5),
     PhiAlpha(1.0),
-    PhiTable((0.0, 0.25, 0.6, 1.0), (0.0, 0.5, 0.8, 1.0)),
+    KnotProfile((0.0, 0.25, 0.6, 1.0), (0.0, 0.5, 0.8, 1.0)),
 )
 BETAS = (0.0, 0.05, 0.1, 0.25)
 FALLBACK_KINDS = ("additive", "budget_additive", "coverage", "polar", "product", "scaled")
@@ -392,7 +392,7 @@ class TestAboveGridSize:
     """Blocks larger than GRID_MAX_BLOCK evaluate psi_tilde on the counts
     asked about instead of reading the count grid."""
 
-    @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.kind)
+    @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.to_param_dict()["kind"])
     def test_eval_and_eval_many_equal_psi_tilde_of_counts(self, phi):
         n, beta, rng = GRID_MAX_BLOCK + 76, 0.05, np.random.default_rng(11)
         m = 2 * n
@@ -529,7 +529,7 @@ class TestEvalExtensions:
         after = [p.query_count for p in parts + ref_parts]
         assert [b - a for a, b in zip(before, after)] == [outside] * len(after)
 
-    @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.kind)
+    @pytest.mark.parametrize("phi", (PHIS[1], PHIS[-1]), ids=lambda p: p.to_param_dict()["kind"])
     @pytest.mark.parametrize("n", (5, GRID_MAX_BLOCK + 3))
     def test_full_block_classes(self, phi, n):
         # S holds all of A, all of B or both; the full block's class is empty

@@ -3,9 +3,10 @@ tests/golden/ and compared byte for byte, so that even a one-ulp change in
 a float shows.  A mismatch lists its differing fields.  When a change
 alters report numbers on purpose, regenerate the files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-and say why in CHANGES.md.
+(the named goldens only, every golden when none is named; an unknown name
+exits 1) and say why in CHANGES.md.
 """
 import json
 import sys
@@ -37,6 +38,12 @@ CASES = {
     "bisect_uniformity_seed0.json": ["bisect-uniformity", "--trials", "500", "--seed", "0"],
     "greedy_ratio_seed0.json": ["greedy-ratio", "--seed", "0"],
     "poisson_midr_seed0.json": ["poisson-midr", "--seed", "0"],
+    # the blockwise solver: the one path that rebuilds a valuation, and its
+    # phi, from the oracle's descriptor
+    "poisson_midr_two_block_m40_seed0.json": [
+        "poisson-midr", "--family", "two_block_product", "--m", "40", "--k", "4",
+        "--seed", "0",
+    ],
     "vcg_audit_m4_seed0.json": ["vcg-audit", "--m", "4", "--deviations", "4", "--seed", "0"],
     # the benchmark's size: 21 declarations of 1000 replicated trials each
     "vcg_audit_m8_seed0.json": [
@@ -100,7 +107,11 @@ def test_json_diff_exact_fields():
 
 
 if __name__ == "__main__":
-    for name, args in CASES.items():
-        code = main(args + ["--out", str(GOLDEN / name)])
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden: {', '.join(unknown)}")
+    for name in names:
+        code = main(CASES[name] + ["--out", str(GOLDEN / name)])
         if code:
             sys.exit(code)

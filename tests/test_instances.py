@@ -5,6 +5,7 @@ of the defining formulas (inline in each test), independent of the package
 code paths under test.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from symgap.instances import (
     CPPInstance,
     CPPLevelParams,
     PhiAlpha,
-    PhiTable,
     TwoBlockValuation,
     _count_grid,
     expected_union_size,
@@ -68,20 +68,6 @@ class TestPhi:
             PhiAlpha(0.0)
         with pytest.raises(OracleContractError):
             PhiAlpha(1.5)
-
-    def test_phi_table_interpolates_concave_knots(self):
-        tab = PhiTable((0.0, 0.5, 1.0), (0.0, 0.8, 1.0))
-        assert tab.value(0.25) == pytest.approx(0.4)
-        assert tab.value(0.75) == pytest.approx(0.9)
-        assert tab.value(1.0) == pytest.approx(1.0)
-
-    def test_phi_table_rejects_nonconcave(self):
-        with pytest.raises(OracleContractError):
-            PhiTable((0.0, 0.5, 1.0), (0.0, 0.2, 1.0))  # convex kink
-
-    def test_phi_table_rejects_unnormalized(self):
-        with pytest.raises(OracleContractError):
-            PhiTable((0.0, 1.0), (0.1, 1.0))
 
 
 class TestPsi:
@@ -149,10 +135,42 @@ class TestPsiTilde:
             assert vec[i] == pytest.approx(psi_tilde(phi, 0.1, float(xs[i]), float(ys[i])))
 
 
+@dataclass(frozen=True)
+class ConvexRamp:
+    """A planted profile defect: phi(t) = t^2 is normalized and increasing
+    but convex, so psi on it is not submodular."""
+
+    def value(self, t):
+        return np.asarray(t, dtype=float) ** 2
+
+    def to_param_dict(self) -> dict:
+        return {"kind": "convex_ramp"}
+
+
 class TestTwoBlockValuation:
     def test_from_descriptor_rejects_other_kinds(self):
         with pytest.raises(GroundSetError):
             TwoBlockValuation.from_descriptor({"kind": "additive", "params": {}})
+
+    def test_from_descriptor_rejects_other_phi_kinds(self):
+        desc = two_block_product_instance(3, 0.5).descriptor()
+        assert TwoBlockValuation.from_descriptor(desc).phi == PhiAlpha(0.5)
+        desc["params"]["phi"] = {"kind": "table", "knots_t": [0.0, 1.0], "knots_v": [0.0, 1.0]}
+        with pytest.raises(ValueError, match="'table'"):
+            TwoBlockValuation.from_descriptor(desc)
+
+    @pytest.mark.parametrize("m", [4, 8, 10])
+    def test_planted_nonconcave_profile_fails_the_structure_check(self, m):
+        A, B = pack(range(0, m, 2), m), pack(range(1, m, 2), m)
+
+        def check(phi):
+            return check_monotone_submodular(TwoBlockValuation(m, A, B, phi, 0.0).oracle())
+
+        planted = check(ConvexRamp())
+        assert not planted.passed
+        assert planted.submodular_violation_count > 0 and planted.monotone_violation_count == 0
+        # the same blocks with the ramp profile pass
+        assert check(PhiAlpha(1.0)).passed
 
     def test_eval_depends_only_on_occupancies(self):
         A, B = pack([0, 1, 2], 8), pack([3, 4, 5], 8)

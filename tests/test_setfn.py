@@ -24,10 +24,8 @@ from symgap.setfn import (
     make_budget_additive,
     make_coverage,
     make_polar,
-    MonotoneViolation,
     scale_oracle,
     StructureReport,
-    SubmodularViolation,
     from_hex,
     pack,
     tabulate,
@@ -37,7 +35,6 @@ from symgap.setfn import (
 )
 from symgap.instances import (
     PhiAlpha,
-    PhiTable,
     TwoBlockValuation,
     make_symgap_valuation,
     two_block_product_instance,
@@ -286,33 +283,20 @@ class TestStructureCheck:
         assert rep.passed
         assert rep.checked > 0
 
-    def test_violation_records_are_bounded(self):
-        oracle = oracle_from_scalar(
-            8, lambda mask: float(mask.bit_count() ** 2), {"kind": "planted"}
-        )
-        rep = check_monotone_submodular(oracle)
-        assert len(rep.submodular_violations) <= 100
-        assert rep.submodular_violation_count >= len(rep.submodular_violations)
-
 
 def _reference_scan(oracle) -> StructureReport:
     """The exhaustive scan as a loop over items i and pairs i < j, one array
-    pass each, with the first 100 records of each kind in (i, S) and
-    (i, j, S) order."""
+    pass each."""
     m = oracle.m
     table = tabulate(oracle)
     masks = np.arange(1 << m, dtype=np.int64)
-    mono, sub = [], []
     mono_count = sub_count = checked = 0
     for i in range(m):
         bit_i = 1 << i
         no_i = masks[(masks & bit_i) == 0]
         gain_i = table[no_i | bit_i] - table[no_i]
         checked += no_i.size
-        bad = np.nonzero(gain_i < -STRUCT_TOL)[0]
-        mono_count += bad.size
-        for t in bad[: max(0, 100 - len(mono))]:
-            mono.append(MonotoneViolation(row_of(int(no_i[t]), m), i, float(gain_i[t])))
+        mono_count += np.nonzero(gain_i < -STRUCT_TOL)[0].size
         for j in range(i + 1, m):
             bit_j = 1 << j
             base = no_i[(no_i & bit_j) == 0]
@@ -320,14 +304,9 @@ def _reference_scan(oracle) -> StructureReport:
             rhs = table[base | bit_i | bit_j] - table[base | bit_j]
             diff = lhs - rhs
             checked += base.size
-            bad = np.nonzero(diff < -STRUCT_TOL)[0]
-            sub_count += bad.size
-            for t in bad[: max(0, 100 - len(sub))]:
-                sub.append(SubmodularViolation(row_of(int(base[t]), m), i, j, float(diff[t])))
+            sub_count += np.nonzero(diff < -STRUCT_TOL)[0].size
     passed = mono_count == 0 and sub_count == 0
-    return StructureReport(
-        passed, "exhaustive", m, checked, STRUCT_TOL, mono, sub, mono_count, sub_count
-    )
+    return StructureReport(passed, checked, mono_count, sub_count)
 
 
 def _planted(m: int, seed: int, noise: float) -> ValuationOracle:
@@ -354,7 +333,6 @@ class TestExhaustiveScanMatchesLoop:
     def test_planted_violations_are_found(self):
         rep = check_monotone_submodular(_planted(10, seed=10, noise=3.0))
         assert min(rep.monotone_violation_count, rep.submodular_violation_count) > 100
-        assert len(rep.monotone_violations) == len(rep.submodular_violations) == 100
         assert check_monotone_submodular(_planted(10, seed=10, noise=0.0)).passed
 
 
@@ -374,10 +352,8 @@ def _reference_triples(m: int, trials: int, rng: np.random.Generator):
 
 
 def _reference_sampled(oracle, trials: int, rng: np.random.Generator) -> StructureReport:
-    """The sampled check as a loop of four single queries per trial, with
-    the first 100 records of each kind in trial order."""
+    """The sampled check as a loop of four single queries per trial."""
     m = oracle.m
-    mono, sub = [], []
     mono_count = sub_count = 0
     ev = oracle.eval
     for mask, i, j in _reference_triples(m, trials, rng):
@@ -386,19 +362,13 @@ def _reference_sampled(oracle, trials: int, rng: np.random.Generator) -> Structu
         gain = f_si - f_s
         if gain < -STRUCT_TOL:
             mono_count += 1
-            if len(mono) < 100:
-                mono.append(MonotoneViolation(row_of(mask, m), i, gain))
         f_sj = ev(row_of(mask | (1 << j), m))
         f_sij = ev(row_of(mask | (1 << i) | (1 << j), m))
         diff = gain - (f_sij - f_sj)
         if diff < -STRUCT_TOL:
             sub_count += 1
-            if len(sub) < 100:
-                sub.append(SubmodularViolation(row_of(mask, m), i, j, diff))
     passed = mono_count == 0 and sub_count == 0
-    return StructureReport(
-        passed, "sampled", m, trials, STRUCT_TOL, mono, sub, mono_count, sub_count
-    )
+    return StructureReport(passed, trials, mono_count, sub_count)
 
 
 SAMPLED_CASES = {
@@ -414,7 +384,7 @@ SAMPLED_CASES = {
 
 
 class TestSampledCheckMatchesLoop:
-    # blocks of 7 words: many blocks, some holding recorded violations
+    # blocks of 7 words: many blocks, some holding violations
     @pytest.mark.parametrize("block_words", [setfn.ROW_BLOCK_WORDS, 7])
     @pytest.mark.parametrize("trials", [0, 1, 3000])
     @pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
@@ -432,7 +402,7 @@ class TestSampledCheckMatchesLoop:
         rep = check_monotone_submodular(
             SAMPLED_CASES["square_m70"](), mode="sampled", trials=300
         )
-        assert rep.submodular_violation_count > 100 and len(rep.submodular_violations) == 100
+        assert rep.submodular_violation_count > 100
         assert rep.monotone_violation_count == 0
 
     @pytest.mark.parametrize("m", [0, 1])
@@ -484,7 +454,7 @@ class TestDescriptor:
             ),
             lambda: make_symgap_valuation(
                 4, pack([0, 3], 4), pack([1, 2], 4),
-                PhiTable((0.0, 0.5, 1.0), (0.0, 0.8, 1.0)), 0.25, 0.6,
+                PhiAlpha(0.3), 0.25, 0.6,
             ).oracle(),
             lambda: two_block_product_instance(3, 0.5).oracle(),
         ],
