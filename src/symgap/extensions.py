@@ -27,15 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .setfn import GroundSetError, tabulate, words_from_bits
+from .setfn import GroundSetError, block_rows, tabulate, words_from_bits
 from .instances import GRID_MAX_BLOCK, TwoBlockValuation
 from .instances import _count_grid as _cached_count_grid  # perfbench reads its cache_info
 
 _PMF_TAIL = 1e-16
 # a midpoint slack below -_CONCAVITY_TOL is a concavity violation
 _CONCAVITY_TOL = 1e-9
-# points per exact_F_blockwise contraction: two (chunk, n+1) pmf matrices
-_BLOCKWISE_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,10 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     Exact binomial convolution: F = sum_a sum_b Bin(|A|, xA)(a) Bin(|B|, xB)(b)
     * value(a, b).  xA and xB are scalars or broadcastable arrays; a scalar
     pair gives a float, arrays give an array of their broadcast shape.  Small
-    blocks contract _BLOCKWISE_CHUNK points at a time against the shared
-    count grid; large blocks map only the counts in each point's retained
-    pmf windows to values.
+    blocks contract the points against the shared count grid a block at a
+    time, sized by setfn.block_rows to one (n+1)-float pmf row per point;
+    large blocks map only the counts in each point's retained pmf windows
+    to values.
     """
     xA, xB = np.broadcast_arrays(np.asarray(xA, dtype=float), np.asarray(xB, dtype=float))
     if not (((0.0 <= xA) & (xA <= 1.0)) & ((0.0 <= xB) & (xB <= 1.0))).all():
@@ -142,8 +141,9 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     if n <= GRID_MAX_BLOCK:
         grid = block_val.count_grid()
         ks = np.arange(n + 1)
-        for lo in range(0, out.size, _BLOCKWISE_CHUNK):
-            hi = lo + _BLOCKWISE_CHUNK
+        step = block_rows(8 * (n + 1))
+        for lo in range(0, out.size, step):
+            hi = lo + step
             PA = binom.pmf(ks, n, pa[lo:hi, None])
             PB = binom.pmf(ks, n, pb[lo:hi, None])
             out[lo:hi] = ((PA @ grid) * PB).sum(1)
@@ -186,15 +186,19 @@ def multilinear_F(oracle, x, samples: int = 100_000, seed: int = 0) -> EstimateR
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     acc_sum = 0.0
     acc_sq = 0.0
-    for done in range(0, samples, 1 << 11):
-        bits = rng.random((min(samples - done, 1 << 11), m)) < x
-        # running sums in sample order, not mean_stderr: the result equals a
-        # scalar loop's bit for bit (test_monte_carlo_matches_scalar_accumulation),
-        # and no per-sample array (1.6 MB at 200,000 samples) is added to a
-        # gap955 run, whose peak RSS (about 47 MB) is hidden_partition's
-        for v in oracle.eval_many(words_from_bits(bits)).tolist():
-            acc_sum += v
-            acc_sq += v * v
+    # one float draw per item and sample, a block of samples at a time; the
+    # stream is consumed in sample order whatever the block size
+    step = block_rows(8 * m)
+    for done in range(0, samples, step):
+        bits = rng.random((min(samples - done, step), m)) < x
+        values = oracle.eval_many(words_from_bits(bits))
+        # running sums in sample order, not mean_stderr: cumsum adds left to
+        # right, so the result equals a scalar loop's bit for bit
+        # (test_monte_carlo_matches_scalar_accumulation), and no per-sample
+        # array (1.6 MB at 200,000 samples) is added to a gap955 run, whose
+        # peak RSS (about 41 MB) is hidden_partition's
+        acc_sum = float(np.cumsum(np.append(acc_sum, values))[-1])
+        acc_sq = float(np.cumsum(np.append(acc_sq, values * values))[-1])
     mean = acc_sum / samples
     var = max(0.0, (acc_sq - samples * mean * mean) / (samples - 1))
     return EstimateResult(mean, math.sqrt(var / samples), "monte_carlo", samples, seed)

@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .setfn import (
-    ROW_BLOCK_WORDS,
+    WORD_BITS,
     GroundSetError,
     OracleView,
+    block_rows,
     pack,
     random_subset,
     singleton_words,
@@ -452,13 +453,17 @@ class BalancedPrefixCPP(CPPMechanism):
         total = sum(v.eval_many(full) for v in views)[0]
         # prefix t + 1 is row t; the rows are built and asked a block at a
         # time, so that at m = 160,000 they never all sit in memory at once
-        step = max(1, ROW_BLOCK_WORDS // max(1, width))
+        step = block_rows(8 * width)
         values = np.empty(k)
         last = np.zeros(width, dtype=np.uint64)
         for lo in range(0, k, step):
-            rows = singleton_words(m, perm[lo : lo + step])
-            rows[0] |= last
-            np.bitwise_or.accumulate(rows, axis=0, out=rows)
+            items = perm[lo : lo + step]
+            # each row adds one item to the row before it: a running OR down
+            # the block, taken only in the words that its items fall in
+            touched = np.unique(items // WORD_BITS)
+            added = np.bitwise_or.accumulate(singleton_words(m, items)[:, touched], axis=0)
+            rows = np.repeat(last[None], len(items), axis=0)
+            rows[:, touched] |= added
             last = rows[-1]
             values[lo : lo + step] = sum(v.eval_many(rows) for v in views)
         reached = np.flatnonzero(values >= _PREFIX_SHARE * total)

@@ -27,14 +27,23 @@ STRUCT_TOL = 1e-9
 EXHAUSTIVE_MAX_M = 24
 WORD_BITS = 64
 # rows per batch-function call: bounds the (rows, m) and (rows, u) temporaries
-# the families build, e.g. at tabulate's 2^24 rows
+# the families build, e.g. at tabulate's 2^24 rows.  A row cap, not a byte
+# budget: those temporaries differ in width by family, and BLOCK_BYTES over
+# 8 * (m + 1) would hand a two-block fn_many one row per call at m = 160,000
 _EVAL_CHUNK = 1 << 14
 # ground sets whose singleton rows fit in this many words share one cached
 # table: the 32 cached tables pin at most 16 MB
 _SINGLETON_TABLE_WORDS = 1 << 16
-# rows that a caller packs itself (sampled triples, balanced prefixes) are
-# built and asked in blocks of at most this many words (8 MB) per array
-ROW_BLOCK_WORDS = 1 << 20
+# bytes per array of a block that a caller builds itself (sampled triples,
+# balanced prefixes, blockwise pmf matrices, Monte Carlo draws): 1 MiB, half
+# of a 2 MiB L2 cache
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block when one row of the block's largest array takes
+    row_bytes bytes: BLOCK_BYTES // row_bytes, and at least one."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 class GroundSetError(ValueError):
@@ -184,7 +193,10 @@ class ValuationOracle:
     in groups[g], bit for bit what eval_many gives on the row S + j.  By
     default it builds those rows, _EVAL_CHUNK at a time, for fn_many, and
     answers one group per free item in increasing item order; product and
-    scaled oracles pass the rows on to their components.  An oracle may pass
+    scaled oracles pass the rows on to their components.  A wrapper names
+    its components, and every query counted on it, a row or an extension,
+    is counted on each of them too; its fn_many evaluates them uncounted, so
+    building it (the f(empty) check) asks them nothing.  An oracle may pass
     fn_extensions(words) to answer with the level sets of j -> f(S + j)
     instead (two-block valuations answer from the occupancy counts of S).
     Either shape tells a caller the m - |S| values and nothing more, and
@@ -195,7 +207,9 @@ class ValuationOracle:
     restricted_view()).
     """
 
-    __slots__ = ("m", "descriptor", "_fn_many", "_fn_extensions", "_count", "_lock")
+    __slots__ = (
+        "m", "descriptor", "_fn_many", "_fn_extensions", "_components", "_count", "_lock"
+    )
 
     def __init__(
         self,
@@ -203,10 +217,12 @@ class ValuationOracle:
         fn_many: Callable[[np.ndarray], np.ndarray],
         descriptor: dict,
         fn_extensions: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+        components: tuple["ValuationOracle", ...] = (),
     ):
         self.m = m
         self._fn_many = fn_many
         self._fn_extensions = fn_extensions
+        self._components = components
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
@@ -223,11 +239,21 @@ class ValuationOracle:
         uint64 array; counts `batch` queries."""
         return self._query(as_rows(words, self.m))
 
-    def _query(self, words: np.ndarray) -> np.ndarray:
-        """eval_many on rows already checked against this ground set: product
-        and scaled oracles forward their rows here, not to eval_many."""
+    def _add_queries(self, n: int) -> None:
+        """Count n queries here and on every component, recursively."""
         with self._lock:
-            self._count += len(words)
+            self._count += n
+        for f in self._components:
+            f._add_queries(n)
+
+    def _query(self, words: np.ndarray) -> np.ndarray:
+        """eval_many on rows already checked against this ground set."""
+        self._add_queries(len(words))
+        return self._evaluate(words)
+
+    def _evaluate(self, words: np.ndarray) -> np.ndarray:
+        """The values of checked rows, counted nowhere: product and scaled
+        oracles evaluate their components here."""
         if len(words) <= _EVAL_CHUNK:
             return self._fn_many(words)
         out = np.empty(len(words))
@@ -241,8 +267,7 @@ class ValuationOracle:
         word_count(m) uint64 words: f(S + j) = values[g] for every item j of
         the packed row groups[g].  Counts m - |S| queries."""
         words = as_rows(words, self.m, ndim=1)
-        with self._lock:
-            self._count += self.m - int(np.bitwise_count(words).sum())
+        self._add_queries(self.m - int(np.bitwise_count(words).sum()))
         if self._fn_extensions is not None:
             return self._fn_extensions(words)
         # one group {j} per free item; the rows S + j evaluated _EVAL_CHUNK
@@ -394,21 +419,21 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     m = f1.m
     full = pack(range(m), m)[None]
     for f in (f1, f2):
-        top = float(f._fn_many(full)[0])
+        top = float(f._evaluate(full)[0])
         if top > 1.0 + 1e-12 or top < -1e-12:
             raise OracleContractError(
                 f"component range outside [0, 1]: f(full) = {top!r}"
             )
 
     def fn_many(words: np.ndarray) -> np.ndarray:
-        return 1.0 - (1.0 - f1._query(words)) * (1.0 - f2._query(words))
+        return 1.0 - (1.0 - f1._evaluate(words)) * (1.0 - f2._evaluate(words))
 
     desc = {
         "kind": "product",
         "params": {"components": [f1.descriptor, f2.descriptor]},
         "seed": None,
     }
-    return ValuationOracle(m, fn_many, desc)
+    return ValuationOracle(m, fn_many, desc, components=(f1, f2))
 
 
 def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
@@ -417,10 +442,10 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
         raise OracleContractError("scale factor must be nonnegative")
 
     def fn_many(words: np.ndarray) -> np.ndarray:
-        return lam * f._query(words)
+        return lam * f._evaluate(words)
 
     desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}, "seed": None}
-    return ValuationOracle(f.m, fn_many, desc)
+    return ValuationOracle(f.m, fn_many, desc, components=(f,))
 
 
 def tabulate(oracle) -> np.ndarray:
@@ -505,7 +530,7 @@ def check_monotone_submodular(
         # triples do not depend on the block size; the bits from m up cleared
         width = word_count(m)
         below_m = np.uint64((1 << (m - 1) % WORD_BITS + 1) - 1)
-        step = max(1, ROW_BLOCK_WORDS // width)
+        step = block_rows(8 * width)
         for lo in range(0, trials, step):
             pair_i, pair_j = items_i[lo : lo + step], items_j[lo : lo + step]
             bit_i, bit_j = singleton_words(m, pair_i), singleton_words(m, pair_j)

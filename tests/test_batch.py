@@ -203,6 +203,21 @@ class TestEvalMany:
         after = (prod.query_count, f1.query_count, f2.query_count)
         assert [b - a for a, b in zip(before, after)] == [9, 9, 9]
 
+    def test_building_wrappers_asks_their_components_nothing(self):
+        """The f(empty) check of a wrapper counts nowhere; afterwards each
+        query counted on a wrapper is counted once on every component,
+        through nested wrappers too."""
+        rng = np.random.default_rng(3)
+        f1 = make_additive([0.01] * 65)
+        f2 = make_budget_additive([0.2] * 65, 1.0)
+        scaled = scale_oracle(f1, 0.5)
+        prod = compose_product(scaled, f2)
+        parts = (prod, scaled, f1, f2)
+        assert [f.query_count for f in parts] == [0, 0, 0, 0]
+        prod.eval_many(_random_rows(65, rng, batch=9))
+        prod.eval_extensions(pack([0, 64], 65))
+        assert [f.query_count for f in parts] == [9 + 63] * 4
+
     @pytest.mark.parametrize("batch", (5, 10, 13))
     @pytest.mark.parametrize("m", (5, 65))
     @pytest.mark.parametrize("kind", ("two_block",) + FALLBACK_KINDS)
@@ -759,9 +774,13 @@ def test_phi_alpha_array_path_is_clip(alpha):
     assert PhiAlpha(alpha).value(t).tobytes() == np.clip(t / alpha, 0.0, 1.0).tobytes()
 
 
-def test_monte_carlo_matches_scalar_accumulation():
+# one sample a block, and the default budget (1008 samples a block at m = 130)
+@pytest.mark.parametrize("block_bytes", [1, setfn.BLOCK_BYTES])
+def test_monte_carlo_matches_scalar_accumulation(monkeypatch, block_bytes):
     """The batched estimator draws the same sets as the scalar loop it
-    replaces and sums their values in the same order."""
+    replaces and sums their values in the same order, whatever the block
+    size."""
+    monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
     m, samples, seed = 130, 3000, 5
     val = _two_block(m, PhiAlpha(0.5), 0.1, np.random.default_rng(1))
     x = np.random.default_rng(2).uniform(0.0, 1.0, m)

@@ -7,11 +7,13 @@ Monte-Carlo sampling.
 """
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from symgap import setfn
 from symgap.setfn import (
     GroundSetError, make_additive, make_budget_additive, pack, scale_oracle, tabulate,
 )
@@ -247,13 +249,40 @@ class TestBlockwise:
             exp_scalar = [f_exp_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
             np.testing.assert_allclose(exp_batch, exp_scalar, rtol=1e-14, atol=0)
 
-    def test_batch_spans_several_chunks(self):
+    # one point a block, 700 points (8 blocks), and the default budget (one
+    # block of 14,563 points at n = 8).  The pmf rows do not depend on the
+    # block, but BLAS rounds the (block, n+1) @ (n+1, n+1) contraction by its
+    # shape, so the values agree to 1e-14 rather than bit for bit.
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 9 * 700, setfn.BLOCK_BYTES])
+    def test_batch_spans_several_chunks(self, monkeypatch, block_bytes):
         val = two_block_product_instance(8, 0.5)
         rng = np.random.default_rng(3)
         xA, xB = rng.uniform(0, 1, (2, 5000))
-        batch = exact_F_blockwise(val, xA, xB)
         scalar = [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
+        monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
+        batch = exact_F_blockwise(val, xA, xB)
         np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+
+    def test_float_blocks_stay_within_the_budget(self):
+        """The float temporaries of a blockwise contraction and of a Monte
+        Carlo draw are built a block of setfn.BLOCK_BYTES at a time: 30,000
+        points at n = 200 and 600 samples at m = 4,000 each peak under six
+        blocks, whatever the number of points or samples."""
+        val = two_block_product_instance(200, 0.5)
+        xA, xB = np.random.default_rng(3).uniform(0, 1, (2, 30_000))
+        oracle = two_block_product_instance(2000, 0.5).oracle()
+        x = np.full(oracle.m, 0.5)
+        for call in (
+            lambda: exact_F_blockwise(val, xA, xB),
+            lambda: multilinear_F(oracle, x, 600, seed=1),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * setfn.BLOCK_BYTES
 
     @pytest.mark.parametrize("n", [8, 1100])
     def test_out_of_range_element_anywhere_raises(self, n):

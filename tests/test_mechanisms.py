@@ -5,6 +5,7 @@ enumeration over outcomes, not by the module's own search code.
 """
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from symgap.instances import (
     two_block_product_instance,
 )
 from reference_oracles import mask_of, masks_from_words, row_of
-from symgap import mechanisms
+from symgap import mechanisms, setfn
 from symgap.mechanisms import (
     GAIN_TOL,
     BalancedPrefixCPP,
@@ -396,15 +397,16 @@ class TestHarness:
         runs = run_trials(BalancedPrefixCPP(), inst, trials=10, seed=2)
         assert all(mask.bit_count() <= 3 for mask in self._masks(runs))
 
-    @pytest.mark.parametrize("block_words", [mechanisms.ROW_BLOCK_WORDS, 1, 3])
+    # blocks of 1 and 3 words (8 and 24 bytes): one and three prefixes a block
+    @pytest.mark.parametrize("block_bytes", [setfn.BLOCK_BYTES, 8 * 1, 8 * 3])
     @pytest.mark.parametrize("k", [10, 3])
     def test_balanced_prefix_stops_at_the_first_prefix_reaching_the_share(
-        self, monkeypatch, k, block_words
+        self, monkeypatch, k, block_bytes
     ):
         # item 5 holds most of the value, and the prefix one item past it is
         # the first to reach the share: 4.37 of 4.79 against 4.30 for the
         # prefix that ends at it.  At k = 3 no prefix reaches it.
-        monkeypatch.setattr(mechanisms, "ROW_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
         m, seed = 12, 0
         w = [0.05] * m
         w[5] = 4.0
@@ -417,6 +419,23 @@ class TestHarness:
         assert unpack(S, m).tolist() == sorted(perm[: 6 if k == 10 else k])
         # the full set and every prefix up to k, early stop or not
         assert [o.query_count for o in oracles] == [k + 1, k + 1]
+
+    # m = 200 packs a row in 4 words: blocks of 1 and 5 rows, and one block
+    @pytest.mark.parametrize("block_bytes", [8 * 4, 8 * 4 * 5, setfn.BLOCK_BYTES])
+    def test_balanced_prefix_asks_every_prefix_across_words(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
+        m, k, seed = 200, 150, 4
+        oracle, asked = make_additive([1.0] * m), []
+
+        def record(words):
+            asked.append(words.copy())
+            return oracle.eval_many(words)
+
+        view = SimpleNamespace(m=m, eval_many=record)
+        BalancedPrefixCPP().allocate((view,), k, np.random.default_rng(seed))
+        perm = np.random.default_rng(seed).permutation(m)
+        expected = np.stack([pack(range(m), m)] + [pack(perm[: t + 1], m) for t in range(k)])
+        assert np.concatenate(asked).tobytes() == expected.tobytes()
 
     def test_distribution_mechanism_through_harness(self):
         w = [0.5, 0.4, 0.3, 0.2]

@@ -7,6 +7,8 @@ by calling the code under test twice.
 import json
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +117,31 @@ class TestValuationOracle:
         assert oracle.query_count == base + 2
         oracle.restricted_view().eval(pack([1], 2))  # a view's queries count on the oracle
         assert oracle.query_count == base + 3
+
+    def test_wrapper_counts_stay_exact_under_threads(self):
+        # more threads than cores, switching often: a lost update on any
+        # counter of the wrapper tree would show in the totals
+        f1, f2 = make_additive([0.01] * 70), make_budget_additive([0.2] * 70, 1.0)
+        prod = compose_product(scale_oracle(f1, 0.5), f2)
+        rows = np.zeros((3, word_count(70)), dtype=np.uint64)
+
+        def ask():
+            for _ in range(300):
+                prod.eval_many(rows)
+                prod.eval_extensions(rows[0])
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [f.query_count for f in (prod, f1, f2)] == [8 * 300 * (3 + 70)] * 3
 
     def test_normalization_enforced(self):
         with pytest.raises(OracleContractError):
@@ -384,12 +411,12 @@ SAMPLED_CASES = {
 
 
 class TestSampledCheckMatchesLoop:
-    # blocks of 7 words: many blocks, some holding violations
-    @pytest.mark.parametrize("block_words", [setfn.ROW_BLOCK_WORDS, 7])
+    # blocks of 7 words (56 bytes): many blocks, some holding violations
+    @pytest.mark.parametrize("block_bytes", [setfn.BLOCK_BYTES, 8 * 7])
     @pytest.mark.parametrize("trials", [0, 1, 3000])
     @pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
-    def test_report_is_identical(self, monkeypatch, case, trials, block_words):
-        monkeypatch.setattr(setfn, "ROW_BLOCK_WORDS", block_words)
+    def test_report_is_identical(self, monkeypatch, case, trials, block_bytes):
+        monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
         oracle, ref_oracle = SAMPLED_CASES[case](), SAMPLED_CASES[case]()
         got = check_monotone_submodular(
             oracle, mode="sampled", trials=trials, rng=np.random.default_rng(trials)
