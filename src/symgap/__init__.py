@@ -60,7 +60,6 @@ from .mechanisms import (
     NonConcaveClassError,
     Outcome,
     PayYourBidGreedyAuction,
-    PoissonMIDRCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
     exhaustive_opt_cpp,

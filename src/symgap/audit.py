@@ -24,7 +24,7 @@ from .instances import (
     sample_bisection_sequence,
 )
 from .extensions import mean_stderr
-from .mechanisms import DistributionOverOutcomes, run_trials
+from .mechanisms import run_trials
 
 SIGMA_GATE = 4.0
 ABS_GUARD = 1e-9
@@ -230,8 +230,6 @@ def symmetry_gap_experiment(
             value_of = valuation.count_values()
             probe = valuation.oracle(tally)
             R = mech.allocate((probe.restricted_view(),), k, rng)
-            if isinstance(R, DistributionOverOutcomes):
-                R = R.sample(rng)
             value = float(value_of(*intersection_sizes(blocks, R)))
             X = int(np.bitwise_count(R).sum()) / m
             ceiling = 1.0 - (1.0 - float(phi.value(X))) ** 2 + slack

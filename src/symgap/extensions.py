@@ -113,8 +113,6 @@ def _pmf_window(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Binomial pmf restricted to indices carrying all but ~1e-16 of the mass."""
     ks = np.arange(n + 1)
     pmf = binom.pmf(ks, n, p)
-    if n <= GRID_MAX_BLOCK:
-        return ks, pmf
     keep = np.nonzero(pmf > _PMF_TAIL / (n + 1))[0]
     lo, hi = int(keep[0]), int(keep[-1]) + 1
     return ks[lo:hi], pmf[lo:hi]

@@ -233,10 +233,9 @@ def vcg_auction_exhaustive(oracles: Sequence) -> Outcome:
 @dataclass(frozen=True)
 class DistributionOverOutcomes:
     """Product rounding: item j enters the outcome independently with
-    probability marginals[j] = 1 - e^{-x[j]}."""
+    probability marginals[j]."""
 
     marginals: tuple[float, ...]
-    x: tuple[float, ...]
 
     @property
     def m(self) -> int:
@@ -287,7 +286,6 @@ class MIDRResult:
     distribution: DistributionOverOutcomes
     iterations: int
     heuristic: bool
-    objective_mode: str
 
 
 def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
@@ -320,7 +318,6 @@ def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
         weights = np.ones(m)
         expand: Callable[[np.ndarray], np.ndarray] = lambda z: z
         objective = g_full
-        mode = "exact_enum"
     else:
         kind = desc.get("kind") if desc else None
         if kind not in ("symgap", "two_block_product"):
@@ -340,8 +337,6 @@ def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
 
         def objective(z: np.ndarray) -> float:
             return f_exp_blockwise(bv, float(z[0]), float(z[1]))
-
-        mode = "exact_blockwise"
 
     z = _project_box_budget(np.full(dim, k / float(weights.sum())), weights, float(k))
     val = objective(z)
@@ -380,17 +375,15 @@ def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
         else:
             stall = 0
     x_star = expand(z)
-    marginals = tuple(float(v) for v in 1.0 - np.exp(-x_star))
-    dist = DistributionOverOutcomes(marginals, tuple(float(v) for v in x_star))
+    dist = DistributionOverOutcomes(tuple(float(v) for v in 1.0 - np.exp(-x_star)))
     return MIDRResult(
-        tuple(float(v) for v in x_star), float(val), dist, iterations, not concave, mode
+        tuple(float(v) for v in x_star), float(val), dist, iterations, not concave
     )
 
 
 class CPPMechanism(ABC):
-    """Public-project mechanism.  Query-bounded mechanisms see OracleViews
-    only; direct-revelation mechanisms (needs_descriptor = True) receive the
-    declared oracles themselves, descriptors included."""
+    """Public-project mechanism: from OracleViews of the declared
+    valuations, one set that every player gets."""
 
     name: str = "cpp"
     # True promises that allocate draws nothing from `rng` (its bit-generator
@@ -398,13 +391,12 @@ class CPPMechanism(ABC):
     # counts, for equal declarations.  run_trials then calls allocate once per
     # declaration and replicates the outcome across trials.
     deterministic: bool = False
-    needs_descriptor: bool = False
 
     @abstractmethod
     def allocate(
         self, views: Sequence[OracleView], k: int, rng: np.random.Generator
-    ) -> np.ndarray | DistributionOverOutcomes:
-        """A packed row of at most k items, or a distribution over them."""
+    ) -> np.ndarray:
+        """A packed row of at most k items."""
         ...
 
 
@@ -471,23 +463,6 @@ class BalancedPrefixCPP(CPPMechanism):
         return pack(perm[:size], m)
 
 
-class PoissonMIDRCPP(CPPMechanism):
-    """Distribution-valued direct-revelation mechanism: product-rounding
-    lottery of the fractional optimizer over the declared valuation."""
-
-    name = "poisson_midr"
-    deterministic = True
-    needs_descriptor = True
-
-    def __init__(self, force: bool = False):
-        self.force = force
-
-    def allocate(self, oracles, k, rng):
-        if len(oracles) != 1:
-            raise GroundSetError("rounding solver is single-oracle")
-        return poisson_midr_cpp(oracles[0], k, force=self.force).distribution
-
-
 class VCGExhaustiveAuction(AuctionMechanism):
     name = "vcg"
     deterministic = True
@@ -533,8 +508,8 @@ class TrialColumns:
     """The seeded trials of a mechanism on one declared instance, packed.
 
     words[t, i] packs player i's bundle in trial t (a public project gives
-    every player its one set, and a distribution is sampled with the trial's
-    own rng); payments[t, i] is its payment (0.0 in a public project)."""
+    every player its one set); payments[t, i] is its payment (0.0 in a
+    public project)."""
 
     words: np.ndarray
     payments: np.ndarray
@@ -543,56 +518,32 @@ class TrialColumns:
 def run_trials(mech, instance, trials: int, seed: int | tuple[int, ...]) -> TrialColumns:
     """Run a mechanism `trials` times on one declared instance.
 
-    Trial t uses the t-th child of SeedSequence(seed); `seed` may be an int or
-    an entropy tuple.  A mechanism with `deterministic = True` is allocated
-    once, and its result is reused for every trial; a distribution result is
-    still sampled with each trial's own rng, so the streams equal those of
-    re-running it.  A replayed trial builds no Python object unless it
-    samples a distribution.  An infeasible result raises
-    InfeasibleOutcomeError.
+    The mechanism sees OracleViews of the declared oracles, never the oracles
+    themselves.  Trial t uses the t-th child of SeedSequence(seed); `seed`
+    may be an int or an entropy tuple.  A mechanism with `deterministic =
+    True` is allocated once, with child 0, and its outcome is repeated for
+    every trial, the rows that re-running it would give.  A public project
+    of more than k items raises InfeasibleOutcomeError.
     """
     oracles = instance.oracles
-    if getattr(mech, "needs_descriptor", False):
-        views = oracles
-    else:
-        views = tuple(o.restricted_view() for o in oracles)
+    views = tuple(o.restricted_view() for o in oracles)
     n, width = len(oracles), word_count(oracles[0].m)
     head = (views, instance.k) if isinstance(instance, CPPInstance) else (views,)
-    replicate = getattr(mech, "deterministic", False)
+    calls = min(trials, 1) if getattr(mech, "deterministic", False) else trials
     root = np.random.SeedSequence(seed)
-    # n bundles and n payments per allocate call, then one index per trial
-    bundles: list[np.ndarray] = []
-    pays: list[tuple[float, ...]] = []
-    drawn: list[bool] = []  # whether each call returned a distribution
-    samples: list[np.ndarray] = []  # rows drawn from distributions, in trial order
-    index = np.zeros(trials, dtype=np.intp)
-    res = None
-    for t in range(trials):
-        replay = replicate and t > 0
-        if replay and not drawn[-1]:
-            break  # every later trial replays row 0 too
+    words = np.empty((calls, n, width), dtype=np.uint64)
+    payments = np.zeros((calls, n))
+    for t in range(calls):
         # child t of root.spawn(trials)
         rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
-        if not replay:
-            res = mech.allocate(*head, rng)
-            is_dist = isinstance(res, DistributionOverOutcomes)
-            if isinstance(res, Outcome):  # whose bundles are disjoint by construction
-                bundles.append(res.sets)
-                pays.append(res.payments)
-            else:  # a project of at most k items, in expectation for a distribution
-                size = sum(res.x) if is_dist else int(np.bitwise_count(res).sum())
-                if size > instance.k + 1e-9:
-                    raise InfeasibleOutcomeError(f"outcome of size {size} exceeds k = {instance.k}")
-                # a distribution's rows are filled from its samples below
-                row = np.zeros(width, np.uint64) if is_dist else res
-                bundles.append(np.broadcast_to(row, (n, width)))
-                pays.append((0.0,) * n)
-            drawn.append(is_dist)
-        index[t] = len(pays) - 1
-        if drawn[-1]:
-            samples.append(res.sample(rng))
-    words = np.array(bundles, dtype=np.uint64).reshape(len(pays), n, width)[index]
-    payments = np.array(pays, dtype=float).reshape(len(pays), n)[index]
-    if samples:
-        words[np.array(drawn)[index]] = np.stack(samples)[:, None, :]
+        res = mech.allocate(*head, rng)
+        if isinstance(res, Outcome):  # whose bundles are disjoint by construction
+            words[t], payments[t] = res.sets, res.payments
+        else:  # one project of at most k items for every player
+            size = int(np.bitwise_count(res).sum())
+            if size > instance.k:
+                raise InfeasibleOutcomeError(f"outcome of size {size} exceeds k = {instance.k}")
+            words[t] = res
+    if calls != trials:  # one deterministic outcome, repeated for every trial
+        words, payments = words.repeat(trials, axis=0), payments.repeat(trials, axis=0)
     return TrialColumns(words, payments)

@@ -191,7 +191,7 @@ class ValuationOracle:
     groups is a (G, word_count(m)) uint64 array of disjoint packed rows that
     together cover the items outside S, and f(S + j) = values[g] for every j
     in groups[g], bit for bit what eval_many gives on the row S + j.  By
-    default it builds those rows, _EVAL_CHUNK at a time, for fn_many, and
+    default it builds those rows, evaluates them as eval_many does, and
     answers one group per free item in increasing item order; product and
     scaled oracles pass the rows on to their components.  A wrapper names
     its components, and every query counted on it, a row or an extension,
@@ -270,14 +270,10 @@ class ValuationOracle:
         self._add_queries(self.m - int(np.bitwise_count(words).sum()))
         if self._fn_extensions is not None:
             return self._fn_extensions(words)
-        # one group {j} per free item; the rows S + j evaluated _EVAL_CHUNK
-        # at a time
+        # one group {j} per free item, asked as the rows S + j
         free = np.flatnonzero(~bits_from_words(words[None], self.m)[0])
         groups = _singleton_rows(free, self.m)
-        values = np.empty(len(groups))
-        for lo in range(0, len(groups), _EVAL_CHUNK):
-            values[lo : lo + _EVAL_CHUNK] = self._fn_many(groups[lo : lo + _EVAL_CHUNK] | words)
-        return values, groups
+        return self._evaluate(groups | words), groups
 
     @property
     def query_count(self) -> int:

@@ -32,7 +32,6 @@ from symgap.instances import (
 from symgap.extensions import mean_stderr
 from symgap.mechanisms import (
     CPPMechanism,
-    DistributionOverOutcomes,
     GreedyCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
@@ -642,14 +641,10 @@ class TestExactLaws:
 
 
 def _cpp_closure(mech, k):
-    """Public-project mechanism as declared oracle -> sampled packed row."""
+    """Public-project mechanism as declared oracle -> packed row."""
 
     def closure(declared, rng):
-        views = (declared,) if getattr(mech, "needs_descriptor", False) else (
-            declared.restricted_view(),
-        )
-        res = mech.allocate(views, k, rng)
-        return res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
+        return mech.allocate((declared.restricted_view(),), k, rng)
 
     return closure
 

@@ -29,8 +29,6 @@ SOURCES = [
 MODULES = {"symgap"} | {
     name for name, value in vars(symgap).items() if inspect.ismodule(value)
 }
-# kept with no caller: ROADMAP item 7 builds the audited n-player mechanism on it
-UNREFERENCED_EXPORTS = {"PoissonMIDRCPP"}
 
 
 def test_demos_found():
@@ -103,7 +101,7 @@ def _unreferenced_exports() -> list[str]:
 
 
 def test_every_export_is_referenced():
-    dead = sorted(set(_unreferenced_exports()) - UNREFERENCED_EXPORTS)
+    dead = _unreferenced_exports()
     assert not dead, f"exported, but nothing refers to: {', '.join(dead)}"
 
 

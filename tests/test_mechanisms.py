@@ -33,13 +33,11 @@ from symgap import mechanisms, setfn
 from symgap.mechanisms import (
     GAIN_TOL,
     BalancedPrefixCPP,
-    DistributionOverOutcomes,
     GreedyCPP,
     InfeasibleOutcomeError,
     NonConcaveClassError,
     Outcome,
     PayYourBidGreedyAuction,
-    PoissonMIDRCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
     _assignment_masks,
@@ -436,12 +434,6 @@ class TestHarness:
         perm = np.random.default_rng(seed).permutation(m)
         expected = np.stack([pack(range(m), m)] + [pack(perm[: t + 1], m) for t in range(k)])
         assert np.concatenate(asked).tobytes() == expected.tobytes()
-
-    def test_distribution_mechanism_through_harness(self):
-        w = [0.5, 0.4, 0.3, 0.2]
-        inst = CPPInstance((make_additive(w),), 2)
-        runs = run_trials(PoissonMIDRCPP(), inst, trials=10, seed=4)
-        assert inst.oracles[0].eval_many(runs.words[:, 0]).mean() > 0
 
     def test_exhaustive_opt_dominates_greedy(self):
         oracles = self._instance(m=8, k=3).oracles

@@ -4,8 +4,8 @@ deterministic mechanisms, and independent random streams per declaration.
 Replication is checked against the same mechanism declared
 non-deterministic, which re-runs allocate on every trial.  The packed
 trial columns, and the batch scoring built on them, are checked against a
-scalar reference: one (result, outcome) pair per trial, each scored with
-one scalar eval, with equal values and equal query counts.
+scalar reference: one outcome per trial, each scored with one scalar eval,
+with equal values and equal query counts.
 """
 import inspect
 
@@ -14,6 +14,7 @@ import pytest
 
 from symgap import mechanisms
 from symgap.setfn import (
+    OracleView,
     make_additive,
     make_budget_additive,
     pack,
@@ -29,12 +30,10 @@ from symgap.instances import (
 from symgap.mechanisms import (
     AuctionMechanism,
     CPPMechanism,
-    DistributionOverOutcomes,
     GreedyCPP,
     InfeasibleOutcomeError,
     Outcome,
     PayYourBidGreedyAuction,
-    PoissonMIDRCPP,
     RandomSubsetCPP,
     VCGExhaustiveAuction,
     run_trials,
@@ -48,16 +47,17 @@ from symgap.audit import (
 from reference_oracles import mask_of, masks_from_words, oracle_from_scalar
 
 
-def _deterministic_classes():
+def _mechanism_classes():
     bases = (CPPMechanism, AuctionMechanism)
     return [
         cls
         for cls in vars(mechanisms).values()
-        if inspect.isclass(cls)
-        and issubclass(cls, bases)
-        and not inspect.isabstract(cls)
-        and cls.deterministic
+        if inspect.isclass(cls) and issubclass(cls, bases) and not inspect.isabstract(cls)
     ]
+
+
+def _deterministic_classes():
+    return [cls for cls in _mechanism_classes() if cls.deterministic]
 
 
 def _additive(rng, m):
@@ -73,12 +73,7 @@ def _declarations(cls):
         _additive(rng, m),
         make_budget_additive([float(x) for x in w], float(0.6 * w.sum())),
     )
-    if getattr(cls, "needs_descriptor", False):
-        # the rounding solver takes a single oracle of a concave class
-        oracles = oracles[:1]
-        views = oracles
-    else:
-        views = tuple(o.restricted_view() for o in oracles)
+    views = tuple(o.restricted_view() for o in oracles)
     args = (views, 3) if issubclass(cls, CPPMechanism) else (views,)
     return oracles, args
 
@@ -99,10 +94,7 @@ def test_deterministic_flag_is_honest(cls):
         before = sum(o.query_count for o in oracles)
         out = mech.allocate(*args, rng)
         # bundles as lists of words, so that results compare by value
-        if isinstance(out, Outcome):
-            out = (out.sets.tolist(), out.payments)
-        elif isinstance(out, np.ndarray):
-            out = out.tolist()
+        out = (out.sets.tolist(), out.payments) if isinstance(out, Outcome) else out.tolist()
         results.append((out, sum(o.query_count for o in oracles) - before))
         assert rng.bit_generator.state == state
     assert results[0] == results[1]
@@ -115,7 +107,6 @@ class _Spy:
     def __init__(self, inner, deterministic):
         self.inner = inner
         self.deterministic = deterministic
-        self.needs_descriptor = getattr(inner, "needs_descriptor", False)
         self.name = inner.name
         self.calls = 0
 
@@ -189,23 +180,6 @@ def test_replication_in_run_trials(inner_cls, instance):
     assert [TRIALS * q for q in spent] == [o.query_count for o in ref_inst.oracles]
 
 
-def test_replicated_distribution_is_sampled_per_trial():
-    inst = _cpp()
-    (a, calls_a), (b, calls_b) = _both(
-        PoissonMIDRCPP, lambda mech: run_trials(mech, inst, TRIALS, seed=1)
-    )
-    assert _columns(a) == _columns(b)
-    assert (calls_a, calls_b) == (1, TRIALS)
-    assert len(set(masks_from_words(a.words[:, 0]))) > 1
-
-    devs = [(0, make_additive([0.1, 0.2, 0.3, 0.4, 0.5]))]
-    (c, calls_c), (d, calls_d) = _both(
-        PoissonMIDRCPP, lambda mech: audit_truthfulness(mech, inst, devs, TRIALS, seed=1)
-    )
-    assert c.to_dict() == d.to_dict()
-    assert (calls_c, calls_d) == (2, 2 * TRIALS)
-
-
 def test_trial_t_draws_from_child_t_of_the_seed():
     inst = CPPInstance((make_additive([0.1 * j for j in range(1, 9)]),), 3)
     mech = RandomSubsetCPP()
@@ -221,16 +195,22 @@ def test_trial_t_draws_from_child_t_of_the_seed():
     assert inst.oracles[0].query_count - before == TRIALS
 
 
-def test_distribution_trial_t_samples_with_child_t():
-    inst = _cpp()
-    dist = PoissonMIDRCPP().allocate(inst.oracles, 2, None)
-    children = np.random.SeedSequence(9).spawn(TRIALS)
-    expected = [mask_of(dist.sample(np.random.default_rng(c))) for c in children]
-    spy = _Spy(PoissonMIDRCPP(), True)
-    runs = run_trials(spy, inst, TRIALS, 9)
-    assert spy.calls == 1
-    assert masks_from_words(runs.words[:, 0]) == expected
-    assert len(set(expected)) > 1
+@pytest.mark.parametrize("cls", _mechanism_classes(), ids=lambda c: c.__name__)
+def test_run_trials_hands_every_mechanism_views(cls):
+    seen = []
+
+    class Spy(cls):
+        def allocate(self, views, *rest):
+            seen.append(views)
+            return super().allocate(views, *rest)
+
+    inst = _cpp() if issubclass(cls, CPPMechanism) else _auction()
+    run_trials(Spy(), inst, TRIALS, seed=2)
+    assert len(seen) == (1 if cls.deterministic else TRIALS)
+    for views in seen:
+        assert [type(v) for v in views] == [OracleView] * inst.n
+        with pytest.raises(AttributeError):
+            views[0].descriptor
 
 
 def test_replicated_outcome_fills_every_row():
@@ -247,25 +227,17 @@ def test_replicated_outcome_fills_every_row():
 
 
 class _Oversized(CPPMechanism):
-    """Returns k + 1 items, or a distribution spending k + 0.5."""
+    """Returns k + 1 items."""
 
     deterministic = True
 
-    def __init__(self, distribution=False):
-        self.distribution = distribution
-
     def allocate(self, views, k, rng):
-        m = views[0].m
-        if self.distribution:
-            x = [(k + 0.5) / m] * m
-            return DistributionOverOutcomes(tuple(1.0 - np.exp(-np.array(x))), tuple(x))
-        return pack(range(k + 1), m)
+        return pack(range(k + 1), views[0].m)
 
 
-@pytest.mark.parametrize("distribution", [False, True], ids=["set", "distribution"])
-def test_infeasible_outcome_raises(distribution):
+def test_infeasible_outcome_raises():
     with pytest.raises(InfeasibleOutcomeError, match="exceeds k = 2"):
-        run_trials(_Oversized(distribution), _cpp(), TRIALS, 0)
+        run_trials(_Oversized(), _cpp(), TRIALS, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +246,16 @@ def test_infeasible_outcome_raises(distribution):
 
 
 def _scalar_trials(mech, instance, trials, seed):
-    """(result, outcome) per trial, allocating once per declaration for a
-    deterministic mechanism and sampling a distribution with each trial's
-    rng."""
-    oracles = instance.oracles
-    if getattr(mech, "needs_descriptor", False):
-        views = oracles
-    else:
-        views = tuple(o.restricted_view() for o in oracles)
+    """The outcome of each trial, allocating once per declaration for a
+    deterministic mechanism."""
+    views = tuple(o.restricted_view() for o in instance.oracles)
     head = (views, instance.k) if isinstance(instance, CPPInstance) else (views,)
     runs = []
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
         if t == 0 or not mech.deterministic:
-            res = mech.allocate(*head, rng)
-        out = res.sample(rng) if isinstance(res, DistributionOverOutcomes) else res
-        runs.append((res, out))
+            out = mech.allocate(*head, rng)
+        runs.append(out)
     return runs
 
 
@@ -312,7 +278,7 @@ def _scalar_scores(mech, instance, deviations, trials, seed, eps):
         if player not in truth_scores:
             truth_scores[player] = np.array(
                 [oracles[player].eval(_bundle(out, player)) - _payment(out, player)
-                 for _, out in truth]
+                 for out in truth]
             )
         declared = list(oracles)
         declared[player] = dev_oracle
@@ -323,7 +289,7 @@ def _scalar_scores(mech, instance, deviations, trials, seed, eps):
         dev = _scalar_trials(mech, dev_instance, trials, (seed, d, _DEVIATION_STREAM))
         dev_vals = np.array(
             [(1.0 - eps) * oracles[player].eval(_bundle(out, player)) - _payment(out, player)
-             for _, out in dev]
+             for out in dev]
         )
         rows.append(mean_stderr(truth_scores[player]) + mean_stderr(dev_vals))
     return rows
@@ -343,9 +309,9 @@ def _scalar_menu(mech, instance, special, family, trials, seed):
         X.append([
             (mask_of(_bundle(out, special)) & mask_of(level_set)).bit_count()
             / mask_of(level_set).bit_count()
-            for _, out in runs
+            for out in runs
         ])
-        P.append([_payment(out, special) for _, out in runs])
+        P.append([_payment(out, special) for out in runs])
     return X, P
 
 
@@ -374,12 +340,6 @@ def _auction_case(plain=False):
     return AuctionInstance(truths), devs
 
 
-def _cpp_case(plain=False):
-    build = _plain_additive if plain else make_additive
-    truth = build([0.5, 0.4, 0.3, 0.2, 0.1])
-    return CPPInstance((truth,), 2), [(0, build([0.1, 0.2, 0.3, 0.4, 0.5]))]
-
-
 def _two_player_cpp_case(plain=False):
     build = _plain_additive if plain else make_additive
     truths = (build([0.5, 0.4, 0.3, 0.2, 0.1]), build([0.1, 0.3, 0.5, 0.7, 0.9]))
@@ -389,7 +349,6 @@ def _two_player_cpp_case(plain=False):
 SCORE_CASES = [
     (VCGExhaustiveAuction, _auction_case),
     (PayYourBidGreedyAuction, _auction_case),
-    (PoissonMIDRCPP, _cpp_case),
     (GreedyCPP, _two_player_cpp_case),
     (RandomSubsetCPP, _two_player_cpp_case),
 ]
@@ -429,8 +388,8 @@ def test_run_trials_equals_scalar_reference(mech_cls, case, plain):
     ref_inst, _ = case(plain)
     ref = _scalar_trials(mech_cls(), ref_inst, TRIALS, 12)
     for i in range(inst.n):
-        assert masks_from_words(runs.words[:, i]) == [mask_of(_bundle(out, i)) for _, out in ref]
-        assert runs.payments[:, i].tolist() == [_payment(out, i) for _, out in ref]
+        assert masks_from_words(runs.words[:, i]) == [mask_of(_bundle(out, i)) for out in ref]
+        assert runs.payments[:, i].tolist() == [_payment(out, i) for out in ref]
     # allocate's queries, spent once per declaration when replicated
     assert [o.query_count for o in inst.oracles] == [o.query_count for o in ref_inst.oracles]
 
