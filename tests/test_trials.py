@@ -196,6 +196,23 @@ def test_trial_t_draws_from_child_t_of_the_seed():
 
 
 @pytest.mark.parametrize("cls", _mechanism_classes(), ids=lambda c: c.__name__)
+def test_run_trials_call_t_gets_child_t(cls):
+    states = []
+
+    class Spy(cls):
+        def allocate(self, *args):
+            states.append(args[-1].bit_generator.state)
+            return super().allocate(*args)
+
+    inst = _cpp() if issubclass(cls, CPPMechanism) else _auction()
+    run_trials(Spy(), inst, TRIALS, (4, 1, 2))
+    # a deterministic mechanism is allocated once, with child 0
+    calls = 1 if cls.deterministic else TRIALS
+    children = np.random.SeedSequence((4, 1, 2)).spawn(TRIALS)[:calls]
+    assert states == [np.random.default_rng(c).bit_generator.state for c in children]
+
+
+@pytest.mark.parametrize("cls", _mechanism_classes(), ids=lambda c: c.__name__)
 def test_run_trials_hands_every_mechanism_views(cls):
     seen = []
 
