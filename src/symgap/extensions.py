@@ -97,12 +97,17 @@ def _binom_pmf(k, n: int, p) -> np.ndarray:
     if n < 0 or ((k < 0) | (k > n)).any():
         raise ValueError(f"counts must lie in [0, {n}]")
     p = np.asarray(p, dtype=float)
+    # (logc[k] + k log p) + (n - k) log1p(-p) in one array and one temporary:
+    # k log p + logc[k] is the same float as logc[k] + k log p
+    out = np.empty(np.broadcast_shapes(k.shape, p.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(_log_binom_coeffs(n)[k] + k * np.log(p) + (n - k) * np.log1p(-p))
-    zero, one = p == 0.0, p == 1.0
-    if zero.any() or one.any():
-        out = np.where(zero, k == 0, np.where(one, k == n, out))
-    return out
+        np.multiply(k, np.log(p), out=out)
+        out += _log_binom_coeffs(n)[k]
+        out += (n - k) * np.log1p(-p)
+        np.exp(out, out=out)
+    np.copyto(out, k == 0, where=p == 0.0)
+    np.copyto(out, k == n, where=p == 1.0)
+    return out[()]
 
 
 # the one pmf entry point; a tracer may replace `binom.pmf`
@@ -124,10 +129,10 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     Exact binomial convolution: F = sum_a sum_b Bin(|A|, xA)(a) Bin(|B|, xB)(b)
     * value(a, b).  xA and xB are scalars or broadcastable arrays; a scalar
     pair gives a float, arrays give an array of their broadcast shape.  Small
-    blocks contract the points against the shared count grid a block at a
-    time, sized by setfn.block_rows to one (n+1)-float pmf row per point;
-    large blocks map only the counts in each point's retained pmf windows
-    to values.
+    blocks contract the points against the shared count grid a block of
+    points at a time, the block's arrays together within setfn.BLOCK_BYTES
+    (per block, not per array); large blocks map only the counts in each
+    point's retained pmf windows to values.
     """
     xA, xB = np.broadcast_arrays(np.asarray(xA, dtype=float), np.asarray(xB, dtype=float))
     if not (((0.0 <= xA) & (xA <= 1.0)) & ((0.0 <= xB) & (xB <= 1.0))).all():
@@ -139,12 +144,14 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     if n <= GRID_MAX_BLOCK:
         grid = block_val.count_grid()
         ks = np.arange(n + 1)
-        step = block_rows(8 * (n + 1))
+        # three (n+1)-float rows per point are live at once: a pmf and its
+        # temporary or its product with the grid, beside one product
+        step = block_rows(3 * 8 * (n + 1))
         for lo in range(0, out.size, step):
             hi = lo + step
-            PA = binom.pmf(ks, n, pa[lo:hi, None])
-            PB = binom.pmf(ks, n, pb[lo:hi, None])
-            out[lo:hi] = ((PA @ grid) * PB).sum(1)
+            block = binom.pmf(ks, n, pa[lo:hi, None]) @ grid
+            block *= binom.pmf(ks, n, pb[lo:hi, None])
+            out[lo:hi] = block.sum(1)
     else:
         values = block_val.count_values()
         for i, (a, b) in enumerate(zip(pa.tolist(), pb.tolist())):
@@ -185,8 +192,9 @@ def multilinear_F(oracle, x, samples: int = 100_000, seed: int = 0) -> EstimateR
     acc_sum = 0.0
     acc_sq = 0.0
     # one float draw per item and sample, a block of samples at a time; the
-    # stream is consumed in sample order whatever the block size
-    step = block_rows(8 * m)
+    # stream is consumed in sample order whatever the block size.  The draw
+    # and its inclusion bits are live at once: 9 bytes per item and sample
+    step = block_rows(9 * m)
     for done in range(0, samples, step):
         bits = rng.random((min(samples - done, step), m)) < x
         values = oracle.eval_many(words_from_bits(bits))

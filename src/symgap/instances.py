@@ -30,6 +30,7 @@ query, which is how the hidden-bisection experiment classifies them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -41,6 +42,7 @@ from .setfn import (
     OracleContractError,
     ValuationOracle,
     as_rows,
+    block_rows,
     from_hex,
     intersection_sizes,
     make_budget_additive,
@@ -81,9 +83,20 @@ def psi(phi: PhiAlpha, x, y):
 
 
 def psi_tilde(phi: PhiAlpha, beta: float, x, y):
-    """The beta-band perturbation of psi (vectorized; beta = 0 degenerates to psi)."""
+    """The beta-band perturbation of psi (vectorized; beta = 0 degenerates to
+    psi).  Two floats take a scalar path and give a float, bit for bit the
+    array path's value: above GRID_MAX_BLOCK, every greedy step asks for one
+    value per count class."""
     if not 0.0 <= beta < np.inf:  # NaN fails too
         raise OracleContractError(f"beta must be finite and >= 0, got {beta}")
+    if isinstance(x, float) and isinstance(y, float):
+        d = x - y
+        if abs(d) <= beta:
+            x = y = 0.5 * (x + y)
+        else:
+            shift = math.copysign(0.5 * beta, d)
+            x, y = x - shift, y + shift
+        return psi(phi, x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x - y
@@ -94,7 +107,8 @@ def psi_tilde(phi: PhiAlpha, beta: float, x, y):
     return psi(phi, np.where(band, mid, x - shift), np.where(band, mid, y + shift))
 
 
-# Largest block size whose values come from the full count grid.
+# largest block size whose values come from the full count grid: a grid of
+# this size takes 8.4 MB, and the 32 cached grids pin at most 269 MB
 GRID_MAX_BLOCK = 1024
 
 
@@ -103,7 +117,14 @@ def _count_grid(n: int, phi: PhiAlpha, beta: float, lam: float) -> np.ndarray:
     """Read-only (n+1) x (n+1) table of lam * psi_tilde(a/n, b/n) over the
     occupancy counts; the blocks are not part of the key."""
     xs = np.arange(n + 1) / n
-    grid = lam * psi_tilde(phi, beta, xs[:, None], xs[None, :])
+    grid = np.empty((n + 1, n + 1))
+    # a block of rows at a time: psi_tilde keeps nine (rows, n+1) float
+    # temporaries live at once
+    step = block_rows(9 * 8 * (n + 1))
+    for lo in range(0, n + 1, step):
+        np.multiply(
+            lam, psi_tilde(phi, beta, xs[lo : lo + step, None], xs), out=grid[lo : lo + step]
+        )
     grid.flags.writeable = False
     return grid
 

@@ -441,11 +441,13 @@ class BalancedPrefixCPP(CPPMechanism):
     def allocate(self, views, k, rng):
         m, width = views[0].m, word_count(views[0].m)
         perm = rng.permutation(m)[:k]
-        full = pack(range(m), m)[None]
+        full = pack(np.arange(m), m)[None]
         total = sum(v.eval_many(full) for v in views)[0]
         # prefix t + 1 is row t; the rows are built and asked a block at a
-        # time, so that at m = 160,000 they never all sit in memory at once
-        step = block_rows(8 * width)
+        # time, so that at m = 160,000 they never all sit in memory at once.
+        # Two (rows, width) word arrays are live at once: a block's rows and
+        # its singleton rows or the rows of the block before
+        step = block_rows(2 * 8 * width)
         values = np.empty(k)
         last = np.zeros(width, dtype=np.uint64)
         for lo in range(0, k, step):

@@ -34,15 +34,15 @@ _EVAL_CHUNK = 1 << 14
 # ground sets whose singleton rows fit in this many words share one cached
 # table: the 32 cached tables pin at most 16 MB
 _SINGLETON_TABLE_WORDS = 1 << 16
-# bytes per array of a block that a caller builds itself (sampled triples,
-# balanced prefixes, blockwise pmf matrices, Monte Carlo draws): 1 MiB, half
-# of a 2 MiB L2 cache
+# bytes that a block a caller builds itself (sampled triples, balanced
+# prefixes, blockwise pmf matrices, Monte Carlo draws, count grid rows) holds
+# at once, per block, not per array: 1 MiB, half of a 2 MiB L2 cache
 BLOCK_BYTES = 1 << 20
 
 
 def block_rows(row_bytes: int) -> int:
-    """Rows per block when one row of the block's largest array takes
-    row_bytes bytes: BLOCK_BYTES // row_bytes, and at least one."""
+    """Rows per block when the arrays a block keeps live at once take
+    row_bytes bytes per row: BLOCK_BYTES // row_bytes, and at least one."""
     return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
@@ -526,7 +526,9 @@ def check_monotone_submodular(
         # triples do not depend on the block size; the bits from m up cleared
         width = word_count(m)
         below_m = np.uint64((1 << (m - 1) % WORD_BITS + 1) - 1)
-        step = block_rows(8 * width)
+        # four (rows, width) word arrays are live at once: S, the two item
+        # rows and one union of them
+        step = block_rows(4 * 8 * width)
         for lo in range(0, trials, step):
             pair_i, pair_j = items_i[lo : lo + step], items_j[lo : lo + step]
             bit_i, bit_j = singleton_words(m, pair_i), singleton_words(m, pair_j)

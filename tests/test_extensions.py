@@ -15,9 +15,14 @@ import pytest
 
 from symgap import setfn
 from symgap.setfn import (
-    GroundSetError, make_additive, make_budget_additive, pack, scale_oracle, tabulate,
+    GroundSetError, check_monotone_submodular, make_additive, make_budget_additive, pack,
+    scale_oracle, tabulate,
 )
-from symgap.instances import PhiAlpha, make_symgap_valuation, psi_tilde, two_block_product_instance
+from symgap.instances import (
+    GRID_MAX_BLOCK, PhiAlpha, _count_grid, make_symgap_valuation, psi_tilde,
+    two_block_product_instance,
+)
+from symgap.mechanisms import BalancedPrefixCPP
 from symgap.extensions import (
     ConcavityViolation,
     concavity_grid_scan,
@@ -27,6 +32,7 @@ from symgap.extensions import (
     f_exp,
     f_exp_blockwise,
     multilinear_F,
+    _log_binom_coeffs,
     _pmf_window,
     binom,
     random_pair_source,
@@ -185,6 +191,38 @@ class TestBinomPmf:
         with pytest.raises(ValueError):
             binom.pmf(np.arange(7), 5, 0.5)
 
+    @pytest.mark.parametrize("n", [1, 8, 200, 1100])
+    def test_in_place_sum_equals_one_expression(self, n):
+        """The pmf built in one array with out= gives the one-expression
+        formula's entries bit for bit, for a row of points, a 1-D row and
+        scalars; a scalar pair gives a numpy scalar."""
+
+        def one_expression(k, p):
+            k, p = np.asarray(k), np.asarray(p, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.exp(_log_binom_coeffs(n)[k] + k * np.log(p) + (n - k) * np.log1p(-p))
+            zero, one = p == 0.0, p == 1.0
+            if zero.any() or one.any():
+                out = np.where(zero, k == 0, np.where(one, k == n, out))
+            return out
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.int64)
+
+        ks = np.arange(n + 1)
+        ps = np.concatenate(
+            ([0.0, 1.0, 1e-300, 0.5, 1.0 - 2.0**-53], np.random.default_rng(n).uniform(0, 1, 40))
+        )
+        np.testing.assert_array_equal(
+            bits(binom.pmf(ks, n, ps[:, None])), bits(one_expression(ks, ps[:, None]))
+        )
+        for p in ps.tolist():
+            np.testing.assert_array_equal(bits(binom.pmf(ks, n, p)), bits(one_expression(ks, p)))
+            for k in (0, n // 2, n):
+                value = binom.pmf(k, n, p)
+                assert type(value) is np.float64
+                assert bits(value) == bits(one_expression(k, p))
+
 
 class TestBlockwise:
     def test_matches_enumeration_small_blocks(self):
@@ -264,25 +302,41 @@ class TestBlockwise:
         np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
 
     def test_float_blocks_stay_within_the_budget(self):
-        """The float temporaries of a blockwise contraction and of a Monte
-        Carlo draw are built a block of setfn.BLOCK_BYTES at a time: 30,000
-        points at n = 200 and 600 samples at m = 4,000 each peak under six
-        blocks, whatever the number of points or samples."""
+        """A block that a caller builds holds at most about setfn.BLOCK_BYTES
+        at once, whatever the number of points, samples, triples or
+        prefixes: 30,000 points at n = 200 on a warm grid, 600 samples at
+        m = 4,000, and 2,000 sampled triples and 20,000 balanced prefixes
+        at m = 40,000 each peak under two blocks.  A count grid, built a
+        block of rows at a time, peaks under its own bytes and 1.5 blocks."""
         val = two_block_product_instance(200, 0.5)
+        val.count_grid()
         xA, xB = np.random.default_rng(3).uniform(0, 1, (2, 30_000))
         oracle = two_block_product_instance(2000, 0.5).oracle()
         x = np.full(oracle.m, 0.5)
-        for call in (
-            lambda: exact_F_blockwise(val, xA, xB),
-            lambda: multilinear_F(oracle, x, 600, seed=1),
-        ):
+        wide = two_block_product_instance(20_000, 0.5).oracle()
+        # the first np.unique of a process imports what it needs (about 1 MB)
+        BalancedPrefixCPP().allocate([wide], 2, np.random.default_rng(0))
+
+        def peak(call) -> int:
             tracemalloc.start()
             try:
                 call()
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 6 * setfn.BLOCK_BYTES
+
+        for call in (
+            lambda: exact_F_blockwise(val, xA, xB),
+            lambda: multilinear_F(oracle, x, 600, seed=1),
+            lambda: check_monotone_submodular(wide, "sampled", 2000, np.random.default_rng(1)),
+            lambda: BalancedPrefixCPP().allocate([wide], 20_000, np.random.default_rng(2)),
+        ):
+            assert peak(call) < 2 * setfn.BLOCK_BYTES
+        for n in (200, GRID_MAX_BLOCK):
+            _count_grid.cache_clear()
+            grid_bytes = 8 * (n + 1) ** 2
+            built = peak(lambda: _count_grid(n, PhiAlpha(0.5), 0.0, 1.0))
+            assert built < grid_bytes + 1.5 * setfn.BLOCK_BYTES
 
     @pytest.mark.parametrize("n", [8, 1100])
     def test_out_of_range_element_anywhere_raises(self, n):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symgap.setfn import (
     GroundSetError,
@@ -133,6 +134,33 @@ class TestPsiTilde:
         vec = psi_tilde(phi, 0.1, xs, ys)
         for i in range(23):
             assert vec[i] == pytest.approx(psi_tilde(phi, 0.1, float(xs[i]), float(ys[i])))
+
+    @example(n=4, a=3, b=1, beta=0.5, on_edge=False, alpha=0.5, lam=1.0)
+    @example(n=10, a=7, b=2, beta=0.0, on_edge=True, alpha=1.0, lam=0.7)
+    @settings(max_examples=500, deadline=None)
+    @given(
+        n=st.integers(1, 200_000),
+        a=st.integers(0, 200_000),
+        b=st.integers(0, 200_000),
+        beta=st.one_of(st.just(0.0), st.just(0.01), st.floats(0.0, 1.0)),
+        on_edge=st.booleans(),
+        alpha=st.floats(1e-3, 1.0),
+        lam=st.floats(0.0, 10.0),
+    )
+    def test_scalar_path_equals_array_path_bit_for_bit(self, n, a, b, beta, on_edge, alpha, lam):
+        """lam * psi_tilde at the occupancy fractions of counts (a, b), as a
+        two-block oracle above GRID_MAX_BLOCK asks for it: two floats give a
+        float with the bits of a one-entry array's value, on the band edge
+        |x - y| = beta too."""
+        a, b = a % (n + 1), b % (n + 1)
+        x, y = a / n, b / n
+        if on_edge:
+            beta = abs(x - y)
+        phi = PhiAlpha(alpha)
+        scalar = lam * psi_tilde(phi, beta, x, y)
+        array = lam * psi_tilde(phi, beta, np.array([x]), np.array([y]))
+        assert type(scalar) is float
+        assert np.array([scalar]).view(np.int64)[0] == array.view(np.int64)[0]
 
 
 @dataclass(frozen=True)
