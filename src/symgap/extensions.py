@@ -8,6 +8,14 @@ enum_weights(x) @ tabulate(oracle) on small ground sets, and from
 exact_F_blockwise / f_exp_blockwise (a binomial convolution over the
 two-block occupancy counts) on two-block valuations.
 
+exact_F_blockwise has three branches.  With beta = 0 (every
+two_block_product valuation) nothing couples the two counts, so it sums
+each block on its own against phi with ufunc reductions: no count grid and
+no BLAS call, so its values do not depend on the BLAS kernel.  With beta > 0
+the band couples the counts, so blocks up to GRID_MAX_BLOCK contract the
+pmf rows against the cached count grid (a BLAS matrix product), and larger
+blocks, whose grids are not cached, sum each point over its pmf windows.
+
 The binomial pmf is computed here in log space with numpy (`binom.pmf`), so
 the library needs numpy alone.  exact_F_blockwise and f_exp_blockwise take
 scalars or arrays of block probabilities.
@@ -88,25 +96,48 @@ def _log_binom_coeffs(n: int) -> np.ndarray:
     return logc
 
 
-def _binom_pmf(k, n: int, p) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _count_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rows over k = 0..n: k and n - k as floats, and log C(n, k).
+
+    binom.pmf given the first row as its k reads all three as they are:
+    no int-to-float cast per entry, no range check and no gather."""
+    k = np.arange(n + 1, dtype=float)
+    rows = (k, n - k, _log_binom_coeffs(n))
+    for row in rows[:2]:
+        row.flags.writeable = False
+    return rows
+
+
+def _binom_pmf(k, n: int, p, out: np.ndarray | None = None) -> np.ndarray:
     """Bin(n, p) pmf at k; k and p broadcast against each other like
     scipy.stats.binom.pmf, n is one integer.  p = 0 and p = 1 give exact
-    one-hot values."""
+    one-hot values.  k may be _count_rows(n)[0], the float row of every
+    count; `out`, when given, is an array of the broadcast shape that
+    receives the pmf and is returned."""
     n = operator.index(n)
-    k = np.asarray(k)
-    if n < 0 or ((k < 0) | (k > n)).any():
+    if n < 0:
         raise ValueError(f"counts must lie in [0, {n}]")
+    ks, n_minus_k, logc = _count_rows(n)
+    if k is not ks:
+        k = np.asarray(k)
+        if ((k < 0) | (k > n)).any():
+            raise ValueError(f"counts must lie in [0, {n}]")
+        n_minus_k, logc = n - k, logc[k]
     p = np.asarray(p, dtype=float)
-    # (logc[k] + k log p) + (n - k) log1p(-p) in one array and one temporary:
+    if out is None:
+        out = np.empty(np.broadcast_shapes(k.shape, p.shape))
+    # (logc[k] + k log p) + (n - k) log1p(-p) in `out` and one temporary:
     # k log p + logc[k] is the same float as logc[k] + k log p
-    out = np.empty(np.broadcast_shapes(k.shape, p.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(k, np.log(p), out=out)
-        out += _log_binom_coeffs(n)[k]
-        out += (n - k) * np.log1p(-p)
+        out += logc
+        out += n_minus_k * np.log1p(-p)
         np.exp(out, out=out)
-    np.copyto(out, k == 0, where=p == 0.0)
-    np.copyto(out, k == n, where=p == 1.0)
+    for edge, count in ((0.0, 0), (1.0, n)):
+        at_edge = p == edge
+        if at_edge.any():
+            np.copyto(out, k == count, where=at_edge)
     return out[()]
 
 
@@ -128,11 +159,21 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
 
     Exact binomial convolution: F = sum_a sum_b Bin(|A|, xA)(a) Bin(|B|, xB)(b)
     * value(a, b).  xA and xB are scalars or broadcastable arrays; a scalar
-    pair gives a float, arrays give an array of their broadcast shape.  Small
-    blocks contract the points against the shared count grid a block of
-    points at a time, the block's arrays together within setfn.BLOCK_BYTES
-    (per block, not per array); large blocks map only the counts in each
-    point's retained pmf windows to values.
+    pair gives a float, arrays give an array of their broadcast shape.  One
+    of three branches computes it:
+
+    - beta = 0 (every two_block_product valuation), at any block size: no
+      band couples the counts, so value(a, b) = lam * psi(a/n, b/n) and F =
+      lam * (1 - (1 - E phi(a/n)) (1 - E phi(b/n))), two one-block sums per
+      point.  It needs no count grid and no BLAS call, so its values do not
+      depend on the BLAS kernel, and F(xA, xB) == F(xB, xA) bit for bit.
+    - beta > 0 with blocks up to GRID_MAX_BLOCK: the band couples the
+      counts, so the points are contracted against the shared count grid
+      (a BLAS matrix product), a block of points at a time, the block's
+      arrays together within setfn.BLOCK_BYTES (per block, not per array).
+    - beta > 0 above GRID_MAX_BLOCK, whose grids are too large to cache:
+      each point maps only the counts in its retained pmf windows to
+      values.
     """
     xA, xB = np.broadcast_arrays(np.asarray(xA, dtype=float), np.asarray(xB, dtype=float))
     if not (((0.0 <= xA) & (xA <= 1.0)) & ((0.0 <= xB) & (xB <= 1.0))).all():
@@ -141,9 +182,25 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     pa, pb = xA.ravel(), xB.ravel()
     out = np.empty(pa.size)
     n = block_val.block_size
-    if n <= GRID_MAX_BLOCK:
+    ks = _count_rows(n)[0]
+    if block_val.beta == 0.0:
+        phis = block_val.phi.value(ks / n)
+        # two (n+1)-float rows per point are live at once: a pmf and its
+        # temporary.  A row's sum against phis does not depend on its block
+        step = block_rows(2 * 8 * (n + 1))
+        pmf = np.empty((min(step, out.size), n + 1))
+        means = np.empty((2, len(pmf)))
+        for lo in range(0, out.size, step):
+            rows, (ea, eb) = pmf[: out.size - lo], means[:, : out.size - lo]
+            for p, mean in ((pa, ea), (pb, eb)):
+                binom.pmf(ks, n, p[lo : lo + step, None], out=rows)
+                rows *= phis
+                np.add.reduce(rows, axis=1, out=mean)
+            # psi = 1 - (1 - ea)(1 - eb) as ea + eb - ea eb: the sum is at least
+            # half of ea + eb, so small values keep their relative accuracy
+            np.multiply(block_val.lam, ea + eb - ea * eb, out=out[lo : lo + step])
+    elif n <= GRID_MAX_BLOCK:
         grid = block_val.count_grid()
-        ks = np.arange(n + 1)
         # three (n+1)-float rows per point are live at once: a pmf and its
         # temporary or its product with the grid, beside one product
         step = block_rows(3 * 8 * (n + 1))

@@ -260,7 +260,7 @@ def extension_answers(val: TwoBlockValuation, value: Callable) -> Callable:
     their number and (a, b) the occupancy counts of S + j for each of them.
     The class rows are built once, here."""
     m, n = val.m, val.block_size
-    classes = np.stack([pack(range(m), m) & ~(val.A | val.B), val.A, val.B])
+    classes = np.stack([pack(np.arange(m), m) & ~(val.A | val.B), val.A, val.B])
     unions = np.bitwise_or.reduce(np.where(_UNION_CLASSES[:, :, None], classes, 0), axis=1)
     totals = (m - 2 * n, n, n)
     adds = ((0, 0), (1, 0), (0, 1))  # what j adds to (a, b), by class

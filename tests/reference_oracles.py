@@ -8,11 +8,14 @@ independent reference bit for bit.  Sums run left to right from 0.0 in item
 masks_from_words, mask_of, row_of and mask_hex convert between rows, int
 masks and hex the int way: the reference for pack, unpack and the hex pair.
 extension_vector decodes an extension answer item by item.
+binom_mean_exact is a one-block binomial sum in exact rationals.
 KnotProfile is a concave profile other than the package's ramp, so that
 tests can hold the two-block evaluators to reading a profile only through
 value() and to_param_dict().
 """
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -188,3 +191,12 @@ def oracle_from_scalar(m: int, fn, descriptor: dict) -> ValuationOracle:
         return np.fromiter(map(fn, masks), dtype=float, count=len(masks))
 
     return ValuationOracle(m, fn_many, descriptor)
+
+
+def binom_mean_exact(values, n: int, p: float) -> Fraction:
+    """E values[k] for k ~ Bin(n, p) in exact rationals, with p and each
+    value the rational that its float is."""
+    q = Fraction(p)
+    return sum(
+        math.comb(n, k) * q**k * (1 - q) ** (n - k) * Fraction(v) for k, v in enumerate(values)
+    )

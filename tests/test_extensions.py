@@ -19,8 +19,8 @@ from symgap.setfn import (
     scale_oracle, tabulate,
 )
 from symgap.instances import (
-    GRID_MAX_BLOCK, PhiAlpha, _count_grid, make_symgap_valuation, psi_tilde,
-    two_block_product_instance,
+    GRID_MAX_BLOCK, PhiAlpha, TwoBlockValuation, _count_grid, make_symgap_valuation,
+    psi_tilde, two_block_product_instance,
 )
 from symgap.mechanisms import BalancedPrefixCPP
 from symgap.extensions import (
@@ -32,11 +32,13 @@ from symgap.extensions import (
     f_exp,
     f_exp_blockwise,
     multilinear_F,
+    _count_rows,
     _log_binom_coeffs,
     _pmf_window,
     binom,
     random_pair_source,
 )
+from reference_oracles import binom_mean_exact
 
 # frozen in the build notes before the engine existed: exact values of the
 # two-block alpha=1/2 construction at blocks of 200
@@ -194,7 +196,8 @@ class TestBinomPmf:
     @pytest.mark.parametrize("n", [1, 8, 200, 1100])
     def test_in_place_sum_equals_one_expression(self, n):
         """The pmf built in one array with out= gives the one-expression
-        formula's entries bit for bit, for a row of points, a 1-D row and
+        formula's entries bit for bit, for a row of points (also from the
+        cached float row of counts into a caller's buffer), a 1-D row and
         scalars; a scalar pair gives a numpy scalar."""
 
         def one_expression(k, p):
@@ -213,9 +216,12 @@ class TestBinomPmf:
         ps = np.concatenate(
             ([0.0, 1.0, 1e-300, 0.5, 1.0 - 2.0**-53], np.random.default_rng(n).uniform(0, 1, 40))
         )
-        np.testing.assert_array_equal(
-            bits(binom.pmf(ks, n, ps[:, None])), bits(one_expression(ks, ps[:, None]))
-        )
+        expect = bits(one_expression(ks, ps[:, None]))
+        np.testing.assert_array_equal(bits(binom.pmf(ks, n, ps[:, None])), expect)
+        # the cached float row of every count, written into a given buffer
+        out = np.full((len(ps), n + 1), np.nan)
+        binom.pmf(_count_rows(n)[0], n, ps[:, None], out=out)
+        np.testing.assert_array_equal(bits(out), expect)
         for p in ps.tolist():
             np.testing.assert_array_equal(bits(binom.pmf(ks, n, p)), bits(one_expression(ks, p)))
             for k in (0, n // 2, n):
@@ -287,19 +293,81 @@ class TestBlockwise:
             exp_scalar = [f_exp_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
             np.testing.assert_allclose(exp_batch, exp_scalar, rtol=1e-14, atol=0)
 
-    # one point a block, 700 points (8 blocks), and the default budget (one
-    # block of 14,563 points at n = 8).  The pmf rows do not depend on the
-    # block, but BLAS rounds the (block, n+1) @ (n+1, n+1) contraction by its
-    # shape, so the values agree to 1e-14 rather than bit for bit.
+    # one point a block, 8 * 9 * 700 bytes (350 points a block with beta =
+    # 0, 233 with beta > 0), and the default budget (one block of the 5,000
+    # points with beta = 0, two with beta > 0).  A band-free point sums its pmf rows with ufunc reductions,
+    # row by row, so its value does not depend on its block.  BLAS rounds the
+    # grid's (block, n+1) @ (n+1, n+1) contraction by its shape, so beta > 0
+    # agrees to 1e-14 rather than bit for bit.
     @pytest.mark.parametrize("block_bytes", [1, 8 * 9 * 700, setfn.BLOCK_BYTES])
     def test_batch_spans_several_chunks(self, monkeypatch, block_bytes):
-        val = two_block_product_instance(8, 0.5)
+        A, B = pack(range(8), 16), pack(range(8, 16), 16)
+        band_free = two_block_product_instance(8, 0.5)
+        banded = make_symgap_valuation(16, A, B, PhiAlpha(0.5), 0.25, 0.7)
         rng = np.random.default_rng(3)
         xA, xB = rng.uniform(0, 1, (2, 5000))
-        scalar = [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
+        scalar = {
+            val: [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
+            for val in (band_free, banded)
+        }
         monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
-        batch = exact_F_blockwise(val, xA, xB)
-        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(exact_F_blockwise(band_free, xA, xB), scalar[band_free])
+        np.testing.assert_allclose(
+            exact_F_blockwise(banded, xA, xB), scalar[banded], rtol=1e-14, atol=0
+        )
+
+    @pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.7)])
+    def test_band_free_matches_exact_one_block_sums(self, alpha, lam):
+        """With beta = 0 the blocks are summed one at a time: F = lam (1 - (1 -
+        E phi(a/n)) (1 - E phi(b/n))).  Against those sums in exact
+        rationals at n = 200, at gap955's segment points, the endpoints,
+        values near 0 and random points, the error is the pmf's own (~3e-14
+        relative per entry)."""
+        n = 200
+        val = TwoBlockValuation(
+            2 * n, pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n), PhiAlpha(alpha), 0.0, lam
+        )
+        phis = [min(k / n / alpha, 1.0) for k in range(n + 1)]
+        ts = np.arange(21) / 20.0
+        rng = np.random.default_rng(5)
+        # 1 - (1 - ea)(1 - eb) would lose 7 digits at (1e-9, 0)
+        xA = np.concatenate(
+            [1.0 - np.exp(ts - 1.0), [0.0, 1.0, 0.0, 1e-9, 1e-6], rng.uniform(0, 1, 8)]
+        )
+        xB = np.concatenate([1.0 - np.exp(-ts), [0.0, 0.0, 1.0, 0.0, 1e-7], rng.uniform(0, 1, 8)])
+        mean = {p: binom_mean_exact(phis, n, p) for p in set(xA.tolist() + xB.tolist())}
+        expect = [
+            float(Fraction(lam) * (1 - (1 - mean[a]) * (1 - mean[b])))
+            for a, b in zip(xA.tolist(), xB.tolist())
+        ]
+        np.testing.assert_allclose(exact_F_blockwise(val, xA, xB), expect, rtol=3e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [8, 200, 1100])
+    def test_band_free_matches_the_grid_contraction(self, n):
+        """The one-block sums agree with the two-block contraction pmf @
+        grid @ pmf over the count grid lam * psi(a/n, b/n), which the
+        beta > 0 branch computes, to 1e-13."""
+        val = two_block_product_instance(n, 0.5)
+        ks = np.arange(n + 1)
+        grid = psi_tilde(val.phi, 0.0, ks[:, None] / n, ks[None, :] / n)
+        rng = np.random.default_rng(n)
+        xA = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0, 1, 12)])
+        xB = np.concatenate([[1.0, 0.0, 0.5], rng.uniform(0, 1, 12)])
+        pmf = lambda p: binom.pmf(ks, n, p[:, None])
+        expect = ((pmf(xA) @ grid) * pmf(xB)).sum(1)
+        np.testing.assert_allclose(exact_F_blockwise(val, xA, xB), expect, rtol=1e-13, atol=0)
+
+    def test_band_free_is_symmetric_bit_for_bit(self):
+        """F(xA, xB) == F(xB, xA) to the bit on the product instance, at
+        gap955's segment points and at random pairs."""
+        val = two_block_product_instance(200, 0.5)
+        ts = np.arange(21) / 20.0
+        xA = np.concatenate([1.0 - ts, np.random.default_rng(7).uniform(0, 1, 40)])
+        xB = np.concatenate([ts, np.random.default_rng(8).uniform(0, 1, 40)])
+        np.testing.assert_array_equal(
+            f_exp_blockwise(val, xA, xB), f_exp_blockwise(val, xB, xA)
+        )
+        assert exact_F_blockwise(val, 1.0, 0.0) == exact_F_blockwise(val, 0.0, 1.0)
 
     def test_float_blocks_stay_within_the_budget(self):
         """A block that a caller builds holds at most about setfn.BLOCK_BYTES

@@ -9,11 +9,14 @@ alters report numbers on purpose, regenerate the files with
 exits 1) and say why in CHANGES.md.
 """
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import symgap
 from symgap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +94,39 @@ def json_diff(expected, actual, path="$") -> list[str]:
 def test_report_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
+    expected, actual = (GOLDEN / name).read_text(), out.read_text()
+    assert actual == expected, json_diff(json.loads(expected), json.loads(actual))
+
+
+def run_module(args: list[str], out: Path, env: dict[str, str] | None = None) -> int:
+    """Exit code of `python -m symgap ARGS --out OUT` in a fresh interpreter
+    that imports this checkout's package; `env` is added to the child's
+    environment only."""
+    src = str(Path(symgap.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    child = dict(os.environ, **(env or {}), PYTHONPATH=path)
+    argv = [sys.executable, "-m", "symgap", *args, "--out", str(out)]
+    return subprocess.run(argv, env=child, timeout=300).returncode
+
+
+def test_python_dash_m_symgap_writes_the_golden(tmp_path):
+    out = tmp_path / "chernoff_seed0.json"
+    assert run_module(CASES["chernoff_seed0.json"], out) == 0
+    assert out.read_text() == (GOLDEN / "chernoff_seed0.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["gap955_seed0.json", "poisson_midr_two_block_m40_seed0.json"])
+def test_band_free_goldens_do_not_depend_on_the_blas_kernel(name, tmp_path):
+    """Under another OpenBLAS kernel the band-free reports keep their bytes:
+    exact_F_blockwise sums a beta = 0 valuation block by block with ufunc
+    reductions, with no BLAS call.
+
+    Still kernel-dependent (ROADMAP item 15): poisson_midr_seed0.json, and
+    suite_fast_seed0.json's reports[13] and reports[14], the m = 8
+    poisson-midr steps, through `enum_weights @ table` and
+    `_waterfill_additive`'s dot products."""
+    out = tmp_path / name
+    assert run_module(CASES[name], out, {"OPENBLAS_CORETYPE": "Prescott"}) == 0
     expected, actual = (GOLDEN / name).read_text(), out.read_text()
     assert actual == expected, json_diff(json.loads(expected), json.loads(actual))
 

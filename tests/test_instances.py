@@ -25,6 +25,7 @@ from symgap.instances import (
     TwoBlockValuation,
     _count_grid,
     expected_union_size,
+    extension_answers,
     make_symgap_valuation,
     psi,
     psi_tilde,
@@ -206,6 +207,25 @@ class TestTwoBlockValuation:
         oracle = val.oracle()
         # items 6, 7 are outside A ∪ B and contribute nothing
         assert oracle.eval(pack([0, 6, 7], 8)) == pytest.approx(oracle.eval(pack([2], 8)))
+
+    def test_extension_classes_on_a_partial_last_word(self):
+        """At m = 150 the last word holds 22 items; the row of the items
+        outside both blocks covers exactly those items and no bit from m
+        up, whatever the set asked about."""
+        m = 150
+        perm = np.random.default_rng(9).permutation(m)
+        A, B = pack(perm[:50], m), pack(perm[50:100], m)
+        val = make_symgap_valuation(m, A, B, PhiAlpha(0.5), 0.1)
+        answer = extension_answers(val, val.count_values())
+        blocks = mask_of(A) | mask_of(B)
+        outside = ((1 << m) - 1) & ~blocks
+        _, groups, found = answer(pack((), m))
+        assert [mask_of(g) for g in groups] == [outside, blocks]
+        assert found == [(50, 0, 0), (50, 1, 0), (50, 0, 1)]
+        S = pack(perm[[0, 60, 100, 149]], m)
+        _, groups, found = answer(S)
+        assert [mask_of(g) for g in groups] == [outside & ~mask_of(S), blocks & ~mask_of(S)]
+        assert found == [(48, 1, 1), (49, 2, 1), (49, 1, 2)]
 
     def test_eval_matches_psi_tilde_of_counts(self):
         A, B = pack([0, 1, 2, 3], 8), pack([4, 5, 6, 7], 8)
