@@ -44,6 +44,7 @@ from .extensions import (
     concavity_grid_scan,
     concavity_probe,
     exact_F_blockwise,
+    exact_F_tabulated,
     f_exp,
     f_exp_blockwise,
     multilinear_F,

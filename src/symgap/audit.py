@@ -535,9 +535,9 @@ def amplification_step(
     tail = float(ws[xs / alpha > math.sqrt(delta)].sum())
     case = 1 if tail > 2.0 * delta * xi else 2
     alpha_next = 0.5 * (1.0 + delta) * alpha if case == 1 else math.sqrt(delta) * alpha
-    # mean of values <= 1; the dot product may overshoot 1 by an ulp
-    xi_next = min(1.0, float(ws @ PhiAlpha(alpha_next).value(xs)))
-    quad = float(ws @ (1.0 - (1.0 - PhiAlpha(alpha).value(xs)) ** 2))
+    # mean of values <= 1; the sum may overshoot 1 by an ulp
+    xi_next = min(1.0, float(np.add.reduce(ws * PhiAlpha(alpha_next).value(xs))))
+    quad = float(np.add.reduce(ws * (1.0 - (1.0 - PhiAlpha(alpha).value(xs)) ** 2)))
     hyp = quad >= (1.0 - 2.0 * eps) * xi - 1e-15
     lhs = alpha_next * xi_next ** (1.0 + delta)
     rhs = 0.5 * (1.0 + delta * delta) * alpha * xi ** (1.0 + delta)
@@ -574,7 +574,7 @@ def hypothesis_satisfying_distribution(
         xs = rng.uniform(0.0, math.sqrt(delta) * alpha, size)
         ws = rng.dirichlet(np.ones(size))
     needed = (1.0 - 2.0 * eps) * xi
-    quad = float(ws @ (1.0 - (1.0 - PhiAlpha(alpha).value(xs)) ** 2))
+    quad = float(np.add.reduce(ws * (1.0 - (1.0 - PhiAlpha(alpha).value(xs)) ** 2)))
     if quad < needed and quad < 1.0:
         # mix with the saturating atom: w*quad + (1-w)*1 >= needed
         w_max = (1.0 - needed) / (1.0 - quad)
@@ -600,7 +600,7 @@ def run_amplification(ell: int, delta: float, c: float, seed: int) -> dict:
         xs, ws = hypothesis_satisfying_distribution(state, rng)
         state, cert = amplification_step(state, xs, ws)
         certs.append(cert)
-        final_mean = float(np.asarray(ws) @ np.asarray(xs))
+        final_mean = float(np.add.reduce(ws * xs))
     target = (0.5 * (1.0 + delta * delta)) ** ell * c ** (1.0 + delta)
     potential = state.potential
     telescoped = potential >= target * (1.0 - 1e-9)

@@ -164,7 +164,7 @@ def _random_base_oracle(rng: np.random.Generator, m: int) -> ValuationOracle:
 def _unit_range(f: ValuationOracle) -> ValuationOracle:
     """f, rescaled by 1/f(full) when f(full) > 1, so that a product
     composition accepts it (f is monotone, so f(full) is its maximum)."""
-    top = f.eval(pack(range(f.m), f.m))
+    top = f.eval(pack(np.arange(f.m), f.m))
     return scale_oracle(f, 1.0 / top) if top > 1.0 else f
 
 
@@ -305,7 +305,7 @@ def _exp_submod_check(
     elif family == "random":
         oracle = _random_base_oracle(rng, m)
     elif family == "polar":
-        oracle = make_polar(m, pack(range(m // 2), m), omega)
+        oracle = make_polar(m, pack(np.arange(m // 2), m), omega)
     elif family in _DRAWN:
         oracle = _DRAWN[family](rng, m)
     else:
@@ -400,8 +400,8 @@ def _exp_psi_tilde_check(
     msub = check_monotone_submodular(
         TwoBlockValuation(
             2 * block,
-            pack(range(block), 2 * block),
-            pack(range(block, 2 * block), 2 * block),
+            pack(np.arange(block), 2 * block),
+            pack(np.arange(block, 2 * block), 2 * block),
             phi,
             beta,
         ).oracle(),
@@ -428,7 +428,7 @@ def _exp_bisect_uniformity(cfg: ExperimentConfig, *, m: int = 32, trials: int = 
     rng = _rng(cfg.seed, 4)
     A, B = np.stack([sample_bisection_sequence(m, rng) for _ in range(trials)], axis=1)
     same_size = (np.bitwise_count(A).sum(-1) == np.bitwise_count(B).sum(-1)).all()
-    structure_ok = bool(same_size and not (A & B).any() and ((A | B) == pack(range(m), m)).all())
+    structure_ok = bool(same_size and not (A & B).any() and ((A | B) == pack(np.arange(m), m)).all())
 
     def z_max(counts, p):  # the largest z-score of trial counts against probability p
         return float((np.abs(counts / trials - p) / math.sqrt(p * (1 - p) / trials)).max())
@@ -493,7 +493,7 @@ def _waterfill_additive(w: np.ndarray, k: float) -> float:
         else:
             hi = lam
     x = np.clip(np.log(np.maximum(w, 1e-300) / hi), 0.0, 1.0)
-    return float(w @ (1.0 - np.exp(-x)))
+    return float(np.add.reduce(w * (1.0 - np.exp(-x))))
 
 
 def _exp_poisson_midr(

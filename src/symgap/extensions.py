@@ -4,17 +4,16 @@ multilinear_F(x) = E[f(S)] with items included independently with
 probabilities x; f_exp(x) = multilinear_F(1 - e^{-x}) is the value of the
 independent-exponential rounding.  Both estimate by seeded Monte Carlo
 sampling and report a standard error.  Exact values come from
-enum_weights(x) @ tabulate(oracle) on small ground sets, and from
-exact_F_blockwise / f_exp_blockwise (a binomial convolution over the
-two-block occupancy counts) on two-block valuations.
+exact_F_tabulated on small ground sets (a sum over the 2^m masks of a
+tabulated oracle), and from exact_F_blockwise / f_exp_blockwise (a binomial
+convolution over the two-block occupancy counts) on two-block valuations.
 
-exact_F_blockwise has three branches.  With beta = 0 (every
-two_block_product valuation) nothing couples the two counts, so it sums
-each block on its own against phi with ufunc reductions: no count grid and
-no BLAS call, so its values do not depend on the BLAS kernel.  With beta > 0
-the band couples the counts, so blocks up to GRID_MAX_BLOCK contract the
-pmf rows against the cached count grid (a BLAS matrix product), and larger
-blocks, whose grids are not cached, sum each point over its pmf windows.
+Every exact value is summed with ufunc reductions in a fixed order, never
+through BLAS, so it depends neither on the BLAS kernel nor on how many
+points share a call.  exact_F_blockwise has two branches.  With beta = 0
+(every two_block_product valuation) nothing couples the two counts, so it
+sums each block on its own against phi.  With beta > 0 the band couples the
+counts, so each point sums its two pmf windows against the count values.
 
 The binomial pmf is computed here in log space with numpy (`binom.pmf`), so
 the library needs numpy alone.  exact_F_blockwise and f_exp_blockwise take
@@ -36,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .setfn import GroundSetError, block_rows, tabulate, words_from_bits
-from .instances import GRID_MAX_BLOCK, TwoBlockValuation
+from .instances import TwoBlockValuation
 from .instances import _count_grid as _cached_count_grid  # perfbench reads its cache_info
 
 _PMF_TAIL = 1e-16
@@ -71,12 +70,37 @@ def _validate_point(x, m: int) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def enum_weights(p: np.ndarray) -> np.ndarray:
-    """Inclusion-pattern probabilities over all 2^m masks (bit j <-> item j)."""
-    w = np.ones(1)
-    for pj in p:
-        w = np.concatenate([w * (1.0 - pj), w * pj])
-    return w
+def exact_F_tabulated(table: np.ndarray, points) -> np.ndarray:
+    """The multilinear extension at each row of `points`, an (N, m) array of
+    inclusion probabilities, of the set function whose values over the 2^m
+    masks (bit j <-> item j) are `table`, as tabulate gives them.
+
+    A point's value is a sum over the masks in increasing order of
+    table[mask] times the item factors, p_j for an item in the mask and
+    1 - p_j for one outside it.  Each product runs left to right from
+    table[mask] over items 0..m-1, and the sum runs left to right
+    (np.cumsum), so a point's value depends neither on the other points nor
+    on the BLAS kernel.
+    """
+    table = np.asarray(table, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or table.shape != (1 << points.shape[1],):
+        raise GroundSetError(
+            f"need (N, m) points and 2^m table values, got {points.shape} and {table.shape}"
+        )
+    out = np.empty(len(points))
+    # a block's terms and their running sums: two 2^m-float rows per point
+    step = block_rows(2 * 8 * table.size)
+    for lo in range(0, len(points), step):
+        p = points[lo : lo + step]
+        terms = np.repeat(table[None], len(p), axis=0)
+        for j in range(p.shape[1]):
+            # item j's bit splits each run of 2^(j+1) masks into a half
+            # without the item and a half with it
+            halves = terms.reshape(len(p), -1, 2, 1 << j)
+            halves *= np.stack([1.0 - p[:, j], p[:, j]], axis=1)[:, None, :, None]
+        out[lo : lo + step] = np.cumsum(terms, axis=1)[:, -1]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -160,20 +184,18 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     Exact binomial convolution: F = sum_a sum_b Bin(|A|, xA)(a) Bin(|B|, xB)(b)
     * value(a, b).  xA and xB are scalars or broadcastable arrays; a scalar
     pair gives a float, arrays give an array of their broadcast shape.  One
-    of three branches computes it:
+    of two branches computes it, with ufunc reductions and no BLAS call, so
+    its values do not depend on the BLAS kernel, nor a point's value on the
+    other points of its call:
 
     - beta = 0 (every two_block_product valuation), at any block size: no
       band couples the counts, so value(a, b) = lam * psi(a/n, b/n) and F =
       lam * (1 - (1 - E phi(a/n)) (1 - E phi(b/n))), two one-block sums per
-      point.  It needs no count grid and no BLAS call, so its values do not
-      depend on the BLAS kernel, and F(xA, xB) == F(xB, xA) bit for bit.
-    - beta > 0 with blocks up to GRID_MAX_BLOCK: the band couples the
-      counts, so the points are contracted against the shared count grid
-      (a BLAS matrix product), a block of points at a time, the block's
-      arrays together within setfn.BLOCK_BYTES (per block, not per array).
-    - beta > 0 above GRID_MAX_BLOCK, whose grids are too large to cache:
-      each point maps only the counts in its retained pmf windows to
-      values.
+      point, a block of points at a time within setfn.BLOCK_BYTES.
+      F(xA, xB) == F(xB, xA) bit for bit.
+    - beta > 0: the band couples the counts, so each point sums the values
+      of the counts in its retained pmf windows (count_values()), over b
+      for each a and then over a.
     """
     xA, xB = np.broadcast_arrays(np.asarray(xA, dtype=float), np.asarray(xB, dtype=float))
     if not (((0.0 <= xA) & (xA <= 1.0)) & ((0.0 <= xB) & (xB <= 1.0))).all():
@@ -199,22 +221,13 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
             # psi = 1 - (1 - ea)(1 - eb) as ea + eb - ea eb: the sum is at least
             # half of ea + eb, so small values keep their relative accuracy
             np.multiply(block_val.lam, ea + eb - ea * eb, out=out[lo : lo + step])
-    elif n <= GRID_MAX_BLOCK:
-        grid = block_val.count_grid()
-        # three (n+1)-float rows per point are live at once: a pmf and its
-        # temporary or its product with the grid, beside one product
-        step = block_rows(3 * 8 * (n + 1))
-        for lo in range(0, out.size, step):
-            hi = lo + step
-            block = binom.pmf(ks, n, pa[lo:hi, None]) @ grid
-            block *= binom.pmf(ks, n, pb[lo:hi, None])
-            out[lo:hi] = block.sum(1)
     else:
         values = block_val.count_values()
         for i, (a, b) in enumerate(zip(pa.tolist(), pb.tolist())):
             ka, wa = _pmf_window(n, a)
             kb, wb = _pmf_window(n, b)
-            out[i] = wa @ values(ka[:, None], kb[None, :]) @ wb
+            rows = values(ka[:, None], kb[None, :]) * wb
+            out[i] = np.add.reduce(wa * np.add.reduce(rows, axis=1))
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -360,16 +373,7 @@ def concavity_grid_scan(
     shape = (n_fine,) * m
     coords = np.indices(shape).reshape(m, -1).T  # (Nfine, m) ints
     pts = fine_axes[coords]  # (Nfine, m) floats
-    p = 1.0 - np.exp(-pts)
-    g_fine = np.zeros(len(p))
-    for mask in range(1 << m):
-        fv = table[mask]
-        if fv == 0.0:
-            continue
-        term = np.ones(len(p)) * fv
-        for j in range(m):
-            term *= p[:, j] if (mask >> j) & 1 else 1.0 - p[:, j]
-        g_fine += term
+    g_fine = exact_F_tabulated(table, 1.0 - np.exp(-pts))
 
     # coarse grid = even fine coordinates
     strides = np.array([n_fine**j for j in range(m - 1, -1, -1)], dtype=np.int64)

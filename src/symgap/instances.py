@@ -198,7 +198,6 @@ class TwoBlockValuation:
                 "beta": self.beta,
                 "lam": self.lam,
             },
-            "seed": None,
         }
 
     def oracle(self, observe: Callable | None = None) -> ValuationOracle:
@@ -304,7 +303,7 @@ def two_block_product_instance(block_size: int, alpha: float) -> TwoBlockValuati
     if block_size <= 0:
         raise OracleContractError("block_size must be positive")
     m = 2 * block_size
-    A, B = pack(range(block_size), m), pack(range(block_size, m), m)
+    A, B = pack(np.arange(block_size), m), pack(np.arange(block_size, m), m)
     return TwoBlockValuation(m, A, B, PhiAlpha(alpha), 0.0, 1.0, kind="two_block_product")
 
 

@@ -29,7 +29,7 @@ from .setfn import (
     words_from_bits,
 )
 from .instances import CPPInstance, TwoBlockValuation
-from .extensions import enum_weights, f_exp_blockwise
+from .extensions import exact_F_tabulated, f_exp_blockwise
 
 GAIN_TOL = 1e-12
 _AUCTION_ENUM_CAP = 4_000_000
@@ -266,12 +266,12 @@ def _concave_class(descriptor: dict | None) -> bool:
 def _project_box_budget(z: np.ndarray, w: np.ndarray, budget: float) -> np.ndarray:
     """Euclidean projection onto {0 <= z <= 1, w . z <= budget} (w > 0)."""
     clipped = np.clip(z, 0.0, 1.0)
-    if float(w @ clipped) <= budget + 1e-15:
+    if float(np.add.reduce(w * clipped)) <= budget + 1e-15:
         return clipped
     lo, hi = 0.0, float(np.max(z / np.minimum(w, 1.0))) + 1.0
     for _ in range(200):
         theta = 0.5 * (lo + hi)
-        val = float(w @ np.clip(z - theta * w, 0.0, 1.0))
+        val = float(np.add.reduce(w * np.clip(z - theta * w, 0.0, 1.0)))
         if val > budget:
             lo = theta
         else:
@@ -312,7 +312,7 @@ def poisson_midr_cpp(oracle, k: int, force: bool = False) -> MIDRResult:
         table = tabulate(oracle)
 
         def g_full(x: np.ndarray) -> float:
-            return float(enum_weights(1.0 - np.exp(-x)) @ table)
+            return float(exact_F_tabulated(table, (1.0 - np.exp(-x))[None])[0])
 
         dim = m
         weights = np.ones(m)

@@ -318,7 +318,7 @@ def make_additive(weights: Sequence[float]) -> ValuationOracle:
     def fn_many(words: np.ndarray) -> np.ndarray:
         return _sum_in_item_order(w_arr, bits_from_words(words, m))
 
-    desc = {"kind": "additive", "params": {"weights": w}, "seed": None}
+    desc = {"kind": "additive", "params": {"weights": w}}
     return ValuationOracle(m, fn_many, desc)
 
 
@@ -340,7 +340,7 @@ def make_budget_additive(weights: Sequence[float], budget: float) -> ValuationOr
         # reached b iff the total did; the empty set is never capped
         return np.where((total >= b) & selected.any(axis=1), b, total)
 
-    desc = {"kind": "budget_additive", "params": {"weights": w, "budget": b}, "seed": None}
+    desc = {"kind": "budget_additive", "params": {"weights": w, "budget": b}}
     return ValuationOracle(m, fn_many, desc)
 
 
@@ -377,7 +377,6 @@ def make_coverage(
             "universe_weights": uw,
             "cover_map": [np.flatnonzero(covered_by[:, j]).tolist() for j in range(m)],
         },
-        "seed": None,
     }
     return ValuationOracle(m, fn_many, desc)
 
@@ -396,11 +395,7 @@ def make_polar(m: int, A: np.ndarray, omega: float) -> ValuationOracle:
         inside = intersection_sizes(words, a_words)
         return inside + w * (np.bitwise_count(words).sum(1, dtype=np.int64) - inside)
 
-    desc = {
-        "kind": "polar",
-        "params": {"A": to_hex(A, m), "m": m, "omega": w},
-        "seed": None,
-    }
+    desc = {"kind": "polar", "params": {"A": to_hex(A, m), "m": m, "omega": w}}
     return ValuationOracle(m, fn_many, desc)
 
 
@@ -413,7 +408,7 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     if f1.m != f2.m:
         raise GroundSetError(f"component ground sizes differ: {f1.m} vs {f2.m}")
     m = f1.m
-    full = pack(range(m), m)[None]
+    full = pack(np.arange(m), m)[None]
     for f in (f1, f2):
         top = float(f._evaluate(full)[0])
         if top > 1.0 + 1e-12 or top < -1e-12:
@@ -424,11 +419,7 @@ def compose_product(f1: ValuationOracle, f2: ValuationOracle) -> ValuationOracle
     def fn_many(words: np.ndarray) -> np.ndarray:
         return 1.0 - (1.0 - f1._evaluate(words)) * (1.0 - f2._evaluate(words))
 
-    desc = {
-        "kind": "product",
-        "params": {"components": [f1.descriptor, f2.descriptor]},
-        "seed": None,
-    }
+    desc = {"kind": "product", "params": {"components": [f1.descriptor, f2.descriptor]}}
     return ValuationOracle(m, fn_many, desc, components=(f1, f2))
 
 
@@ -440,7 +431,7 @@ def scale_oracle(f: ValuationOracle, lam: float) -> ValuationOracle:
     def fn_many(words: np.ndarray) -> np.ndarray:
         return lam * f._evaluate(words)
 
-    desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}, "seed": None}
+    desc = {"kind": "scaled", "params": {"lam": float(lam), "inner": f.descriptor}}
     return ValuationOracle(f.m, fn_many, desc, components=(f,))
 
 

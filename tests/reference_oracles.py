@@ -8,7 +8,9 @@ independent reference bit for bit.  Sums run left to right from 0.0 in item
 masks_from_words, mask_of, row_of and mask_hex convert between rows, int
 masks and hex the int way: the reference for pack, unpack and the hex pair.
 extension_vector decodes an extension answer item by item.
-binom_mean_exact is a one-block binomial sum in exact rationals.
+binom_mean_exact is a one-block binomial sum in exact rationals, and
+enum_weights the inclusion-pattern probabilities of every mask, the
+reference for the package's tabulated extension.
 KnotProfile is a concave profile other than the package's ramp, so that
 tests can hold the two-block evaluators to reading a profile only through
 value() and to_param_dict().
@@ -200,3 +202,12 @@ def binom_mean_exact(values, n: int, p: float) -> Fraction:
     return sum(
         math.comb(n, k) * q**k * (1 - q) ** (n - k) * Fraction(v) for k, v in enumerate(values)
     )
+
+
+def enum_weights(p: np.ndarray) -> np.ndarray:
+    """Inclusion-pattern probabilities over all 2^m masks (bit j <-> item j),
+    built by doubling: the masks without item j, then those with it."""
+    w = np.ones(1)
+    for pj in p:
+        w = np.concatenate([w * (1.0 - pj), w * pj])
+    return w

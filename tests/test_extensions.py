@@ -3,7 +3,8 @@
 The blockwise engine is cross-checked against three independent paths: a
 from-scratch subset enumeration (itertools over inclusion patterns), a
 binomial pmf built by the multiplicative recurrence (no library calls), and plain
-Monte-Carlo sampling.
+Monte-Carlo sampling.  The tabulated evaluator is checked against the same
+enumeration and against the inclusion-pattern weights of reference_oracles.
 """
 import itertools
 import math
@@ -27,8 +28,8 @@ from symgap.extensions import (
     ConcavityViolation,
     concavity_grid_scan,
     concavity_probe,
-    enum_weights,
     exact_F_blockwise,
+    exact_F_tabulated,
     f_exp,
     f_exp_blockwise,
     multilinear_F,
@@ -38,7 +39,7 @@ from symgap.extensions import (
     binom,
     random_pair_source,
 )
-from reference_oracles import binom_mean_exact
+from reference_oracles import binom_mean_exact, enum_weights
 
 # frozen in the build notes before the engine existed: exact values of the
 # two-block alpha=1/2 construction at blocks of 200
@@ -95,20 +96,75 @@ class TestEnumWeights:
             assert w[mask] == pytest.approx(expect, abs=1e-15)
 
 
+class TestExactFTabulated:
+    @staticmethod
+    def _case(m: int, seed: int):
+        """A budget-additive oracle on m items, and ten points: four random
+        corners of the cube, then six random interior points."""
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0, 0.3, m)
+        oracle = make_budget_additive([float(v) for v in w], float(0.6 * w.sum()))
+        corners = rng.integers(0, 2, (4, m)).astype(float)
+        return oracle, np.concatenate([corners, rng.uniform(0, 1, (6, m))])
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_matches_reference_weights_and_brute_force(self, m):
+        oracle, points = self._case(m, m)
+        table = tabulate(oracle)
+        values = exact_F_tabulated(table, points)
+        assert values.shape == (len(points),)
+        for x, value in zip(points, values.tolist()):
+            assert value == pytest.approx(float(enum_weights(x) @ table), rel=1e-13, abs=1e-15)
+            assert value == pytest.approx(brute_force_F(oracle, x), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_sums_masks_then_items_in_order(self, m):
+        """Bit for bit the sum over masks in increasing order, left to right
+        from 0.0, of table[mask] times the item factors, left to right over
+        items 0..m-1."""
+        oracle, points = self._case(m, 10 + m)
+        table = tabulate(oracle).tolist()
+        expect = []
+        for x in points.tolist():
+            total = 0.0
+            for mask, value in enumerate(table):
+                term = value
+                for j, p in enumerate(x):
+                    term *= p if mask >> j & 1 else 1.0 - p
+                total += term
+            expect.append(total)
+        np.testing.assert_array_equal(exact_F_tabulated(tabulate(oracle), points), expect)
+
+    # one point a block, two points a block, and the default budget
+    @pytest.mark.parametrize("block_bytes", [1, 2 * 2 * 8 * 2**6, setfn.BLOCK_BYTES])
+    def test_point_value_does_not_depend_on_its_block(self, monkeypatch, block_bytes):
+        oracle, points = self._case(6, 3)
+        points = np.concatenate([points] * 5)
+        single = [exact_F_tabulated(tabulate(oracle), x[None])[0] for x in points]
+        monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
+        np.testing.assert_array_equal(exact_F_tabulated(tabulate(oracle), points), single)
+
+    def test_rejects_mismatched_shapes(self):
+        table = tabulate(make_additive([0.5, 0.25]))
+        for points in (np.full(2, 0.5), np.full((3, 3), 0.5)):
+            with pytest.raises(GroundSetError):
+                exact_F_tabulated(table, points)
+
+
 class TestMultilinearF:
     def test_exact_enum_matches_brute_force(self):
         rng = np.random.default_rng(2)
         w = rng.uniform(0, 0.3, 6)
         oracle = make_budget_additive([float(v) for v in w], float(0.5 * w.sum()))
         x = rng.uniform(0, 1, 6)
-        value = float(enum_weights(x) @ tabulate(oracle))
+        value = exact_F_tabulated(tabulate(oracle), x[None])[0]
         assert value == pytest.approx(brute_force_F(oracle, x), abs=1e-12)
 
     def test_additive_extension_is_linear(self):
         w = [0.2, 0.5, 0.1]
         oracle = make_additive(w)
         x = np.array([0.3, 0.9, 0.5])
-        value = float(enum_weights(x) @ tabulate(oracle))
+        value = exact_F_tabulated(tabulate(oracle), x[None])[0]
         assert value == pytest.approx(float(np.dot(w, x)))
 
     def test_monte_carlo_agrees_with_exact(self):
@@ -116,7 +172,7 @@ class TestMultilinearF:
         w = rng.uniform(0, 0.3, 8)
         oracle = make_budget_additive([float(v) for v in w], float(0.6 * w.sum()))
         x = rng.uniform(0, 1, 8)
-        exact = float(enum_weights(x) @ tabulate(oracle))
+        exact = exact_F_tabulated(tabulate(oracle), x[None])[0]
         mc = multilinear_F(oracle, x, 40_000, 17)
         assert abs(mc.value - exact) <= 4 * mc.stderr + 1e-3
 
@@ -286,7 +342,7 @@ class TestBlockwise:
             batch = exact_F_blockwise(val, xA, xB)
             scalar = [exact_F_blockwise(val, a, b) for a, b in zip(xA.tolist(), xB.tolist())]
             assert all(type(v) is float for v in scalar)
-            np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(batch, scalar)
             grid = exact_F_blockwise(val, xA.reshape(5, 9), xB.reshape(5, 9))
             np.testing.assert_array_equal(grid, batch.reshape(5, 9))
             exp_batch = f_exp_blockwise(val, xA, xB)
@@ -294,11 +350,10 @@ class TestBlockwise:
             np.testing.assert_allclose(exp_batch, exp_scalar, rtol=1e-14, atol=0)
 
     # one point a block, 8 * 9 * 700 bytes (350 points a block with beta =
-    # 0, 233 with beta > 0), and the default budget (one block of the 5,000
-    # points with beta = 0, two with beta > 0).  A band-free point sums its pmf rows with ufunc reductions,
-    # row by row, so its value does not depend on its block.  BLAS rounds the
-    # grid's (block, n+1) @ (n+1, n+1) contraction by its shape, so beta > 0
-    # agrees to 1e-14 rather than bit for bit.
+    # 0), and the default budget (one block of the 5,000 points).  A
+    # band-free point sums its pmf rows with ufunc reductions, row by row,
+    # and a banded point sums its own pmf windows, so neither value depends
+    # on its block.
     @pytest.mark.parametrize("block_bytes", [1, 8 * 9 * 700, setfn.BLOCK_BYTES])
     def test_batch_spans_several_chunks(self, monkeypatch, block_bytes):
         A, B = pack(range(8), 16), pack(range(8, 16), 16)
@@ -311,10 +366,8 @@ class TestBlockwise:
             for val in (band_free, banded)
         }
         monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
-        np.testing.assert_array_equal(exact_F_blockwise(band_free, xA, xB), scalar[band_free])
-        np.testing.assert_allclose(
-            exact_F_blockwise(banded, xA, xB), scalar[banded], rtol=1e-14, atol=0
-        )
+        for val in (band_free, banded):
+            np.testing.assert_array_equal(exact_F_blockwise(val, xA, xB), scalar[val])
 
     @pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.7)])
     def test_band_free_matches_exact_one_block_sums(self, alpha, lam):
@@ -345,8 +398,7 @@ class TestBlockwise:
     @pytest.mark.parametrize("n", [8, 200, 1100])
     def test_band_free_matches_the_grid_contraction(self, n):
         """The one-block sums agree with the two-block contraction pmf @
-        grid @ pmf over the count grid lam * psi(a/n, b/n), which the
-        beta > 0 branch computes, to 1e-13."""
+        grid @ pmf over the count grid lam * psi(a/n, b/n) to 1e-13."""
         val = two_block_product_instance(n, 0.5)
         ks = np.arange(n + 1)
         grid = psi_tilde(val.phi, 0.0, ks[:, None] / n, ks[None, :] / n)
@@ -355,6 +407,21 @@ class TestBlockwise:
         xB = np.concatenate([[1.0, 0.0, 0.5], rng.uniform(0, 1, 12)])
         pmf = lambda p: binom.pmf(ks, n, p[:, None])
         expect = ((pmf(xA) @ grid) * pmf(xB)).sum(1)
+        np.testing.assert_allclose(exact_F_blockwise(val, xA, xB), expect, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_banded_matches_the_grid_contraction(self, n):
+        """The windowed sums of a beta > 0 valuation agree with the full
+        contraction pmf @ grid @ pmf over its count grid to 1e-13, as the
+        band-free sums do: the windows drop under 1e-16 of each pmf's mass."""
+        A, B = pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n)
+        val = make_symgap_valuation(2 * n, A, B, PhiAlpha(0.3), 0.05, 0.7)
+        ks = np.arange(n + 1)
+        rng = np.random.default_rng(n)
+        xA = np.concatenate([[0.0, 1.0, 0.5, 1e-9], rng.uniform(0, 1, 12)])
+        xB = np.concatenate([[1.0, 0.0, 0.5, 0.0], rng.uniform(0, 1, 12)])
+        pmf = lambda p: binom.pmf(ks, n, p[:, None])
+        expect = ((pmf(xA) @ val.count_grid()) * pmf(xB)).sum(1)
         np.testing.assert_allclose(exact_F_blockwise(val, xA, xB), expect, rtol=1e-13, atol=0)
 
     def test_band_free_is_symmetric_bit_for_bit(self):
@@ -374,11 +441,14 @@ class TestBlockwise:
         at once, whatever the number of points, samples, triples or
         prefixes: 30,000 points at n = 200 on a warm grid, 600 samples at
         m = 4,000, and 2,000 sampled triples and 20,000 balanced prefixes
-        at m = 40,000 each peak under two blocks.  A count grid, built a
-        block of rows at a time, peaks under its own bytes and 1.5 blocks."""
+        at m = 40,000 each peak under two blocks, as do 5,000 points of a
+        tabulated extension at m = 8.  A count grid, built a block of rows
+        at a time, peaks under its own bytes and 1.5 blocks."""
         val = two_block_product_instance(200, 0.5)
         val.count_grid()
         xA, xB = np.random.default_rng(3).uniform(0, 1, (2, 30_000))
+        table = tabulate(make_additive([0.1] * 8))
+        points = np.random.default_rng(4).uniform(0, 1, (5_000, 8))
         oracle = two_block_product_instance(2000, 0.5).oracle()
         x = np.full(oracle.m, 0.5)
         wide = two_block_product_instance(20_000, 0.5).oracle()
@@ -395,6 +465,7 @@ class TestBlockwise:
 
         for call in (
             lambda: exact_F_blockwise(val, xA, xB),
+            lambda: exact_F_tabulated(table, points),
             lambda: multilinear_F(oracle, x, 600, seed=1),
             lambda: check_monotone_submodular(wide, "sampled", 2000, np.random.default_rng(1)),
             lambda: BalancedPrefixCPP().allocate([wide], 20_000, np.random.default_rng(2)),

@@ -115,16 +115,21 @@ def test_python_dash_m_symgap_writes_the_golden(tmp_path):
     assert out.read_text() == (GOLDEN / "chernoff_seed0.json").read_text()
 
 
-@pytest.mark.parametrize("name", ["gap955_seed0.json", "poisson_midr_two_block_m40_seed0.json"])
-def test_band_free_goldens_do_not_depend_on_the_blas_kernel(name, tmp_path):
-    """Under another OpenBLAS kernel the band-free reports keep their bytes:
-    exact_F_blockwise sums a beta = 0 valuation block by block with ufunc
-    reductions, with no BLAS call.
+# every golden whose numbers pass through a float sum
+FLOAT_SUM_GOLDENS = [
+    "amplify_seed0.json",
+    "gap955_seed0.json",
+    "poisson_midr_seed0.json",
+    "poisson_midr_two_block_m40_seed0.json",
+    "suite_fast_seed0.json",
+]
 
-    Still kernel-dependent (ROADMAP item 15): poisson_midr_seed0.json, and
-    suite_fast_seed0.json's reports[13] and reports[14], the m = 8
-    poisson-midr steps, through `enum_weights @ table` and
-    `_waterfill_additive`'s dot products."""
+
+@pytest.mark.parametrize("name", FLOAT_SUM_GOLDENS)
+def test_float_sum_goldens_do_not_depend_on_the_blas_kernel(name, tmp_path):
+    """Under another OpenBLAS kernel the reports keep their bytes: the exact
+    extensions and the report path's weighted sums use ufunc reductions in
+    a fixed order, with no BLAS call."""
     out = tmp_path / name
     assert run_module(CASES[name], out, {"OPENBLAS_CORETYPE": "Prescott"}) == 0
     expected, actual = (GOLDEN / name).read_text(), out.read_text()

@@ -18,8 +18,8 @@ from symgap.setfn import (
     unpack,
 )
 from symgap.instances import PhiAlpha, psi, psi_tilde
-from symgap.extensions import enum_weights
 from symgap.audit import quadrant_feasible_exact, separate_quadrant
+from reference_oracles import enum_weights
 
 
 idx_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=10)
