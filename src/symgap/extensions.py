@@ -12,8 +12,11 @@ Every exact value is summed with ufunc reductions in a fixed order, never
 through BLAS, so it depends neither on the BLAS kernel nor on how many
 points share a call.  exact_F_blockwise has two branches.  With beta = 0
 (every two_block_product valuation) nothing couples the two counts, so it
-sums each block on its own against phi.  With beta > 0 the band couples the
-counts, so each point sums its two pmf windows against the count values.
+takes each block's mean of phi on its own.  The ramp phi(t) = min(t/alpha,
+1) is linear below alpha and E[a/n] = p, so that mean is p/alpha less a sum
+over the saturated counts only, about n (1 - alpha) pmf entries per point
+and none at alpha = 1.  With beta > 0 the band couples the counts, so each
+point sums its two pmf windows against the count values.
 
 The binomial pmf is computed here in log space with numpy (`binom.pmf`), so
 the library needs numpy alone.  exact_F_blockwise and f_exp_blockwise take
@@ -121,11 +124,16 @@ def _log_binom_coeffs(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _count_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only rows over k = 0..n: k and n - k as floats, and log C(n, k).
+def _count_rows(n: int, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rows over the counts k = lo..n: k and n - k as floats, and
+    log C(n, k).  With lo > 0 they are views of the rows _count_rows(n, 0).
 
     binom.pmf given the first row as its k reads all three as they are:
     no int-to-float cast per entry, no range check and no gather."""
+    if not 0 <= lo <= n + 1:
+        raise ValueError(f"counts must lie in [0, {n}]")
+    if lo:
+        return tuple(row[lo:] for row in _count_rows(n, 0))
     k = np.arange(n + 1, dtype=float)
     rows = (k, n - k, _log_binom_coeffs(n))
     for row in rows[:2]:
@@ -136,18 +144,22 @@ def _count_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _binom_pmf(k, n: int, p, out: np.ndarray | None = None) -> np.ndarray:
     """Bin(n, p) pmf at k; k and p broadcast against each other like
     scipy.stats.binom.pmf, n is one integer.  p = 0 and p = 1 give exact
-    one-hot values.  k may be _count_rows(n)[0], the float row of every
-    count; `out`, when given, is an array of the broadcast shape that
-    receives the pmf and is returned."""
+    one-hot values.  k is an integer count or array of counts, or the float
+    row _count_rows(n, lo)[0] of the counts lo..n; `out`, when given, is an
+    array of the broadcast shape that receives the pmf and is returned."""
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"counts must lie in [0, {n}]")
-    ks, n_minus_k, logc = _count_rows(n)
-    if k is not ks:
+    if isinstance(k, np.ndarray) and k.dtype.kind == "f":
+        rows = _count_rows(n, n + 1 - k.size)
+        if k is not rows[0]:
+            raise ValueError("float counts must be the row _count_rows(n, lo)[0]")
+        _, n_minus_k, logc = rows
+    else:
         k = np.asarray(k)
         if ((k < 0) | (k > n)).any():
             raise ValueError(f"counts must lie in [0, {n}]")
-        n_minus_k, logc = n - k, logc[k]
+        n_minus_k, logc = n - k, _log_binom_coeffs(n)[k]
     p = np.asarray(p, dtype=float)
     if out is None:
         out = np.empty(np.broadcast_shapes(k.shape, p.shape))
@@ -190,8 +202,12 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
 
     - beta = 0 (every two_block_product valuation), at any block size: no
       band couples the counts, so value(a, b) = lam * psi(a/n, b/n) and F =
-      lam * (1 - (1 - E phi(a/n)) (1 - E phi(b/n))), two one-block sums per
-      point, a block of points at a time within setfn.BLOCK_BYTES.
+      lam * (1 - (1 - E phi(a/n)) (1 - E phi(b/n))).  With phi(t) =
+      min(t/alpha, 1) and E[a/n] = p, each one-block mean is
+          E phi(a/n) = p/alpha - sum_{k : (k/n)/alpha > 1} P(k) ((k/n)/alpha - 1),
+      a pmf over the about n (1 - alpha) saturated counts only: none at
+      alpha = 1, where F = lam * (xA + xB - xA xB) with no pmf at all.  The
+      points go a block at a time within setfn.BLOCK_BYTES.
       F(xA, xB) == F(xB, xA) bit for bit.
     - beta > 0: the band couples the counts, so each point sums the values
       of the counts in its retained pmf windows (count_values()), over b
@@ -204,20 +220,29 @@ def exact_F_blockwise(block_val: TwoBlockValuation, xA, xB) -> float | np.ndarra
     pa, pb = xA.ravel(), xB.ravel()
     out = np.empty(pa.size)
     n = block_val.block_size
-    ks = _count_rows(n)[0]
     if block_val.beta == 0.0:
-        phis = block_val.phi.value(ks / n)
-        # two (n+1)-float rows per point are live at once: a pmf and its
-        # temporary.  A row's sum against phis does not depend on its block
-        step = block_rows(2 * 8 * (n + 1))
-        pmf = np.empty((min(step, out.size), n + 1))
+        # phi(t) = t/alpha - max(t/alpha - 1, 0) and E[a/n] = p, so E phi(a/n)
+        # = p/alpha - sum over the saturated counts, (k/n)/alpha > 1, of
+        # P(k) ((k/n)/alpha - 1): a pmf over about n (1 - alpha) counts
+        alpha = block_val.phi.alpha
+        ramp = _count_rows(n, 0)[0] / n / alpha
+        saturated = int(np.searchsorted(ramp, 1.0, side="right"))
+        ks = _count_rows(n, saturated)[0]
+        excess = ramp[saturated:] - 1.0
+        # per point, two saturated-count rows are live at once, a pmf and its
+        # temporary, and at most five floats more: the two means and their
+        # temporaries.  A row's sum against excess does not depend on its block
+        step = block_rows(8 * (2 * ks.size + 5))
+        pmf = np.empty((min(step, out.size), ks.size))
         means = np.empty((2, len(pmf)))
         for lo in range(0, out.size, step):
             rows, (ea, eb) = pmf[: out.size - lo], means[:, : out.size - lo]
-            for p, mean in ((pa, ea), (pb, eb)):
-                binom.pmf(ks, n, p[lo : lo + step, None], out=rows)
-                rows *= phis
+            for p, mean in ((pa[lo : lo + step], ea), (pb[lo : lo + step], eb)):
+                if ks.size:  # no count saturates at alpha = 1
+                    binom.pmf(ks, n, p[:, None], out=rows)
+                    rows *= excess
                 np.add.reduce(rows, axis=1, out=mean)
+                np.subtract(p / alpha, mean, out=mean)
             # psi = 1 - (1 - ea)(1 - eb) as ea + eb - ea eb: the sum is at least
             # half of ea + eb, so small values keep their relative accuracy
             np.multiply(block_val.lam, ea + eb - ea * eb, out=out[lo : lo + step])

@@ -35,8 +35,9 @@ _EVAL_CHUNK = 1 << 14
 # table: the 32 cached tables pin at most 16 MB
 _SINGLETON_TABLE_WORDS = 1 << 16
 # bytes that a block a caller builds itself (sampled triples, balanced
-# prefixes, blockwise pmf matrices, Monte Carlo draws, count grid rows) holds
-# at once, per block, not per array: 1 MiB, half of a 2 MiB L2 cache
+# prefixes, blockwise pmf matrices, Monte Carlo draws, count grid rows, the
+# terms of item-order sums) holds at once, per block, not per array: 1 MiB,
+# half of a 2 MiB L2 cache
 BLOCK_BYTES = 1 << 20
 
 
@@ -170,10 +171,17 @@ def _sum_in_item_order(weights: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """Per row, the weights of the selected columns added left to right from
     0.0, in item order.  np.sum's pairwise order would change low bits, and
     a masked copy keeps 0 * inf out of unselected columns.  The result is
-    contiguous: BLAS sums a strided vector in another order."""
-    terms = np.zeros((len(selected), selected.shape[1] + 1))
-    np.copyto(terms[:, 1:], weights, where=selected)
-    return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+    contiguous: BLAS sums a strided vector in another order.  The float terms
+    are built a block of rows at a time, within BLOCK_BYTES."""
+    step = block_rows(8 * (selected.shape[1] + 1))
+    if len(selected) <= step:
+        terms = np.zeros((len(selected), selected.shape[1] + 1))
+        np.copyto(terms[:, 1:], weights, where=selected)
+        return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+    out = np.empty(len(selected))
+    for lo in range(0, len(selected), step):
+        out[lo : lo + step] = _sum_in_item_order(weights, selected[lo : lo + step])
+    return out
 
 
 class ValuationOracle:

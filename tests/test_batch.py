@@ -291,6 +291,20 @@ def _assert_matches_scalar(oracle, words: np.ndarray) -> None:
     assert batch.tobytes() == scalar_values(oracle, words).tobytes()
 
 
+# one row a block, three rows of the additive terms (131 floats) a block,
+# and the default budget (one block of the 40 rows)
+@pytest.mark.parametrize("block_bytes", [1, 8 * 131 * 3, setfn.BLOCK_BYTES])
+@pytest.mark.parametrize("kind", ("additive", "budget_additive", "coverage"))
+def test_item_order_sums_do_not_depend_on_their_block(monkeypatch, kind, block_bytes):
+    """A batch whose float terms span several blocks is summed a block of
+    rows at a time; every row's value is still the scalar loop's."""
+    rng = np.random.default_rng(7)
+    oracle = _fallback(kind, 130, rng)
+    words = _random_rows(130, rng)
+    monkeypatch.setattr(setfn, "BLOCK_BYTES", block_bytes)
+    _assert_matches_scalar(oracle, words)
+
+
 EDGE_WEIGHTS = (
     [-0.0],  # one item: a bare cumsum would give -0.0 where the loop gives 0.0
     [-0.0, -0.0, -0.0],

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symgap import setfn
+from symgap import extensions, setfn
 from symgap.setfn import (
     GroundSetError, check_monotone_submodular, make_additive, make_budget_additive, pack,
     scale_oracle, tabulate,
@@ -253,8 +253,10 @@ class TestBinomPmf:
     def test_in_place_sum_equals_one_expression(self, n):
         """The pmf built in one array with out= gives the one-expression
         formula's entries bit for bit, for a row of points (also from the
-        cached float row of counts into a caller's buffer), a 1-D row and
-        scalars; a scalar pair gives a numpy scalar."""
+        cached float row of counts into a caller's buffer, and from the
+        cached rows of the counts lo..n), a 1-D row and scalars; a scalar
+        pair gives a numpy scalar.  A float row of counts from elsewhere
+        raises."""
 
         def one_expression(k, p):
             k, p = np.asarray(k), np.asarray(p, dtype=float)
@@ -276,14 +278,37 @@ class TestBinomPmf:
         np.testing.assert_array_equal(bits(binom.pmf(ks, n, ps[:, None])), expect)
         # the cached float row of every count, written into a given buffer
         out = np.full((len(ps), n + 1), np.nan)
-        binom.pmf(_count_rows(n)[0], n, ps[:, None], out=out)
+        binom.pmf(_count_rows(n, 0)[0], n, ps[:, None], out=out)
         np.testing.assert_array_equal(bits(out), expect)
+        # the cached rows of the counts lo..n, the saturated tail's
+        for lo in (1, n // 2, n):
+            tail = binom.pmf(_count_rows(n, lo)[0], n, ps[:, None])
+            np.testing.assert_array_equal(bits(tail), expect[:, lo:])
+        with pytest.raises(ValueError):
+            binom.pmf(np.arange(n + 1, dtype=float), n, 0.5)
         for p in ps.tolist():
             np.testing.assert_array_equal(bits(binom.pmf(ks, n, p)), bits(one_expression(ks, p)))
             for k in (0, n // 2, n):
                 value = binom.pmf(k, n, p)
                 assert type(value) is np.float64
                 assert bits(value) == bits(one_expression(k, p))
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 30])
+def test_exact_binomial_mean_is_the_definition(n):
+    """The integer Horner sum of binom_mean_exact equals the sum of C(n, k)
+    q^k (1 - q)^(n - k) v_k in Fraction powers, at the edges, a value near 0
+    and random p, against values of mixed denominators."""
+    rng = np.random.default_rng(n)
+    values = [0.0, 1.0 / 3.0, 0.1] * n + rng.uniform(-1, 2, n + 1).tolist()
+    values = values[: n + 1]
+    for p in [0.0, 1.0, 1e-9, 0.5] + rng.uniform(0, 1, 3).tolist():
+        q = Fraction(p)
+        expect = sum(
+            math.comb(n, k) * q**k * (1 - q) ** (n - k) * Fraction(v)
+            for k, v in enumerate(values)
+        )
+        assert binom_mean_exact(values, n, p) == expect
 
 
 class TestBlockwise:
@@ -369,18 +394,29 @@ class TestBlockwise:
         for val in (band_free, banded):
             np.testing.assert_array_equal(exact_F_blockwise(val, xA, xB), scalar[val])
 
-    @pytest.mark.parametrize("alpha, lam", [(0.5, 1.0), (1.0, 0.7)])
-    def test_band_free_matches_exact_one_block_sums(self, alpha, lam):
+    @staticmethod
+    def exact_band_free(val: TwoBlockValuation, xA, xB) -> list:
+        """lam (1 - (1 - E phi(a/n)) (1 - E phi(b/n))) in exact rationals at
+        each point, rounded once."""
+        n, alpha = val.block_size, val.phi.alpha
+        phis = [min(k / n / alpha, 1.0) for k in range(n + 1)]
+        mean = {p: binom_mean_exact(phis, n, p) for p in set(xA.tolist() + xB.tolist())}
+        return [
+            float(Fraction(val.lam) * (1 - (1 - mean[a]) * (1 - mean[b])))
+            for a, b in zip(xA.tolist(), xB.tolist())
+        ]
+
+    @pytest.mark.parametrize("n", [8, 200])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+    def test_band_free_matches_exact_one_block_sums(self, n, alpha):
         """With beta = 0 the blocks are summed one at a time: F = lam (1 - (1 -
         E phi(a/n)) (1 - E phi(b/n))).  Against those sums in exact
-        rationals at n = 200, at gap955's segment points, the endpoints,
-        values near 0 and random points, the error is the pmf's own (~3e-14
-        relative per entry)."""
-        n = 200
+        rationals, at gap955's segment points, the endpoints, values near 0
+        and random points, the error is the pmf's own (~3e-14 relative per
+        entry, over the saturated counts only)."""
         val = TwoBlockValuation(
-            2 * n, pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n), PhiAlpha(alpha), 0.0, lam
+            2 * n, pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n), PhiAlpha(alpha), 0.0, 0.7
         )
-        phis = [min(k / n / alpha, 1.0) for k in range(n + 1)]
         ts = np.arange(21) / 20.0
         rng = np.random.default_rng(5)
         # 1 - (1 - ea)(1 - eb) would lose 7 digits at (1e-9, 0)
@@ -388,14 +424,43 @@ class TestBlockwise:
             [1.0 - np.exp(ts - 1.0), [0.0, 1.0, 0.0, 1e-9, 1e-6], rng.uniform(0, 1, 8)]
         )
         xB = np.concatenate([1.0 - np.exp(-ts), [0.0, 0.0, 1.0, 0.0, 1e-7], rng.uniform(0, 1, 8)])
-        mean = {p: binom_mean_exact(phis, n, p) for p in set(xA.tolist() + xB.tolist())}
-        expect = [
-            float(Fraction(lam) * (1 - (1 - mean[a]) * (1 - mean[b])))
-            for a, b in zip(xA.tolist(), xB.tolist())
-        ]
-        np.testing.assert_allclose(exact_F_blockwise(val, xA, xB), expect, rtol=3e-14, atol=0)
+        np.testing.assert_allclose(
+            exact_F_blockwise(val, xA, xB), self.exact_band_free(val, xA, xB), rtol=3e-14, atol=0
+        )
 
-    @pytest.mark.parametrize("n", [8, 200, 1100])
+    def test_band_free_matches_exact_sums_above_grid_size(self):
+        """At n = 1100 the reference is exact too: a float one, the log-space
+        pmf through the contraction pmf @ grid @ pmf, reads 7.9e-14 from
+        exact there, more than the band-free sums do."""
+        val = two_block_product_instance(1100, 0.5)
+        rng = np.random.default_rng(1100)
+        xA = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0, 1, 12)])
+        xB = np.concatenate([[1.0, 0.0, 0.5], rng.uniform(0, 1, 12)])
+        np.testing.assert_allclose(
+            exact_F_blockwise(val, xA, xB), self.exact_band_free(val, xA, xB), rtol=3e-14, atol=0
+        )
+
+    @pytest.mark.parametrize("n", [1, 8, 200])
+    def test_band_free_at_alpha_one_needs_no_pmf(self, monkeypatch, n):
+        """At alpha = 1 no count saturates, so E phi(a/n) = E[a/n] = p and F
+        is lam (pa + pb - pa pb) bit for bit, with no pmf entry computed."""
+
+        def no_pmf(*args, **kwargs):
+            raise AssertionError("binom.pmf called at alpha = 1")
+
+        monkeypatch.setattr(extensions.binom, "pmf", no_pmf)
+        rng = np.random.default_rng(n)
+        pa = np.concatenate([[0.0, 1.0, 1e-9, 0.0, 1.0, 1e-9], rng.uniform(0, 1, 40)])
+        pb = np.concatenate([[0.0, 1.0, 1e-9, 1.0, 1e-9, 0.0], rng.uniform(0, 1, 40)])
+        A, B = pack(range(n), 2 * n), pack(range(n, 2 * n), 2 * n)
+        for lam in (1.0, 0.7):
+            val = TwoBlockValuation(2 * n, A, B, PhiAlpha(1.0), 0.0, lam)
+            np.testing.assert_array_equal(
+                exact_F_blockwise(val, pa, pb), lam * (pa + pb - pa * pb)
+            )
+            assert exact_F_blockwise(val, 1e-9, 0.0) == lam * 1e-9
+
+    @pytest.mark.parametrize("n", [8, 200])
     def test_band_free_matches_the_grid_contraction(self, n):
         """The one-block sums agree with the two-block contraction pmf @
         grid @ pmf over the count grid lam * psi(a/n, b/n) to 1e-13."""
@@ -439,14 +504,21 @@ class TestBlockwise:
     def test_float_blocks_stay_within_the_budget(self):
         """A block that a caller builds holds at most about setfn.BLOCK_BYTES
         at once, whatever the number of points, samples, triples or
-        prefixes: 30,000 points at n = 200 on a warm grid, 600 samples at
-        m = 4,000, and 2,000 sampled triples and 20,000 balanced prefixes
+        prefixes: 30,000 points at n = 200 on a warm grid, 100,000 points
+        at alpha = 1, where no count saturates, 600 samples at m = 4,000, and 2,000 sampled triples and 20,000 balanced prefixes
         at m = 40,000 each peak under two blocks, as do 5,000 points of a
-        tabulated extension at m = 8.  A count grid, built a block of rows
-        at a time, peaks under its own bytes and 1.5 blocks."""
+        tabulated extension at m = 8.  Sampled triples on an additive or
+        budget-additive oracle at m = 40,000 peak under five: the float
+        terms of their item-order sums take a block of rows at a time, and
+        the rest is each batch's (rows, m) bool selection.  That peak is
+        set by the row block, not by the number of triples, so 100 do.  A count grid,
+        built a block of rows at a time, peaks under its own bytes and 1.5
+        blocks."""
         val = two_block_product_instance(200, 0.5)
         val.count_grid()
         xA, xB = np.random.default_rng(3).uniform(0, 1, (2, 30_000))
+        linear = two_block_product_instance(200, 1.0)
+        pa, pb = np.random.default_rng(6).uniform(0, 1, (2, 100_000))
         table = tabulate(make_additive([0.1] * 8))
         points = np.random.default_rng(4).uniform(0, 1, (5_000, 8))
         oracle = two_block_product_instance(2000, 0.5).oracle()
@@ -465,12 +537,19 @@ class TestBlockwise:
 
         for call in (
             lambda: exact_F_blockwise(val, xA, xB),
+            lambda: exact_F_blockwise(linear, pa, pb),
             lambda: exact_F_tabulated(table, points),
             lambda: multilinear_F(oracle, x, 600, seed=1),
             lambda: check_monotone_submodular(wide, "sampled", 2000, np.random.default_rng(1)),
             lambda: BalancedPrefixCPP().allocate([wide], 20_000, np.random.default_rng(2)),
         ):
             assert peak(call) < 2 * setfn.BLOCK_BYTES
+        weights = np.random.default_rng(5).uniform(0, 1, 40_000).tolist()
+        for summed in (make_additive(weights), make_budget_additive(weights, 100.0)):
+            check = lambda: check_monotone_submodular(
+                summed, "sampled", 100, np.random.default_rng(1)
+            )
+            assert peak(check) < 5 * setfn.BLOCK_BYTES
         for n in (200, GRID_MAX_BLOCK):
             _count_grid.cache_clear()
             grid_bytes = 8 * (n + 1) ** 2
